@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from .config import read_config
-from .exceptions import PassageError
+from .exceptions import ConfigError, PassageError
 from .exports import export_csv, export_svg
 from .scenarios import (
     CYCLIC_IDS,
@@ -76,7 +76,12 @@ def _merged(args: argparse.Namespace, key: str, file_values: dict, cast, default
     if flag is not None:
         return flag
     if key in file_values:
-        return cast(file_values[key])
+        try:
+            return cast(file_values[key])
+        except ValueError:
+            raise ConfigError(
+                f"config value {key} = {file_values[key]!r} is not a valid {cast.__name__}"
+            ) from None
     return default
 
 

@@ -12,6 +12,20 @@ Everything here works on plain complex numpy arrays (states are shape
 dimensionless with hbar = 1.  Propagation uses classical fixed-step RK4,
 which handles non-unitary generators without any norm-restoring tricks and
 keeps declared stage boundaries exactly on grid points.
+
+Two paths share the scheme and the samples.  The propagators
+(:func:`propagator_ket`, :func:`propagator_bra`,
+:func:`biorthogonality_defect`) are batched: every RK4 step of a segment
+becomes a matrix ``P_n`` built in one numpy expression, and a blocked
+prefix product turns them into ``U_n = P_n ... P_1``; the bra steps reuse
+the ket samples conjugate-transposed.  The state sweeps
+(:func:`evolve_ket`, :func:`evolve_bra`) keep the step-by-step vector
+loop.  Regrouping the products changes rounding only, but the growing
+modes of a non-Hermitian generator amplify it over long multi-loop runs
+(to ~1e-8 in stage-end populations), and trajectories are compared
+against recorded reference populations at 1e-12.  The propagators only
+feed thresholded certificates, where the ~1e-14 regrouping error is
+invisible.
 """
 
 from __future__ import annotations
@@ -25,6 +39,7 @@ import numpy as np
 from .exceptions import (
     DimensionMismatchError,
     GridError,
+    InvalidArgumentError,
     NonFiniteSampleError,
 )
 
@@ -287,10 +302,10 @@ def _segment_sample_times(times: np.ndarray, a: int, b: int) -> np.ndarray:
 
 
 def _rk4_sweep(H: TimeDependentOperator, grid: TimeGrid, y0: np.ndarray) -> np.ndarray:
-    """Integrate dy/dt = -i H(t) y over the grid; y may be a vector or matrix."""
+    """Integrate dy/dt = -i H(t) y for a state vector, one RK4 step at a time."""
     times = grid.times()
     dt = grid.dt
-    out = np.empty((times.size,) + y0.shape, dtype=complex)
+    out = np.empty((times.size, y0.size), dtype=complex)
     out[0] = y0
     y = y0
     for a, b in grid.segment_indices():
@@ -306,6 +321,66 @@ def _rk4_sweep(H: TimeDependentOperator, grid: TimeGrid, y0: np.ndarray) -> np.n
             y = y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
             out[a + i + 1] = y
     return out
+
+
+def _step_matrices(gs: np.ndarray, dt: float) -> np.ndarray:
+    """RK4 step matrices ``P_n = I + dt/6 (K1 + 2 K2 + 2 K3 + K4)`` of one segment.
+
+    ``gs`` is the interleaved grid/midpoint block of ``-iH`` from
+    :func:`_segment_sample_times`; one RK4 step of a linear equation maps
+    ``y`` to ``P_n y``.
+    """
+    g1, g2, g3 = gs[0:-1:2], gs[1::2], gs[2::2]
+    k2 = g2 + (0.5 * dt) * (g2 @ g1)
+    k3 = g2 + (0.5 * dt) * (g2 @ k2)
+    k4 = g3 + dt * (g3 @ k3)
+    return np.eye(gs.shape[-1]) + (dt / 6.0) * (g1 + 2.0 * (k2 + k3) + k4)
+
+
+def _prefix_products(steps: np.ndarray, u0: np.ndarray) -> np.ndarray:
+    """``out[i] = steps[i] ... steps[0] u0`` by a blocked scan.
+
+    The steps are cut into about sqrt(n) blocks (the last padded with
+    identities).  Running products inside the blocks advance all blocks at
+    once, a short sequential carry chains the block ends from ``u0``, and
+    one batched multiply applies each block's incoming carry.
+    """
+    n, K = steps.shape[0], steps.shape[-1]
+    m = max(1, int(np.sqrt(n)))
+    nb = -(-n // m)
+    blocks = np.empty((nb * m, K, K), dtype=complex)
+    blocks[:n] = steps
+    blocks[n:] = np.eye(K)
+    blocks = blocks.reshape(nb, m, K, K)
+    for j in range(1, m):
+        blocks[:, j] = blocks[:, j] @ blocks[:, j - 1]
+    carry = np.empty((nb, K, K), dtype=complex)
+    carry[0] = u0
+    for i in range(1, nb):
+        carry[i] = blocks[i - 1, -1] @ carry[i - 1]
+    return (blocks @ carry[:, None]).reshape(nb * m, K, K)[:n]
+
+
+def _propagators(
+    H: TimeDependentOperator, grid: TimeGrid, with_bra: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Ket propagators of ``H`` on every grid point and, if asked, the bra ones.
+
+    Each smooth segment is sampled once; the bra steps reuse that block
+    conjugate-transposed, since ``-i H^dag = -(-i H)^dag``.
+    """
+    times = grid.times()
+    U = np.empty((times.size, H.dim, H.dim), dtype=complex)
+    U[0] = np.eye(H.dim)
+    V = U.copy() if with_bra else None
+    for a, b in grid.segment_indices():
+        op = _piece_for_segment(H, times[a], times[b])
+        gs = -1j * op.sample(_segment_sample_times(times, a, b))
+        U[a + 1 : b + 1] = _prefix_products(_step_matrices(gs, grid.dt), U[a])
+        if with_bra:
+            gs_bra = -gs.conj().transpose(0, 2, 1)
+            V[a + 1 : b + 1] = _prefix_products(_step_matrices(gs_bra, grid.dt), V[a])
+    return U, V
 
 
 def evolve_ket(H: TimeDependentOperator, psi0, grid: TimeGrid) -> StateTrajectory:
@@ -333,14 +408,14 @@ def propagator_ket(H: TimeDependentOperator, grid: TimeGrid) -> np.ndarray:
     """Time-evolution operators U0(t) on every grid point, U0(t0) = identity.
 
     Columns evolve like :func:`evolve_ket` runs from the corresponding
-    basis vectors; shape ``(n_steps + 1, K, K)``.
+    basis vectors (to rounding); shape ``(n_steps + 1, K, K)``.
     """
-    return _rk4_sweep(H, grid, np.eye(H.dim, dtype=complex))
+    return _propagators(H, grid)[0]
 
 
 def propagator_bra(H: TimeDependentOperator, grid: TimeGrid) -> np.ndarray:
     """Dual-space propagators V0(t) generated by ``H(t)^dag``."""
-    return _rk4_sweep(H.adjoint(), grid, np.eye(H.dim, dtype=complex))
+    return _propagators(H.adjoint(), grid)[0]
 
 
 def biorthogonality_defect(H: TimeDependentOperator, grid: TimeGrid) -> float:
@@ -350,8 +425,7 @@ def biorthogonality_defect(H: TimeDependentOperator, grid: TimeGrid) -> float:
     isolates integrator error; it should sit at the integrator's accuracy
     regardless of how non-Hermitian ``H`` is.
     """
-    U = propagator_ket(H, grid)
-    V = propagator_bra(H, grid)
+    U, V = _propagators(H, grid, with_bra=True)
     eye = np.eye(H.dim)
     prod = np.einsum("nji,njk->nik", V.conj(), U)
     return float(np.max(np.abs(prod - eye)))
@@ -375,11 +449,11 @@ def dyson_truncation(
     once the quadrature is resolved.
     """
     if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+        raise InvalidArgumentError(f"order must be >= 0, got {order}")
     if quadrature_steps < 1:
-        raise ValueError(f"quadrature_steps must be >= 1, got {quadrature_steps}")
+        raise InvalidArgumentError(f"quadrature_steps must be >= 1, got {quadrature_steps}")
     if t < t0:
-        raise ValueError(f"t = {t} precedes t0 = {t0}")
+        raise InvalidArgumentError(f"t = {t} precedes t0 = {t0}")
     K = H.dim
     total = np.eye(K, dtype=complex)
     if order == 0 or t == t0:

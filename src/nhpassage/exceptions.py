@@ -35,3 +35,7 @@ class NonHermitianError(PassageError):
 
 class ConfigError(PassageError):
     """A scenario configuration or config file is invalid."""
+
+
+class InvalidArgumentError(PassageError, ValueError):
+    """An argument lies outside its domain (loop index, passage name, series order, ...)."""

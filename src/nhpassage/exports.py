@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .exceptions import InvalidArgumentError
 from .scenarios import RunReport
 
 __all__ = ["export_csv", "export_svg"]
@@ -39,7 +40,7 @@ def export_csv(report: RunReport, path) -> None:
     columns = [traj.times] + [traj.populations[:, i] for i in range(dim)] + [
         traj.total_norm, phase.f_real, phase.f_imag, traj.vector_norm()]
     if any(len(col) != len(traj.times) for col in columns):
-        raise ValueError("trajectory and phase arrays disagree in length")
+        raise InvalidArgumentError("trajectory and phase arrays disagree in length")
     lines = [",".join(header)]
     for row in zip(*columns):
         lines.append(",".join(_fmt(v) for v in row))

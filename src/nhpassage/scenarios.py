@@ -20,6 +20,7 @@ are derived solely from the recorded numbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -30,6 +31,7 @@ from .dynamics import (
     TimeDependentOperator,
     TimeGrid,
     biorthogonality_defect,
+    constant_operator,
     dyson_truncation,
     evolve_bra,
     evolve_ket,
@@ -129,6 +131,10 @@ class ScenarioConfig:
             raise ConfigError(
                 f"unknown scenario {self.scenario!r}; expected one of {SCENARIO_IDS}"
             )
+        for name in ("T", "dt", "gamma_scale", "tolerance"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if not self.T > 0:
             raise ConfigError(f"T must be positive, got {self.T}")
         if self.loops < 1:
@@ -695,6 +701,76 @@ def _dyson_order_fit(H_const: TimeDependentOperator, span: float) -> float:
     return float(np.log2(errs[0] / errs[1]))
 
 
+def _failed_check(what: str, exc: PassageError) -> CheckResult:
+    return CheckResult.below(f"{what}_failed ({exc})", 1.0, 0.0)
+
+
+def _placeholder_report(config: ScenarioConfig, exc: PassageError) -> RunReport:
+    """An all-zero report shaped like the scenario's run, carrying the failure."""
+    if config.scenario in CYCLIC_IDS:
+        dim, span = 3, 6.0 * config.loops * config.T
+    else:
+        dim, span = 2, 2.0 * config.T
+    # the span divided into the nearest whole number of steps, so the
+    # placeholder exists even when the configured dt does not divide it
+    n_steps = max(1, round(span / config.resolved_dt()))
+    grid = TimeGrid(0.0, span, span / n_steps)
+    zeros = np.zeros(n_steps + 1)
+    return RunReport(
+        config=config,
+        trajectory=StateTrajectory(grid=grid, times=grid.times(),
+                                   states=np.zeros((n_steps + 1, dim), complex)),
+        phase=PhaseFunctional(times=grid.times(), f_real=zeros, f_imag=zeros),
+        residuals={}, checkpoints={},
+        checks=[_failed_check("run", exc)],
+    )
+
+
+def _perturbed_omega_checks(config: ScenarioConfig):
+    perturbed = _perturbed_omega_residual(config)
+    checks = [CheckResult.above("perturbed_omega_breaks_triangularization",
+                                perturbed, 1e-3)]
+    return checks, {"perturbed_triangularization": perturbed}
+
+
+def _hermitian_limit_checks(config: ScenarioConfig):
+    H_herm, frame_herm, grid_herm = _hermitian_limit_pieces(config)
+    tri_h = triangularization_residual(H_herm, frame_herm, grid_herm)
+    von_h = von_neumann_residual(H_herm, frame_herm, grid_herm)
+    bad_frame = _misaligned_frame(H_herm.dim, config.T)
+    checks = [
+        CheckResult.below("hermitian_limit_triangularization", tri_h, RESIDUAL_TOL),
+        CheckResult.below("hermitian_limit_von_neumann", von_h, RESIDUAL_TOL),
+        CheckResult.above(
+            "misaligned_frame_triangularization",
+            triangularization_residual(H_herm, bad_frame, grid_herm), 1e-3),
+        CheckResult.above(
+            "misaligned_frame_von_neumann",
+            von_neumann_residual(H_herm, bad_frame, grid_herm), 1e-3),
+    ]
+    return checks, {"hermitian_triangularization": tri_h, "hermitian_von_neumann": von_h}
+
+
+def _random_biorthogonality_checks(config: ScenarioConfig):
+    dim = 2 if config.scenario in TWO_LEVEL_IDS else 3
+    rng = np.random.default_rng(987 + dim)
+    rand = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    H_rand = constant_operator(rand / np.linalg.norm(rand, 2))
+    grid_rand = TimeGrid(0.0, 2.0, 1e-3)
+    checks = [CheckResult.below(
+        "biorthogonality_random_generator",
+        biorthogonality_defect(H_rand, grid_rand), POPULATION_TOL)]
+    return checks, {}
+
+
+def _dyson_checks(config: ScenarioConfig):
+    h_mid = _mid_run_generator(config, 0.6 * config.T)
+    norm = float(np.linalg.norm(h_mid, 2))
+    order = _dyson_order_fit(constant_operator(h_mid), 1.0 / max(norm, 1e-9))
+    return ([CheckResult.above("dyson_truncation_order_fit", order, 4.5)],
+            {"dyson_order_fit": order})
+
+
 def verify(config: ScenarioConfig) -> RunReport:
     """Run the full residual suite for a scenario; failures are data, not errors.
 
@@ -703,69 +779,28 @@ def verify(config: ScenarioConfig) -> RunReport:
     fail both residuals), the Hermitian zero-gain limit where the
     projector commutation law must hold, a biorthogonality scan of paired
     random evolutions, and a short-horizon series-truncation order fit.
+    A run or certificate group that raises a :class:`PassageError` is
+    recorded as one failed check; a failed run leaves an all-zero
+    trajectory of the scenario's shape.
     """
     try:
         report = run_scenario(config)
-        checks = list(report.checks)
     except PassageError as exc:
-        dt = config.resolved_dt()
-        grid = TimeGrid(0.0, 2.0 * config.T, dt)
-        empty = StateTrajectory(grid=grid, times=grid.times(),
-                                states=np.zeros((grid.n_steps + 1, 2), complex))
-        report = RunReport(
-            config=config, trajectory=empty,
-            phase=PhaseFunctional(times=grid.times(),
-                                  f_real=np.zeros(grid.n_steps + 1),
-                                  f_imag=np.zeros(grid.n_steps + 1)),
-            residuals={}, checkpoints={},
-            checks=[CheckResult.below(f"run_failed ({exc})", 1.0, 0.0)],
-        )
-        checks = list(report.checks)
+        report = _placeholder_report(config, exc)
+    checks = list(report.checks)
 
-    perturbed = _perturbed_omega_residual(config)
-    checks.append(CheckResult.above("perturbed_omega_breaks_triangularization",
-                                    perturbed, 1e-3))
-
-    H_herm, frame_herm, grid_herm = _hermitian_limit_pieces(config)
-    tri_h = triangularization_residual(H_herm, frame_herm, grid_herm)
-    von_h = von_neumann_residual(H_herm, frame_herm, grid_herm)
-    checks.append(CheckResult.below("hermitian_limit_triangularization",
-                                    tri_h, RESIDUAL_TOL))
-    checks.append(CheckResult.below("hermitian_limit_von_neumann",
-                                    von_h, RESIDUAL_TOL))
-
-    dim = 2 if config.scenario in TWO_LEVEL_IDS else 3
-    bad_frame = _misaligned_frame(dim, config.T)
-    checks.append(CheckResult.above(
-        "misaligned_frame_triangularization",
-        triangularization_residual(H_herm, bad_frame, grid_herm), 1e-3))
-    checks.append(CheckResult.above(
-        "misaligned_frame_von_neumann",
-        von_neumann_residual(H_herm, bad_frame, grid_herm), 1e-3))
-
-    rng = np.random.default_rng(987 + dim)
-    rand = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    from .dynamics import constant_operator
-
-    H_rand = constant_operator(rand / np.linalg.norm(rand, 2))
-    grid_rand = TimeGrid(0.0, 2.0, 1e-3)
-    checks.append(CheckResult.below(
-        "biorthogonality_random_generator",
-        biorthogonality_defect(H_rand, grid_rand), POPULATION_TOL))
-
-    mid = 0.6 * config.T
-    h_mid = _mid_run_generator(config, mid)
-    norm = float(np.linalg.norm(h_mid, 2))
-    H_const = constant_operator(h_mid)
-    order = _dyson_order_fit(H_const, 1.0 / max(norm, 1e-9))
-    checks.append(CheckResult.above("dyson_truncation_order_fit", order, 4.5))
-
-    report.residuals.update({
-        "perturbed_triangularization": perturbed,
-        "hermitian_triangularization": tri_h,
-        "hermitian_von_neumann": von_h,
-        "dyson_order_fit": order,
-    })
+    for group, certify in (
+        ("perturbed_omega", _perturbed_omega_checks),
+        ("hermitian_limit", _hermitian_limit_checks),
+        ("biorthogonality_random", _random_biorthogonality_checks),
+        ("dyson_truncation", _dyson_checks),
+    ):
+        try:
+            group_checks, group_residuals = certify(config)
+        except PassageError as exc:
+            group_checks, group_residuals = [_failed_check(group, exc)], {}
+        checks.extend(group_checks)
+        report.residuals.update(group_residuals)
     report.checks = checks
     return report
 

@@ -44,7 +44,11 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import TimeDependentOperator, TimeGrid
-from .exceptions import PhaseConsistencyError, SingularDenominatorError
+from .exceptions import (
+    InvalidArgumentError,
+    PhaseConsistencyError,
+    SingularDenominatorError,
+)
 from .frames import ThreeLevelFrameParams, TwoLevelFrameParams
 
 __all__ = [
@@ -524,7 +528,7 @@ def phase_two_level(
     the norm in both cases).
     """
     if passage not in ("ket", "bra"):
-        raise ValueError(f"passage must be 'ket' or 'bra', got {passage!r}")
+        raise InvalidArgumentError(f"passage must be 'ket' or 'bra', got {passage!r}")
     return _phase_from_fdot(_two_level_fdot(controls, frame, passage), grid, passage)
 
 
@@ -536,7 +540,7 @@ def phase_three_level(
 ) -> PhaseFunctional:
     """Accumulated complex phase along a three-level passage (ket or bra space)."""
     if passage not in ("ket", "bra"):
-        raise ValueError(f"passage must be 'ket' or 'bra', got {passage!r}")
+        raise InvalidArgumentError(f"passage must be 'ket' or 'bra', got {passage!r}")
     return _phase_from_fdot(_three_level_fdot(controls, frame, passage), grid, passage)
 
 
@@ -618,7 +622,7 @@ class StageSchedule:
     def _stage_for(self, t) -> ScheduleStage:
         t = float(t)
         if not (self.start <= t <= self.end):
-            raise ValueError(f"time {t} outside schedule [{self.start}, {self.end}]")
+            raise InvalidArgumentError(f"time {t} outside schedule [{self.start}, {self.end}]")
         for stage in self.stages[:-1]:
             if t < stage.end:
                 return stage
@@ -651,9 +655,9 @@ def clockwise_schedule(k: int, T: float) -> StageSchedule:
     via ``xi_e``.
     """
     if k < 1:
-        raise ValueError(f"loop index must be >= 1, got {k}")
+        raise InvalidArgumentError(f"loop index must be >= 1, got {k}")
     if not T > 0:
-        raise ValueError(f"stage half-duration must be positive, got {T}")
+        raise InvalidArgumentError(f"stage half-duration must be positive, got {T}")
     slope = np.pi / (4.0 * T)
     base = 6.0 * (k - 1) * T
     th1, th1_dot = _affine(slope, 2.0 * (3 * k - 2) * T)
@@ -678,9 +682,9 @@ def counterclockwise_schedule(k: int, T: float) -> StageSchedule:
     clockwise case.
     """
     if k < 1:
-        raise ValueError(f"loop index must be >= 1, got {k}")
+        raise InvalidArgumentError(f"loop index must be >= 1, got {k}")
     if not T > 0:
-        raise ValueError(f"stage half-duration must be positive, got {T}")
+        raise InvalidArgumentError(f"stage half-duration must be positive, got {T}")
     slope = -np.pi / (4.0 * T)
     base = 6.0 * (k - 1) * T
     th1, th1_dot = _affine(slope, 6.0 * (k - 1) * T)

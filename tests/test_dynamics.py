@@ -7,10 +7,14 @@ import scipy.linalg
 from nhpassage import (
     DimensionMismatchError,
     GridError,
+    InvalidArgumentError,
+    PassageError,
+    ThreeLevelFrameParams,
     NonFiniteSampleError,
     TimeDependentOperator,
     TimeGrid,
     biorthogonality_defect,
+    clockwise_schedule,
     constant_operator,
     dyson_truncation,
     evolve_bra,
@@ -20,6 +24,8 @@ from nhpassage import (
     piecewise_operator,
     propagator_bra,
     propagator_ket,
+    synthesize_three_level,
+    three_level_hamiltonian,
 )
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -272,6 +278,98 @@ def test_series_rejects_bad_arguments():
         dyson_truncation(H, 0.5, -1, 128)
     with pytest.raises(ValueError):
         dyson_truncation(H, 0.5, 2, 0)
+
+
+def test_series_errors_are_typed():
+    H = constant_operator(np.eye(2))
+    for args in ((0.5, -1, 128), (0.5, 2, 0), (-0.5, 2, 128)):
+        with pytest.raises(InvalidArgumentError) as info:
+            dyson_truncation(H, *args)
+        assert isinstance(info.value, PassageError)
+        assert isinstance(info.value, ValueError)
+
+
+# ---------------------------------------------------------------------------
+# batched propagators against the step-by-step loop
+
+
+def loop_rk4_sweep(H, grid, y0):
+    """Reference copy of the step-by-step RK4 loop; ``y0`` a vector or matrix."""
+    y0 = np.asarray(y0, dtype=complex)
+    times = grid.times()
+    dt = grid.dt
+    out = np.empty((times.size,) + y0.shape, dtype=complex)
+    out[0] = y0
+    y = y0
+    for a, b in grid.segment_indices():
+        op = H
+        if H.pieces is not None:
+            mid = 0.5 * (times[a] + times[b])
+            op = next(p for lo, hi, p in H.pieces if lo <= mid <= hi)
+        seg = times[a:b + 1]
+        ts = np.empty(2 * (b - a) + 1)
+        ts[0::2] = seg
+        ts[1::2] = 0.5 * (seg[:-1] + seg[1:])
+        gs = -1j * op.sample(ts)
+        for i in range(b - a):
+            g1, g2, g3 = gs[2 * i], gs[2 * i + 1], gs[2 * i + 2]
+            k1 = g1 @ y
+            k2 = g2 @ (y + (0.5 * dt) * k1)
+            k3 = g2 @ (y + (0.5 * dt) * k2)
+            k4 = g3 @ (y + dt * k3)
+            y = y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            out[a + i + 1] = y
+    return out
+
+
+def cyclic_stage_generator(gamma_ratio=3.45):
+    """Generator and grid of stage 1 of the first clockwise loop (T = 1)."""
+    stage = clockwise_schedule(1, 1.0).stages[0]
+    zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
+    params = ThreeLevelFrameParams(
+        theta=stage.theta, theta_dot=stage.theta_dot, alpha=zero, alpha_dot=zero,
+        phi_mix=stage.phi_mix, phi_mix_dot=stage.phi_mix_dot, beta=zero, beta_dot=zero,
+    )
+    grid = TimeGrid(stage.start, stage.end, 1.0 / 2000)
+    gamma = lambda t: gamma_ratio * np.asarray(stage.theta_dot(t))
+    controls = synthesize_three_level(
+        params, gamma0=gamma, gamma1=gamma, gamma_e=lambda t: 0.5 * gamma(t),
+        xi0=-np.pi / 2, xi1=np.pi / 2, xi_e=stage.xi_e,
+        delta0=0.0, delta1=0.0, delta_e=0.0,
+        varphi=np.pi / 2, varphi_a=np.pi / 2, grid=grid)
+    return three_level_hamiltonian(controls), grid
+
+
+def crossing_piecewise_generator():
+    """Three smooth non-Hermitian pieces joined at two declared stage boundaries."""
+    H = piecewise_operator([
+        (0.0, 0.4, smooth_generator(3, seed=71)),
+        (0.4, 1.1, smooth_generator(3, seed=73)),
+        (1.1, 1.5, smooth_generator(3, seed=75)),
+    ])
+    return H, TimeGrid(0.0, 1.5, 1e-3, stage_boundaries=(0.4, 1.1))
+
+
+@pytest.mark.parametrize("make", [cyclic_stage_generator, crossing_piecewise_generator])
+def test_batched_propagators_match_step_loop(make):
+    H, grid = make()
+    eye = np.eye(H.dim, dtype=complex)
+    U_loop = loop_rk4_sweep(H, grid, eye)
+    V_loop = loop_rk4_sweep(H.adjoint(), grid, eye)
+    # growing modes: the regime where regrouped products could drift
+    assert np.max(np.abs(U_loop)) > 1.0
+    assert np.max(np.abs(propagator_ket(H, grid) - U_loop)) <= 1e-12
+    assert np.max(np.abs(propagator_bra(H, grid) - V_loop)) <= 1e-12
+    prod = np.einsum("nji,njk->nik", V_loop.conj(), U_loop)
+    assert abs(biorthogonality_defect(H, grid) - np.max(np.abs(prod - eye))) <= 1e-12
+
+
+def test_state_sweeps_are_bit_identical_to_step_loop():
+    H, grid = cyclic_stage_generator()
+    psi0 = np.array([1.0, 0.0, 0.0], dtype=complex)
+    assert np.array_equal(evolve_ket(H, psi0, grid).states, loop_rk4_sweep(H, grid, psi0))
+    assert np.array_equal(evolve_bra(H, psi0, grid).states,
+                          loop_rk4_sweep(H.adjoint(), grid, psi0))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from nhpassage import (
     ScenarioConfig,
     StepSizeError,
     TwoLevelScenario,
+    clockwise_schedule,
     export_csv,
     export_svg,
     run_scenario,
@@ -82,6 +83,17 @@ def test_custom_two_level_scenario_runs():
 def test_coarse_step_fails_convergence_check():
     with pytest.raises(StepSizeError):
         run_two_level(ScenarioConfig(scenario="two_level_a", dt=0.1))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("T", np.inf), ("T", np.nan),
+    ("dt", np.inf), ("dt", np.nan),
+    ("gamma_scale", np.inf), ("gamma_scale", -np.inf), ("gamma_scale", np.nan),
+    ("tolerance", np.inf), ("tolerance", np.nan),
+])
+def test_config_rejects_non_finite(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        ScenarioConfig(scenario="cyclic_cw", **{field: value})
 
 
 def test_config_validation():
@@ -186,6 +198,30 @@ def test_verify_records_failures_as_data():
     report = verify(ScenarioConfig(scenario="two_level_a", dt=0.1))
     assert not report.passed
     assert any("run_failed" in c.name for c in report.checks)
+
+
+def test_verify_reports_a_step_that_does_not_divide_the_span():
+    report = verify(ScenarioConfig(scenario="two_level_a", dt=0.3))
+    assert not report.passed
+    names = [c.name for c in report.checks]
+    assert any(n.startswith("run_failed") for n in names)
+    assert any(n.startswith("hermitian_limit_failed") for n in names)
+    assert "biorthogonality_random_generator" in names
+    assert report.trajectory.states.shape == (8, 2)
+
+
+def test_verify_failed_cyclic_run_keeps_the_scenario_shape(tmp_path):
+    # dt = 0.1 divides every stage but trips the dt/2 self-check
+    report = verify(ScenarioConfig(scenario="cyclic_cw", loops=2, dt=0.1))
+    assert not report.passed
+    assert any(c.name.startswith("run_failed") for c in report.checks)
+    assert report.trajectory.states.shape == (121, 3)
+    assert report.trajectory.times[-1] == pytest.approx(12.0)
+    path = tmp_path / "failed.csv"
+    export_csv(report, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "t,P0,P1,Pe,total,f_real,f_imag,norm"
+    assert len(lines) == 122
 
 
 # ---------------------------------------------------------------------------
@@ -310,3 +346,44 @@ def test_cli_failure_exit_code(capsys):
     # coarse dt trips the step check; the CLI reports and exits nonzero
     code = cli_main(["two-level", "--scenario", "a", "--dt", "0.1", "--quiet"])
     assert code == 1
+
+
+def test_cli_verify_failure_is_reported_not_raised(tmp_path, capsys):
+    csv = tmp_path / "failed.csv"
+    code = cli_main(["verify", "--scenario", "a", "--dt", "0.3", "--csv", str(csv)])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert "FAIL  run_failed" in out
+    assert out.splitlines()[-1].startswith("FAILED:")
+    assert err == ""
+    assert len(csv.read_text(encoding="utf-8").splitlines()) == 9
+
+
+def test_cli_non_finite_flag_is_a_clean_error(capsys):
+    code = cli_main(["cyclic", "--direction", "cw", "--gamma-scale", "nan"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: gamma_scale must be finite")
+    assert "Traceback" not in err
+
+
+def test_cli_bad_config_number_is_a_clean_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scenario = a\nloops = two\n", encoding="utf-8")
+    code = cli_main(["verify", "--config", str(cfg)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config value loops = 'two' is not a valid int")
+    assert "Traceback" not in err
+
+
+def test_cli_typed_argument_error_is_a_clean_error(monkeypatch, capsys):
+    # route a loop index of 0 into the schedule builder the runner uses
+    import nhpassage.scenarios as scenarios
+
+    monkeypatch.setattr(scenarios, "clockwise_schedule",
+                        lambda k, T: clockwise_schedule(k - 1, T))
+    code = cli_main(["cyclic", "--direction", "cw", "--quiet"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: loop index must be >= 1, got 0\n"

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from nhpassage import (
+    InvalidArgumentError,
+    PassageError,
     PhaseConsistencyError,
     SingularDenominatorError,
     ThreeLevelFrameParams,
@@ -452,3 +454,22 @@ def test_schedule_rejects_bad_arguments():
         clockwise_schedule(0, T)
     with pytest.raises(ValueError):
         counterclockwise_schedule(1, -1.0)
+
+
+def test_argument_errors_are_typed():
+    params, controls, _, _ = synthesize_stage1_cw()
+    sched = clockwise_schedule(1, T)
+    calls = [
+        lambda: clockwise_schedule(0, T),
+        lambda: clockwise_schedule(1, 0.0),
+        lambda: counterclockwise_schedule(0, T),
+        lambda: counterclockwise_schedule(1, -1.0),
+        lambda: sched.phi_mix(-0.5),
+        lambda: phase_three_level(controls, params, GRID, passage="side"),
+        lambda: phase_two_level(None, None, GRID, passage="side"),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidArgumentError) as info:
+            call()
+        assert isinstance(info.value, PassageError)
+        assert isinstance(info.value, ValueError)
