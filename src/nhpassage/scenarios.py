@@ -21,6 +21,7 @@ are derived solely from the recorded numbers.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -133,8 +134,14 @@ class ScenarioConfig:
             )
         for name in ("T", "dt", "gamma_scale", "tolerance"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if value is None and name == "dt":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
+        if isinstance(self.loops, bool) or not isinstance(self.loops, numbers.Integral):
+            raise ConfigError(f"loops must be an integer, got {self.loops!r}")
         if not self.T > 0:
             raise ConfigError(f"T must be positive, got {self.T}")
         if self.loops < 1:
@@ -303,14 +310,20 @@ def _passage_fidelity_error(
     return float(np.max(np.linalg.norm(traj.states - dressed, axis=1)))
 
 
-def _population_step_check(
-    evolve_fn, H: TimeDependentOperator, psi0: np.ndarray, grid: TimeGrid,
-    reference: StateTrajectory, enforce: bool,
+def _step_check(
+    config: ScenarioConfig, states: np.ndarray, fine_states: Callable[[], np.ndarray]
 ) -> float:
-    """Re-run at dt/2; max population change at shared grid points."""
-    fine = evolve_fn(H, psi0, grid.halved())
-    delta = float(np.max(np.abs(reference.populations - fine.populations[::2])))
-    if enforce and delta > STEP_CHECK_TOL:
+    """Max population change at shared grid points when the run is repeated at dt/2.
+
+    ``fine_states()`` re-runs at dt/2 and returns its states; it is skipped
+    (and 0.0 returned) unless ``config.check_convergence``.  Raises
+    :class:`StepSizeError` above :data:`STEP_CHECK_TOL`.
+    """
+    if not config.check_convergence:
+        return 0.0
+    fine = fine_states()[::2]
+    delta = float(np.max(np.abs(np.abs(states) ** 2 - np.abs(fine) ** 2)))
+    if delta > STEP_CHECK_TOL:
         raise StepSizeError(
             f"dt/2 re-run moved a population by {delta:.3e} "
             f"(> {STEP_CHECK_TOL:g}); decrease dt"
@@ -338,8 +351,8 @@ def run_two_level(
     psi0[scenario.initial_level] = 1.0
     evolve_fn = evolve_ket if scenario.passage == "ket" else evolve_bra
     traj = evolve_fn(H, psi0, grid)
-    step_delta = _population_step_check(
-        evolve_fn, H, psi0, grid, traj, config.check_convergence
+    step_delta = _step_check(
+        config, traj.states, lambda: evolve_fn(H, psi0, grid.halved()).states
     )
 
     phase = phase_two_level(controls, frame_params, grid, passage=scenario.passage)
@@ -500,18 +513,8 @@ def run_cyclic(config: ScenarioConfig) -> RunReport:
     T, dt, loops = config.T, config.resolved_dt(), config.loops
 
     sweep = _cyclic_sweep(direction, loops, T, dt, config.gamma_scale, collect=True)
-    if config.check_convergence:
-        fine = _cyclic_sweep(direction, loops, T, dt / 2, config.gamma_scale, collect=False)
-        pops = np.abs(sweep["states"]) ** 2
-        pops_fine = np.abs(fine["states"][::2]) ** 2
-        step_delta = float(np.max(np.abs(pops - pops_fine)))
-        if step_delta > STEP_CHECK_TOL:
-            raise StepSizeError(
-                f"dt/2 re-run moved a population by {step_delta:.3e} "
-                f"(> {STEP_CHECK_TOL:g}); decrease dt"
-            )
-    else:
-        step_delta = 0.0
+    step_delta = _step_check(config, sweep["states"], lambda: _cyclic_sweep(
+        direction, loops, T, dt / 2, config.gamma_scale, collect=False)["states"])
 
     boundaries = tuple(2.0 * T * k for k in range(1, 3 * loops))
     grid = TimeGrid(0.0, 6.0 * loops * T, dt, stage_boundaries=boundaries)

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from nhpassage import dynamics
 from nhpassage import (
     DimensionMismatchError,
     GridError,
     InvalidArgumentError,
     PassageError,
+    ScenarioConfig,
     ThreeLevelFrameParams,
     NonFiniteSampleError,
     TimeDependentOperator,
@@ -24,6 +26,7 @@ from nhpassage import (
     piecewise_operator,
     propagator_bra,
     propagator_ket,
+    run_cyclic,
     synthesize_three_level,
     three_level_hamiltonian,
 )
@@ -364,12 +367,34 @@ def test_batched_propagators_match_step_loop(make):
     assert abs(biorthogonality_defect(H, grid) - np.max(np.abs(prod - eye))) <= 1e-12
 
 
-def test_state_sweeps_are_bit_identical_to_step_loop():
-    H, grid = cyclic_stage_generator()
-    psi0 = np.array([1.0, 0.0, 0.0], dtype=complex)
-    assert np.array_equal(evolve_ket(H, psi0, grid).states, loop_rk4_sweep(H, grid, psi0))
-    assert np.array_equal(evolve_bra(H, psi0, grid).states,
-                          loop_rk4_sweep(H.adjoint(), grid, psi0))
+def two_level_generator():
+    """A smooth non-Hermitian two-level generator over a 2000-step grid."""
+    return smooth_generator(2, seed=81), TimeGrid(0.0, 2.0, 1e-3)
+
+
+@pytest.mark.parametrize("halve", [False, True], ids=["dt", "half_dt"])
+@pytest.mark.parametrize("passage", ["ket", "bra"])
+@pytest.mark.parametrize(
+    "make", [cyclic_stage_generator, crossing_piecewise_generator, two_level_generator])
+def test_state_sweeps_are_bit_identical_to_step_loop(make, passage, halve):
+    H, grid = make()
+    if halve:
+        grid = grid.halved()
+    psi0 = np.zeros(H.dim, dtype=complex)
+    psi0[0] = 1.0
+    evolve, op = (evolve_ket, H) if passage == "ket" else (evolve_bra, H.adjoint())
+    assert np.array_equal(evolve(H, psi0, grid).states, loop_rk4_sweep(op, grid, psi0))
+
+
+def test_cyclic_run_is_bit_identical_to_step_loop(monkeypatch):
+    # the most rounding-sensitive cyclic input: four loops of growing modes
+    config = ScenarioConfig("cyclic_ccw", T=0.5, loops=4, gamma_scale=1.15)
+    fast = run_cyclic(config)
+    monkeypatch.setattr(dynamics, "_rk4_sweep", loop_rk4_sweep)
+    slow = run_cyclic(config)
+    assert np.array_equal(fast.trajectory.states, slow.trajectory.states)
+    assert np.array_equal(fast.phase.f_imag, slow.phase.f_imag)
+    assert fast.residuals["step_check"] == slow.residuals["step_check"]
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,22 @@ def test_config_rejects_non_finite(field, value):
         ScenarioConfig(scenario="cyclic_cw", **{field: value})
 
 
+@pytest.mark.parametrize("field,value", [
+    ("loops", 2.0), ("loops", 1.5), ("loops", True), ("loops", "2"),
+    ("T", "1"), ("T", None), ("T", True), ("dt", "0.1"), ("dt", 1j),
+    ("gamma_scale", "1.0"), ("gamma_scale", False), ("tolerance", None),
+])
+def test_config_rejects_wrong_types(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be"):
+        ScenarioConfig(scenario="cyclic_cw", **{field: value})
+
+
+def test_config_accepts_numpy_scalars():
+    config = ScenarioConfig(scenario="cyclic_cw", T=np.float64(0.5), dt=np.float32(0.25),
+                            loops=np.int64(2), gamma_scale=np.int32(1))
+    assert config.loops == 2 and config.resolved_dt() == 0.25
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         ScenarioConfig(scenario="nope")
