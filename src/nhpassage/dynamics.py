@@ -29,11 +29,16 @@ depends on numpy's complex kernels, go through numpy; the rest of a step
 is Python complex arithmetic, which rounds as numpy does and avoids
 numpy's per-call cost on length-K vectors.  The propagators only feed
 thresholded certificates, where the ~1e-14 regrouping error is invisible.
+
+The certificate algebra (step matrices, ``V^dag U``, the series oracle and
+the frame residuals) copies each sampled ``(n, K, K)`` block once into a
+time-last ``(K, K, n)`` one, so numpy's inner loops run along time.
 """
 
 from __future__ import annotations
 
 import bisect
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -333,18 +338,26 @@ def _rk4_sweep(H: TimeDependentOperator, grid: TimeGrid, y0: np.ndarray) -> np.n
     return out
 
 
+def _time_last(block: np.ndarray) -> np.ndarray:
+    """An ``(n, K, K)`` sample block as a contiguous ``(K, K, n)`` one."""
+    return np.ascontiguousarray(np.moveaxis(block, 0, -1))
+
+
 def _step_matrices(gs: np.ndarray, dt: float) -> np.ndarray:
     """RK4 step matrices ``P_n = I + dt/6 (K1 + 2 K2 + 2 K3 + K4)`` of one segment.
 
-    ``gs`` is the interleaved grid/midpoint block of ``-iH`` from
-    :func:`_segment_sample_times`; one RK4 step of a linear equation maps
-    ``y`` to ``P_n y``.
+    ``gs`` is the time-last ``(K, K, 2n+1)`` block of ``-iH`` on the
+    interleaved grid/midpoint times of :func:`_segment_sample_times`; one
+    RK4 step of a linear equation maps ``y`` to ``P_n y``.  Returns
+    ``(n, K, K)``.
     """
-    g1, g2, g3 = gs[0:-1:2], gs[1::2], gs[2::2]
-    k2 = g2 + (0.5 * dt) * (g2 @ g1)
-    k3 = g2 + (0.5 * dt) * (g2 @ k2)
-    k4 = g3 + dt * (g3 @ k3)
-    return np.eye(gs.shape[-1]) + (dt / 6.0) * (g1 + 2.0 * (k2 + k3) + k4)
+    g1, g2, g3 = gs[..., 0:-1:2], gs[..., 1::2], gs[..., 2::2]
+    k2 = g2 + (0.5 * dt) * np.einsum("ijn,jkn->ikn", g2, g1)
+    k3 = g2 + (0.5 * dt) * np.einsum("ijn,jkn->ikn", g2, k2)
+    k4 = g3 + dt * np.einsum("ijn,jkn->ikn", g3, k3)
+    steps = (dt / 6.0) * (g1 + 2.0 * (k2 + k3) + k4)
+    steps[np.diag_indices(gs.shape[0])] += 1.0
+    return np.moveaxis(steps, -1, 0)
 
 
 def _prefix_products(steps: np.ndarray, u0: np.ndarray) -> np.ndarray:
@@ -385,10 +398,10 @@ def _propagators(
     V = U.copy() if with_bra else None
     for a, b in grid.segment_indices():
         op = _piece_for_segment(H, times[a], times[b])
-        gs = -1j * op.sample(_segment_sample_times(times, a, b))
+        gs = _time_last(-1j * op.sample(_segment_sample_times(times, a, b)))
         U[a + 1 : b + 1] = _prefix_products(_step_matrices(gs, grid.dt), U[a])
         if with_bra:
-            gs_bra = -gs.conj().transpose(0, 2, 1)
+            gs_bra = -gs.conj().transpose(1, 0, 2)
             V[a + 1 : b + 1] = _prefix_products(_step_matrices(gs_bra, grid.dt), V[a])
     return U, V
 
@@ -436,9 +449,9 @@ def biorthogonality_defect(H: TimeDependentOperator, grid: TimeGrid) -> float:
     regardless of how non-Hermitian ``H`` is.
     """
     U, V = _propagators(H, grid, with_bra=True)
-    eye = np.eye(H.dim)
-    prod = np.einsum("nji,njk->nik", V.conj(), U)
-    return float(np.max(np.abs(prod - eye)))
+    prod = np.einsum("jin,jkn->ikn", _time_last(V).conj(), _time_last(U))
+    prod[np.diag_indices(H.dim)] -= 1.0
+    return float(np.max(np.abs(prod)))
 
 
 def dyson_truncation(
@@ -458,6 +471,9 @@ def dyson_truncation(
     accurate propagator the residual shrinks as O((t - t0)^(order + 1))
     once the quadrature is resolved.
     """
+    for name, value in (("order", order), ("quadrature_steps", quadrature_steps)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
     if order < 0:
         raise InvalidArgumentError(f"order must be >= 0, got {order}")
     if quadrature_steps < 1:
@@ -470,15 +486,13 @@ def dyson_truncation(
         return total
     n = int(quadrature_steps)
     h = (t - t0) / n
-    nodes = t0 + h * np.arange(n)
-    hs = H.sample(nodes)
-    # S_k[j] approximates the k-fold nested integral up to node j.
-    s_prev = np.broadcast_to(np.eye(K, dtype=complex), (n + 1, K, K))
+    gs = _time_last((-1j * h) * H.sample(t0 + h * np.arange(n)))
+    # S_k[..., j] approximates the k-fold nested integral up to node j.
+    s_prev = np.broadcast_to(np.eye(K, dtype=complex)[..., None], (K, K, n + 1))
     for _ in range(order):
-        prod = (-1j * h) * np.einsum("nij,njk->nik", hs, s_prev[:n])
-        s = np.zeros((n + 1, K, K), dtype=complex)
-        np.cumsum(prod, axis=0, out=s[1:])
-        total = total + s[n]
+        s = np.zeros((K, K, n + 1), dtype=complex)
+        np.cumsum(np.einsum("ijn,jkn->ikn", gs, s_prev[..., :n]), axis=-1, out=s[..., 1:])
+        total = total + s[..., n]
         s_prev = s
     return total
 

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import TimeDependentOperator, TimeGrid
+from .dynamics import TimeDependentOperator, TimeGrid, _time_last
 from .exceptions import DimensionMismatchError, NonHermitianError
 
 __all__ = [
@@ -320,7 +320,8 @@ def gauge_potential(frame: AncillaryFrame, t: float) -> np.ndarray:
 
 
 def _gauge_batch(frames: np.ndarray, dframes: np.ndarray) -> np.ndarray:
-    return 1j * np.einsum("nik,nim->nkm", frames.conj(), dframes)
+    """Gauge potentials of time-last ``(K, K, n)`` frame and derivative blocks."""
+    return 1j * np.einsum("ikn,imn->kmn", frames.conj(), dframes)
 
 
 def rotated_hamiltonian(
@@ -344,10 +345,11 @@ def rotated_hamiltonian(
 
 
 def _rotated_batch(H: TimeDependentOperator, frame: AncillaryFrame, times: np.ndarray):
-    hs = H.sample(times)
-    ms = frame.sample(times)
-    dms = frame.sample_derivative(times)
-    hf = np.einsum("nik,nij,njm->nkm", ms.conj(), hs, ms)
+    """``Hf - A`` on every time, as a time-last ``(K, K, n)`` block."""
+    hs = _time_last(H.sample(times))
+    ms = _time_last(frame.sample(times))
+    dms = _time_last(frame.sample_derivative(times))
+    hf = np.einsum("ikn,imn->kmn", ms.conj(), np.einsum("ijn,jmn->imn", hs, ms))
     return hf - _gauge_batch(ms, dms)
 
 
@@ -374,7 +376,7 @@ def triangularization_residual(
     times = _grid_times(grid)
     rot = _rotated_batch(H, frame, times)
     iu = np.triu_indices(frame.dim, k=1)
-    return float(np.max(np.abs(rot[:, iu[0], iu[1]])))
+    return float(np.max(np.abs(rot[iu])))
 
 
 def von_neumann_residual(
@@ -392,20 +394,19 @@ def von_neumann_residual(
             f"operator dim {H.dim} != frame dim {frame.dim}"
         )
     times = _grid_times(grid)
-    hs = H.sample(times)
-    herm_defect = float(np.max(np.abs(hs - hs.conj().transpose(0, 2, 1))))
+    hs = _time_last(H.sample(times))
+    herm_defect = float(np.max(np.abs(hs - hs.conj().transpose(1, 0, 2))))
     if herm_defect > hermitian_tol:
         raise NonHermitianError(
             f"generator is not Hermitian on the grid (defect {herm_defect:.3e})"
         )
-    ms = frame.sample(times)
-    dms = frame.sample_derivative(times)
+    ms = _time_last(frame.sample(times))
+    dms = _time_last(frame.sample_derivative(times))
     worst = 0.0
     for k in range(frame.dim):
-        mu = ms[:, :, k]
-        dmu = dms[:, :, k]
-        pi = np.einsum("ni,nj->nij", mu, mu.conj())
-        dpi = np.einsum("ni,nj->nij", dmu, mu.conj()) + np.einsum("ni,nj->nij", mu, dmu.conj())
-        comm = np.einsum("nij,njk->nik", hs, pi) - np.einsum("nij,njk->nik", pi, hs)
+        mu, dmu = ms[:, k], dms[:, k]
+        pi = mu[:, None] * mu[None].conj()
+        dpi = dmu[:, None] * mu[None].conj() + mu[:, None] * dmu[None].conj()
+        comm = np.einsum("ijn,jkn->ikn", hs, pi) - np.einsum("ijn,jkn->ikn", pi, hs)
         worst = max(worst, float(np.max(np.abs(dpi + 1j * comm))))
     return worst

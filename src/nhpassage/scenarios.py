@@ -125,7 +125,6 @@ class ScenarioConfig:
     tolerance: float = POPULATION_TOL
     csv_path: str | None = None
     svg_path: str | None = None
-    check_convergence: bool = True
 
     def __post_init__(self):
         if self.scenario not in SCENARIO_IDS:
@@ -310,17 +309,13 @@ def _passage_fidelity_error(
     return float(np.max(np.linalg.norm(traj.states - dressed, axis=1)))
 
 
-def _step_check(
-    config: ScenarioConfig, states: np.ndarray, fine_states: Callable[[], np.ndarray]
-) -> float:
+def _step_check(states: np.ndarray, fine_states: Callable[[], np.ndarray]) -> float:
     """Max population change at shared grid points when the run is repeated at dt/2.
 
-    ``fine_states()`` re-runs at dt/2 and returns its states; it is skipped
-    (and 0.0 returned) unless ``config.check_convergence``.  Raises
-    :class:`StepSizeError` above :data:`STEP_CHECK_TOL`.
+    ``fine_states()`` re-runs at dt/2 and returns its states, so every run
+    pays for and records the re-run.  Raises :class:`StepSizeError` above
+    :data:`STEP_CHECK_TOL`.
     """
-    if not config.check_convergence:
-        return 0.0
     fine = fine_states()[::2]
     delta = float(np.max(np.abs(np.abs(states) ** 2 - np.abs(fine) ** 2)))
     if delta > STEP_CHECK_TOL:
@@ -351,9 +346,7 @@ def run_two_level(
     psi0[scenario.initial_level] = 1.0
     evolve_fn = evolve_ket if scenario.passage == "ket" else evolve_bra
     traj = evolve_fn(H, psi0, grid)
-    step_delta = _step_check(
-        config, traj.states, lambda: evolve_fn(H, psi0, grid.halved()).states
-    )
+    step_delta = _step_check(traj.states, lambda: evolve_fn(H, psi0, grid.halved()).states)
 
     phase = phase_two_level(controls, frame_params, grid, passage=scenario.passage)
     residuals = {
@@ -513,7 +506,7 @@ def run_cyclic(config: ScenarioConfig) -> RunReport:
     T, dt, loops = config.T, config.resolved_dt(), config.loops
 
     sweep = _cyclic_sweep(direction, loops, T, dt, config.gamma_scale, collect=True)
-    step_delta = _step_check(config, sweep["states"], lambda: _cyclic_sweep(
+    step_delta = _step_check(sweep["states"], lambda: _cyclic_sweep(
         direction, loops, T, dt / 2, config.gamma_scale, collect=False)["states"])
 
     boundaries = tuple(2.0 * T * k for k in range(1, 3 * loops))

@@ -285,11 +285,43 @@ def test_series_rejects_bad_arguments():
 
 def test_series_errors_are_typed():
     H = constant_operator(np.eye(2))
-    for args in ((0.5, -1, 128), (0.5, 2, 0), (-0.5, 2, 128)):
+    bad = ((0.5, -1, 128), (0.5, 2, 0), (-0.5, 2, 128),
+           (0.5, 2.5, 128), (0.5, True, 128), (0.5, 2.0, 128),
+           (0.5, 2, 1.5), (0.5, 2, True), (0.5, 2, "128"))
+    for args in bad:
         with pytest.raises(InvalidArgumentError) as info:
             dyson_truncation(H, *args)
         assert isinstance(info.value, PassageError)
         assert isinstance(info.value, ValueError)
+
+
+def test_series_accepts_numpy_integers():
+    H = constant_operator(np.eye(2))
+    assert np.array_equal(dyson_truncation(H, 0.5, np.int64(2), np.int32(128)),
+                          dyson_truncation(H, 0.5, 2, 128))
+
+
+def nfirst_dyson(H, t, order, n, t0=0.0):
+    """Reference copy of the series with ``(n, K, K)`` einsum products."""
+    K = H.dim
+    total = np.eye(K, dtype=complex)
+    h = (t - t0) / n
+    hs = H.sample(t0 + h * np.arange(n))
+    s_prev = np.broadcast_to(np.eye(K, dtype=complex), (n + 1, K, K))
+    for _ in range(order):
+        prod = (-1j * h) * np.einsum("nij,njk->nik", hs, s_prev[:n])
+        s = np.zeros((n + 1, K, K), dtype=complex)
+        np.cumsum(prod, axis=0, out=s[1:])
+        total = total + s[n]
+        s_prev = s
+    return total
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_series_matches_nfirst_form_on_time_dependent_generator(order):
+    H = smooth_generator(3, seed=57)
+    got = dyson_truncation(H, 2.5, order, 4096, t0=0.2)
+    assert np.max(np.abs(got - nfirst_dyson(H, 2.5, order, 4096, t0=0.2))) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +399,35 @@ def test_batched_propagators_match_step_loop(make):
     assert abs(biorthogonality_defect(H, grid) - np.max(np.abs(prod - eye))) <= 1e-12
 
 
+def nfirst_step_matrices(gs, dt):
+    """Reference copy of the RK4 step matrices over an ``(2n+1, K, K)`` block."""
+    g1, g2, g3 = gs[0:-1:2], gs[1::2], gs[2::2]
+    k2 = g2 + (0.5 * dt) * (g2 @ g1)
+    k3 = g2 + (0.5 * dt) * (g2 @ k2)
+    k4 = g3 + dt * (g3 @ k3)
+    return np.eye(gs.shape[-1]) + (dt / 6.0) * (g1 + 2.0 * (k2 + k3) + k4)
+
+
 def two_level_generator():
     """A smooth non-Hermitian two-level generator over a 2000-step grid."""
     return smooth_generator(2, seed=81), TimeGrid(0.0, 2.0, 1e-3)
+
+
+@pytest.mark.parametrize(
+    "make", [cyclic_stage_generator, crossing_piecewise_generator, two_level_generator])
+def test_time_last_kernels_match_nfirst_forms(make):
+    H, grid = make()
+    a, b = grid.segment_indices()[-1]
+    times = grid.times()
+    op = dynamics._piece_for_segment(H, times[a], times[b])
+    gs = -1j * op.sample(dynamics._segment_sample_times(times, a, b))
+    steps = dynamics._step_matrices(dynamics._time_last(gs), grid.dt)
+    assert steps.shape == (b - a, H.dim, H.dim)
+    assert np.max(np.abs(steps - nfirst_step_matrices(gs, grid.dt))) <= 1e-13
+    U, V = propagator_ket(H, grid), propagator_bra(H, grid)
+    prod = np.einsum("nji,njk->nik", V.conj(), U)
+    defect = np.max(np.abs(prod - np.eye(H.dim)))
+    assert abs(biorthogonality_defect(H, grid) - defect) <= 1e-13
 
 
 @pytest.mark.parametrize("halve", [False, True], ids=["dt", "half_dt"])

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nhpassage import (
     AncillaryFrame,
@@ -20,7 +21,8 @@ from nhpassage import (
     two_level_hamiltonian,
     von_neumann_residual,
 )
-from nhpassage.frames import GRAM_TOL
+from nhpassage.dynamics import TimeDependentOperator
+from nhpassage.frames import GRAM_TOL, _rotated_batch
 
 
 def const(value):
@@ -300,3 +302,80 @@ def test_von_neumann_rejects_non_hermitian():
     _, frame, _, H, grid = _synthesized_two_level(gamma_value=2.0)
     with pytest.raises(NonHermitianError):
         von_neumann_residual(H, frame, grid)
+
+
+# ---------------------------------------------------------------------------
+# time-last residual kernels against the (n, K, K) forms
+
+
+def nfirst_rotated(H, frame, times):
+    """Reference copy of ``Hf - A`` with ``(n, K, K)`` einsum products."""
+    hs, ms, dms = H.sample(times), frame.sample(times), frame.sample_derivative(times)
+    hf = np.einsum("nik,nij,njm->nkm", ms.conj(), hs, ms)
+    return hf - 1j * np.einsum("nik,nim->nkm", ms.conj(), dms)
+
+
+def nfirst_von_neumann(H, frame, times):
+    """Reference copy of the projector-commutation residual over ``(n, K, K)``."""
+    hs, ms, dms = H.sample(times), frame.sample(times), frame.sample_derivative(times)
+    worst = 0.0
+    for k in range(frame.dim):
+        mu, dmu = ms[:, :, k], dms[:, :, k]
+        pi = np.einsum("ni,nj->nij", mu, mu.conj())
+        dpi = np.einsum("ni,nj->nij", dmu, mu.conj()) + np.einsum("ni,nj->nij", mu, dmu.conj())
+        comm = np.einsum("nij,njk->nik", hs, pi) - np.einsum("nij,njk->nik", pi, hs)
+        worst = max(worst, float(np.max(np.abs(dpi + 1j * comm))))
+    return worst
+
+
+def trig_angle(c0, c1, c2, w):
+    """``c0 + c1 sin(w t) + c2 cos(2 w t)`` and its analytic rate."""
+    def angle(t):
+        t = np.asarray(t, dtype=float)
+        return c0 + c1 * np.sin(w * t) + c2 * np.cos(2 * w * t)
+
+    def rate(t):
+        t = np.asarray(t, dtype=float)
+        return c1 * w * np.cos(w * t) - 2 * c2 * w * np.sin(2 * w * t)
+
+    return angle, rate
+
+
+def smooth_operator(seed, hermitian):
+    """``cos(1.3 t) A + sin(0.7 t + 0.2) B`` with random (Hermitian) A, B."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
+    if hermitian:
+        a, b = a + a.conj().T, b + b.conj().T
+
+    def batch(ts):
+        ts = np.asarray(ts, dtype=float)
+        return (np.cos(1.3 * ts)[:, None, None] * a
+                + np.sin(0.7 * ts + 0.2)[:, None, None] * b)
+
+    return TimeDependentOperator(dim=3, value_at=lambda t: batch(np.array([t]))[0],
+                                 values_at=batch)
+
+
+coefficient = st.floats(-1.5, 1.5)
+trig_angles = st.tuples(coefficient, coefficient, coefficient, st.floats(0.2, 3.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(angles=st.tuples(trig_angles, trig_angles, trig_angles, trig_angles),
+       seed=st.integers(0, 2**16))
+def test_time_last_residuals_match_nfirst_forms(angles, seed):
+    (th, dth), (al, dal), (ph, dph), (be, dbe) = (trig_angle(*a) for a in angles)
+    frame = three_level_frame(ThreeLevelFrameParams(
+        theta=th, theta_dot=dth, alpha=al, alpha_dot=dal,
+        phi_mix=ph, phi_mix_dot=dph, beta=be, beta_dot=dbe))
+    times = np.linspace(0.0, 2.0, 257)
+    H = smooth_operator(seed, hermitian=False)
+    rot = nfirst_rotated(H, frame, times)
+    assert np.max(np.abs(_rotated_batch(H, frame, times) - np.moveaxis(rot, 0, -1))) <= 1e-13
+    iu = np.triu_indices(3, k=1)
+    tri = np.max(np.abs(rot[:, iu[0], iu[1]]))
+    assert abs(triangularization_residual(H, frame, times) - tri) <= 1e-13
+    H_herm = smooth_operator(seed, hermitian=True)
+    vn = nfirst_von_neumann(H_herm, frame, times)
+    assert abs(von_neumann_residual(H_herm, frame, times) - vn) <= 1e-13
