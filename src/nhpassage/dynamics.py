@@ -24,10 +24,11 @@ exactly the operations, in the order, of an all-numpy step.  Regrouping
 the products changes rounding only, but the growing modes of a
 non-Hermitian generator amplify it over long multi-loop runs (to ~1e-8 in
 stage-end populations), and trajectories are compared against recorded
-reference populations at 1e-12.  So only the matvecs, whose rounding
-depends on numpy's complex kernels, go through numpy; the rest of a step
-is Python complex arithmetic, which rounds as numpy does and avoids
-numpy's per-call cost on length-K vectors.  The propagators only feed
+reference populations at 1e-12.  So for K = 2 and K = 3 an unrolled step
+kernel keeps the state in Python ``complex`` locals and sends only the
+matvecs to numpy, whose FMA-rounded complex multiply Python's does not
+match; the rest of a step rounds as numpy does and skips numpy's per-call
+cost on length-K vectors.  Other K run the plain all-numpy step.  The propagators only feed
 thresholded certificates, where the ~1e-14 regrouping error is invisible.
 
 The certificate algebra (step matrices, ``V^dag U``, the series oracle and
@@ -309,32 +310,71 @@ def _segment_sample_times(times: np.ndarray, a: int, b: int) -> np.ndarray:
     return out
 
 
+def _rk4_steps_2(gs, h: float, h2: float, h6: float, y: list) -> list:
+    """RK4 steps of a K = 2 segment on Python ``complex`` locals, states flattened."""
+    y0, y1 = y
+    rows = []
+    for g1, g2, g3 in zip(gs[0:-1:2], gs[1::2], gs[2::2]):
+        a0, a1 = g1.dot([y0, y1]).tolist()
+        b0, b1 = g2.dot([y0 + h2 * a0, y1 + h2 * a1]).tolist()
+        c0, c1 = g2.dot([y0 + h2 * b0, y1 + h2 * b1]).tolist()
+        d0, d1 = g3.dot([y0 + h * c0, y1 + h * c1]).tolist()
+        y0 = y0 + h6 * (a0 + 2.0 * (b0 + c0) + d0)
+        y1 = y1 + h6 * (a1 + 2.0 * (b1 + c1) + d1)
+        rows += (y0, y1)
+    return rows
+
+
+def _rk4_steps_3(gs, h: float, h2: float, h6: float, y: list) -> list:
+    """RK4 steps of a K = 3 segment on Python ``complex`` locals, states flattened."""
+    y0, y1, y2 = y
+    rows = []
+    for g1, g2, g3 in zip(gs[0:-1:2], gs[1::2], gs[2::2]):
+        a0, a1, a2 = g1.dot([y0, y1, y2]).tolist()
+        b0, b1, b2 = g2.dot([y0 + h2 * a0, y1 + h2 * a1, y2 + h2 * a2]).tolist()
+        c0, c1, c2 = g2.dot([y0 + h2 * b0, y1 + h2 * b1, y2 + h2 * b2]).tolist()
+        d0, d1, d2 = g3.dot([y0 + h * c0, y1 + h * c1, y2 + h * c2]).tolist()
+        y0 = y0 + h6 * (a0 + 2.0 * (b0 + c0) + d0)
+        y1 = y1 + h6 * (a1 + 2.0 * (b1 + c1) + d1)
+        y2 = y2 + h6 * (a2 + 2.0 * (b2 + c2) + d2)
+        rows += (y0, y1, y2)
+    return rows
+
+
+def _rk4_steps_any(gs, h: float, h2: float, h6: float, y: list) -> list:
+    """RK4 steps of a segment of any K by the plain all-numpy step, one state per step."""
+    y = np.array(y, dtype=complex)
+    rows = []
+    for g1, g2, g3 in zip(gs[0:-1:2], gs[1::2], gs[2::2]):
+        k1 = g1.dot(y)
+        k2 = g2.dot(y + h2 * k1)
+        k3 = g2.dot(y + h2 * k2)
+        k4 = g3.dot(y + h * k3)
+        y = y + h6 * (k1 + 2.0 * (k2 + k3) + k4)
+        rows.append(y)
+    return rows
+
+
 def _rk4_sweep(H: TimeDependentOperator, grid: TimeGrid, y0: np.ndarray) -> np.ndarray:
     """Integrate dy/dt = -i H(t) y for a state vector, one RK4 step at a time.
 
-    Only the four ``(K, K) . (K,)`` matvecs of a step go through numpy,
-    whose complex multiply (SIMD, possibly FMA) Python's does not match to
-    the bit.  The stage vectors and the update are Python ``complex`` lists:
-    a real scalar times a complex value and a complex sum round as in
-    numpy, so the sweep is bit-identical to the all-numpy step at a
-    fraction of its per-call cost.
+    Each segment runs a step kernel chosen by ``K = y0.size``: for K = 2
+    and K = 3 the state is Python ``complex`` locals and only the four
+    ``(K, K) . (K,)`` matvecs of a step go through numpy, since numpy's
+    complex multiply rounds each part by a fused multiply-add,
+    ``re = fl(ar*br - fl(ai*bi))``, and Python's (without ``math.fma``
+    before 3.13) does not.  The rest rounds as in numpy, so the unrolled
+    steps are bit-identical to the all-numpy step that every other K runs.
     """
     times = grid.times()
     h, h2, h6 = grid.dt, 0.5 * grid.dt, grid.dt / 6.0
+    steps = {2: _rk4_steps_2, 3: _rk4_steps_3}.get(y0.size, _rk4_steps_any)
     out = np.empty((times.size, y0.size), dtype=complex)
     out[0] = y0
-    y = y0.tolist()
     for a, b in grid.segment_indices():
         op = _piece_for_segment(H, times[a], times[b])
-        gs = list(-1j * op.sample(_segment_sample_times(times, a, b)))
-        for i in range(b - a):
-            g1, g2, g3 = gs[2 * i], gs[2 * i + 1], gs[2 * i + 2]
-            k1 = g1.dot(y).tolist()
-            k2 = g2.dot([u + h2 * k for u, k in zip(y, k1)]).tolist()
-            k3 = g2.dot([u + h2 * k for u, k in zip(y, k2)]).tolist()
-            k4 = g3.dot([u + h * k for u, k in zip(y, k3)]).tolist()
-            y = [u + h6 * (p + 2.0 * (q + r) + s) for u, p, q, r, s in zip(y, k1, k2, k3, k4)]
-            out[a + i + 1] = y
+        gs = -1j * op.sample(_segment_sample_times(times, a, b))
+        out[a + 1 : b + 1] = np.reshape(steps(gs, h, h2, h6, out[a].tolist()), (b - a, y0.size))
     return out
 
 

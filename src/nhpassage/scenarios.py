@@ -314,11 +314,11 @@ def _step_check(states: np.ndarray, fine_states: Callable[[], np.ndarray]) -> fl
 
     ``fine_states()`` re-runs at dt/2 and returns its states, so every run
     pays for and records the re-run.  Raises :class:`StepSizeError` above
-    :data:`STEP_CHECK_TOL`.
+    :data:`STEP_CHECK_TOL`, and on a NaN shift (an overflowed run).
     """
     fine = fine_states()[::2]
     delta = float(np.max(np.abs(np.abs(states) ** 2 - np.abs(fine) ** 2)))
-    if delta > STEP_CHECK_TOL:
+    if not delta <= STEP_CHECK_TOL:
         raise StepSizeError(
             f"dt/2 re-run moved a population by {delta:.3e} "
             f"(> {STEP_CHECK_TOL:g}); decrease dt"

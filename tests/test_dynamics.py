@@ -27,6 +27,7 @@ from nhpassage import (
     propagator_bra,
     propagator_ket,
     run_cyclic,
+    run_two_level,
     synthesize_three_level,
     three_level_hamiltonian,
 )
@@ -413,6 +414,16 @@ def two_level_generator():
     return smooth_generator(2, seed=81), TimeGrid(0.0, 2.0, 1e-3)
 
 
+def one_level_generator():
+    """K = 1, which runs the generic all-numpy step kernel."""
+    return smooth_generator(1, seed=83), TimeGrid(0.0, 1.0, 1e-3)
+
+
+def four_level_generator():
+    """K = 4, which runs the generic all-numpy step kernel."""
+    return smooth_generator(4, seed=85), TimeGrid(0.0, 1.0, 1e-3)
+
+
 @pytest.mark.parametrize(
     "make", [cyclic_stage_generator, crossing_piecewise_generator, two_level_generator])
 def test_time_last_kernels_match_nfirst_forms(make):
@@ -432,8 +443,9 @@ def test_time_last_kernels_match_nfirst_forms(make):
 
 @pytest.mark.parametrize("halve", [False, True], ids=["dt", "half_dt"])
 @pytest.mark.parametrize("passage", ["ket", "bra"])
-@pytest.mark.parametrize(
-    "make", [cyclic_stage_generator, crossing_piecewise_generator, two_level_generator])
+@pytest.mark.parametrize("make", [
+    cyclic_stage_generator, crossing_piecewise_generator, two_level_generator,
+    one_level_generator, four_level_generator])
 def test_state_sweeps_are_bit_identical_to_step_loop(make, passage, halve):
     H, grid = make()
     if halve:
@@ -450,6 +462,17 @@ def test_cyclic_run_is_bit_identical_to_step_loop(monkeypatch):
     fast = run_cyclic(config)
     monkeypatch.setattr(dynamics, "_rk4_sweep", loop_rk4_sweep)
     slow = run_cyclic(config)
+    assert np.array_equal(fast.trajectory.states, slow.trajectory.states)
+    assert np.array_equal(fast.phase.f_imag, slow.phase.f_imag)
+    assert fast.residuals["step_check"] == slow.residuals["step_check"]
+
+
+@pytest.mark.parametrize("scenario", ["two_level_a", "two_level_c"], ids=["ket", "bra"])
+def test_two_level_run_is_bit_identical_to_step_loop(monkeypatch, scenario):
+    config = ScenarioConfig(scenario, T=0.5, gamma_scale=1.15)
+    fast = run_two_level(config)
+    monkeypatch.setattr(dynamics, "_rk4_sweep", loop_rk4_sweep)
+    slow = run_two_level(config)
     assert np.array_equal(fast.trajectory.states, slow.trajectory.states)
     assert np.array_equal(fast.phase.f_imag, slow.phase.f_imag)
     assert fast.residuals["step_check"] == slow.residuals["step_check"]

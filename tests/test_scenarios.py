@@ -85,6 +85,16 @@ def test_coarse_step_fails_convergence_check():
         run_two_level(ScenarioConfig(scenario="two_level_a", dt=0.1))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_step_check_rejects_nan_shift():
+    # an overflowed run yields NaN populations, and NaN > tol is False
+    import nhpassage.scenarios as scenarios
+
+    states = np.array([[1.0, 0.0], [np.nan, 0.0], [0.5, 0.5]], dtype=complex)
+    with pytest.raises(StepSizeError, match="nan"):
+        scenarios._step_check(states, lambda: np.repeat(states, 2, axis=0)[:-1])
+
+
 @pytest.mark.parametrize("field,value", [
     ("T", np.inf), ("T", np.nan),
     ("dt", np.inf), ("dt", np.nan),
