@@ -18,9 +18,6 @@ from .dynamics import (
     dyson_truncation,
     evolve_bra,
     evolve_ket,
-    is_pt_symmetric_two_level,
-    matrix_exponential,
-    piecewise_operator,
     propagator_bra,
     propagator_ket,
 )
@@ -41,9 +38,6 @@ from .frames import (
     AncillaryFrame,
     ThreeLevelFrameParams,
     TwoLevelFrameParams,
-    frame_unitary,
-    gauge_potential,
-    rotated_hamiltonian,
     three_level_frame,
     triangularization_residual,
     two_level_frame,
@@ -117,16 +111,10 @@ __all__ = [
     "evolve_ket",
     "export_csv",
     "export_svg",
-    "frame_unitary",
-    "gauge_potential",
-    "is_pt_symmetric_two_level",
-    "matrix_exponential",
     "phase_three_level",
     "phase_two_level",
-    "piecewise_operator",
     "propagator_bra",
     "propagator_ket",
-    "rotated_hamiltonian",
     "run_cyclic",
     "run_scenario",
     "run_two_level",

@@ -9,13 +9,17 @@ dual picture useful.
 
 Everything here works on plain complex numpy arrays (states are shape
 ``(K,)`` vectors, operators ``(K, K)`` matrices) at small ``K``; units are
-dimensionless with hbar = 1.  Propagation uses classical fixed-step RK4,
-which handles non-unitary generators without any norm-restoring tricks and
-keeps declared stage boundaries exactly on grid points.
+dimensionless with hbar = 1.  A generator is sampled only in batches: its
+one callable maps a 1-D array of times to an ``(n, K, K)`` block.
+Propagation uses classical fixed-step RK4, which handles non-unitary
+generators without any norm-restoring tricks.  Each sweep covers one
+smooth stretch of ``H``; a run made of several stages (see
+:mod:`nhpassage.scenarios`) sweeps each stage on its own grid and hands
+the state across.
 
 Two paths share the scheme and the samples.  The propagators
 (:func:`propagator_ket`, :func:`propagator_bra`,
-:func:`biorthogonality_defect`) are batched: every RK4 step of a segment
+:func:`biorthogonality_defect`) are batched: every RK4 step of a grid
 becomes a matrix ``P_n`` built in one numpy expression, and a blocked
 prefix product turns them into ``U_n = P_n ... P_1``; the bra steps reuse
 the ket samples conjugate-transposed.  The state sweeps
@@ -38,10 +42,9 @@ time-last ``(K, K, n)`` one, so numpy's inner loops run along time.
 
 from __future__ import annotations
 
-import bisect
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -57,15 +60,12 @@ __all__ = [
     "TimeDependentOperator",
     "StateTrajectory",
     "constant_operator",
-    "piecewise_operator",
     "evolve_ket",
     "evolve_bra",
     "propagator_ket",
     "propagator_bra",
     "biorthogonality_defect",
     "dyson_truncation",
-    "matrix_exponential",
-    "is_pt_symmetric_two_level",
 ]
 
 #: Relative slack when deciding whether a time is an integer number of steps.
@@ -88,7 +88,7 @@ def _check_finite_block(block: np.ndarray, times: np.ndarray) -> None:
     if not finite.all():
         bad = int(np.argmin(finite))
         raise NonFiniteSampleError(
-            f"generator sample at t = {times[bad]!r} contains NaN or Inf"
+            f"generator sample at t = {float(times[bad])!r} contains NaN or Inf"
         )
 
 
@@ -96,9 +96,9 @@ def _check_finite_block(block: np.ndarray, times: np.ndarray) -> None:
 class TimeGrid:
     """Uniform integration grid with optional declared stage boundaries.
 
-    ``dt`` must divide ``tf - t0`` and every stage-boundary offset, so that
-    discontinuities of a piecewise generator always coincide with grid
-    points and no RK4 step straddles one.
+    ``dt`` must divide ``tf - t0`` and every stage-boundary offset.  The
+    boundaries mark where the stages of a joined multi-stage trajectory
+    meet; a sweep never crosses one, since each stage runs on its own grid.
     """
 
     t0: float
@@ -139,11 +139,6 @@ class TimeGrid:
         """Grid index of a time that lies on the grid."""
         return self._steps_or_raise(t, "time")
 
-    def segment_indices(self) -> list[tuple[int, int]]:
-        """(start, stop) index pairs of the smooth segments between boundaries."""
-        cuts = sorted({0, self.n_steps, *(self.index_of(b) for b in self.stage_boundaries)})
-        return [(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
-
     def halved(self) -> "TimeGrid":
         """Same span and boundaries at half the step; used by convergence checks."""
         return TimeGrid(self.t0, self.tf, self.dt / 2, self.stage_boundaries)
@@ -153,28 +148,17 @@ class TimeGrid:
 class TimeDependentOperator:
     """A K x K complex-matrix-valued function of time.
 
-    ``value_at`` must return a ``(dim, dim)`` array for a scalar time.
-    ``values_at``, when provided, evaluates a whole 1-D array of times at
-    once and returns ``(n, dim, dim)``; propagation and residual scans use
-    it for speed.  ``derivative_at`` is an optional analytic time
-    derivative.  ``pieces`` marks a generator assembled from smooth pieces
-    (see :func:`piecewise_operator`); samplers use it to stay one-sided at
-    stage boundaries.
+    ``values_at`` evaluates a whole 1-D array of times at once and returns
+    ``(n, dim, dim)``; propagation and residual scans sample through it.
     """
 
     dim: int
-    value_at: Callable[[float], np.ndarray]
-    derivative_at: Callable[[float], np.ndarray] | None = None
-    values_at: Callable[[np.ndarray], np.ndarray] | None = None
-    pieces: tuple[tuple[float, float, "TimeDependentOperator"], ...] | None = None
+    values_at: Callable[[np.ndarray], np.ndarray]
 
     def sample(self, times: np.ndarray) -> np.ndarray:
-        """Evaluate at an array of times lying within one smooth piece."""
+        """Evaluate at an array of times lying within one smooth stretch."""
         times = np.asarray(times, dtype=float)
-        if self.values_at is not None:
-            block = np.asarray(self.values_at(times), dtype=complex)
-        else:
-            block = np.array([self.value_at(float(t)) for t in times], dtype=complex)
+        block = np.asarray(self.values_at(times), dtype=complex)
         if block.shape != (times.size, self.dim, self.dim):
             raise DimensionMismatchError(
                 f"operator samples have shape {block.shape}, expected "
@@ -185,18 +169,10 @@ class TimeDependentOperator:
 
     def adjoint(self) -> "TimeDependentOperator":
         """The Hermitian conjugate generator t -> H(t)^dag."""
-        value = self.value_at
         batch = self.values_at
-        pieces = None
-        if self.pieces is not None:
-            pieces = tuple((a, b, op.adjoint()) for a, b, op in self.pieces)
         return TimeDependentOperator(
             dim=self.dim,
-            value_at=lambda t: np.conj(value(t)).T,
-            values_at=None if batch is None else (
-                lambda ts: np.conj(np.asarray(batch(ts))).transpose(0, 2, 1)
-            ),
-            pieces=pieces,
+            values_at=lambda ts: np.conj(np.asarray(batch(ts))).transpose(0, 2, 1),
         )
 
 
@@ -208,68 +184,10 @@ def constant_operator(matrix) -> TimeDependentOperator:
     if not np.all(np.isfinite(m)):
         raise NonFiniteSampleError("constant operator contains NaN or Inf")
     dim = m.shape[0]
-    zero = np.zeros_like(m)
     return TimeDependentOperator(
         dim=dim,
-        value_at=lambda t: m,
-        derivative_at=lambda t: zero,
         values_at=lambda ts: np.broadcast_to(m, (np.asarray(ts).size, dim, dim)),
     )
-
-
-def piecewise_operator(
-    pieces: Sequence[tuple[float, float, TimeDependentOperator]],
-) -> TimeDependentOperator:
-    """Join smooth generators defined on contiguous intervals.
-
-    Point evaluation is right-continuous at the internal joints (the final
-    endpoint belongs to the last piece); integrators instead resolve whole
-    segments against a single piece, so each stage sees its own one-sided
-    limits at the joints.
-    """
-    if not pieces:
-        raise GridError("piecewise operator needs at least one piece")
-    pieces = tuple((float(a), float(b), op) for a, b, op in pieces)
-    dim = pieces[0][2].dim
-    for (a, b, op) in pieces:
-        if not b > a:
-            raise GridError(f"piece [{a}, {b}] is empty or reversed")
-        if op.dim != dim:
-            raise DimensionMismatchError("pieces have mismatched dimensions")
-    for (_, b, _), (a2, _, _) in zip(pieces[:-1], pieces[1:]):
-        if abs(b - a2) > 1e-12 * max(1.0, abs(b)):
-            raise GridError(f"pieces are not contiguous at t = {b}")
-    starts = [a for a, _, _ in pieces]
-
-    def locate(t: float) -> TimeDependentOperator:
-        i = bisect.bisect_right(starts, t) - 1
-        i = min(max(i, 0), len(pieces) - 1)
-        a, b, op = pieces[i]
-        if t < a - 1e-12 or t > b + 1e-12:
-            raise GridError(f"time {t} outside piecewise domain [{starts[0]}, {pieces[-1][1]}]")
-        return op
-
-    return TimeDependentOperator(
-        dim=dim,
-        value_at=lambda t: locate(t).value_at(t),
-        pieces=pieces,
-    )
-
-
-def _piece_for_segment(H: TimeDependentOperator, ta: float, tb: float) -> TimeDependentOperator:
-    """The smooth operator to sample on [ta, tb]."""
-    if H.pieces is None:
-        return H
-    mid = 0.5 * (ta + tb)
-    for a, b, op in H.pieces:
-        if a - 1e-12 <= mid <= b + 1e-12:
-            if ta < a - 1e-12 or tb > b + 1e-12:
-                raise GridError(
-                    f"grid segment [{ta}, {tb}] straddles a generator joint; "
-                    "declare the joint as a stage boundary of the TimeGrid"
-                )
-            return op
-    raise GridError(f"no generator piece covers t = {mid}")
 
 
 @dataclass(frozen=True)
@@ -278,7 +196,9 @@ class StateTrajectory:
 
     ``populations[i, n]`` is ``|states[i, n]|**2`` and ``total_norm[i]`` is
     their sum over levels (the squared 2-norm); both are derived from
-    ``states`` on construction.  Treat instances as immutable.
+    ``states`` on construction, which raises :class:`NonFiniteSampleError`
+    at the first time whose squared norm overflows or is not finite.  Treat
+    instances as immutable.
     """
 
     grid: TimeGrid
@@ -288,9 +208,17 @@ class StateTrajectory:
     total_norm: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        pops = np.abs(self.states) ** 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            pops = np.abs(self.states) ** 2
+            total = pops.sum(axis=1)
+        finite = np.isfinite(total)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise NonFiniteSampleError(
+                f"state at t = {float(self.times[bad])!r} overflows or is not finite"
+            )
         object.__setattr__(self, "populations", pops)
-        object.__setattr__(self, "total_norm", pops.sum(axis=1))
+        object.__setattr__(self, "total_norm", total)
 
     @property
     def dim(self) -> int:
@@ -301,17 +229,16 @@ class StateTrajectory:
         return np.sqrt(self.total_norm)
 
 
-def _segment_sample_times(times: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Interleave grid points and RK4 midpoints for steps a..b-1."""
-    seg = times[a : b + 1]
-    out = np.empty(2 * (b - a) + 1)
-    out[0::2] = seg
-    out[1::2] = 0.5 * (seg[:-1] + seg[1:])
+def _sample_times(times: np.ndarray) -> np.ndarray:
+    """Interleave grid points and RK4 midpoints."""
+    out = np.empty(2 * times.size - 1)
+    out[0::2] = times
+    out[1::2] = 0.5 * (times[:-1] + times[1:])
     return out
 
 
 def _rk4_steps_2(gs, h: float, h2: float, h6: float, y: list) -> list:
-    """RK4 steps of a K = 2 segment on Python ``complex`` locals, states flattened."""
+    """RK4 steps for K = 2 on Python ``complex`` locals, states flattened."""
     y0, y1 = y
     rows = []
     for g1, g2, g3 in zip(gs[0:-1:2], gs[1::2], gs[2::2]):
@@ -326,7 +253,7 @@ def _rk4_steps_2(gs, h: float, h2: float, h6: float, y: list) -> list:
 
 
 def _rk4_steps_3(gs, h: float, h2: float, h6: float, y: list) -> list:
-    """RK4 steps of a K = 3 segment on Python ``complex`` locals, states flattened."""
+    """RK4 steps for K = 3 on Python ``complex`` locals, states flattened."""
     y0, y1, y2 = y
     rows = []
     for g1, g2, g3 in zip(gs[0:-1:2], gs[1::2], gs[2::2]):
@@ -342,7 +269,7 @@ def _rk4_steps_3(gs, h: float, h2: float, h6: float, y: list) -> list:
 
 
 def _rk4_steps_any(gs, h: float, h2: float, h6: float, y: list) -> list:
-    """RK4 steps of a segment of any K by the plain all-numpy step, one state per step."""
+    """RK4 steps for any K by the plain all-numpy step, one state per step."""
     y = np.array(y, dtype=complex)
     rows = []
     for g1, g2, g3 in zip(gs[0:-1:2], gs[1::2], gs[2::2]):
@@ -358,7 +285,7 @@ def _rk4_steps_any(gs, h: float, h2: float, h6: float, y: list) -> list:
 def _rk4_sweep(H: TimeDependentOperator, grid: TimeGrid, y0: np.ndarray) -> np.ndarray:
     """Integrate dy/dt = -i H(t) y for a state vector, one RK4 step at a time.
 
-    Each segment runs a step kernel chosen by ``K = y0.size``: for K = 2
+    The steps run in a kernel chosen by ``K = y0.size``: for K = 2
     and K = 3 the state is Python ``complex`` locals and only the four
     ``(K, K) . (K,)`` matvecs of a step go through numpy, since numpy's
     complex multiply rounds each part by a fused multiply-add,
@@ -369,12 +296,12 @@ def _rk4_sweep(H: TimeDependentOperator, grid: TimeGrid, y0: np.ndarray) -> np.n
     times = grid.times()
     h, h2, h6 = grid.dt, 0.5 * grid.dt, grid.dt / 6.0
     steps = {2: _rk4_steps_2, 3: _rk4_steps_3}.get(y0.size, _rk4_steps_any)
+    gs = -1j * H.sample(_sample_times(times))
     out = np.empty((times.size, y0.size), dtype=complex)
     out[0] = y0
-    for a, b in grid.segment_indices():
-        op = _piece_for_segment(H, times[a], times[b])
-        gs = -1j * op.sample(_segment_sample_times(times, a, b))
-        out[a + 1 : b + 1] = np.reshape(steps(gs, h, h2, h6, out[a].tolist()), (b - a, y0.size))
+    # an overflowing run is reported once, by StateTrajectory, at its first bad time
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[1:] = np.reshape(steps(gs, h, h2, h6, y0.tolist()), (times.size - 1, y0.size))
     return out
 
 
@@ -384,10 +311,10 @@ def _time_last(block: np.ndarray) -> np.ndarray:
 
 
 def _step_matrices(gs: np.ndarray, dt: float) -> np.ndarray:
-    """RK4 step matrices ``P_n = I + dt/6 (K1 + 2 K2 + 2 K3 + K4)`` of one segment.
+    """RK4 step matrices ``P_n = I + dt/6 (K1 + 2 K2 + 2 K3 + K4)`` of one grid.
 
     ``gs`` is the time-last ``(K, K, 2n+1)`` block of ``-iH`` on the
-    interleaved grid/midpoint times of :func:`_segment_sample_times`; one
+    interleaved grid/midpoint times of :func:`_sample_times`; one
     RK4 step of a linear equation maps ``y`` to ``P_n y``.  Returns
     ``(n, K, K)``.
     """
@@ -429,20 +356,18 @@ def _propagators(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Ket propagators of ``H`` on every grid point and, if asked, the bra ones.
 
-    Each smooth segment is sampled once; the bra steps reuse that block
+    ``H`` is sampled once; the bra steps reuse that block
     conjugate-transposed, since ``-i H^dag = -(-i H)^dag``.
     """
     times = grid.times()
     U = np.empty((times.size, H.dim, H.dim), dtype=complex)
     U[0] = np.eye(H.dim)
     V = U.copy() if with_bra else None
-    for a, b in grid.segment_indices():
-        op = _piece_for_segment(H, times[a], times[b])
-        gs = _time_last(-1j * op.sample(_segment_sample_times(times, a, b)))
-        U[a + 1 : b + 1] = _prefix_products(_step_matrices(gs, grid.dt), U[a])
-        if with_bra:
-            gs_bra = -gs.conj().transpose(1, 0, 2)
-            V[a + 1 : b + 1] = _prefix_products(_step_matrices(gs_bra, grid.dt), V[a])
+    gs = _time_last(-1j * H.sample(_sample_times(times)))
+    U[1:] = _prefix_products(_step_matrices(gs, grid.dt), U[0])
+    if with_bra:
+        gs_bra = -gs.conj().transpose(1, 0, 2)
+        V[1:] = _prefix_products(_step_matrices(gs_bra, grid.dt), V[0])
     return U, V
 
 
@@ -535,54 +460,3 @@ def dyson_truncation(
         total = total + s[..., n]
         s_prev = s
     return total
-
-
-#: Scaled norm below which the degree-6 Taylor core of expm is accurate to
-#: near machine precision for the dims used here.
-_EXPM_THETA = 2.0 ** -6
-
-
-def matrix_exponential(a) -> np.ndarray:
-    """exp(a) by scaling-and-squaring around a degree-6 Taylor core.
-
-    Meant for the small (K <= 3) well-conditioned matrices this library
-    works with, where it is accurate to ~1e-13; used as the closed-form
-    oracle for constant generators.
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise NonFiniteSampleError("matrix_exponential input contains NaN or Inf")
-    norm = np.linalg.norm(a, 1)
-    squarings = 0
-    if norm > _EXPM_THETA:
-        squarings = int(np.ceil(np.log2(norm / _EXPM_THETA)))
-        a = a / (2.0 ** squarings)
-    eye = np.eye(a.shape[0], dtype=complex)
-    # Horner form of I + a + a^2/2! + ... + a^6/6!
-    result = eye + a / 6.0
-    for k in (5, 4, 3, 2, 1):
-        result = eye + (a / k) @ result
-    for _ in range(squarings):
-        result = result @ result
-    return result
-
-
-def is_pt_symmetric_two_level(
-    xi0: float,
-    xi1: float,
-    delta: Callable[[np.ndarray], np.ndarray] | float,
-    times: np.ndarray,
-    tol: float = 1e-12,
-) -> bool:
-    """Whether a two-level gain/loss assignment is parity-time symmetric.
-
-    True iff the gain/loss phases have equal magnitude, ``|xi0| == |xi1|``,
-    and the detuning vanishes identically on the sampled times.
-    """
-    if abs(abs(xi0) - abs(xi1)) > tol:
-        return False
-    times = np.asarray(times, dtype=float)
-    d = delta(times) if callable(delta) else delta
-    return bool(np.max(np.abs(np.asarray(d))) <= tol)

@@ -18,7 +18,9 @@ directly.
 Frame convention: the frame matrix ``M(t)`` carries ``mu_k(t)`` in its
 columns, ordered so that column K-1 (the last) is the ket-space passage
 and column 0 the bra-space passage.  The triangularization direction
-depends on this ordering.
+depends on this ordering.  A frame, like a generator, is sampled only in
+batches: its callables map a 1-D array of times to ``(n, K, K)`` stacks of
+frame matrices and their analytic time derivatives.
 """
 
 from __future__ import annotations
@@ -37,71 +39,39 @@ __all__ = [
     "ThreeLevelFrameParams",
     "two_level_frame",
     "three_level_frame",
-    "frame_unitary",
-    "gauge_potential",
-    "rotated_hamiltonian",
     "triangularization_residual",
     "von_neumann_residual",
 ]
 
-#: Orthonormality tolerance for well-formed frames.
-GRAM_TOL = 1e-12
-
-#: Central-difference step for frames without analytic derivatives,
-#: relative to the natural time scale (order 1 in desk units).
-FD_STEP = 1e-6
-
 
 @dataclass(frozen=True)
 class AncillaryFrame:
-    """A complete orthonormal moving basis with (optionally analytic) derivatives.
+    """A complete orthonormal moving basis with analytic time derivatives.
 
-    ``basis_at(t)`` returns the ``(dim, dim)`` frame matrix whose columns
-    are the basis vectors.  ``basis_derivative_at`` is the elementwise time
-    derivative; when omitted, a central finite difference with step
-    ``fd_step`` is used, accurate to O(fd_step^2) on smooth frames.  The
-    optional ``*_batch`` callables take a 1-D time array and return
-    ``(n, dim, dim)`` stacks; scans fall back to per-point evaluation
-    without them.
+    ``basis_batch`` maps a 1-D time array to the ``(n, dim, dim)`` stack of
+    frame matrices whose columns are the basis vectors;
+    ``basis_derivative_batch`` gives their elementwise time derivatives.
     """
 
     dim: int
-    basis_at: Callable[[float], np.ndarray]
-    basis_derivative_at: Callable[[float], np.ndarray] | None = None
-    basis_batch: Callable[[np.ndarray], np.ndarray] | None = None
-    basis_derivative_batch: Callable[[np.ndarray], np.ndarray] | None = None
-    fd_step: float = FD_STEP
-
-    def matrix(self, t: float) -> np.ndarray:
-        m = np.asarray(self.basis_at(t), dtype=complex)
-        if m.shape != (self.dim, self.dim):
-            raise DimensionMismatchError(
-                f"frame matrix has shape {m.shape}, expected ({self.dim}, {self.dim})"
-            )
-        return m
-
-    def derivative(self, t: float) -> np.ndarray:
-        if self.basis_derivative_at is not None:
-            return np.asarray(self.basis_derivative_at(t), dtype=complex)
-        h = self.fd_step
-        return (self.matrix(t + h) - self.matrix(t - h)) / (2.0 * h)
+    basis_batch: Callable[[np.ndarray], np.ndarray]
+    basis_derivative_batch: Callable[[np.ndarray], np.ndarray]
 
     def sample(self, times: np.ndarray) -> np.ndarray:
-        times = np.asarray(times, dtype=float)
-        if self.basis_batch is not None:
-            return np.asarray(self.basis_batch(times), dtype=complex)
-        return np.array([self.matrix(float(t)) for t in times], dtype=complex)
+        return self._checked(self.basis_batch, times)
 
     def sample_derivative(self, times: np.ndarray) -> np.ndarray:
-        times = np.asarray(times, dtype=float)
-        if self.basis_derivative_batch is not None:
-            return np.asarray(self.basis_derivative_batch(times), dtype=complex)
-        return np.array([self.derivative(float(t)) for t in times], dtype=complex)
+        return self._checked(self.basis_derivative_batch, times)
 
-    def gram_defect(self, t: float) -> float:
-        """Max-entry deviation of the Gram matrix from the identity."""
-        m = self.matrix(t)
-        return float(np.max(np.abs(m.conj().T @ m - np.eye(self.dim))))
+    def _checked(self, batch: Callable, times: np.ndarray) -> np.ndarray:
+        times = np.asarray(times, dtype=float)
+        block = np.asarray(batch(times), dtype=complex)
+        if block.shape != (times.size, self.dim, self.dim):
+            raise DimensionMismatchError(
+                f"frame samples have shape {block.shape}, expected "
+                f"({times.size}, {self.dim}, {self.dim})"
+            )
+        return block
 
 
 @dataclass(frozen=True)
@@ -184,15 +154,7 @@ def two_level_frame(params: TwoLevelFrameParams) -> AncillaryFrame:
         ts = np.asarray(ts, dtype=float)
         return _two_level_matrix_dot(p.theta(ts), p.alpha(ts), p.theta_dot(ts), p.alpha_dot(ts))
 
-    return AncillaryFrame(
-        dim=2,
-        basis_at=lambda t: _two_level_matrix(p.theta(t), p.alpha(t)),
-        basis_derivative_at=lambda t: _two_level_matrix_dot(
-            p.theta(t), p.alpha(t), p.theta_dot(t), p.alpha_dot(t)
-        ),
-        basis_batch=batch,
-        basis_derivative_batch=batch_dot,
-    )
+    return AncillaryFrame(dim=2, basis_batch=batch, basis_derivative_batch=batch_dot)
 
 
 def _three_level_matrix(th, al, ph, be):
@@ -274,74 +236,12 @@ def three_level_frame(params: ThreeLevelFrameParams) -> AncillaryFrame:
             p.theta_dot(ts), p.alpha_dot(ts), p.phi_mix_dot(ts), p.beta_dot(ts),
         )
 
-    return AncillaryFrame(
-        dim=3,
-        basis_at=lambda t: _three_level_matrix(p.theta(t), p.alpha(t), p.phi_mix(t), p.beta(t)),
-        basis_derivative_at=lambda t: _three_level_matrix_dot(
-            p.theta(t), p.alpha(t), p.phi_mix(t), p.beta(t),
-            p.theta_dot(t), p.alpha_dot(t), p.phi_mix_dot(t), p.beta_dot(t),
-        ),
-        basis_batch=batch,
-        basis_derivative_batch=batch_dot,
-    )
-
-
-def frame_unitary(frame: AncillaryFrame, t0: float) -> TimeDependentOperator:
-    """The rotation ``V(t) = sum_k |mu_k(t)><mu_k(t0)|`` as an operator of time.
-
-    Equals ``M(t) M(t0)^dag``; unitary at every sample and the identity at
-    ``t = t0`` (and for all t when the frame is static).
-    """
-    m0_dag = frame.matrix(t0).conj().T
-
-    def value(t):
-        return frame.matrix(t) @ m0_dag
-
-    def derivative(t):
-        return frame.derivative(t) @ m0_dag
-
-    def batch(ts):
-        return frame.sample(ts) @ m0_dag
-
-    return TimeDependentOperator(
-        dim=frame.dim, value_at=value, derivative_at=derivative, values_at=batch
-    )
-
-
-def gauge_potential(frame: AncillaryFrame, t: float) -> np.ndarray:
-    """Gauge potential ``A_km(t) = i <mu_k(t)| d mu_m(t)/dt>``.
-
-    Hermitian whenever the frame stays orthonormal; with analytic frame
-    derivatives the Hermiticity defect sits at roundoff.
-    """
-    m = frame.matrix(t)
-    dm = frame.derivative(t)
-    return 1j * (m.conj().T @ dm)
+    return AncillaryFrame(dim=3, basis_batch=batch, basis_derivative_batch=batch_dot)
 
 
 def _gauge_batch(frames: np.ndarray, dframes: np.ndarray) -> np.ndarray:
     """Gauge potentials of time-last ``(K, K, n)`` frame and derivative blocks."""
     return 1j * np.einsum("ikn,imn->kmn", frames.conj(), dframes)
-
-
-def rotated_hamiltonian(
-    H: TimeDependentOperator, frame: AncillaryFrame, t: float
-) -> np.ndarray:
-    """Entries ``Hf_km(t) - A_km(t)`` of the rotated generator.
-
-    ``Hf_km = <mu_k|H|mu_m>`` is the dynamical term.  The returned matrix
-    is expressed in the frozen frame basis: conjugating the rotating-frame
-    generator ``V^dag H V - i V^dag dV/dt`` back with the ``t0`` frame
-    matrix gives the same entries.
-    """
-    if H.dim != frame.dim:
-        raise DimensionMismatchError(
-            f"operator dim {H.dim} != frame dim {frame.dim}"
-        )
-    m = frame.matrix(t)
-    dm = frame.derivative(t)
-    h = np.asarray(H.value_at(t), dtype=complex)
-    return m.conj().T @ h @ m - 1j * (m.conj().T @ dm)
 
 
 def _rotated_batch(H: TimeDependentOperator, frame: AncillaryFrame, times: np.ndarray):

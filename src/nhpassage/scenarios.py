@@ -1,4 +1,4 @@
-"""Built-in transfer scenarios, end-to-end runs, and the verification suite.
+"""Built-in transfer scenarios, the stage model, its runner, and the verification suite.
 
 Two families are built in.  The two-level runs (``two_level_a`` ..
 ``two_level_d``) realize the four perfect population transfers between the
@@ -11,18 +11,26 @@ gain/loss rate slaved to the frame motion as ``gamma = 2 theta_dot``
 ``gamma = 3 theta_dot`` and the third-level gain flipping sign in the
 middle stage.
 
-Every run re-integrates at half the step and fails loudly if any reported
-population moves by more than the step-check tolerance, then packages the
-trajectory, accumulated passage phase, residual certificates, and
-checkpoint populations into a :class:`RunReport` whose pass/fail verdicts
-are derived solely from the recorded numbers.
+Both families are built from one stage model.  A stage is a grid, a
+moving frame, drives synthesized to triangularize the generator in that
+frame, the generator ``H``, the passage (ket under ``H`` or bra under
+``H^dag``) that carries the state, and the level it ends on.  A two-level
+task is one stage; a cyclic task is three per loop.  One runner marches
+the stages, handing the state across each boundary verbatim, and takes
+every certificate per stage.  It re-integrates at half the step and fails
+loudly if any reported population moves by more than the step-check
+tolerance, then packages the trajectory, accumulated passage phase,
+residual certificates, and checkpoint populations into a
+:class:`RunReport` whose pass/fail verdicts are derived solely from the
+recorded numbers.  :func:`verify` builds the same stages with overrides
+(zero gain, a 1% drive error) for its controls.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -50,7 +58,7 @@ from .frames import (
 )
 from .synthesis import (
     PhaseFunctional,
-    StageSchedule,
+    ScheduleStage,
     ThreeLevelControls,
     TwoLevelControls,
     clockwise_schedule,
@@ -114,7 +122,8 @@ class ScenarioConfig:
     orders of magnitude to spare for all built-ins.  ``gamma_scale``
     multiplies the scenario's gain/loss-to-frame-rate ratio (1.0 is the
     reference setting; checkpoint transients are only asserted there).
-    ``loops`` applies to cyclic scenarios.
+    ``loops`` counts cyclic loops; a two-level task is one stage, so it
+    must be 1 there.
     """
 
     scenario: str
@@ -145,6 +154,8 @@ class ScenarioConfig:
             raise ConfigError(f"T must be positive, got {self.T}")
         if self.loops < 1:
             raise ConfigError(f"loops must be >= 1, got {self.loops}")
+        if self.loops != 1 and self.scenario not in CYCLIC_IDS:
+            raise ConfigError(f"loops must be 1 for a two-level scenario, got {self.loops}")
         if self.dt is not None and not self.dt > 0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if not self.tolerance > 0:
@@ -266,57 +277,130 @@ def two_level_scenario(scenario_id: str, T: float) -> TwoLevelScenario:
             label="d", theta=theta, theta_dot=theta_dot,
             initial_level=0, target_level=1, passage="bra",
         )
-    raise ConfigError(f"not a built-in two-level scenario: {scenario_id!r}")
+    raise ConfigError(f"not a built-in two-level scenario: {scenario_id!r}; "
+                      "pass a TwoLevelScenario to run_two_level")
 
 
 def _zero(t):
     return np.zeros_like(np.asarray(t, dtype=float))
 
 
-def _two_level_pieces(scenario: TwoLevelScenario, gamma_scale: float, grid: TimeGrid):
-    """Frame params, frame, controls, and generator for a two-level scenario."""
+def _scaled(callable_f, factor: float):
+    return lambda t: factor * np.asarray(callable_f(t))
+
+
+# ---------------------------------------------------------------------------
+# the stage model
+
+
+@dataclass(frozen=True)
+class _Stage:
+    """One smooth passage of a run: its grid, frame, drives, and generator.
+
+    ``passage`` names the space that carries the state ('ket' under ``H``,
+    'bra' under ``H^dag``) and ``target`` the level the stage ends on.
+    """
+
+    grid: TimeGrid
+    frame_params: TwoLevelFrameParams | ThreeLevelFrameParams
+    frame: AncillaryFrame
+    controls: TwoLevelControls | ThreeLevelControls
+    H: TimeDependentOperator
+    passage: str
+    target: int
+
+
+def _two_level_stage(scenario: TwoLevelScenario, T: float, dt: float,
+                     gamma_scale: float, drive_scale: float) -> _Stage:
     ratio = scenario.gamma_ratio * gamma_scale
 
     def gamma(t):
         return ratio * np.asarray(scenario.theta_dot(t))
 
-    frame_params = TwoLevelFrameParams(
-        theta=scenario.theta, theta_dot=scenario.theta_dot,
-        alpha=_zero, alpha_dot=_zero,
-    )
+    params = TwoLevelFrameParams(scenario.theta, scenario.theta_dot, _zero, _zero)
+    grid = TimeGrid(0.0, 2.0 * T, dt)
     controls = synthesize_two_level(
-        frame_params,
-        gamma0=gamma, gamma1=gamma,
-        xi0=-np.pi / 2, xi1=np.pi / 2,
-        delta=0.0, varphi=scenario.varphi,
-        grid=grid,
-    )
-    return frame_params, two_level_frame(frame_params), controls, two_level_hamiltonian(controls)
+        params, gamma0=gamma, gamma1=gamma, xi0=-np.pi / 2, xi1=np.pi / 2,
+        delta=0.0, varphi=scenario.varphi, grid=grid)
+    if drive_scale != 1.0:
+        controls = replace(controls, omega=_scaled(controls.omega, drive_scale))
+    return _Stage(grid, params, two_level_frame(params), controls,
+                  two_level_hamiltonian(controls), scenario.passage, scenario.target_level)
 
 
-def _passage_column(frame: AncillaryFrame, passage: str) -> int:
-    return frame.dim - 1 if passage == "ket" else 0
+def _cyclic_stage(stage: ScheduleStage, target: int, dt: float,
+                  gamma_scale: float, drive_scale: float) -> _Stage:
+
+    def gamma(t):
+        return 3.0 * gamma_scale * np.asarray(stage.theta_dot(t))
+
+    def gamma_e(t):
+        return 0.5 * gamma(t)
+
+    params = ThreeLevelFrameParams(stage.theta, stage.theta_dot, _zero, _zero,
+                                   stage.phi_mix, stage.phi_mix_dot, _zero, _zero)
+    grid = TimeGrid(stage.start, stage.end, dt)
+    controls = synthesize_three_level(
+        params, gamma0=gamma, gamma1=gamma, gamma_e=gamma_e,
+        xi0=-np.pi / 2, xi1=np.pi / 2, xi_e=stage.xi_e, delta0=0.0, delta1=0.0,
+        delta_e=0.0, varphi=np.pi / 2, varphi_a=np.pi / 2, grid=grid)
+    if drive_scale != 1.0:
+        controls = replace(controls, **{name: _scaled(getattr(controls, name), drive_scale)
+                                        for name in ("omega0", "omega1", "omega")})
+    return _Stage(grid, params, three_level_frame(params), controls,
+                  three_level_hamiltonian(controls), stage.passage, target)
+
+
+#: Stage-end target level (index into |0>, |1>, |e>) for each direction.
+_CYCLE_TARGETS = {"cw": (2, 1, 0), "ccw": (1, 2, 0)}
+
+
+def _stages(config: ScenarioConfig, scenario: TwoLevelScenario | None = None,
+            gamma_scale: float | None = None, drive_scale: float = 1.0) -> list[_Stage]:
+    """The stages of a run: one for a two-level task, three per loop for a cyclic one.
+
+    ``gamma_scale`` overrides the config's (0 gives the Hermitian limit).
+    ``drive_scale`` multiplies the synthesized drive envelopes (all but the
+    inner ``omega_a`` of a three-level stage), so the frame no longer
+    triangularizes the generator.
+    """
+    dt = config.resolved_dt()
+    if gamma_scale is None:
+        gamma_scale = config.gamma_scale
+    if config.scenario not in CYCLIC_IDS:
+        if scenario is None:
+            scenario = two_level_scenario(config.scenario, config.T)
+        return [_two_level_stage(scenario, config.T, dt, gamma_scale, drive_scale)]
+    direction = "cw" if config.scenario == "cyclic_cw" else "ccw"
+    make = clockwise_schedule if direction == "cw" else counterclockwise_schedule
+    return [
+        _cyclic_stage(stage, target, dt, gamma_scale, drive_scale)
+        for k in range(1, config.loops + 1)
+        for stage, target in zip(make(k, config.T).stages, _CYCLE_TARGETS[direction])
+    ]
+
+
+# ---------------------------------------------------------------------------
+# the runner
 
 
 def _passage_fidelity_error(
     traj: StateTrajectory, frame: AncillaryFrame, phase: PhaseFunctional, passage: str
 ) -> float:
     """Max 2-norm gap between the simulated state and the phase-dressed passage."""
-    col = _passage_column(frame, passage)
-    mus = frame.sample(traj.times)[:, :, col]
+    mus = frame.sample(traj.times)[:, :, frame.dim - 1 if passage == "ket" else 0]
     c0 = np.vdot(mus[0], traj.states[0])
     dressed = (c0 * np.exp(-1j * (phase.f_real + 1j * phase.f_imag)))[:, None] * mus
     return float(np.max(np.linalg.norm(traj.states - dressed, axis=1)))
 
 
-def _step_check(states: np.ndarray, fine_states: Callable[[], np.ndarray]) -> float:
+def _step_check(states: np.ndarray, fine: np.ndarray) -> float:
     """Max population change at shared grid points when the run is repeated at dt/2.
 
-    ``fine_states()`` re-runs at dt/2 and returns its states, so every run
-    pays for and records the re-run.  Raises :class:`StepSizeError` above
-    :data:`STEP_CHECK_TOL`, and on a NaN shift (an overflowed run).
+    ``fine`` holds the dt/2 re-run's states at the run's grid points.
+    Raises :class:`StepSizeError` above :data:`STEP_CHECK_TOL`, and on a
+    NaN shift (an overflowed run).
     """
-    fine = fine_states()[::2]
     delta = float(np.max(np.abs(np.abs(states) ** 2 - np.abs(fine) ** 2)))
     if not delta <= STEP_CHECK_TOL:
         raise StepSizeError(
@@ -324,6 +408,136 @@ def _step_check(states: np.ndarray, fine_states: Callable[[], np.ndarray]) -> fl
             f"(> {STEP_CHECK_TOL:g}); decrease dt"
         )
     return delta
+
+
+def _march(stages: list[_Stage], psi: np.ndarray, halved: bool = False) -> list[StateTrajectory]:
+    """Carry ``psi`` through the stages, handing it across each boundary verbatim."""
+    trajs = []
+    for stage in stages:
+        evolve = evolve_ket if stage.passage == "ket" else evolve_bra
+        traj = evolve(stage.H, psi, stage.grid.halved() if halved else stage.grid)
+        psi = traj.states[-1]
+        trajs.append(traj)
+    return trajs
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """Per-stage arrays end to end, each later stage without its shared first point."""
+    return np.concatenate([parts[0]] + [p[1:] for p in parts[1:]])
+
+
+def _run(config: ScenarioConfig, scenario: TwoLevelScenario | None = None) -> RunReport:
+    """March a run's stages, collect per-stage certificates, and grade the run.
+
+    The state is handed across stage boundaries verbatim (global phases
+    included); the accumulated passage phase restarts at each stage, which
+    is also how the exported ``f_real``/``f_imag`` columns are defined.
+    """
+    cyclic = config.scenario in CYCLIC_IDS
+    if not cyclic and scenario is None:
+        scenario = two_level_scenario(config.scenario, config.T)
+    stages = _stages(config, scenario)
+    psi0 = np.zeros(stages[0].H.dim, dtype=complex)
+    psi0[0 if cyclic else scenario.initial_level] = 1.0
+    # the dt/2 re-run goes first and keeps only its states at the shared
+    # points, so its sweeps are freed before this run's own are made
+    fine = _joined([t.states for t in _march(stages, psi0, halved=True)])[::2].copy()
+    trajs = _march(stages, psi0)
+    states = _joined([t.states for t in trajs])
+    step_delta = _step_check(states, fine)
+
+    phases, tri, consistency, bio, fidelity = [], [], [], [], []
+    for stage, traj in zip(stages, trajs):
+        two = stage.H.dim == 2
+        phase_fn = phase_two_level if two else phase_three_level
+        consistency_fn = (two_level_consistency_residual if two
+                          else three_level_consistency_residual)
+        phase = phase_fn(stage.controls, stage.frame_params, stage.grid, passage=stage.passage)
+        phases.append(phase)
+        tri.append(triangularization_residual(stage.H, stage.frame, stage.grid))
+        consistency.append(consistency_fn(stage.controls, stage.frame_params, stage.grid))
+        bio.append(biorthogonality_defect(stage.H, stage.grid))
+        fidelity.append(_passage_fidelity_error(traj, stage.frame, phase, stage.passage))
+
+    times = _joined([t.times for t in trajs])
+    grid = TimeGrid(stages[0].grid.t0, stages[-1].grid.tf, config.resolved_dt(),
+                    stage_boundaries=tuple(s.grid.tf for s in stages[:-1]))
+    traj = StateTrajectory(grid=grid, times=times, states=states)
+    phase = PhaseFunctional(times=times, f_real=_joined([p.f_real for p in phases]),
+                            f_imag=_joined([p.f_imag for p in phases]))
+    residuals = {
+        "triangularization": max(tri),
+        "consistency": max(consistency),
+        "biorthogonality": max(bio),
+        "passage_fidelity": max(fidelity),
+        "step_check": step_delta,
+    }
+    scenario_checks = _cyclic_checks if cyclic else _two_level_checks
+    checkpoints, checks = scenario_checks(config, stages, trajs, traj)
+    checks += [CheckResult.below(name, value, threshold) for name, value, threshold in (
+        ("stage_end_f_imag", max(abs(float(p.f_imag[-1])) for p in phases), STAGE_PHASE_TOL),
+        ("phase_norm_identity",
+         float(np.max(np.abs(np.exp(phase.f_imag) - traj.vector_norm()))), config.tolerance),
+        ("triangularization_residual", residuals["triangularization"], RESIDUAL_TOL),
+        ("consistency_residual", residuals["consistency"], CONSISTENCY_TOL),
+        ("biorthogonality_defect", residuals["biorthogonality"], POPULATION_TOL),
+        ("passage_fidelity", residuals["passage_fidelity"], POPULATION_TOL),
+        ("step_halving_shift", step_delta, STEP_CHECK_TOL),
+    )]
+    return RunReport(config=config, trajectory=traj, phase=phase,
+                     residuals=residuals, checkpoints=checkpoints, checks=checks)
+
+
+def _two_level_checks(config, stages, trajs, traj):
+    """Checkpoints and checks of a two-level transfer: target and norm at 2T."""
+    end = traj.populations[-1]
+    checkpoints = {
+        "P0_end": float(end[0]),
+        "P1_end": float(end[1]),
+        "total_end": float(traj.total_norm[-1]),
+        "total_min": float(np.min(traj.total_norm)),
+    }
+    target, tol = stages[0].target, config.tolerance
+    return checkpoints, [
+        CheckResult.below(f"target_population_P{target}(2T)", abs(end[target] - 1.0), tol),
+        CheckResult.below("final_total_norm", abs(traj.total_norm[-1] - 1.0), tol),
+        CheckResult.below("mid_evolution_norm_dip", checkpoints["total_min"], 1.0 - NORM_DIP),
+    ]
+
+
+def _cyclic_checks(config, stages, trajs, traj):
+    """Checkpoints and checks of cyclic loops: every stage end, the bra stages,
+    the clockwise transient, and loop-to-loop periodicity."""
+    T, tol = config.T, config.tolerance
+    ends = np.array([t.populations[-1] for t in trajs])
+    checkpoints = {"total_min": float(np.min(traj.total_norm))}
+    checks = []
+    for i, (stage, pops) in enumerate(zip(stages, ends)):
+        level = stage.target
+        key = f"loop{i // 3 + 1}_stage{i % 3 + 1}"
+        checkpoints[f"{key}_P{level}"] = float(pops[level])
+        checkpoints[f"{key}_total"] = float(pops.sum())
+        checks.append(CheckResult.below(
+            f"{key}_P{level}(t={2.0 * (i + 1):g}T)", abs(pops[level] - 1.0), tol))
+        checks.append(CheckResult.below(f"{key}_total_norm", abs(pops.sum() - 1.0), tol))
+
+    bra_pe = max([0.0] + [float(np.max(t.populations[:, 2]))
+                          for stage, t in zip(stages, trajs) if stage.passage == "bra"])
+    checks.append(CheckResult.below("mid_evolution_norm_dip", checkpoints["total_min"],
+                                    1.0 - NORM_DIP))
+    checks.append(CheckResult.below("bra_stage_Pe_max", bra_pe, 1e-8))
+    if config.scenario == "cyclic_cw" and config.gamma_scale == 1.0:
+        try:  # asserted only where 1.6T lies on the grid
+            idx = traj.grid.index_of(1.6 * T)
+            p1 = checkpoints["P1_at_1.6T"] = float(traj.populations[idx, 1])
+            checks.append(CheckResult.below("transient_P1(1.6T)_vs_0.07", abs(p1 - 0.07), 0.02))
+        except GridError:
+            pass
+    if config.loops >= 2:
+        drift = float(np.max(np.abs(ends[3:] - ends[:-3])))
+        checkpoints["loop_periodicity_drift"] = drift
+        checks.append(CheckResult.below("loop_periodicity", drift, tol))
+    return checkpoints, checks
 
 
 def run_two_level(
@@ -336,327 +550,21 @@ def run_two_level(
     :class:`StepSizeError` when the dt/2 self-check fails and propagates
     synthesis errors for inconsistent inputs.
     """
-    if scenario is None:
-        scenario = two_level_scenario(config.scenario, config.T)
-    dt = config.resolved_dt()
-    grid = TimeGrid(0.0, 2.0 * config.T, dt)
-    frame_params, frame, controls, H = _two_level_pieces(scenario, config.gamma_scale, grid)
-
-    psi0 = np.zeros(2, dtype=complex)
-    psi0[scenario.initial_level] = 1.0
-    evolve_fn = evolve_ket if scenario.passage == "ket" else evolve_bra
-    traj = evolve_fn(H, psi0, grid)
-    step_delta = _step_check(traj.states, lambda: evolve_fn(H, psi0, grid.halved()).states)
-
-    phase = phase_two_level(controls, frame_params, grid, passage=scenario.passage)
-    residuals = {
-        "triangularization": triangularization_residual(H, frame, grid),
-        "consistency": two_level_consistency_residual(controls, frame_params, grid),
-        "biorthogonality": biorthogonality_defect(H, grid),
-        "step_check": step_delta,
-        "passage_fidelity": _passage_fidelity_error(traj, frame, phase, scenario.passage),
-    }
-
-    end = traj.populations[-1]
-    checkpoints = {
-        "P0_end": float(end[0]),
-        "P1_end": float(end[1]),
-        "total_end": float(traj.total_norm[-1]),
-        "total_min": float(np.min(traj.total_norm)),
-    }
-    tol = config.tolerance
-    target = scenario.target_level
-    checks = [
-        CheckResult.below(
-            f"target_population_P{target}(2T)",
-            abs(end[target] - 1.0), tol),
-        CheckResult.below("final_total_norm", abs(traj.total_norm[-1] - 1.0), tol),
-        CheckResult.below("mid_evolution_norm_dip",
-                          checkpoints["total_min"], 1.0 - NORM_DIP),
-        CheckResult.below("stage_end_f_imag", abs(phase.f_imag[-1]), STAGE_PHASE_TOL),
-        CheckResult.below(
-            "phase_norm_identity",
-            float(np.max(np.abs(np.exp(phase.f_imag) - traj.vector_norm()))), tol),
-        CheckResult.below("triangularization_residual",
-                          residuals["triangularization"], RESIDUAL_TOL),
-        CheckResult.below("consistency_residual",
-                          residuals["consistency"], CONSISTENCY_TOL),
-        CheckResult.below("biorthogonality_defect",
-                          residuals["biorthogonality"], POPULATION_TOL),
-        CheckResult.below("passage_fidelity",
-                          residuals["passage_fidelity"], POPULATION_TOL),
-        CheckResult.below("step_halving_shift", step_delta, STEP_CHECK_TOL),
-    ]
-    return RunReport(config=config, trajectory=traj, phase=phase,
-                     residuals=residuals, checkpoints=checkpoints, checks=checks)
-
-
-# ---------------------------------------------------------------------------
-# cyclic three-level scenarios
-
-#: Stage-end target level (index into |0>, |1>, |e>) for each direction.
-_CYCLE_TARGETS = {"cw": (2, 1, 0), "ccw": (1, 2, 0)}
-
-
-def _cyclic_stage_pieces(stage, gamma_scale: float, grid: TimeGrid):
-    """Frame params, frame, controls, and generator for one cyclic stage."""
-
-    def gamma(t):
-        return 3.0 * gamma_scale * np.asarray(stage.theta_dot(t))
-
-    def gamma_e(t):
-        return 0.5 * gamma(t)
-
-    frame_params = ThreeLevelFrameParams(
-        theta=stage.theta, theta_dot=stage.theta_dot,
-        alpha=_zero, alpha_dot=_zero,
-        phi_mix=stage.phi_mix, phi_mix_dot=stage.phi_mix_dot,
-        beta=_zero, beta_dot=_zero,
-    )
-    controls = synthesize_three_level(
-        frame_params,
-        gamma0=gamma, gamma1=gamma, gamma_e=gamma_e,
-        xi0=-np.pi / 2, xi1=np.pi / 2, xi_e=stage.xi_e,
-        delta0=0.0, delta1=0.0, delta_e=0.0,
-        varphi=np.pi / 2, varphi_a=np.pi / 2,
-        grid=grid,
-    )
-    return frame_params, three_level_frame(frame_params), controls, three_level_hamiltonian(controls)
-
-
-def _cyclic_schedules(direction: str, loops: int, T: float) -> list[StageSchedule]:
-    make = clockwise_schedule if direction == "cw" else counterclockwise_schedule
-    return [make(k, T) for k in range(1, loops + 1)]
-
-
-def _cyclic_sweep(direction, loops, T, dt, gamma_scale, collect: bool):
-    """March all stages; optionally collect phases, residuals, and fidelities."""
-    psi = np.array([1.0, 0.0, 0.0], dtype=complex)
-    times_parts, states_parts = [], []
-    f_real_parts, f_imag_parts = [], []
-    residuals = {"triangularization": 0.0, "consistency": 0.0,
-                 "biorthogonality": 0.0, "passage_fidelity": 0.0}
-    stage_end_pops = []
-    stage_end_f_imag = []
-    bra_stage_pe = 0.0
-
-    for schedule in _cyclic_schedules(direction, loops, T):
-        for stage in schedule.stages:
-            grid = TimeGrid(stage.start, stage.end, dt)
-            frame_params, frame, controls, H = _cyclic_stage_pieces(
-                stage, gamma_scale, grid
-            )
-            evolve_fn = evolve_ket if stage.passage == "ket" else evolve_bra
-            traj = evolve_fn(H, psi, grid)
-            psi = traj.states[-1]
-            first = not times_parts
-            times_parts.append(traj.times if first else traj.times[1:])
-            states_parts.append(traj.states if first else traj.states[1:])
-            stage_end_pops.append(traj.populations[-1])
-            if stage.passage == "bra":
-                bra_stage_pe = max(bra_stage_pe, float(np.max(traj.populations[:, 2])))
-            if not collect:
-                continue
-            phase = phase_three_level(controls, frame_params, grid, passage=stage.passage)
-            f_real_parts.append(phase.f_real if first else phase.f_real[1:])
-            f_imag_parts.append(phase.f_imag if first else phase.f_imag[1:])
-            stage_end_f_imag.append(abs(float(phase.f_imag[-1])))
-            residuals["triangularization"] = max(
-                residuals["triangularization"],
-                triangularization_residual(H, frame, grid))
-            residuals["consistency"] = max(
-                residuals["consistency"],
-                three_level_consistency_residual(controls, frame_params, grid))
-            residuals["biorthogonality"] = max(
-                residuals["biorthogonality"], biorthogonality_defect(H, grid))
-            residuals["passage_fidelity"] = max(
-                residuals["passage_fidelity"],
-                _passage_fidelity_error(traj, frame, phase, stage.passage))
-
-    times = np.concatenate(times_parts)
-    states = np.vstack(states_parts)
-    phase = None
-    if collect:
-        phase = PhaseFunctional(
-            times=times,
-            f_real=np.concatenate(f_real_parts),
-            f_imag=np.concatenate(f_imag_parts),
-        )
-    return {
-        "times": times,
-        "states": states,
-        "phase": phase,
-        "residuals": residuals,
-        "stage_end_pops": np.array(stage_end_pops),
-        "stage_end_f_imag": stage_end_f_imag,
-        "bra_stage_pe": bra_stage_pe,
-    }
+    return _run(config, scenario)
 
 
 def run_cyclic(config: ScenarioConfig) -> RunReport:
-    """Simulate clockwise or counterclockwise cyclic transfer loops and grade them.
-
-    The state is handed across stage boundaries verbatim (global phases
-    included); the accumulated passage phase restarts at each stage, which
-    is also how the exported ``f_real``/``f_imag`` columns are defined.
-    """
-    if config.scenario not in CYCLIC_IDS:
-        raise ConfigError(f"not a cyclic scenario: {config.scenario!r}")
-    direction = "cw" if config.scenario == "cyclic_cw" else "ccw"
-    T, dt, loops = config.T, config.resolved_dt(), config.loops
-
-    sweep = _cyclic_sweep(direction, loops, T, dt, config.gamma_scale, collect=True)
-    step_delta = _step_check(sweep["states"], lambda: _cyclic_sweep(
-        direction, loops, T, dt / 2, config.gamma_scale, collect=False)["states"])
-
-    boundaries = tuple(2.0 * T * k for k in range(1, 3 * loops))
-    grid = TimeGrid(0.0, 6.0 * loops * T, dt, stage_boundaries=boundaries)
-    traj = StateTrajectory(grid=grid, times=sweep["times"], states=sweep["states"])
-    phase = sweep["phase"]
-    residuals = dict(sweep["residuals"])
-    residuals["step_check"] = step_delta
-
-    targets = _CYCLE_TARGETS[direction]
-    checkpoints = {"total_min": float(np.min(traj.total_norm))}
-    checks = []
-    tol = config.tolerance
-    for i, pops in enumerate(sweep["stage_end_pops"]):
-        loop_no, stage_no = divmod(i, 3)
-        t_end = 2.0 * T * (i + 1)
-        level = targets[stage_no]
-        key = f"loop{loop_no + 1}_stage{stage_no + 1}"
-        checkpoints[f"{key}_P{level}"] = float(pops[level])
-        checkpoints[f"{key}_total"] = float(pops.sum())
-        checks.append(CheckResult.below(
-            f"{key}_P{level}(t={t_end / T:g}T)", abs(pops[level] - 1.0), tol))
-        checks.append(CheckResult.below(
-            f"{key}_total_norm", abs(pops.sum() - 1.0), tol))
-
-    checks.append(CheckResult.below(
-        "mid_evolution_norm_dip", checkpoints["total_min"], 1.0 - NORM_DIP))
-    checks.append(CheckResult.below(
-        "bra_stage_Pe_max", sweep["bra_stage_pe"], 1e-8))
-    if direction == "cw" and config.gamma_scale == 1.0:
-        try:
-            idx = grid.index_of(1.6 * T)
-        except GridError:
-            idx = None
-        if idx is not None:
-            p1_transient = float(traj.populations[idx, 1])
-            checkpoints["P1_at_1.6T"] = p1_transient
-            checks.append(CheckResult.below(
-                "transient_P1(1.6T)_vs_0.07", abs(p1_transient - 0.07), 0.02))
-    if loops >= 2:
-        ends = sweep["stage_end_pops"]
-        drift = float(np.max(np.abs(ends[3:] - ends[:-3])))
-        checkpoints["loop_periodicity_drift"] = drift
-        checks.append(CheckResult.below("loop_periodicity", drift, tol))
-
-    checks.extend([
-        CheckResult.below("stage_end_f_imag",
-                          max(sweep["stage_end_f_imag"]), STAGE_PHASE_TOL),
-        CheckResult.below(
-            "phase_norm_identity",
-            float(np.max(np.abs(np.exp(phase.f_imag) - traj.vector_norm()))), tol),
-        CheckResult.below("triangularization_residual",
-                          residuals["triangularization"], RESIDUAL_TOL),
-        CheckResult.below("consistency_residual",
-                          residuals["consistency"], CONSISTENCY_TOL),
-        CheckResult.below("biorthogonality_defect",
-                          residuals["biorthogonality"], POPULATION_TOL),
-        CheckResult.below("passage_fidelity",
-                          residuals["passage_fidelity"], POPULATION_TOL),
-        CheckResult.below("step_halving_shift", step_delta, STEP_CHECK_TOL),
-    ])
-    return RunReport(config=config, trajectory=traj, phase=phase,
-                     residuals=residuals, checkpoints=checkpoints, checks=checks)
+    """Simulate clockwise or counterclockwise cyclic transfer loops and grade them."""
+    return _run(config)
 
 
 def run_scenario(config: ScenarioConfig) -> RunReport:
-    """Dispatch a config to the matching runner."""
-    if config.scenario in TWO_LEVEL_IDS:
-        return run_two_level(config)
-    if config.scenario in CYCLIC_IDS:
-        return run_cyclic(config)
-    raise ConfigError(
-        "scenario 'custom' needs an explicit TwoLevelScenario passed to run_two_level"
-    )
+    """Simulate any built-in scenario and grade it."""
+    return _run(config)
 
 
 # ---------------------------------------------------------------------------
 # verification suite
-
-
-def _scaled(callable_f, factor: float):
-    return lambda t: factor * np.asarray(callable_f(t))
-
-
-def _perturbed_omega_residual(config: ScenarioConfig) -> float:
-    """Triangularization residual after inflating the drive envelope by 1%."""
-    dt = config.resolved_dt()
-    if config.scenario in TWO_LEVEL_IDS:
-        scenario = two_level_scenario(config.scenario, config.T)
-        grid = TimeGrid(0.0, 2.0 * config.T, dt)
-        frame_params, frame, controls, _ = _two_level_pieces(
-            scenario, config.gamma_scale, grid)
-        bad = TwoLevelControls(
-            omega=_scaled(controls.omega, 1.01), delta=controls.delta,
-            gamma0=controls.gamma0, gamma1=controls.gamma1,
-            varphi=controls.varphi, xi0=controls.xi0, xi1=controls.xi1,
-        )
-        return triangularization_residual(two_level_hamiltonian(bad), frame, grid)
-    schedule = _cyclic_schedules(
-        "cw" if config.scenario == "cyclic_cw" else "ccw", 1, config.T)[0]
-    stage = schedule.stages[0]
-    grid = TimeGrid(stage.start, stage.end, dt)
-    _, frame, controls, _ = _cyclic_stage_pieces(stage, config.gamma_scale, grid)
-    bad = ThreeLevelControls(
-        omega0=_scaled(controls.omega0, 1.01),
-        omega1=_scaled(controls.omega1, 1.01),
-        omega_a=controls.omega_a,
-        omega=_scaled(controls.omega, 1.01),
-        delta0=controls.delta0, delta1=controls.delta1, delta_e=controls.delta_e,
-        varphi0=controls.varphi0, varphi1=controls.varphi1,
-        varphi_a=controls.varphi_a, varphi=controls.varphi,
-        gamma0=controls.gamma0, gamma1=controls.gamma1, gamma_e=controls.gamma_e,
-        xi0=controls.xi0, xi1=controls.xi1, xi_e=controls.xi_e,
-    )
-    return triangularization_residual(three_level_hamiltonian(bad), frame, grid)
-
-
-def _hermitian_limit_pieces(config: ScenarioConfig):
-    """Zero-gain version of the scenario: Hermitian generator, same frame motion."""
-    dt = config.resolved_dt()
-    if config.scenario in TWO_LEVEL_IDS:
-        scenario = two_level_scenario(config.scenario, config.T)
-        grid = TimeGrid(0.0, 2.0 * config.T, dt)
-        frame_params = TwoLevelFrameParams(
-            theta=scenario.theta, theta_dot=scenario.theta_dot,
-            alpha=_zero, alpha_dot=_zero,
-        )
-        controls = synthesize_two_level(
-            frame_params, gamma0=0.0, gamma1=0.0,
-            xi0=-np.pi / 2, xi1=np.pi / 2, delta=0.0,
-            varphi=scenario.varphi, grid=grid,
-        )
-        return two_level_hamiltonian(controls), two_level_frame(frame_params), grid
-    schedule = _cyclic_schedules(
-        "cw" if config.scenario == "cyclic_cw" else "ccw", 1, config.T)[0]
-    stage = schedule.stages[0]
-    grid = TimeGrid(stage.start, stage.end, dt)
-    frame_params = ThreeLevelFrameParams(
-        theta=stage.theta, theta_dot=stage.theta_dot,
-        alpha=_zero, alpha_dot=_zero,
-        phi_mix=stage.phi_mix, phi_mix_dot=stage.phi_mix_dot,
-        beta=_zero, beta_dot=_zero,
-    )
-    controls = synthesize_three_level(
-        frame_params, gamma0=0.0, gamma1=0.0, gamma_e=0.0,
-        xi0=-np.pi / 2, xi1=np.pi / 2, xi_e=stage.xi_e,
-        delta0=0.0, delta1=0.0, delta_e=0.0,
-        varphi=np.pi / 2, varphi_a=np.pi / 2, grid=grid,
-    )
-    return three_level_hamiltonian(controls), three_level_frame(frame_params), grid
 
 
 def _misaligned_frame(dim: int, T: float, seed: int = 12345) -> AncillaryFrame:
@@ -665,36 +573,16 @@ def _misaligned_frame(dim: int, T: float, seed: int = 12345) -> AncillaryFrame:
     w = rng.uniform(0.5, 1.5, size=4) / T
     c = rng.uniform(0.2, 0.6, size=4)
 
+    def wobble(i, offset):
+        return (lambda t: offset + c[i] * np.sin(w[i] * np.asarray(t, float)),
+                lambda t: c[i] * w[i] * np.cos(w[i] * np.asarray(t, float)))
+
+    theta, theta_dot = wobble(0, 0.4)
     if dim == 2:
-        params = TwoLevelFrameParams(
-            theta=lambda t: 0.4 + c[0] * np.sin(w[0] * np.asarray(t, float)),
-            theta_dot=lambda t: c[0] * w[0] * np.cos(w[0] * np.asarray(t, float)),
-            alpha=_zero, alpha_dot=_zero,
-        )
-        return two_level_frame(params)
-    params = ThreeLevelFrameParams(
-        theta=lambda t: 0.4 + c[0] * np.sin(w[0] * np.asarray(t, float)),
-        theta_dot=lambda t: c[0] * w[0] * np.cos(w[0] * np.asarray(t, float)),
-        alpha=_zero, alpha_dot=_zero,
-        phi_mix=lambda t: 0.7 + c[1] * np.sin(w[1] * np.asarray(t, float)),
-        phi_mix_dot=lambda t: c[1] * w[1] * np.cos(w[1] * np.asarray(t, float)),
-        beta=_zero, beta_dot=_zero,
-    )
-    return three_level_frame(params)
-
-
-def _dyson_order_fit(H_const: TimeDependentOperator, span: float) -> float:
-    """Fitted convergence order of the order-4 truncation under horizon halving."""
-    taus = (span, span / 2.0)
-    errs = []
-    for tau in taus:
-        steps = max(200, int(round(tau / (span / 400.0))))
-        ref = propagator_ket(H_const, TimeGrid(0.0, tau, tau / steps))[-1]
-        approx = dyson_truncation(H_const, tau, order=4, quadrature_steps=65536)
-        errs.append(np.max(np.abs(ref - approx)))
-    if errs[1] == 0.0:
-        return np.inf
-    return float(np.log2(errs[0] / errs[1]))
+        return two_level_frame(TwoLevelFrameParams(theta, theta_dot, _zero, _zero))
+    phi_mix, phi_mix_dot = wobble(1, 0.7)
+    return three_level_frame(ThreeLevelFrameParams(
+        theta, theta_dot, _zero, _zero, phi_mix, phi_mix_dot, _zero, _zero))
 
 
 def _failed_check(what: str, exc: PassageError) -> CheckResult:
@@ -723,26 +611,26 @@ def _placeholder_report(config: ScenarioConfig, exc: PassageError) -> RunReport:
 
 
 def _perturbed_omega_checks(config: ScenarioConfig):
-    perturbed = _perturbed_omega_residual(config)
-    checks = [CheckResult.above("perturbed_omega_breaks_triangularization",
-                                perturbed, 1e-3)]
-    return checks, {"perturbed_triangularization": perturbed}
+    perturbed = min(triangularization_residual(s.H, s.frame, s.grid)
+                    for s in _stages(config, drive_scale=1.01))
+    return ([CheckResult.above("perturbed_omega_breaks_triangularization", perturbed, 1e-3)],
+            {"perturbed_triangularization": perturbed})
 
 
 def _hermitian_limit_checks(config: ScenarioConfig):
-    H_herm, frame_herm, grid_herm = _hermitian_limit_pieces(config)
-    tri_h = triangularization_residual(H_herm, frame_herm, grid_herm)
-    von_h = von_neumann_residual(H_herm, frame_herm, grid_herm)
-    bad_frame = _misaligned_frame(H_herm.dim, config.T)
+    stages = _stages(config, gamma_scale=0.0)
+    bad_frame = _misaligned_frame(stages[0].H.dim, config.T)
+    tri_h = max(triangularization_residual(s.H, s.frame, s.grid) for s in stages)
+    von_h = max(von_neumann_residual(s.H, s.frame, s.grid) for s in stages)
     checks = [
         CheckResult.below("hermitian_limit_triangularization", tri_h, RESIDUAL_TOL),
         CheckResult.below("hermitian_limit_von_neumann", von_h, RESIDUAL_TOL),
         CheckResult.above(
             "misaligned_frame_triangularization",
-            triangularization_residual(H_herm, bad_frame, grid_herm), 1e-3),
+            min(triangularization_residual(s.H, bad_frame, s.grid) for s in stages), 1e-3),
         CheckResult.above(
             "misaligned_frame_von_neumann",
-            von_neumann_residual(H_herm, bad_frame, grid_herm), 1e-3),
+            min(von_neumann_residual(s.H, bad_frame, s.grid) for s in stages), 1e-3),
     ]
     return checks, {"hermitian_triangularization": tri_h, "hermitian_von_neumann": von_h}
 
@@ -760,9 +648,19 @@ def _random_biorthogonality_checks(config: ScenarioConfig):
 
 
 def _dyson_checks(config: ScenarioConfig):
-    h_mid = _mid_run_generator(config, 0.6 * config.T)
-    norm = float(np.linalg.norm(h_mid, 2))
-    order = _dyson_order_fit(constant_operator(h_mid), 1.0 / max(norm, 1e-9))
+    """Fitted convergence order of the order-4 series truncation under horizon
+    halving, on one frozen generator sample 0.6T into the first stage."""
+    stage = _stages(replace(config, loops=1))[0]
+    h_mid = stage.H.sample(np.array([stage.grid.t0 + 0.6 * config.T]))[0]
+    H_const = constant_operator(h_mid)
+    span = 1.0 / max(float(np.linalg.norm(h_mid, 2)), 1e-9)
+    errs = []
+    for tau in (span, span / 2.0):
+        steps = max(200, int(round(tau / (span / 400.0))))
+        ref = propagator_ket(H_const, TimeGrid(0.0, tau, tau / steps))[-1]
+        approx = dyson_truncation(H_const, tau, order=4, quadrature_steps=65536)
+        errs.append(np.max(np.abs(ref - approx)))
+    order = np.inf if errs[1] == 0.0 else float(np.log2(errs[0] / errs[1]))
     return ([CheckResult.above("dyson_truncation_order_fit", order, 4.5)],
             {"dyson_order_fit": order})
 
@@ -770,14 +668,15 @@ def _dyson_checks(config: ScenarioConfig):
 def verify(config: ScenarioConfig) -> RunReport:
     """Run the full residual suite for a scenario; failures are data, not errors.
 
-    Extends the scenario run with negative controls (a 1% drive
-    perturbation must break triangularization, a misaligned frame must
-    fail both residuals), the Hermitian zero-gain limit where the
-    projector commutation law must hold, a biorthogonality scan of paired
-    random evolutions, and a short-horizon series-truncation order fit.
-    A run or certificate group that raises a :class:`PassageError` is
-    recorded as one failed check; a failed run leaves an all-zero
-    trajectory of the scenario's shape.
+    Extends the scenario run with negative controls on every stage (a 1%
+    drive perturbation must break triangularization, a misaligned frame
+    must fail both residuals), the Hermitian zero-gain limit of every stage
+    where the projector commutation law must hold, a biorthogonality scan
+    of paired random evolutions, and a short-horizon series-truncation
+    order fit.  Each control check reports its worst stage.  A run or
+    certificate group that raises a :class:`PassageError` is recorded as
+    one failed check; a failed run leaves an all-zero trajectory of the
+    scenario's shape.
     """
     try:
         report = run_scenario(config)
@@ -799,19 +698,3 @@ def verify(config: ScenarioConfig) -> RunReport:
         report.residuals.update(group_residuals)
     report.checks = checks
     return report
-
-
-def _mid_run_generator(config: ScenarioConfig, t: float) -> np.ndarray:
-    """A frozen mid-run generator sample used by the series-truncation check."""
-    dt = config.resolved_dt()
-    if config.scenario in TWO_LEVEL_IDS:
-        scenario = two_level_scenario(config.scenario, config.T)
-        grid = TimeGrid(0.0, 2.0 * config.T, dt)
-        _, _, _, H = _two_level_pieces(scenario, config.gamma_scale, grid)
-        return np.asarray(H.value_at(t))
-    schedule = _cyclic_schedules(
-        "cw" if config.scenario == "cyclic_cw" else "ccw", 1, config.T)[0]
-    stage = schedule.stages[0]
-    grid = TimeGrid(stage.start, stage.end, dt)
-    _, _, _, H = _cyclic_stage_pieces(stage, config.gamma_scale, grid)
-    return np.asarray(H.value_at(stage.start + t))

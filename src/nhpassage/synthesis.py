@@ -107,11 +107,6 @@ class TwoLevelControls:
     xi0: float
     xi1: float
 
-    def is_pt_symmetric(self, times, tol: float = 1e-12) -> bool:
-        from .dynamics import is_pt_symmetric_two_level
-
-        return is_pt_symmetric_two_level(self.xi0, self.xi1, self.delta, times, tol)
-
 
 @dataclass(frozen=True)
 class ThreeLevelControls:
@@ -160,11 +155,7 @@ def two_level_hamiltonian(controls: TwoLevelControls) -> TimeDependentOperator:
         h[..., 0, 1] = np.conj(h[..., 1, 0])
         return h
 
-    return TimeDependentOperator(
-        dim=2,
-        value_at=lambda t: batch(np.asarray([t], dtype=float))[0],
-        values_at=batch,
-    )
+    return TimeDependentOperator(dim=2, values_at=batch)
 
 
 def three_level_hamiltonian(controls: ThreeLevelControls) -> TimeDependentOperator:
@@ -189,11 +180,7 @@ def three_level_hamiltonian(controls: ThreeLevelControls) -> TimeDependentOperat
         h[..., 0, 1] = np.conj(h[..., 1, 0])
         return h
 
-    return TimeDependentOperator(
-        dim=3,
-        value_at=lambda t: batch(np.asarray([t], dtype=float))[0],
-        values_at=batch,
-    )
+    return TimeDependentOperator(dim=3, values_at=batch)
 
 
 def _guarded_inverse_sin(angle: np.ndarray, context: str) -> np.ndarray:
@@ -610,30 +597,6 @@ class StageSchedule:
     loop_index: int
     direction: str
     stages: tuple[ScheduleStage, ScheduleStage, ScheduleStage]
-
-    @property
-    def start(self) -> float:
-        return self.stages[0].start
-
-    @property
-    def end(self) -> float:
-        return self.stages[-1].end
-
-    def _stage_for(self, t) -> ScheduleStage:
-        t = float(t)
-        if not (self.start <= t <= self.end):
-            raise InvalidArgumentError(f"time {t} outside schedule [{self.start}, {self.end}]")
-        for stage in self.stages[:-1]:
-            if t < stage.end:
-                return stage
-        return self.stages[-1]
-
-    def theta(self, t) -> float:
-        """Piecewise mixing angle (right-continuous at the joints)."""
-        return float(self._stage_for(t).theta(t))
-
-    def phi_mix(self, t) -> float:
-        return float(self._stage_for(t).phi_mix(t))
 
 
 def _affine(slope: float, t_ref: float, offset: float = 0.0):

@@ -26,9 +26,8 @@ from nhpassage import (
 from nhpassage.scenarios import (
     CYCLIC_IDS,
     TWO_LEVEL_IDS,
-    _hermitian_limit_pieces,
     _misaligned_frame,
-    _perturbed_omega_residual,
+    _stages,
 )
 from test_dynamics import smooth_generator
 from test_synthesis import (
@@ -98,7 +97,7 @@ def test_criterion_03_cyclic_counterclockwise(cyclic_ccw_report):
 
 def test_criterion_04_triangularization_certificate(
         two_level_reports, cyclic_cw_report, cyclic_ccw_report):
-    """Every built-in scenario triangularizes; a 1% drive error breaks it."""
+    """Every built-in scenario triangularizes; a 1% drive error breaks every stage."""
     worst_residual = 0.0
     worst_perturbed = np.inf
     for sid in TWO_LEVEL_IDS + CYCLIC_IDS:
@@ -106,9 +105,10 @@ def test_criterion_04_triangularization_certificate(
         residual = report.residuals["triangularization"]
         worst_residual = max(worst_residual, residual)
         assert residual < 1e-9, sid
-        perturbed = _perturbed_omega_residual(ScenarioConfig(scenario=sid))
-        worst_perturbed = min(worst_perturbed, perturbed)
-        assert perturbed > 1e-3, sid
+        for stage in _stages(ScenarioConfig(scenario=sid), drive_scale=1.01):
+            perturbed = triangularization_residual(stage.H, stage.frame, stage.grid)
+            worst_perturbed = min(worst_perturbed, perturbed)
+            assert perturbed > 1e-3, (sid, stage.grid.t0)
     print(f"\n[criterion 04] triangularization certificate: PASS "
           f"(max residual {worst_residual:.2e}, weakest perturbed response "
           f"{worst_perturbed:.2e})")
@@ -117,16 +117,20 @@ def test_criterion_04_triangularization_certificate(
 @pytest.mark.parametrize("sid", ["two_level_a", "cyclic_cw"])
 def test_criterion_05_hermitian_reduction(sid):
     """Zero-gain limit: triangularization and projector-commutation residuals
-    vanish together on the same frame and grid; a misaligned frame fails both."""
+    vanish together on every stage's frame and grid; a misaligned frame fails both."""
     config = ScenarioConfig(scenario=sid)
-    H, frame, grid = _hermitian_limit_pieces(config)
-    tri = triangularization_residual(H, frame, grid)
-    von = von_neumann_residual(H, frame, grid)
-    assert tri < 1e-9 and von < 1e-9
-    assert von < 10.0 * max(tri, 1e-9)
-    bad = _misaligned_frame(frame.dim, config.T)
-    tri_bad = triangularization_residual(H, bad, grid)
-    von_bad = von_neumann_residual(H, bad, grid)
+    tri = von = 0.0
+    tri_bad = von_bad = np.inf
+    for stage in _stages(config, gamma_scale=0.0):
+        H, frame, grid = stage.H, stage.frame, stage.grid
+        tri_s = triangularization_residual(H, frame, grid)
+        von_s = von_neumann_residual(H, frame, grid)
+        assert tri_s < 1e-9 and von_s < 1e-9
+        assert von_s < 10.0 * max(tri_s, 1e-9)
+        bad = _misaligned_frame(frame.dim, config.T)
+        tri_bad = min(tri_bad, triangularization_residual(H, bad, grid))
+        von_bad = min(von_bad, von_neumann_residual(H, bad, grid))
+        tri, von = max(tri, tri_s), max(von, von_s)
     assert tri_bad > 1e-3 and von_bad > 1e-3
     print(f"\n[criterion 05] Hermitian-limit equivalence ({sid}): PASS "
           f"(tri {tri:.2e}, commutator {von:.2e}; misaligned {tri_bad:.2e}/{von_bad:.2e})")

@@ -1,4 +1,4 @@
-"""Core propagation: paired evolutions, propagators, series oracle, expm."""
+"""Core propagation: paired evolutions, propagators, series oracle."""
 
 import numpy as np
 import pytest
@@ -21,9 +21,6 @@ from nhpassage import (
     dyson_truncation,
     evolve_bra,
     evolve_ket,
-    is_pt_symmetric_two_level,
-    matrix_exponential,
-    piecewise_operator,
     propagator_bra,
     propagator_ket,
     run_cyclic,
@@ -53,8 +50,7 @@ def smooth_generator(dim, seed):
         return (np.cos(1.3 * ts)[:, None, None] * a
                 + np.sin(0.7 * ts + 0.2)[:, None, None] * b)
 
-    return TimeDependentOperator(dim=dim, value_at=lambda t: batch(np.array([t]))[0],
-                                 values_at=batch)
+    return TimeDependentOperator(dim=dim, values_at=batch)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +105,7 @@ def test_hermitian_norm_conservation():
     H = smooth_generator(3, seed=11)
     sym = TimeDependentOperator(
         dim=3,
-        value_at=lambda t: 0.5 * (H.value_at(t) + H.value_at(t).conj().T),
+        values_at=lambda ts: 0.5 * (H.sample(ts) + H.sample(ts).conj().transpose(0, 2, 1)),
     )
     grid = TimeGrid(0.0, 2.0, 1e-3)
     traj = evolve_ket(sym, [1.0, 0.0, 0.0], grid)
@@ -140,15 +136,29 @@ def test_dimension_mismatch_raises():
 
 
 def test_nonfinite_sample_raises():
+    nan = np.array([[np.nan, 0], [0, 0]], dtype=complex)
     bad = TimeDependentOperator(
-        dim=2, value_at=lambda t: np.array([[np.nan, 0], [0, 0]], dtype=complex)
+        dim=2, values_at=lambda ts: np.broadcast_to(nan, (len(ts), 2, 2))
     )
-    with pytest.raises(NonFiniteSampleError):
+    with pytest.raises(NonFiniteSampleError, match=r"at t = 0\.0 contains"):
         evolve_ket(bad, [1.0, 0.0], TimeGrid(0, 1, 0.1))
 
 
+def test_wrong_shape_samples_raise():
+    flat = TimeDependentOperator(dim=2, values_at=lambda ts: np.zeros((len(ts), 2)))
+    with pytest.raises(DimensionMismatchError):
+        evolve_ket(flat, [1.0, 0.0], TimeGrid(0, 1, 0.1))
+
+
+def test_overflowing_state_raises_with_its_time():
+    # exp(1000 t) passes the largest squarable double before t = 0.4
+    grow = constant_operator(np.diag([1000j, 0.0]))
+    with pytest.raises(NonFiniteSampleError, match=r"t = 0\.3"):
+        evolve_ket(grow, [1.0, 0.0], TimeGrid(0.0, 1.0, 1e-3))
+
+
 # ---------------------------------------------------------------------------
-# grids and piecewise generators
+# grids and stages
 
 
 def test_grid_rejects_non_dividing_step():
@@ -162,34 +172,23 @@ def test_grid_rejects_off_grid_boundary():
 
 
 def test_grid_segments_and_halving():
-    grid = TimeGrid(0.0, 1.0, 0.1, stage_boundaries=(0.4,))
-    assert grid.segment_indices() == [(0, 4), (4, 10)]
+    grid = TimeGrid(0.0, 1.0, 0.1, stage_boundaries=(0.7, 0.4))
+    assert grid.stage_boundaries == (0.4, 0.7)
+    assert [grid.index_of(b) for b in grid.stage_boundaries] == [4, 7]
     half = grid.halved()
     assert half.n_steps == 20
-    assert half.stage_boundaries == (0.4,)
+    assert half.stage_boundaries == (0.4, 0.7)
 
 
 def test_piecewise_generator_with_declared_boundary():
-    # two constant pieces; the exact answer is a product of exponentials
+    # two constant pieces run as two stages that meet at t = 0.5, the state
+    # handed across; the exact answer is a product of exponentials
     h1 = random_generator(2, seed=21)
     h2 = random_generator(2, seed=22)
-    pieces = piecewise_operator([
-        (0.0, 0.5, constant_operator(h1)),
-        (0.5, 1.0, constant_operator(h2)),
-    ])
-    grid = TimeGrid(0.0, 1.0, 1e-3, stage_boundaries=(0.5,))
-    traj = evolve_ket(pieces, [1.0, 0.0], grid)
-    exact = matrix_exponential(-0.5j * h2) @ matrix_exponential(-0.5j * h1) @ np.array([1.0, 0.0])
-    assert np.max(np.abs(traj.states[-1] - exact)) < 1e-10
-
-
-def test_piecewise_generator_requires_boundary_on_grid():
-    pieces = piecewise_operator([
-        (0.0, 0.5, constant_operator(np.eye(2))),
-        (0.5, 1.0, constant_operator(2 * np.eye(2))),
-    ])
-    with pytest.raises(GridError):
-        evolve_ket(pieces, [1.0, 0.0], TimeGrid(0.0, 1.0, 0.2))
+    first = evolve_ket(constant_operator(h1), [1.0, 0.0], TimeGrid(0.0, 0.5, 1e-3))
+    second = evolve_ket(constant_operator(h2), first.states[-1], TimeGrid(0.5, 1.0, 1e-3))
+    exact = scipy.linalg.expm(-0.5j * h2) @ scipy.linalg.expm(-0.5j * h1) @ np.array([1.0, 0.0])
+    assert np.max(np.abs(second.states[-1] - exact)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -337,24 +336,18 @@ def loop_rk4_sweep(H, grid, y0):
     out = np.empty((times.size,) + y0.shape, dtype=complex)
     out[0] = y0
     y = y0
-    for a, b in grid.segment_indices():
-        op = H
-        if H.pieces is not None:
-            mid = 0.5 * (times[a] + times[b])
-            op = next(p for lo, hi, p in H.pieces if lo <= mid <= hi)
-        seg = times[a:b + 1]
-        ts = np.empty(2 * (b - a) + 1)
-        ts[0::2] = seg
-        ts[1::2] = 0.5 * (seg[:-1] + seg[1:])
-        gs = -1j * op.sample(ts)
-        for i in range(b - a):
-            g1, g2, g3 = gs[2 * i], gs[2 * i + 1], gs[2 * i + 2]
-            k1 = g1 @ y
-            k2 = g2 @ (y + (0.5 * dt) * k1)
-            k3 = g2 @ (y + (0.5 * dt) * k2)
-            k4 = g3 @ (y + dt * k3)
-            y = y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            out[a + i + 1] = y
+    ts = np.empty(2 * times.size - 1)
+    ts[0::2] = times
+    ts[1::2] = 0.5 * (times[:-1] + times[1:])
+    gs = -1j * H.sample(ts)
+    for i in range(times.size - 1):
+        g1, g2, g3 = gs[2 * i], gs[2 * i + 1], gs[2 * i + 2]
+        k1 = g1 @ y
+        k2 = g2 @ (y + (0.5 * dt) * k1)
+        k3 = g2 @ (y + (0.5 * dt) * k2)
+        k4 = g3 @ (y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        out[i + 1] = y
     return out
 
 
@@ -376,17 +369,7 @@ def cyclic_stage_generator(gamma_ratio=3.45):
     return three_level_hamiltonian(controls), grid
 
 
-def crossing_piecewise_generator():
-    """Three smooth non-Hermitian pieces joined at two declared stage boundaries."""
-    H = piecewise_operator([
-        (0.0, 0.4, smooth_generator(3, seed=71)),
-        (0.4, 1.1, smooth_generator(3, seed=73)),
-        (1.1, 1.5, smooth_generator(3, seed=75)),
-    ])
-    return H, TimeGrid(0.0, 1.5, 1e-3, stage_boundaries=(0.4, 1.1))
-
-
-@pytest.mark.parametrize("make", [cyclic_stage_generator, crossing_piecewise_generator])
+@pytest.mark.parametrize("make", [cyclic_stage_generator])
 def test_batched_propagators_match_step_loop(make):
     H, grid = make()
     eye = np.eye(H.dim, dtype=complex)
@@ -424,16 +407,12 @@ def four_level_generator():
     return smooth_generator(4, seed=85), TimeGrid(0.0, 1.0, 1e-3)
 
 
-@pytest.mark.parametrize(
-    "make", [cyclic_stage_generator, crossing_piecewise_generator, two_level_generator])
+@pytest.mark.parametrize("make", [cyclic_stage_generator, two_level_generator])
 def test_time_last_kernels_match_nfirst_forms(make):
     H, grid = make()
-    a, b = grid.segment_indices()[-1]
-    times = grid.times()
-    op = dynamics._piece_for_segment(H, times[a], times[b])
-    gs = -1j * op.sample(dynamics._segment_sample_times(times, a, b))
+    gs = -1j * H.sample(dynamics._sample_times(grid.times()))
     steps = dynamics._step_matrices(dynamics._time_last(gs), grid.dt)
-    assert steps.shape == (b - a, H.dim, H.dim)
+    assert steps.shape == (grid.n_steps, H.dim, H.dim)
     assert np.max(np.abs(steps - nfirst_step_matrices(gs, grid.dt))) <= 1e-13
     U, V = propagator_ket(H, grid), propagator_bra(H, grid)
     prod = np.einsum("nji,njk->nik", V.conj(), U)
@@ -444,8 +423,7 @@ def test_time_last_kernels_match_nfirst_forms(make):
 @pytest.mark.parametrize("halve", [False, True], ids=["dt", "half_dt"])
 @pytest.mark.parametrize("passage", ["ket", "bra"])
 @pytest.mark.parametrize("make", [
-    cyclic_stage_generator, crossing_piecewise_generator, two_level_generator,
-    one_level_generator, four_level_generator])
+    cyclic_stage_generator, two_level_generator, one_level_generator, four_level_generator])
 def test_state_sweeps_are_bit_identical_to_step_loop(make, passage, halve):
     H, grid = make()
     if halve:
@@ -476,36 +454,3 @@ def test_two_level_run_is_bit_identical_to_step_loop(monkeypatch, scenario):
     assert np.array_equal(fast.trajectory.states, slow.trajectory.states)
     assert np.array_equal(fast.phase.f_imag, slow.phase.f_imag)
     assert fast.residuals["step_check"] == slow.residuals["step_check"]
-
-
-# ---------------------------------------------------------------------------
-# matrix exponential
-
-
-def test_expm_of_zero_is_identity():
-    assert np.array_equal(matrix_exponential(np.zeros((3, 3))), np.eye(3))
-
-
-@pytest.mark.parametrize("dim,scale,seed", [(2, 1.0, 61), (2, 8.0, 62), (3, 1.0, 63), (3, 5.0, 64)])
-def test_expm_matches_scipy(dim, scale, seed):
-    a = scale * random_generator(dim, seed)
-    assert np.max(np.abs(matrix_exponential(a) - scipy.linalg.expm(a))) < 1e-12
-
-
-def test_expm_rejects_nonsquare():
-    with pytest.raises(DimensionMismatchError):
-        matrix_exponential(np.zeros((2, 3)))
-
-
-# ---------------------------------------------------------------------------
-# parity-time predicate
-
-
-def test_pt_symmetry_examples():
-    times = np.linspace(0.0, 2.0, 101)
-    assert is_pt_symmetric_two_level(-np.pi / 2, np.pi / 2, 0.0, times)
-    assert not is_pt_symmetric_two_level(-np.pi / 2, np.pi / 2, 0.3, times)
-    assert not is_pt_symmetric_two_level(0.0, np.pi / 2, 0.0, times)
-    # callable detuning that vanishes only somewhere is still asymmetric
-    assert not is_pt_symmetric_two_level(
-        -np.pi / 2, np.pi / 2, lambda t: 0.1 * np.sin(t), times)

@@ -6,14 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from nhpassage import (
     AncillaryFrame,
+    DimensionMismatchError,
     NonHermitianError,
     ThreeLevelFrameParams,
     TimeGrid,
     TwoLevelFrameParams,
     constant_operator,
-    frame_unitary,
-    gauge_potential,
-    rotated_hamiltonian,
     synthesize_two_level,
     three_level_frame,
     triangularization_residual,
@@ -21,8 +19,44 @@ from nhpassage import (
     two_level_hamiltonian,
     von_neumann_residual,
 )
-from nhpassage.dynamics import TimeDependentOperator
-from nhpassage.frames import GRAM_TOL, _rotated_batch
+from nhpassage.dynamics import TimeDependentOperator, _time_last
+from nhpassage.frames import _gauge_batch, _rotated_batch
+
+#: Orthonormality tolerance for well-formed frames.
+GRAM_TOL = 1e-12
+
+
+def matrix(frame, t):
+    """The frame matrix at one time, as a batch of one."""
+    return frame.sample(np.array([t]))[0]
+
+
+def derivative(frame, t):
+    return frame.sample_derivative(np.array([t]))[0]
+
+
+def frame_unitary(frame, t0):
+    """The rotation ``V(t) = sum_k |mu_k(t)><mu_k(t0)| = M(t) M(t0)^dag``."""
+    m0_dag = matrix(frame, t0).conj().T
+    return lambda t: matrix(frame, t) @ m0_dag
+
+
+def gram_defect(frame, t):
+    """Max-entry deviation of the Gram matrix from the identity."""
+    m = matrix(frame, t)
+    return float(np.max(np.abs(m.conj().T @ m - np.eye(frame.dim))))
+
+
+def gauge_potential(frame, t):
+    """``A_km = i <mu_k| d mu_m/dt>`` at one time, through the batched kernel."""
+    ms = _time_last(frame.sample(np.array([t])))
+    dms = _time_last(frame.sample_derivative(np.array([t])))
+    return _gauge_batch(ms, dms)[..., 0]
+
+
+def rotated_hamiltonian(H, frame, t):
+    """``Hf - A`` at one time, through the batched kernel."""
+    return _rotated_batch(H, frame, np.array([t]))[..., 0]
 
 
 def const(value):
@@ -62,19 +96,19 @@ def wobble_frame_3():
 
 def test_two_level_identity_frame():
     frame = make_two_level(const(0.0), const(0.0))
-    assert np.allclose(frame.matrix(0.3), np.eye(2), atol=1e-15)
+    assert np.allclose(matrix(frame, 0.3), np.eye(2), atol=1e-15)
 
 
 def test_two_level_swap_frame():
     frame = make_two_level(const(np.pi / 2), const(0.0))
-    m = frame.matrix(0.0)
+    m = matrix(frame, 0.0)
     assert np.allclose(m[:, 0], [0.0, -1.0], atol=1e-15)   # first column -> -|1>
     assert np.allclose(m[:, 1], [1.0, 0.0], atol=1e-15)    # last column -> |0>
 
 
 @pytest.mark.parametrize("t", np.linspace(0.0, 4.0, 9))
 def test_two_level_gram_is_identity(t):
-    assert wobble_frame().gram_defect(t) < GRAM_TOL
+    assert gram_defect(wobble_frame(), t) < GRAM_TOL
 
 
 def test_three_level_passage_endpoints():
@@ -85,7 +119,7 @@ def test_three_level_passage_endpoints():
         phi_mix=const(-np.pi / 2), phi_mix_dot=const(0.0),
         beta=const(0.0), beta_dot=const(0.0),
     ))
-    assert np.allclose(frame.matrix(0.0)[:, 2], [1.0, 0.0, 0.0], atol=1e-15)
+    assert np.allclose(matrix(frame, 0.0)[:, 2], [1.0, 0.0, 0.0], atol=1e-15)
     # theta = phi_mix = 0 puts it on |e>
     frame = three_level_frame(ThreeLevelFrameParams(
         theta=const(0.0), theta_dot=const(0.0),
@@ -93,12 +127,12 @@ def test_three_level_passage_endpoints():
         phi_mix=const(0.0), phi_mix_dot=const(0.0),
         beta=const(0.0), beta_dot=const(0.0),
     ))
-    assert np.allclose(frame.matrix(0.0)[:, 2], [0.0, 0.0, 1.0], atol=1e-15)
+    assert np.allclose(matrix(frame, 0.0)[:, 2], [0.0, 0.0, 1.0], atol=1e-15)
 
 
 @pytest.mark.parametrize("t", np.linspace(0.0, 4.0, 9))
 def test_three_level_gram_is_identity(t):
-    assert wobble_frame_3().gram_defect(t) < GRAM_TOL
+    assert gram_defect(wobble_frame_3(), t) < GRAM_TOL
 
 
 @pytest.mark.parametrize("frame_fn", [wobble_frame, wobble_frame_3])
@@ -106,18 +140,19 @@ def test_analytic_derivative_matches_central_difference(frame_fn):
     frame = frame_fn()
     h = 1e-6
     for t in (0.3, 1.1, 2.9):
-        fd = (frame.matrix(t + h) - frame.matrix(t - h)) / (2 * h)
-        assert np.max(np.abs(frame.derivative(t) - fd)) < 1e-7
+        fd = (matrix(frame, t + h) - matrix(frame, t - h)) / (2 * h)
+        assert np.max(np.abs(derivative(frame, t) - fd)) < 1e-7
 
 
 def test_batch_sampling_matches_pointwise():
+    # a batch of many times agrees with batches of one
     frame = wobble_frame_3()
     ts = np.linspace(0.0, 3.0, 7)
     batch = frame.sample(ts)
     batch_d = frame.sample_derivative(ts)
     for i, t in enumerate(ts):
-        assert np.max(np.abs(batch[i] - frame.matrix(t))) < 1e-15
-        assert np.max(np.abs(batch_d[i] - frame.derivative(t))) < 1e-15
+        assert np.max(np.abs(batch[i] - matrix(frame, t))) < 1e-15
+        assert np.max(np.abs(batch_d[i] - derivative(frame, t))) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -125,22 +160,33 @@ def test_batch_sampling_matches_pointwise():
 
 
 def test_frame_unitary_identity_at_reference_time():
-    op = frame_unitary(wobble_frame(), t0=0.5)
-    assert np.max(np.abs(op.value_at(0.5) - np.eye(2))) < 1e-15
+    v = frame_unitary(wobble_frame(), t0=0.5)
+    assert np.max(np.abs(v(0.5) - np.eye(2))) < 1e-15
 
 
 def test_static_frame_unitary_is_identity_everywhere():
     frame = make_two_level(const(0.7), const(0.0), const(0.4), const(0.0))
-    op = frame_unitary(frame, t0=0.0)
+    v = frame_unitary(frame, t0=0.0)
     for t in (0.0, 0.6, 2.2):
-        assert np.max(np.abs(op.value_at(t) - np.eye(2))) < 1e-15
+        assert np.max(np.abs(v(t) - np.eye(2))) < 1e-15
 
 
 @pytest.mark.parametrize("t", [0.17, 1.23, 3.01])
 def test_frame_unitary_is_unitary(t):
-    op = frame_unitary(wobble_frame_3(), t0=0.0)
-    v = op.value_at(t)
+    v = frame_unitary(wobble_frame_3(), t0=0.0)(t)
     assert np.max(np.abs(v.conj().T @ v - np.eye(3))) < 1e-12
+
+
+def test_frame_samples_of_the_wrong_shape_raise():
+    good = wobble_frame()
+    ts = np.linspace(0.0, 1.0, 5)
+    wrong_dim = AncillaryFrame(3, good.basis_batch, good.basis_derivative_batch)
+    one_matrix = AncillaryFrame(2, lambda ts: good.basis_batch(ts)[0],
+                                good.basis_derivative_batch)
+    for call in (lambda: wrong_dim.sample(ts), lambda: wrong_dim.sample_derivative(ts),
+                 lambda: one_matrix.sample(ts)):
+        with pytest.raises(DimensionMismatchError):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +202,8 @@ def test_gauge_potential_against_finite_difference():
     frame = wobble_frame()
     h = 1e-6
     for t in (0.4, 1.7):
-        m = frame.matrix(t)
-        dm = (frame.matrix(t + h) - frame.matrix(t - h)) / (2 * h)
+        m = matrix(frame, t)
+        dm = (matrix(frame, t + h) - matrix(frame, t - h)) / (2 * h)
         oracle = 1j * (m.conj().T @ dm)
         assert np.max(np.abs(gauge_potential(frame, t) - oracle)) < 1e-7
 
@@ -179,8 +225,13 @@ def test_gauge_potential_is_hermitian(frame_fn, t):
 
 
 def test_finite_difference_fallback_frame():
+    # a frame without analytic rates passes a central difference of its basis
     analytic = wobble_frame()
-    fd_frame = AncillaryFrame(dim=2, basis_at=analytic.basis_at)
+    h = 1e-6
+    fd_frame = AncillaryFrame(
+        dim=2, basis_batch=analytic.basis_batch,
+        basis_derivative_batch=lambda ts: (analytic.basis_batch(ts + h)
+                                           - analytic.basis_batch(ts - h)) / (2 * h))
     for t in (0.3, 2.1):
         a = gauge_potential(fd_frame, t)
         assert np.max(np.abs(a - a.conj().T)) < 1e-6
@@ -192,8 +243,8 @@ def test_constraint_equation_moves_each_basis_vector():
     # frame motion: A_op mu_k = i d mu_k / dt
     frame = wobble_frame_3()
     for t in (0.5, 1.6):
-        m = frame.matrix(t)
-        dm = frame.derivative(t)
+        m = matrix(frame, t)
+        dm = derivative(frame, t)
         a_op = m @ gauge_potential(frame, t) @ m.conj().T
         assert np.max(np.abs(a_op @ m - 1j * dm)) < 1e-8
 
@@ -206,7 +257,7 @@ def test_rotated_hamiltonian_static_frame_is_matrix_element():
     frame = make_two_level(const(0.6), const(0.0), const(0.2), const(0.0))
     h = np.array([[0.2, 0.5 - 0.1j], [0.4 + 0.3j, -0.7]], dtype=complex)
     rot = rotated_hamiltonian(constant_operator(h), frame, 0.9)
-    m = frame.matrix(0.9)
+    m = matrix(frame, 0.9)
     assert np.max(np.abs(rot - m.conj().T @ h @ m)) < 1e-14
 
 
@@ -218,15 +269,16 @@ def test_rotated_hamiltonian_zero_generator_is_minus_gauge():
 
 def test_rotated_hamiltonian_conjugation_route_agrees():
     # independent evaluation: conjugate the rotating-frame generator built
-    # from the frame unitary back into the frozen basis
+    # from the frame unitary V(t) = M(t) M(t0)^dag back into the frozen basis
     frame = wobble_frame()
-    H = constant_operator(np.array([[0.1, 0.3 + 0.2j], [0.6 - 0.5j, -0.4]], complex))
+    h = np.array([[0.1, 0.3 + 0.2j], [0.6 - 0.5j, -0.4]], complex)
+    H = constant_operator(h)
     t0, t = 0.0, 1.42
-    v_op = frame_unitary(frame, t0)
-    v = v_op.value_at(t)
-    dv = v_op.derivative_at(t)
-    h_rot = v.conj().T @ H.value_at(t) @ v - 1j * (v.conj().T @ dv)
-    m0 = frame.matrix(t0)
+    m0_dag = matrix(frame, t0).conj().T
+    v = frame_unitary(frame, t0)(t)
+    dv = derivative(frame, t) @ m0_dag
+    h_rot = v.conj().T @ h @ v - 1j * (v.conj().T @ dv)
+    m0 = matrix(frame, t0)
     assert np.max(np.abs(m0.conj().T @ h_rot @ m0
                          - rotated_hamiltonian(H, frame, t))) < 1e-10
 
@@ -277,8 +329,9 @@ def test_perturbed_drive_breaks_triangularization():
 def test_von_neumann_static_eigenframe_of_constant_hermitian():
     h = np.array([[0.5, 0.2], [0.2, -0.5]], dtype=complex)
     w, v = np.linalg.eigh(h)
-    frame = AncillaryFrame(dim=2, basis_at=lambda t: v,
-                           basis_derivative_at=lambda t: np.zeros((2, 2), complex))
+    frame = AncillaryFrame(
+        dim=2, basis_batch=lambda ts: np.broadcast_to(v, (len(ts), 2, 2)),
+        basis_derivative_batch=lambda ts: np.zeros((len(ts), 2, 2), complex))
     res = von_neumann_residual(constant_operator(h), frame, TimeGrid(0, 1, 0.01))
     assert res < 1e-14
 
@@ -353,8 +406,7 @@ def smooth_operator(seed, hermitian):
         return (np.cos(1.3 * ts)[:, None, None] * a
                 + np.sin(0.7 * ts + 0.2)[:, None, None] * b)
 
-    return TimeDependentOperator(dim=3, value_at=lambda t: batch(np.array([t]))[0],
-                                 values_at=batch)
+    return TimeDependentOperator(dim=3, values_at=batch)
 
 
 coefficient = st.floats(-1.5, 1.5)

@@ -7,6 +7,7 @@ import pytest
 
 from nhpassage import (
     ConfigError,
+    NonFiniteSampleError,
     ScenarioConfig,
     StepSizeError,
     TwoLevelScenario,
@@ -20,6 +21,7 @@ from nhpassage import (
 )
 from nhpassage.cli import main as cli_main
 from nhpassage.config import read_config
+from nhpassage.scenarios import CYCLIC_IDS
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +94,7 @@ def test_step_check_rejects_nan_shift():
 
     states = np.array([[1.0, 0.0], [np.nan, 0.0], [0.5, 0.5]], dtype=complex)
     with pytest.raises(StepSizeError, match="nan"):
-        scenarios._step_check(states, lambda: np.repeat(states, 2, axis=0)[:-1])
+        scenarios._step_check(states, states.copy())
 
 
 @pytest.mark.parametrize("field,value", [
@@ -120,6 +122,14 @@ def test_config_accepts_numpy_scalars():
     config = ScenarioConfig(scenario="cyclic_cw", T=np.float64(0.5), dt=np.float32(0.25),
                             loops=np.int64(2), gamma_scale=np.int32(1))
     assert config.loops == 2 and config.resolved_dt() == 0.25
+
+
+def test_two_level_config_rejects_loops():
+    # a two-level task is exactly one stage; more loops would be ignored
+    for sid in ("two_level_a", "two_level_d", "custom"):
+        with pytest.raises(ConfigError, match="loops"):
+            ScenarioConfig(scenario=sid, loops=3)
+    assert ScenarioConfig(scenario="two_level_a", loops=1).loops == 1
 
 
 def test_config_validation():
@@ -248,6 +258,84 @@ def test_verify_failed_cyclic_run_keeps_the_scenario_shape(tmp_path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "t,P0,P1,Pe,total,f_real,f_imag,norm"
     assert len(lines) == 122
+
+
+_SHARED_TAIL = [
+    "stage_end_f_imag", "phase_norm_identity", "triangularization_residual",
+    "consistency_residual", "biorthogonality_defect", "passage_fidelity",
+    "step_halving_shift", "perturbed_omega_breaks_triangularization",
+    "hermitian_limit_triangularization", "hermitian_limit_von_neumann",
+    "misaligned_frame_triangularization", "misaligned_frame_von_neumann",
+    "biorthogonality_random_generator", "dyson_truncation_order_fit",
+]
+
+
+def _two_level_names(target):
+    return [f"target_population_P{target}(2T)", "final_total_norm",
+            "mid_evolution_norm_dip"] + _SHARED_TAIL
+
+
+def _cyclic_names(levels, extra):
+    names = []
+    for stage, level in enumerate(levels, start=1):
+        names += [f"loop1_stage{stage}_P{level}(t={2 * stage}T)",
+                  f"loop1_stage{stage}_total_norm"]
+    return names + ["mid_evolution_norm_dip", "bra_stage_Pe_max"] + extra + _SHARED_TAIL
+
+
+@pytest.mark.parametrize("sid,expected", [
+    ("two_level_a", _two_level_names(0)),
+    ("two_level_b", _two_level_names(1)),
+    ("two_level_c", _two_level_names(0)),
+    ("two_level_d", _two_level_names(1)),
+    ("cyclic_cw", _cyclic_names((2, 1, 0), ["transient_P1(1.6T)_vs_0.07"])),
+    ("cyclic_ccw", _cyclic_names((1, 2, 0), [])),
+])
+def test_verify_check_names_in_order(sid, expected):
+    report = verify(ScenarioConfig(scenario=sid))
+    assert [c.name for c in report.checks] == expected
+    assert report.passed
+
+
+@pytest.mark.parametrize("sid", CYCLIC_IDS)
+def test_verify_negative_controls_cover_every_stage(monkeypatch, sid):
+    # classify each triangularization scan that fails as it should: on a
+    # non-Hermitian generator it is the 1% drive perturbation, on the
+    # Hermitian zero-gain generator it is the misaligned frame
+    import nhpassage.scenarios as scenarios
+
+    inner = scenarios.triangularization_residual
+    spans = {"perturbed": [], "misaligned": []}
+
+    def recording(H, frame, grid):
+        value = inner(H, frame, grid)
+        h = H.sample(np.array([0.5 * (grid.t0 + grid.tf)]))[0]
+        if value > 1e-3:
+            kind = "misaligned" if np.array_equal(h, h.conj().T) else "perturbed"
+            spans[kind].append((grid.t0, grid.tf))
+        return value
+
+    monkeypatch.setattr(scenarios, "triangularization_residual", recording)
+    report = verify(ScenarioConfig(scenario=sid))
+    assert report.passed
+    for kind, covered in spans.items():
+        assert sorted(covered) == pytest.approx([(0.0, 2.0), (2.0, 4.0), (4.0, 6.0)]), kind
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_reports_an_overflowing_run():
+    # the gain outruns the step: the state overflows mid-run
+    report = verify(ScenarioConfig(scenario="cyclic_cw", gamma_scale=200))
+    failed = [c.name for c in report.checks if c.name.startswith("run_failed")]
+    assert len(failed) == 1
+    assert "t = " in failed[0]
+    assert not report.passed
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_run_raises_a_typed_error():
+    with pytest.raises(NonFiniteSampleError, match="t = "):
+        run_scenario(ScenarioConfig(scenario="cyclic_cw", gamma_scale=200))
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +471,15 @@ def test_cli_verify_failure_is_reported_not_raised(tmp_path, capsys):
     assert out.splitlines()[-1].startswith("FAILED:")
     assert err == ""
     assert len(csv.read_text(encoding="utf-8").splitlines()) == 9
+
+
+def test_cli_two_level_loops_is_a_clean_error(capsys):
+    code = cli_main(["verify", "--scenario", "a", "--loops", "3", "--quiet"])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: loops")
 
 
 def test_cli_non_finite_flag_is_a_clean_error(capsys):
