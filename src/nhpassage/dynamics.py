@@ -17,25 +17,27 @@ smooth stretch of ``H``; a run made of several stages (see
 :mod:`nhpassage.scenarios`) sweeps each stage on its own grid and hands
 the state across.
 
-Two paths share the scheme and the samples.  The propagators
+Two paths share the scheme.  The batched path serves the propagators
 (:func:`propagator_ket`, :func:`propagator_bra`,
-:func:`biorthogonality_defect`) are batched: every RK4 step of a grid
-becomes a matrix ``P_n`` built in one numpy expression, and a blocked
-prefix product turns them into ``U_n = P_n ... P_1``; the bra steps reuse
-the ket samples conjugate-transposed.  The state sweeps
-(:func:`evolve_ket`, :func:`evolve_bra`) step one vector at a time, with
-exactly the operations, in the order, of an all-numpy step.  Regrouping
-the products changes rounding only, but the growing modes of a
-non-Hermitian generator amplify it over long multi-loop runs (to ~1e-8 in
-stage-end populations), and trajectories are compared against recorded
-reference populations at 1e-12.  So for K = 2 and K = 3 an unrolled step
-kernel keeps the state in Python ``complex`` locals and sends only the
-matvecs to numpy, whose FMA-rounded complex multiply Python's does not
-match; the rest of a step rounds as numpy does and skips numpy's per-call
-cost on length-K vectors.  Other K run the plain all-numpy step.  The propagators only feed
-thresholded certificates, where the ~1e-14 regrouping error is invisible.
+:func:`biorthogonality_defect`) and the dt/2 re-run of a run's step check
+(:func:`evolve_ket_halved`): every RK4 step becomes an increment
+``D_n = P_n - I`` in one numpy expression, and a blocked prefix scan
+chains them with the identity kept implicit, since ``I + D_n`` rounded in
+float64 loses the low bits of the small ``D_n``.  Both feed only
+thresholded certificates, and the scan lands closer to exact RK4
+arithmetic than a sweep does.  The state sweeps (:func:`evolve_ket`,
+:func:`evolve_bra`) step one vector at a time, with exactly the
+operations, in the order, of an all-numpy step: regrouping changes
+rounding only, but the growing modes of a non-Hermitian generator amplify
+it over multi-loop runs (to ~1e-8 in stage-end populations), and
+trajectories are compared against recorded reference populations at
+1e-12.  So for K = 2 and K = 3 an unrolled step kernel keeps the state in
+Python ``complex`` locals and sends only the matvecs to numpy, whose
+FMA-rounded complex multiply Python's does not match; the rest of a step
+rounds as numpy does and skips numpy's per-call cost on length-K vectors.
+Other K run the plain all-numpy step.
 
-The certificate algebra (step matrices, ``V^dag U``, the series oracle and
+The certificate algebra (step increments, ``V^dag U``, the series oracle and
 the frame residuals) copies each sampled ``(n, K, K)`` block once into a
 time-last ``(K, K, n)`` one, so numpy's inner loops run along time.
 """
@@ -62,6 +64,7 @@ __all__ = [
     "constant_operator",
     "evolve_ket",
     "evolve_bra",
+    "evolve_ket_halved",
     "propagator_ket",
     "propagator_bra",
     "biorthogonality_defect",
@@ -310,45 +313,51 @@ def _time_last(block: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(block, 0, -1))
 
 
-def _step_matrices(gs: np.ndarray, dt: float) -> np.ndarray:
-    """RK4 step matrices ``P_n = I + dt/6 (K1 + 2 K2 + 2 K3 + K4)`` of one grid.
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product over the leading two axes of time-last blocks."""
+    return np.einsum("ij...,jk...->ik...", a, b)
+
+
+def _step_increments(gs: np.ndarray, dt: float) -> np.ndarray:
+    """RK4 step increments ``D_n = P_n - I = dt/6 (K1 + 2 K2 + 2 K3 + K4)`` of one grid.
 
     ``gs`` is the time-last ``(K, K, 2n+1)`` block of ``-iH`` on the
-    interleaved grid/midpoint times of :func:`_sample_times`; one
-    RK4 step of a linear equation maps ``y`` to ``P_n y``.  Returns
-    ``(n, K, K)``.
+    interleaved grid/midpoint times of :func:`_sample_times`; one RK4 step
+    of a linear equation maps ``y`` to ``y + D_n y``.  Returns ``(K, K, n)``.
     """
     g1, g2, g3 = gs[..., 0:-1:2], gs[..., 1::2], gs[..., 2::2]
-    k2 = g2 + (0.5 * dt) * np.einsum("ijn,jkn->ikn", g2, g1)
-    k3 = g2 + (0.5 * dt) * np.einsum("ijn,jkn->ikn", g2, k2)
-    k4 = g3 + dt * np.einsum("ijn,jkn->ikn", g3, k3)
-    steps = (dt / 6.0) * (g1 + 2.0 * (k2 + k3) + k4)
-    steps[np.diag_indices(gs.shape[0])] += 1.0
-    return np.moveaxis(steps, -1, 0)
+    k2 = g2 + (0.5 * dt) * _mul(g2, g1)
+    k3 = g2 + (0.5 * dt) * _mul(g2, k2)
+    k4 = g3 + dt * _mul(g3, k3)
+    return (dt / 6.0) * (g1 + 2.0 * (k2 + k3) + k4)
 
 
-def _prefix_products(steps: np.ndarray, u0: np.ndarray) -> np.ndarray:
-    """``out[i] = steps[i] ... steps[0] u0`` by a blocked scan.
+def _prefix_products(incs: np.ndarray, u0: np.ndarray) -> np.ndarray:
+    """``out[..., i] = (I + E_{i-1}) ... (I + E_0) u0`` by a blocked scan on increments.
 
-    The steps are cut into about sqrt(n) blocks (the last padded with
-    identities).  Running products inside the blocks advance all blocks at
-    once, a short sequential carry chains the block ends from ``u0``, and
-    one batched multiply applies each block's incoming carry.
+    ``incs`` holds the time-last ``(K, K, n)`` increments and ``u0`` is a
+    ``(K,)`` state or a ``(K, K)`` matrix; returns ``u0.shape + (n+1,)``.
+    The identity stays implicit.  Zero-padded blocks of about sqrt(n) steps
+    advance at once by ``F_j = E_j + F_{j-1} + E_j F_{j-1}``, a short carry
+    ``c_{i+1} = c_i + F_i c_i`` chains the block ends from ``u0``, and one
+    batched product gives every output as ``c + F c``.
     """
-    n, K = steps.shape[0], steps.shape[-1]
+    K, n = incs.shape[0], incs.shape[-1] + 1
     m = max(1, int(np.sqrt(n)))
     nb = -(-n // m)
-    blocks = np.empty((nb * m, K, K), dtype=complex)
-    blocks[:n] = steps
-    blocks[n:] = np.eye(K)
-    blocks = blocks.reshape(nb, m, K, K)
+    padded = np.zeros((K, K, nb * m), dtype=complex)
+    padded[..., 1:n] = incs
+    F = np.ascontiguousarray(padded.reshape(K, K, nb, m).transpose(0, 1, 3, 2))
     for j in range(1, m):
-        blocks[:, j] = blocks[:, j] @ blocks[:, j - 1]
-    carry = np.empty((nb, K, K), dtype=complex)
+        F[:, :, j] += F[:, :, j - 1] + _mul(F[:, :, j], F[:, :, j - 1])
+    ends = np.moveaxis(F[:, :, -1], -1, 0)
+    carry = np.empty((nb,) + u0.shape, dtype=complex)
     carry[0] = u0
     for i in range(1, nb):
-        carry[i] = blocks[i - 1, -1] @ carry[i - 1]
-    return (blocks @ carry[:, None]).reshape(nb * m, K, K)[:n]
+        carry[i] = carry[i - 1] + ends[i - 1] @ carry[i - 1]
+    c = np.moveaxis(carry.reshape(nb, K, -1), 0, -1)[:, :, None]
+    out = (c + _mul(F, c)).transpose(0, 1, 3, 2).reshape(K, -1, nb * m)
+    return out[..., :n].reshape(u0.shape + (n,))
 
 
 def _propagators(
@@ -359,16 +368,13 @@ def _propagators(
     ``H`` is sampled once; the bra steps reuse that block
     conjugate-transposed, since ``-i H^dag = -(-i H)^dag``.
     """
-    times = grid.times()
-    U = np.empty((times.size, H.dim, H.dim), dtype=complex)
-    U[0] = np.eye(H.dim)
-    V = U.copy() if with_bra else None
-    gs = _time_last(-1j * H.sample(_sample_times(times)))
-    U[1:] = _prefix_products(_step_matrices(gs, grid.dt), U[0])
-    if with_bra:
-        gs_bra = -gs.conj().transpose(1, 0, 2)
-        V[1:] = _prefix_products(_step_matrices(gs_bra, grid.dt), V[0])
-    return U, V
+    eye = np.eye(H.dim, dtype=complex)
+    gs = _time_last(-1j * H.sample(_sample_times(grid.times())))
+    U = np.moveaxis(_prefix_products(_step_increments(gs, grid.dt), eye), -1, 0)
+    if not with_bra:
+        return U, None
+    gs_bra = -gs.conj().transpose(1, 0, 2)
+    return U, np.moveaxis(_prefix_products(_step_increments(gs_bra, grid.dt), eye), -1, 0)
 
 
 def evolve_ket(H: TimeDependentOperator, psi0, grid: TimeGrid) -> StateTrajectory:
@@ -390,6 +396,26 @@ def evolve_bra(H: TimeDependentOperator, phi0, grid: TimeGrid) -> StateTrajector
     solutions: gain and loss swap roles relative to :func:`evolve_ket`.
     """
     return evolve_ket(H.adjoint(), phi0, grid)
+
+
+def evolve_ket_halved(H: TimeDependentOperator, psi0, grid: TimeGrid) -> StateTrajectory:
+    """The RK4 run of :func:`evolve_ket` at step ``grid.dt / 2``, on the points of ``grid``.
+
+    It samples what ``evolve_ket(H, psi0, grid.halved())`` samples, pairs
+    each two half-step increments into one, ``E = D_0 + D_1 + D_1 D_0``
+    (so ``I + E = (I + D_1)(I + D_0)`` with no ``I + small`` formed), and
+    chains them by the blocked scan of :func:`_prefix_products`.  Raises
+    :class:`NonFiniteSampleError` at the first grid time whose state
+    overflows, as :class:`StateTrajectory` does.
+    """
+    psi0 = _as_state(psi0, H.dim)
+    half = grid.halved()
+    gs = _time_last(-1j * H.sample(_sample_times(half.times())))
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = _step_increments(gs, half.dt)
+        pairs = d[..., 0::2] + d[..., 1::2] + _mul(d[..., 1::2], d[..., 0::2])
+        states = _prefix_products(pairs, psi0).T
+    return StateTrajectory(grid=grid, times=grid.times(), states=states)
 
 
 def propagator_ket(H: TimeDependentOperator, grid: TimeGrid) -> np.ndarray:

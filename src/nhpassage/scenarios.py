@@ -17,7 +17,8 @@ frame, the generator ``H``, the passage (ket under ``H`` or bra under
 ``H^dag``) that carries the state, and the level it ends on.  A two-level
 task is one stage; a cyclic task is three per loop.  One runner marches
 the stages, handing the state across each boundary verbatim, and takes
-every certificate per stage.  It re-integrates at half the step and fails
+every certificate per stage.  It re-integrates at half the step, by the
+batched scan of :func:`~nhpassage.dynamics.evolve_ket_halved`, and fails
 loudly if any reported population moves by more than the step-check
 tolerance, then packages the trajectory, accumulated passage phase,
 residual certificates, and checkpoint populations into a
@@ -44,6 +45,7 @@ from .dynamics import (
     dyson_truncation,
     evolve_bra,
     evolve_ket,
+    evolve_ket_halved,
     propagator_ket,
 )
 from .exceptions import ConfigError, GridError, PassageError, StepSizeError
@@ -410,15 +412,25 @@ def _step_check(states: np.ndarray, fine: np.ndarray) -> float:
     return delta
 
 
-def _march(stages: list[_Stage], psi: np.ndarray, halved: bool = False) -> list[StateTrajectory]:
+def _march(stages: list[_Stage], psi: np.ndarray) -> list[StateTrajectory]:
     """Carry ``psi`` through the stages, handing it across each boundary verbatim."""
     trajs = []
     for stage in stages:
         evolve = evolve_ket if stage.passage == "ket" else evolve_bra
-        traj = evolve(stage.H, psi, stage.grid.halved() if halved else stage.grid)
+        traj = evolve(stage.H, psi, stage.grid)
         psi = traj.states[-1]
         trajs.append(traj)
     return trajs
+
+
+def _march_halved(stages: list[_Stage], psi: np.ndarray) -> np.ndarray:
+    """The dt/2 re-run of :func:`_march`, joined, at the run's own grid points."""
+    parts = []
+    for stage in stages:
+        H = stage.H if stage.passage == "ket" else stage.H.adjoint()
+        parts.append(evolve_ket_halved(H, psi, stage.grid).states)
+        psi = parts[-1][-1]
+    return _joined(parts)
 
 
 def _joined(parts: list[np.ndarray]) -> np.ndarray:
@@ -439,9 +451,10 @@ def _run(config: ScenarioConfig, scenario: TwoLevelScenario | None = None) -> Ru
     stages = _stages(config, scenario)
     psi0 = np.zeros(stages[0].H.dim, dtype=complex)
     psi0[0 if cyclic else scenario.initial_level] = 1.0
-    # the dt/2 re-run goes first and keeps only its states at the shared
-    # points, so its sweeps are freed before this run's own are made
-    fine = _joined([t.states for t in _march(stages, psi0, halved=True)])[::2].copy()
+    # the dt/2 re-run goes first and keeps only the shared points; only the
+    # step check reads it, so it may be a batched scan, while the main
+    # sweep's rounding stays pinned against recorded reference populations
+    fine = _march_halved(stages, psi0)
     trajs = _march(stages, psi0)
     states = _joined([t.states for t in trajs])
     step_delta = _step_check(states, fine)

@@ -28,6 +28,7 @@ from nhpassage import (
     synthesize_three_level,
     three_level_hamiltonian,
 )
+from nhpassage.scenarios import _stages
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -411,8 +412,9 @@ def four_level_generator():
 def test_time_last_kernels_match_nfirst_forms(make):
     H, grid = make()
     gs = -1j * H.sample(dynamics._sample_times(grid.times()))
-    steps = dynamics._step_matrices(dynamics._time_last(gs), grid.dt)
-    assert steps.shape == (grid.n_steps, H.dim, H.dim)
+    incs = dynamics._step_increments(dynamics._time_last(gs), grid.dt)
+    assert incs.shape == (H.dim, H.dim, grid.n_steps)
+    steps = np.moveaxis(incs, -1, 0) + np.eye(H.dim)
     assert np.max(np.abs(steps - nfirst_step_matrices(gs, grid.dt))) <= 1e-13
     U, V = propagator_ket(H, grid), propagator_bra(H, grid)
     prod = np.einsum("nji,njk->nik", V.conj(), U)
@@ -420,10 +422,13 @@ def test_time_last_kernels_match_nfirst_forms(make):
     assert abs(biorthogonality_defect(H, grid) - defect) <= 1e-13
 
 
+SWEEP_GENERATORS = [
+    cyclic_stage_generator, two_level_generator, one_level_generator, four_level_generator]
+
+
 @pytest.mark.parametrize("halve", [False, True], ids=["dt", "half_dt"])
 @pytest.mark.parametrize("passage", ["ket", "bra"])
-@pytest.mark.parametrize("make", [
-    cyclic_stage_generator, two_level_generator, one_level_generator, four_level_generator])
+@pytest.mark.parametrize("make", SWEEP_GENERATORS)
 def test_state_sweeps_are_bit_identical_to_step_loop(make, passage, halve):
     H, grid = make()
     if halve:
@@ -432,6 +437,27 @@ def test_state_sweeps_are_bit_identical_to_step_loop(make, passage, halve):
     psi0[0] = 1.0
     evolve, op = (evolve_ket, H) if passage == "ket" else (evolve_bra, H.adjoint())
     assert np.array_equal(evolve(H, psi0, grid).states, loop_rk4_sweep(op, grid, psi0))
+
+
+@pytest.mark.parametrize("passage", ["ket", "bra"])
+@pytest.mark.parametrize("make", SWEEP_GENERATORS)
+def test_halved_scan_matches_half_step_sweep(make, passage):
+    H, grid = make()
+    psi0 = np.zeros(H.dim, dtype=complex)
+    psi0[0] = 1.0
+    op = H if passage == "ket" else H.adjoint()
+    evolve = evolve_ket if passage == "ket" else evolve_bra
+    swept = evolve(H, psi0, grid.halved()).states[::2]
+    scanned = dynamics.evolve_ket_halved(op, psi0, grid)
+    assert np.array_equal(scanned.times, grid.times())
+    assert np.max(np.abs(scanned.states - swept)) <= 1e-12 * np.max(np.abs(swept))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_halved_scan_overflow_raises_with_its_time():
+    grow = constant_operator(np.diag([1000j, 0.0]))
+    with pytest.raises(NonFiniteSampleError, match=r"t = 0\.3"):
+        dynamics.evolve_ket_halved(grow, [1.0, 0.0], TimeGrid(0.0, 1.0, 1e-3))
 
 
 def test_cyclic_run_is_bit_identical_to_step_loop(monkeypatch):
@@ -443,6 +469,8 @@ def test_cyclic_run_is_bit_identical_to_step_loop(monkeypatch):
     assert np.array_equal(fast.trajectory.states, slow.trajectory.states)
     assert np.array_equal(fast.phase.f_imag, slow.phase.f_imag)
     assert fast.residuals["step_check"] == slow.residuals["step_check"]
+    # guards the accuracy of the batched dt/2 re-run on this input
+    assert fast.residuals["step_check"] <= 5e-9
 
 
 @pytest.mark.parametrize("scenario", ["two_level_a", "two_level_c"], ids=["ket", "bra"])
@@ -454,3 +482,43 @@ def test_two_level_run_is_bit_identical_to_step_loop(monkeypatch, scenario):
     assert np.array_equal(fast.trajectory.states, slow.trajectory.states)
     assert np.array_equal(fast.phase.f_imag, slow.phase.f_imag)
     assert fast.residuals["step_check"] == slow.residuals["step_check"]
+
+
+# ---------------------------------------------------------------------------
+# the dt/2 re-run against an extended-precision oracle
+
+
+def clongdouble_rk4(H, psi0, grid):
+    """Sequential RK4 at ``grid.dt / 2`` in ``np.clongdouble`` on the float64
+    samples, at the points of ``grid``."""
+    half = grid.halved()
+    gs = (-1j * H.sample(dynamics._sample_times(half.times()))).astype(np.clongdouble)
+    steps = nfirst_step_matrices(gs, np.longdouble(half.dt))
+    out = np.empty((half.n_steps + 1, H.dim), dtype=np.clongdouble)
+    out[0] = psi0
+    for i, step in enumerate(steps, 1):
+        out[i] = step @ out[i - 1]
+    return out[::2]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="np.longdouble is no wider than float64 here")
+@pytest.mark.parametrize("scenario,loops", [
+    ("cyclic_ccw", 4), ("cyclic_cw", 4), ("two_level_c", 1)])
+def test_halved_scan_is_closer_to_extended_precision_than_step_sweep(scenario, loops):
+    # stage by stage, each path handing its own state across the boundaries
+    stages = _stages(ScenarioConfig(scenario, T=0.5, loops=loops, gamma_scale=1.15))
+    psi0 = np.zeros(stages[0].H.dim, dtype=complex)
+    psi0[1 if scenario == "two_level_c" else 0] = 1.0
+    exact, scan, sweep = psi0.astype(np.clongdouble), psi0, psi0
+    scan_err = sweep_err = 0.0
+    for stage in stages:
+        H = stage.H if stage.passage == "ket" else stage.H.adjoint()
+        ref = clongdouble_rk4(H, exact, stage.grid)
+        got = dynamics.evolve_ket_halved(H, scan, stage.grid).states
+        swept = evolve_ket(H, sweep, stage.grid.halved()).states[::2]
+        exact, scan, sweep = ref[-1], got[-1], swept[-1]
+        pops = np.abs(ref) ** 2
+        scan_err = max(scan_err, float(np.max(np.abs(np.abs(got) ** 2 - pops))))
+        sweep_err = max(sweep_err, float(np.max(np.abs(np.abs(swept) ** 2 - pops))))
+    assert scan_err <= sweep_err
