@@ -18,24 +18,27 @@ smooth stretch of ``H``; a run made of several stages (see
 the state across.
 
 Two paths share the scheme.  The batched path serves the propagators
-(:func:`propagator_ket`, :func:`propagator_bra`,
-:func:`biorthogonality_defect`) and the dt/2 re-run of a run's step check
-(:func:`evolve_ket_halved`): every RK4 step becomes an increment
-``D_n = P_n - I`` in one numpy expression, and a blocked prefix scan
-chains them with the identity kept implicit, since ``I + D_n`` rounded in
-float64 loses the low bits of the small ``D_n``.  Both feed only
-thresholded certificates, and the scan lands closer to exact RK4
-arithmetic than a sweep does.  The state sweeps (:func:`evolve_ket`,
-:func:`evolve_bra`) step one vector at a time, with exactly the
-operations, in the order, of an all-numpy step: regrouping changes
-rounding only, but the growing modes of a non-Hermitian generator amplify
-it over multi-loop runs (to ~1e-8 in stage-end populations), and
-trajectories are compared against recorded reference populations at
-1e-12.  So for K = 2 and K = 3 an unrolled step kernel keeps the state in
-Python ``complex`` locals and sends only the matvecs to numpy, whose
-FMA-rounded complex multiply Python's does not match; the rest of a step
-rounds as numpy does and skips numpy's per-call cost on length-K vectors.
-Other K run the plain all-numpy step.
+(:func:`propagator_ket`, :func:`propagator_bra`, :func:`biorthogonality_defect`)
+and the dt/2 re-run of a run's step check (:func:`evolve_ket_halved`): each
+RK4 step becomes an increment ``D_n = P_n - I`` in one numpy expression, and a
+blocked prefix scan chains them with the identity implicit, since ``I + D_n``
+rounded in float64 loses the low bits of the small ``D_n``.  It feeds only
+thresholded certificates and lands closer to exact RK4 arithmetic than a
+sweep.  The state sweeps (:func:`evolve_ket`, :func:`evolve_bra`) keep the
+exact operations and order of an all-numpy step: the growing modes of a
+non-Hermitian generator amplify any regrouped rounding (to ~1e-8 in
+stage-end populations over multi-loop runs), and trajectories are compared
+against recorded reference populations at 1e-12.  For K = 2 and K = 3 an
+unrolled kernel keeps the state in Python ``complex`` locals and sends only
+the matvecs, whose FMA rounding Python's complex multiply does not match, to
+numpy through two length-K buffers made once per sweep; other K run the
+plain all-numpy step.
+
+A run's sweep and certificates read one table per stage of the generator on
+the grid and RK4 midpoints (:meth:`TimeDependentOperator.tabulated`).  The
+dt/2 re-run keeps its own samples: the table's times halved again differ
+from ``grid.halved()``'s by an ulp at 2532 of 16 001 times of a 4000-step
+stage, and serving them moved re-run populations by 1.3e-10.
 
 The certificate algebra (step increments, ``V^dag U``, the series oracle and
 the frame residuals) copies each sampled ``(n, K, K)`` block once into a
@@ -147,6 +150,28 @@ class TimeGrid:
         return TimeGrid(self.t0, self.tf, self.dt / 2, self.stage_boundaries)
 
 
+def _tabulated(batch: Callable[[np.ndarray], np.ndarray], times: np.ndarray) -> Callable:
+    """``batch`` evaluated once on ``times``: a request for exactly those times, or a
+    subset matched by exact float equality, is served read-only from the table, and
+    any other request evaluates ``batch``, so every caller gets the same floats."""
+    times = np.asarray(times, dtype=float)
+    table = np.asarray(batch(times)).view()
+    table.flags.writeable = False
+
+    def lookup(ts):
+        ts = np.asarray(ts, dtype=float)
+        if np.array_equal(ts, times):
+            return table
+        rows = np.minimum(np.searchsorted(times, ts), times.size - 1)
+        if not np.array_equal(times[rows], ts):
+            return batch(ts)
+        block = table[rows]
+        block.flags.writeable = False
+        return block
+
+    return lookup
+
+
 @dataclass(frozen=True)
 class TimeDependentOperator:
     """A K x K complex-matrix-valued function of time.
@@ -169,6 +194,10 @@ class TimeDependentOperator:
             )
         _check_finite_block(block, times)
         return block
+
+    def tabulated(self, times: np.ndarray) -> "TimeDependentOperator":
+        """This generator evaluated once on ``times``; see :func:`_tabulated`."""
+        return TimeDependentOperator(self.dim, _tabulated(self.values_at, times))
 
     def adjoint(self) -> "TimeDependentOperator":
         """The Hermitian conjugate generator t -> H(t)^dag."""
@@ -243,14 +272,18 @@ def _sample_times(times: np.ndarray) -> np.ndarray:
 def _rk4_steps_2(gs, h: float, h2: float, h6: float, y: list) -> list:
     """RK4 steps for K = 2 on Python ``complex`` locals, states flattened."""
     y0, y1 = y
+    v, w = np.array(y, dtype=complex), np.empty(2, dtype=complex)
     rows = []
     for g1, g2, g3 in zip(gs[0:-1:2], gs[1::2], gs[2::2]):
-        a0, a1 = g1.dot([y0, y1]).tolist()
-        b0, b1 = g2.dot([y0 + h2 * a0, y1 + h2 * a1]).tolist()
-        c0, c1 = g2.dot([y0 + h2 * b0, y1 + h2 * b1]).tolist()
-        d0, d1 = g3.dot([y0 + h * c0, y1 + h * c1]).tolist()
-        y0 = y0 + h6 * (a0 + 2.0 * (b0 + c0) + d0)
-        y1 = y1 + h6 * (a1 + 2.0 * (b1 + c1) + d1)
+        a0, a1 = g1.dot(v, w).tolist()
+        v[0] = y0 + h2 * a0; v[1] = y1 + h2 * a1
+        b0, b1 = g2.dot(v, w).tolist()
+        v[0] = y0 + h2 * b0; v[1] = y1 + h2 * b1
+        c0, c1 = g2.dot(v, w).tolist()
+        v[0] = y0 + h * c0; v[1] = y1 + h * c1
+        d0, d1 = g3.dot(v, w).tolist()
+        y0 = v[0] = y0 + h6 * (a0 + 2.0 * (b0 + c0) + d0)
+        y1 = v[1] = y1 + h6 * (a1 + 2.0 * (b1 + c1) + d1)
         rows += (y0, y1)
     return rows
 
@@ -258,15 +291,19 @@ def _rk4_steps_2(gs, h: float, h2: float, h6: float, y: list) -> list:
 def _rk4_steps_3(gs, h: float, h2: float, h6: float, y: list) -> list:
     """RK4 steps for K = 3 on Python ``complex`` locals, states flattened."""
     y0, y1, y2 = y
+    v, w = np.array(y, dtype=complex), np.empty(3, dtype=complex)
     rows = []
     for g1, g2, g3 in zip(gs[0:-1:2], gs[1::2], gs[2::2]):
-        a0, a1, a2 = g1.dot([y0, y1, y2]).tolist()
-        b0, b1, b2 = g2.dot([y0 + h2 * a0, y1 + h2 * a1, y2 + h2 * a2]).tolist()
-        c0, c1, c2 = g2.dot([y0 + h2 * b0, y1 + h2 * b1, y2 + h2 * b2]).tolist()
-        d0, d1, d2 = g3.dot([y0 + h * c0, y1 + h * c1, y2 + h * c2]).tolist()
-        y0 = y0 + h6 * (a0 + 2.0 * (b0 + c0) + d0)
-        y1 = y1 + h6 * (a1 + 2.0 * (b1 + c1) + d1)
-        y2 = y2 + h6 * (a2 + 2.0 * (b2 + c2) + d2)
+        a0, a1, a2 = g1.dot(v, w).tolist()
+        v[0] = y0 + h2 * a0; v[1] = y1 + h2 * a1; v[2] = y2 + h2 * a2
+        b0, b1, b2 = g2.dot(v, w).tolist()
+        v[0] = y0 + h2 * b0; v[1] = y1 + h2 * b1; v[2] = y2 + h2 * b2
+        c0, c1, c2 = g2.dot(v, w).tolist()
+        v[0] = y0 + h * c0; v[1] = y1 + h * c1; v[2] = y2 + h * c2
+        d0, d1, d2 = g3.dot(v, w).tolist()
+        y0 = v[0] = y0 + h6 * (a0 + 2.0 * (b0 + c0) + d0)
+        y1 = v[1] = y1 + h6 * (a1 + 2.0 * (b1 + c1) + d1)
+        y2 = v[2] = y2 + h6 * (a2 + 2.0 * (b2 + c2) + d2)
         rows += (y0, y1, y2)
     return rows
 
@@ -290,7 +327,8 @@ def _rk4_sweep(H: TimeDependentOperator, grid: TimeGrid, y0: np.ndarray) -> np.n
 
     The steps run in a kernel chosen by ``K = y0.size``: for K = 2
     and K = 3 the state is Python ``complex`` locals and only the four
-    ``(K, K) . (K,)`` matvecs of a step go through numpy, since numpy's
+    ``(K, K) . (K,)`` matvecs of a step go through numpy (``g.dot(v, w)``
+    on two buffers), since numpy's
     complex multiply rounds each part by a fused multiply-add,
     ``re = fl(ar*br - fl(ai*bi))``, and Python's (without ``math.fma``
     before 3.13) does not.  The rest rounds as in numpy, so the unrolled

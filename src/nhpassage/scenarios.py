@@ -15,11 +15,12 @@ Both families are built from one stage model.  A stage is a grid, a
 moving frame, drives synthesized to triangularize the generator in that
 frame, the generator ``H``, the passage (ket under ``H`` or bra under
 ``H^dag``) that carries the state, and the level it ends on.  A two-level
-task is one stage; a cyclic task is three per loop.  One runner marches
-the stages, handing the state across each boundary verbatim, and takes
-every certificate per stage.  It re-integrates at half the step, by the
-batched scan of :func:`~nhpassage.dynamics.evolve_ket_halved`, and fails
-loudly if any reported population moves by more than the step-check
+task is one stage; a cyclic task is three per loop.  One runner first
+re-integrates every stage at half the step (the batched scan of
+:func:`~nhpassage.dynamics.evolve_ket_halved`), then, stage by stage,
+sweeps the state, handed across each boundary verbatim, and takes every
+certificate from one table of the stage's ``H`` and one of its frame.  It
+fails if any reported population moves by more than the step-check
 tolerance, then packages the trajectory, accumulated passage phase,
 residual certificates, and checkpoint populations into a
 :class:`RunReport` whose pass/fail verdicts are derived solely from the
@@ -40,6 +41,7 @@ from .dynamics import (
     StateTrajectory,
     TimeDependentOperator,
     TimeGrid,
+    _sample_times,
     biorthogonality_defect,
     constant_operator,
     dyson_truncation,
@@ -412,19 +414,8 @@ def _step_check(states: np.ndarray, fine: np.ndarray) -> float:
     return delta
 
 
-def _march(stages: list[_Stage], psi: np.ndarray) -> list[StateTrajectory]:
-    """Carry ``psi`` through the stages, handing it across each boundary verbatim."""
-    trajs = []
-    for stage in stages:
-        evolve = evolve_ket if stage.passage == "ket" else evolve_bra
-        traj = evolve(stage.H, psi, stage.grid)
-        psi = traj.states[-1]
-        trajs.append(traj)
-    return trajs
-
-
 def _march_halved(stages: list[_Stage], psi: np.ndarray) -> np.ndarray:
-    """The dt/2 re-run of :func:`_march`, joined, at the run's own grid points."""
+    """The dt/2 re-run of the stages, joined, at the run's own grid points."""
     parts = []
     for stage in stages:
         H = stage.H if stage.passage == "ket" else stage.H.adjoint()
@@ -451,26 +442,27 @@ def _run(config: ScenarioConfig, scenario: TwoLevelScenario | None = None) -> Ru
     stages = _stages(config, scenario)
     psi0 = np.zeros(stages[0].H.dim, dtype=complex)
     psi0[0 if cyclic else scenario.initial_level] = 1.0
-    # the dt/2 re-run goes first and keeps only the shared points; only the
-    # step check reads it, so it may be a batched scan, while the main
-    # sweep's rounding stays pinned against recorded reference populations
+    # the dt/2 re-run goes first, on its own samples (see nhpassage.dynamics)
     fine = _march_halved(stages, psi0)
-    trajs = _march(stages, psi0)
+    psi, trajs, phases, tri, consistency, bio, fidelity = psi0, [], [], [], [], [], []
+    for stage in stages:
+        # tables of H and the frame serve the stage's sweep and certificates
+        times = stage.grid.times()
+        H, frame = stage.H.tabulated(_sample_times(times)), stage.frame.tabulated(times)
+        traj = (evolve_ket if stage.passage == "ket" else evolve_bra)(H, psi, stage.grid)
+        psi = traj.states[-1]
+        two = H.dim == 2
+        phase_fn = phase_two_level if two else phase_three_level
+        consistency_fn = two_level_consistency_residual if two else three_level_consistency_residual
+        phases.append(phase_fn(stage.controls, stage.frame_params, stage.grid, stage.passage))
+        trajs.append(traj)
+        tri.append(triangularization_residual(H, frame, stage.grid))
+        consistency.append(consistency_fn(stage.controls, stage.frame_params, stage.grid))
+        bio.append(biorthogonality_defect(H, stage.grid))
+        fidelity.append(_passage_fidelity_error(traj, frame, phases[-1], stage.passage))
+        del H, frame  # before the next stage's tables are built
     states = _joined([t.states for t in trajs])
     step_delta = _step_check(states, fine)
-
-    phases, tri, consistency, bio, fidelity = [], [], [], [], []
-    for stage, traj in zip(stages, trajs):
-        two = stage.H.dim == 2
-        phase_fn = phase_two_level if two else phase_three_level
-        consistency_fn = (two_level_consistency_residual if two
-                          else three_level_consistency_residual)
-        phase = phase_fn(stage.controls, stage.frame_params, stage.grid, passage=stage.passage)
-        phases.append(phase)
-        tri.append(triangularization_residual(stage.H, stage.frame, stage.grid))
-        consistency.append(consistency_fn(stage.controls, stage.frame_params, stage.grid))
-        bio.append(biorthogonality_defect(stage.H, stage.grid))
-        fidelity.append(_passage_fidelity_error(traj, stage.frame, phase, stage.passage))
 
     times = _joined([t.times for t in trajs])
     grid = TimeGrid(stages[0].grid.t0, stages[-1].grid.tf, config.resolved_dt(),
@@ -633,19 +625,21 @@ def _perturbed_omega_checks(config: ScenarioConfig):
 def _hermitian_limit_checks(config: ScenarioConfig):
     stages = _stages(config, gamma_scale=0.0)
     bad_frame = _misaligned_frame(stages[0].H.dim, config.T)
-    tri_h = max(triangularization_residual(s.H, s.frame, s.grid) for s in stages)
-    von_h = max(von_neumann_residual(s.H, s.frame, s.grid) for s in stages)
+    scans = []
+    for s in stages:  # one zero-gain H table and one table per frame per stage
+        times = s.grid.times()
+        H, frame, bad = s.H.tabulated(times), s.frame.tabulated(times), bad_frame.tabulated(times)
+        scans.append([residual(H, f, s.grid) for f in (frame, bad)
+                      for residual in (triangularization_residual, von_neumann_residual)])
+    tri_h, von_h, tri_bad, von_bad = zip(*scans)
     checks = [
-        CheckResult.below("hermitian_limit_triangularization", tri_h, RESIDUAL_TOL),
-        CheckResult.below("hermitian_limit_von_neumann", von_h, RESIDUAL_TOL),
-        CheckResult.above(
-            "misaligned_frame_triangularization",
-            min(triangularization_residual(s.H, bad_frame, s.grid) for s in stages), 1e-3),
-        CheckResult.above(
-            "misaligned_frame_von_neumann",
-            min(von_neumann_residual(s.H, bad_frame, s.grid) for s in stages), 1e-3),
+        CheckResult.below("hermitian_limit_triangularization", max(tri_h), RESIDUAL_TOL),
+        CheckResult.below("hermitian_limit_von_neumann", max(von_h), RESIDUAL_TOL),
+        CheckResult.above("misaligned_frame_triangularization", min(tri_bad), 1e-3),
+        CheckResult.above("misaligned_frame_von_neumann", min(von_bad), 1e-3),
     ]
-    return checks, {"hermitian_triangularization": tri_h, "hermitian_von_neumann": von_h}
+    return checks, {"hermitian_triangularization": max(tri_h),
+                    "hermitian_von_neumann": max(von_h)}
 
 
 def _random_biorthogonality_checks(config: ScenarioConfig):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from nhpassage import dynamics
 from nhpassage import (
@@ -482,6 +483,28 @@ def test_two_level_run_is_bit_identical_to_step_loop(monkeypatch, scenario):
     assert np.array_equal(fast.trajectory.states, slow.trajectory.states)
     assert np.array_equal(fast.phase.f_imag, slow.phase.f_imag)
     assert fast.residuals["step_check"] == slow.residuals["step_check"]
+
+
+# ---------------------------------------------------------------------------
+# per-stage sample tables
+
+
+@settings(max_examples=60, deadline=None)
+@given(t0=st.floats(-50.0, 50.0), dt=st.floats(1e-4, 0.5), n=st.integers(1, 300),
+       seed=st.integers(0, 2**16))
+def test_tables_serve_the_direct_values(t0, dt, n, seed):
+    grid = TimeGrid(t0, t0 + n * dt, dt)
+    H = smooth_generator(2, seed)
+    table_times = dynamics._sample_times(grid.times())
+    tab = H.tabulated(table_times)
+    full = tab.sample(table_times)
+    for ts in (grid.times(), grid.halved().times()):  # table rows, then mostly misses
+        assert np.array_equal(tab.sample(ts), H.sample(ts))
+    assert tab.sample(table_times) is full
+    assert np.array_equal(full, H.sample(table_times))
+    for block in (full, tab.sample(grid.times())):
+        with pytest.raises(ValueError, match="read-only"):
+            block[0, 0, 0] = 0.0
 
 
 # ---------------------------------------------------------------------------

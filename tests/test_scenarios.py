@@ -11,14 +11,22 @@ from nhpassage import (
     ScenarioConfig,
     StepSizeError,
     TwoLevelScenario,
+    biorthogonality_defect,
     clockwise_schedule,
+    evolve_bra,
+    evolve_ket,
     export_csv,
     export_svg,
+    phase_three_level,
+    phase_two_level,
     run_scenario,
     run_two_level,
+    triangularization_residual,
     two_level_scenario,
     verify,
+    von_neumann_residual,
 )
+from nhpassage import scenarios
 from nhpassage.cli import main as cli_main
 from nhpassage.config import read_config
 from nhpassage.scenarios import CYCLIC_IDS
@@ -338,6 +346,56 @@ def test_overflowing_run_raises_a_typed_error():
         run_scenario(ScenarioConfig(scenario="cyclic_cw", gamma_scale=200))
 
 
+@pytest.mark.parametrize("scenario,loops", [("cyclic_ccw", 2), ("two_level_c", 1)])
+def test_stage_tables_serve_the_same_floats(monkeypatch, scenario, loops):
+    # every per-stage number of a run and of verify's Hermitian-limit controls,
+    # recomputed on the untabulated stage operators, must match bit for bit
+    config = ScenarioConfig(scenario, T=0.5, loops=loops, gamma_scale=1.15)
+    results = {"sweep": [], "tri": [], "bio": [], "fidelity": []}
+    for kind, name in (("sweep", "evolve_ket"), ("sweep", "evolve_bra"),
+                       ("tri", "triangularization_residual"),
+                       ("bio", "biorthogonality_defect"), ("fidelity", "_passage_fidelity_error")):
+        def recorded(*args, inner=getattr(scenarios, name), kind=kind):
+            results[kind].append(inner(*args))
+            return results[kind][-1]
+        monkeypatch.setattr(scenarios, name, recorded)
+    report = run_scenario(config)
+    monkeypatch.undo()
+    stages = scenarios._stages(config)
+    assert any(stage.passage == "bra" for stage in stages)
+    assert all(len(per_stage) == len(stages) for per_stage in results.values())
+    psi, start = report.trajectory.states[0], 0
+    for i, stage in enumerate(stages):
+        evolve = evolve_ket if stage.passage == "ket" else evolve_bra
+        direct = evolve(stage.H, psi, stage.grid)
+        psi, stop = direct.states[-1], start + stage.grid.n_steps + 1
+        assert np.array_equal(results["sweep"][i].states, direct.states)
+        assert np.array_equal(report.trajectory.states[start:stop], direct.states)
+        start = stop - 1
+        assert results["tri"][i] == triangularization_residual(stage.H, stage.frame, stage.grid)
+        assert results["bio"][i] == biorthogonality_defect(stage.H, stage.grid)
+        phase = (phase_two_level if stage.H.dim == 2 else phase_three_level)(
+            stage.controls, stage.frame_params, stage.grid, passage=stage.passage)
+        assert results["fidelity"][i] == scenarios._passage_fidelity_error(
+            direct, stage.frame, phase, stage.passage)
+    assert report.residuals["triangularization"] == max(results["tri"])
+    assert report.residuals["biorthogonality"] == max(results["bio"])
+    assert report.residuals["passage_fidelity"] == max(results["fidelity"])
+
+    report = verify(config)
+    zero_gain = scenarios._stages(config, gamma_scale=0.0)
+    bad = scenarios._misaligned_frame(zero_gain[0].H.dim, config.T)
+    values = {c.name: c.value for c in report.checks}
+    assert report.residuals["hermitian_triangularization"] == max(
+        triangularization_residual(s.H, s.frame, s.grid) for s in zero_gain)
+    assert report.residuals["hermitian_von_neumann"] == max(
+        von_neumann_residual(s.H, s.frame, s.grid) for s in zero_gain)
+    assert values["misaligned_frame_triangularization"] == min(
+        triangularization_residual(s.H, bad, s.grid) for s in zero_gain)
+    assert values["misaligned_frame_von_neumann"] == min(
+        von_neumann_residual(s.H, bad, s.grid) for s in zero_gain)
+
+
 # ---------------------------------------------------------------------------
 # exports
 
@@ -412,11 +470,26 @@ def test_read_config_roundtrip(tmp_path):
     assert read_config(path) == {"scenario": "a", "T": "2.0", "loops": "3"}
 
 
-@pytest.mark.parametrize("content", ["bogus_key = 1\n", "just some words\n", "T =\n"])
+MALFORMED_CONFIGS = {  # file text -> the error it must raise
+    "bogus_key = 1\n": r":1: unknown key 'bogus_key'",
+    "just some words\n": r":1: expected key=value",
+    "T =\n": r":1: empty value for 'T'",
+    "T = 1\nscenario = a\nT = 2\n": r":3: duplicate key 'T' \(first set on line 1\)",
+}
+
+
+@pytest.mark.parametrize("content", list(MALFORMED_CONFIGS))
 def test_read_config_rejects_malformed(tmp_path, content):
     path = tmp_path / "bad.cfg"
     path.write_text(content, encoding="utf-8")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=MALFORMED_CONFIGS[content]):
+        read_config(path)
+
+
+def test_read_config_rejects_non_utf8(tmp_path):
+    path = tmp_path / "latin.cfg"
+    path.write_bytes(b"scenario = a\nT = \xff\xfe1\n")
+    with pytest.raises(ConfigError, match=r"latin\.cfg: not UTF-8 text"):
         read_config(path)
 
 
@@ -498,6 +571,16 @@ def test_cli_bad_config_number_is_a_clean_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: config value loops = 'two' is not a valid int")
     assert "Traceback" not in err
+
+
+def test_cli_non_utf8_config_is_a_clean_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"scenario = a\nT = \xff\xfe1\n")
+    code = cli_main(["verify", "--config", str(cfg)])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert err == f"error: {cfg}: not UTF-8 text (invalid start byte)\n"
+    assert out == ""
 
 
 def test_cli_typed_argument_error_is_a_clean_error(monkeypatch, capsys):
