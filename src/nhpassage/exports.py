@@ -17,6 +17,8 @@ __all__ = ["export_csv", "export_svg"]
 
 _SERIES_COLORS = ("#1f77b4", "#d62728", "#2ca02c")
 _TOTAL_COLOR = "#555555"
+#: Most points per SVG series; longer trajectories are decimated.
+_SVG_MAX_POINTS = 1600
 
 
 def _fmt(x: float) -> str:
@@ -53,11 +55,11 @@ def _ticks(lo: float, hi: float, step: float) -> list[float]:
     return [float(v) for v in np.arange(first, hi + step / 2, step)]
 
 
-def export_svg(report: RunReport, path, max_points: int = 1600) -> None:
+def export_svg(report: RunReport, path) -> None:
     """Write a self-contained SVG chart of populations and total norm vs ``t/T``.
 
-    Long trajectories are decimated with a fixed stride (endpoint kept) so
-    the file stays light; the underlying CSV keeps full resolution.
+    Trajectories longer than 1600 points are decimated with a fixed stride
+    (endpoint kept) so the file stays light; the underlying CSV keeps full resolution.
     """
     traj = report.trajectory
     dim = traj.dim
@@ -67,7 +69,7 @@ def export_svg(report: RunReport, path, max_points: int = 1600) -> None:
               for i in range(dim)]
     series.append(("total", traj.total_norm, _TOTAL_COLOR, "6 4"))
 
-    stride = max(1, int(np.ceil(x.size / max_points)))
+    stride = max(1, int(np.ceil(x.size / _SVG_MAX_POINTS)))
     keep = np.arange(0, x.size, stride)
     if keep[-1] != x.size - 1:
         keep = np.append(keep, x.size - 1)

@@ -43,6 +43,9 @@ __all__ = [
     "von_neumann_residual",
 ]
 
+#: Largest entry of ``H - H^dag`` that :func:`von_neumann_residual` accepts.
+_HERMITIAN_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class AncillaryFrame:
@@ -285,14 +288,14 @@ def triangularization_residual(
 
 
 def von_neumann_residual(
-    H: TimeDependentOperator, frame: AncillaryFrame, grid, hermitian_tol: float = 1e-12
+    H: TimeDependentOperator, frame: AncillaryFrame, grid
 ) -> float:
     """Max-entry defect of ``d Pi_k/dt + i [H, Pi_k]`` over grid points and k.
 
     ``Pi_k = |mu_k><mu_k|`` are the frame projectors.  Only meaningful for
     Hermitian generators, where a vanishing residual is equivalent to the
     triangularization condition; raises :class:`NonHermitianError` if
-    ``H`` deviates from Hermiticity beyond ``hermitian_tol`` on the grid.
+    ``H`` deviates from Hermiticity beyond 1e-12 on the grid.
     """
     if H.dim != frame.dim:
         raise DimensionMismatchError(
@@ -301,7 +304,7 @@ def von_neumann_residual(
     times = _grid_times(grid)
     hs = _time_last(H.sample(times))
     herm_defect = float(np.max(np.abs(hs - hs.conj().transpose(1, 0, 2))))
-    if herm_defect > hermitian_tol:
+    if herm_defect > _HERMITIAN_TOL:
         raise NonHermitianError(
             f"generator is not Hermitian on the grid (defect {herm_defect:.3e})"
         )

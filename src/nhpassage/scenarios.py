@@ -61,6 +61,7 @@ from .frames import (
     von_neumann_residual,
 )
 from .synthesis import (
+    CONSISTENCY_TOL,
     PhaseFunctional,
     ScheduleStage,
     ThreeLevelControls,
@@ -102,8 +103,6 @@ __all__ = [
 POPULATION_TOL = 1e-6
 #: Tolerance on residuals of analytic identities (triangularization etc.).
 RESIDUAL_TOL = 1e-9
-#: Ceiling on phase-evolution consistency residuals.
-CONSISTENCY_TOL = 1e-8
 #: Max population change allowed between a run and its dt/2 re-run.
 STEP_CHECK_TOL = 1e-8
 #: Stage-end ceiling for the imaginary accumulated phase.

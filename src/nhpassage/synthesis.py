@@ -1,35 +1,38 @@
 """Drive synthesis that triangularizes the rotated generator, and the phases it earns.
 
 Given a moving frame and a gain/loss assignment, these routines solve the
-above-diagonal conditions of the rotated generator for the drive
-envelopes, check the remaining (real-part) conditions on the supplied
-local phases as residuals, and accumulate the complex phase picked up
-along the resulting passage.
+above-diagonal conditions of the rotated generator ``Hf - A`` for the drive
+envelopes, check the rest on the supplied local phases as residuals, and
+accumulate the complex phase picked up along the resulting passage.  All of
+it comes from the closed form of one *pair*: states ``lo``, ``hi`` with
+diagonal entries ``d_lo``, ``d_hi``, mixed by an angle ``x`` with local phase
+``a`` into the frame vectors ``cos x e^{ia/2}|lo> - sin x e^{-ia/2}|hi>``
+(bra side) and ``sin x e^{ia/2}|lo> + cos x e^{-ia/2}|hi>`` (ket side), and
+driven by ``(Omega/2) e^{i varphi}|hi><lo| + h.c.``.  The imaginary part of
+the rotated above-diagonal entry vanishes for::
 
-Two-level constraint (frame angles ``theta``, ``alpha``; drive phase
-``varphi``; per-level rates ``gamma0/1`` with gain/loss phases ``xi0/1``)::
+    Omega = [-4 x_dot + 2 Im(d_lo - d_hi) sin 2x] / [2 sin(varphi + a)]
 
-    Omega = [-4 theta_dot + (gamma0 sin xi0 - gamma1 sin xi1) sin 2theta]
-            / [2 sin(varphi + alpha)]
+Its real part, the local-phase consistency residual (in product form, so
+nothing blows up where sin 2x vanishes), is checked, not solved::
 
-with the local-phase consistency condition (written in product form, so
-nothing blows up where sin 2theta vanishes)::
+    (sin 2x / 2) Re(d_lo - d_hi) + (Omega/2) cos 2x cos(varphi + a) + (a_dot/2) sin 2x
 
-    (sin 2theta / 2) * [alpha_dot - Delta + (gamma0 cos xi0 - gamma1 cos xi1)/2]
-        + (Omega / 2) cos 2theta cos(varphi + alpha)  =  0
+The diagonal entries are the ket and bra passage rates ``d_lo sin^2 x +
+d_hi cos^2 x + drive - twist`` and ``d_lo cos^2 x + d_hi sin^2 x - drive +
+twist``, with ``drive = (Omega/2) sin 2x cos(varphi + a)`` and ``twist =
+(a_dot/2) cos 2x``.  A two-level system is one pair, ``|0>, |1>`` on
+``(theta, alpha)``.  Three levels nest two, as in the paper: the inner pair
+``|0>, |1>`` on ``(theta, alpha)``, driven by ``Omega_a``, makes the bright
+state (its ket-side vector); the outer pair, bright state and ``|e>`` on
+``(phi_mix, beta)``, takes the inner ket rate as its ``d_lo``.  Its drive is
+split as ``Omega_0 = Omega sin theta``, ``Omega_1 = Omega cos theta`` with
+phases ``varphi -+ alpha/2``.
 
-The three-level synthesis nests two copies of this structure: an inner
-drive ``Omega_a`` between the two lower levels (the two-level equations
-with ``Delta -> Delta1 - Delta0``, ``varphi -> varphi_a``) and an outer
-drive ``Omega`` coupling the bright combination to the third level::
-
-    Omega = [-4 phi_mix_dot
-             + (gamma0 sin xi0 sin^2 theta + gamma1 sin xi1 cos^2 theta
-                - gamma_e sin xi_e) sin 2phi_mix]
-            / [2 sin(varphi + beta)]
-
-split between the level drives as ``Omega_0 = Omega sin theta``,
-``Omega_1 = Omega cos theta`` with phases ``varphi -+ alpha/2``.
+Each envelope keeps the operations, and their order, of the closed forms it
+was first written in: on four ``cyclic_ccw`` loops the growing modes amplify
+one ulp in ``H`` past the benchmark's 1e-12 gate on stage-end populations (a
+per-sample least-squares solve, exact to rounding, moved them by 1.2e-9).
 
 All accumulated phases follow the convention that the passage state is
 ``c * exp(-i (f_real + i f_imag)) * mu(t)``, so ``exp(f_imag)`` is the
@@ -44,12 +47,8 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import TimeDependentOperator, TimeGrid
-from .exceptions import (
-    InvalidArgumentError,
-    PhaseConsistencyError,
-    SingularDenominatorError,
-)
-from .frames import ThreeLevelFrameParams, TwoLevelFrameParams
+from .exceptions import InvalidArgumentError, PhaseConsistencyError, SingularDenominatorError
+from .frames import ThreeLevelFrameParams, TwoLevelFrameParams, _grid_times
 
 __all__ = [
     "EPS_SINGULAR",
@@ -183,150 +182,88 @@ def three_level_hamiltonian(controls: ThreeLevelControls) -> TimeDependentOperat
     return TimeDependentOperator(dim=3, values_at=batch)
 
 
-def _guarded_inverse_sin(angle: np.ndarray, context: str) -> np.ndarray:
-    s = np.sin(angle)
-    small = np.abs(s) < EPS_SINGULAR
-    if np.any(small):
-        where = np.argmax(small)
-        raise SingularDenominatorError(
-            f"|sin({context})| < {EPS_SINGULAR:g} at sample index {int(where)}"
-        )
-    return 1.0 / s
+def _weigh(lo, hi, x):
+    """``lo sin^2 x + hi cos^2 x``: the diagonal entries as the upper vector sees them."""
+    return lo * np.sin(x) ** 2 + hi * np.cos(x) ** 2
 
 
-def _two_level_drive(frame: TwoLevelFrameParams, gamma0, gamma1, xi0, xi1, varphi):
-    g0, g1 = _as_callable(gamma0), _as_callable(gamma1)
-    sx0, sx1 = np.sin(xi0), np.sin(xi1)
+def _pair_drive(rate, x, x_dot, a, varphi, context: str) -> Callable:
+    """A pair's envelope as a callable of time, for ``rate(t) = 2 Im(d_lo - d_hi)``."""
 
     def omega(ts):
         ts = np.asarray(ts, dtype=float)
-        th = np.asarray(frame.theta(ts))
-        inv = _guarded_inverse_sin(varphi + np.asarray(frame.alpha(ts)), "varphi + alpha")
-        return (-4.0 * np.asarray(frame.theta_dot(ts))
-                + (g0(ts) * sx0 - g1(ts) * sx1) * np.sin(2.0 * th)) * inv / 2.0
+        s = np.sin(varphi + np.asarray(a(ts)))
+        small = np.abs(s) < EPS_SINGULAR
+        if np.any(small):
+            raise SingularDenominatorError(
+                f"|sin({context})| < {EPS_SINGULAR:g} at sample index {int(np.argmax(small))}")
+        x_ts, inv = np.asarray(x(ts)), 1.0 / s
+        return (-4.0 * np.asarray(x_dot(ts)) + rate(ts) * np.sin(2.0 * x_ts)) * inv / 2.0
 
-    return omega, g0, g1
-
-
-def _two_level_phase_residual(frame, omega, delta, g0, g1, xi0, xi1, varphi, ts):
-    """Real part of the above-diagonal rotated entry, i.e. the local-phase
-    consistency condition multiplied through by sin(2 theta)/2."""
-    th = np.asarray(frame.theta(ts))
-    al = np.asarray(frame.alpha(ts))
-    s2, c2 = np.sin(2.0 * th), np.cos(2.0 * th)
-    return (
-        0.25 * s2 * (g0(ts) * np.cos(xi0) - g1(ts) * np.cos(xi1))
-        - 0.5 * np.asarray(delta(ts)) * s2
-        + 0.5 * np.asarray(omega(ts)) * c2 * np.cos(varphi + al)
-        + 0.5 * np.asarray(frame.alpha_dot(ts)) * s2
-    )
+    return omega
 
 
-def synthesize_two_level(
-    frame: TwoLevelFrameParams,
-    *,
-    gamma0,
-    gamma1,
-    xi0: float,
-    xi1: float,
-    delta,
-    varphi: float,
-    grid: TimeGrid | np.ndarray,
-    consistency_tol: float = CONSISTENCY_TOL,
-) -> TwoLevelControls:
-    """Solve the two-level triangularization condition for the drive envelope.
-
-    The envelope is fixed by the imaginary part of the condition; the real
-    part couples the supplied ``alpha`` and ``delta`` and is *checked*,
-    not solved: a residual above ``consistency_tol`` on the grid raises
-    :class:`PhaseConsistencyError`.  A denominator ``|sin(varphi + alpha)|``
-    below the guard raises :class:`SingularDenominatorError`.
-    """
-    omega, g0, g1 = _two_level_drive(frame, gamma0, gamma1, xi0, xi1, varphi)
-    delta_c = _as_callable(delta)
-    ts = grid.times() if isinstance(grid, TimeGrid) else np.asarray(grid, dtype=float)
-    residual = np.abs(
-        _two_level_phase_residual(frame, omega, delta_c, g0, g1, xi0, xi1, varphi, ts)
-    )
-    worst = int(np.argmax(residual))
-    if residual[worst] > consistency_tol:
-        raise PhaseConsistencyError(
-            "alpha phase-evolution condition violated: residual "
-            f"{residual[worst]:.3e} at t = {ts[worst]:g}"
-        )
-    return TwoLevelControls(
-        omega=omega, delta=delta_c, gamma0=g0, gamma1=g1,
-        varphi=float(varphi), xi0=float(xi0), xi1=float(xi1),
-    )
+def _pair_rate(side: str, d_lo, d_hi, x, a, a_dot, omega, varphi):
+    """Rotated diagonal entry of the upper ('ket') or lower ('bra') frame vector."""
+    drive_twist = (0.5 * omega * np.sin(2.0 * x) * np.cos(varphi + a)
+                   - 0.5 * a_dot * np.cos(2.0 * x))
+    if side == "ket":
+        return _weigh(d_lo, d_hi, x) + drive_twist
+    return _weigh(d_hi, d_lo, x) - drive_twist
 
 
-def synthesize_three_level(
-    frame: ThreeLevelFrameParams,
-    *,
-    gamma0,
-    gamma1,
-    gamma_e,
-    xi0: float,
-    xi1: float,
-    xi_e: float,
-    delta0,
-    delta1,
-    delta_e,
-    varphi: float,
-    varphi_a: float,
-    grid: TimeGrid | np.ndarray,
-    consistency_tol: float = CONSISTENCY_TOL,
-) -> ThreeLevelControls:
-    """Solve the three-level triangularization conditions for all drive envelopes.
+def _pair_residual(d_lo, d_hi, x, a, a_dot, omega, varphi):
+    """Real part of the rotated above-diagonal entry, from the real parts of ``d_lo``, ``d_hi``."""
+    s2 = np.sin(2.0 * x)
+    return (0.5 * s2 * (d_lo - d_hi)
+            + 0.5 * omega * np.cos(2.0 * x) * np.cos(varphi + a)
+            + 0.5 * a_dot * s2)
 
-    The inner ``|0> <-> |1>`` drive reuses the two-level equations with
-    ``Delta -> Delta1 - Delta0`` and ``varphi -> varphi_a``; the outer
-    drive couples the bright combination to ``|e>``.  Both remaining
-    real-part conditions (on ``alpha_dot`` and ``beta_dot``) are checked
-    as residuals and reported with the offending equation and time.
-    """
-    g0, g1, ge = _as_callable(gamma0), _as_callable(gamma1), _as_callable(gamma_e)
-    d0, d1, de = _as_callable(delta0), _as_callable(delta1), _as_callable(delta_e)
-    omega_a, _, _ = _two_level_drive(
-        _inner_two_level_frame(frame), g0, g1, xi0, xi1, varphi_a
-    )
-    sx0, sx1, sxe = np.sin(xi0), np.sin(xi1), np.sin(xi_e)
 
-    def omega(ts):
-        ts = np.asarray(ts, dtype=float)
-        th = np.asarray(frame.theta(ts))
-        ph = np.asarray(frame.phi_mix(ts))
-        sin_th2 = np.sin(th) ** 2
-        cos_th2 = np.cos(th) ** 2
-        rate = g0(ts) * sx0 * sin_th2 + g1(ts) * sx1 * cos_th2 - ge(ts) * sxe
-        inv = _guarded_inverse_sin(varphi + np.asarray(frame.beta(ts)), "varphi + beta")
-        return (-4.0 * np.asarray(frame.phi_mix_dot(ts)) + rate * np.sin(2.0 * ph)) * inv / 2.0
+def _cis(xi):
+    return np.exp(1j * xi)
 
-    def omega0(t):
-        return np.asarray(omega(t)) * np.sin(np.asarray(frame.theta(t)))
 
-    def omega1(t):
-        return np.asarray(omega(t)) * np.cos(np.asarray(frame.theta(t)))
+def _inner_pair(c, frame, ts, weight):
+    """Pair arguments of ``|0>, |1>``: a whole two-level system, or the inner
+    pair of three levels.  ``weight(xi)`` multiplies ``gamma/2`` on the
+    diagonal: :func:`_cis` for the entries, ``np.cos`` for their real parts."""
+    if isinstance(c, TwoLevelControls):
+        d0 = 0.5 * weight(c.xi0) * c.gamma0(ts)
+        delta1, omega, varphi = c.delta, c.omega, c.varphi
+    elif isinstance(c, ThreeLevelControls):
+        d0 = np.asarray(c.delta0(ts)) + 0.5 * weight(c.xi0) * c.gamma0(ts)
+        delta1, omega, varphi = c.delta1, c.omega_a, c.varphi_a
+    else:
+        raise TypeError(f"unsupported controls type {type(c).__name__}")
+    d1 = np.asarray(delta1(ts)) + 0.5 * weight(c.xi1) * c.gamma1(ts)
+    return (d0, d1, np.asarray(frame.theta(ts)), np.asarray(frame.alpha(ts)),
+            np.asarray(frame.alpha_dot(ts)), np.asarray(omega(ts)), varphi)
 
-    controls = ThreeLevelControls(
-        omega0=omega0,
-        omega1=omega1,
-        omega_a=omega_a,
-        omega=omega,
-        delta0=d0, delta1=d1, delta_e=de,
-        varphi0=lambda t: varphi - 0.5 * np.asarray(frame.alpha(t)),
-        varphi1=lambda t: varphi + 0.5 * np.asarray(frame.alpha(t)),
-        varphi_a=float(varphi_a),
-        varphi=float(varphi),
-        gamma0=g0, gamma1=g1, gamma_e=ge,
-        xi0=float(xi0), xi1=float(xi1), xi_e=float(xi_e),
-    )
-    ts = grid.times() if isinstance(grid, TimeGrid) else np.asarray(grid, dtype=float)
-    r_alpha = _three_level_alpha_residual(controls, frame, ts)
-    r_beta = _three_level_beta_residual(controls, frame, ts)
-    for name, res in (("alpha", r_alpha), ("beta", r_beta)):
+
+def _outer_pair(c: ThreeLevelControls, frame, ts, weight, bright):
+    """Pair arguments of the bright state, whose entry is the inner ket rate, and ``|e>``."""
+    d_e = np.asarray(c.delta_e(ts)) + 0.5 * weight(c.xi_e) * c.gamma_e(ts)
+    return (bright, d_e, np.asarray(frame.phi_mix(ts)), np.asarray(frame.beta(ts)),
+            np.asarray(frame.beta_dot(ts)), np.asarray(c.omega(ts)), c.varphi)
+
+
+def _consistency_residuals(c, frame, ts) -> dict[str, np.ndarray]:
+    """Magnitude of each pair's consistency residual, keyed by its local phase."""
+    inner = _inner_pair(c, frame, ts, np.cos)
+    residuals = {"alpha": np.abs(_pair_residual(*inner))}
+    if isinstance(c, ThreeLevelControls):
+        outer = _outer_pair(c, frame, ts, np.cos, _pair_rate("ket", *inner))
+        residuals["beta"] = np.abs(_pair_residual(*outer))
+    return residuals
+
+
+def _consistent(controls, frame, grid):
+    """``controls``, after checking every consistency residual on the grid."""
+    ts = _grid_times(grid)
+    for name, res in _consistency_residuals(controls, frame, ts).items():
         worst = int(np.argmax(res))
-        if res[worst] > consistency_tol:
+        if res[worst] > CONSISTENCY_TOL:
             raise PhaseConsistencyError(
                 f"{name} phase-evolution condition violated: residual "
                 f"{res[worst]:.3e} at t = {ts[worst]:g}"
@@ -334,74 +271,75 @@ def synthesize_three_level(
     return controls
 
 
-def _inner_two_level_frame(frame: ThreeLevelFrameParams) -> TwoLevelFrameParams:
-    return TwoLevelFrameParams(
-        theta=frame.theta, theta_dot=frame.theta_dot,
-        alpha=frame.alpha, alpha_dot=frame.alpha_dot,
-    )
+def _inner_drive(frame, g0, g1, xi0, xi1, varphi) -> Callable:
+    """Envelope of the ``|0> <-> |1>`` drive."""
+    sx0, sx1 = np.sin(xi0), np.sin(xi1)
+    return _pair_drive(lambda ts: g0(ts) * sx0 - g1(ts) * sx1, frame.theta, frame.theta_dot,
+                       frame.alpha, varphi, "varphi + alpha")
 
 
-def _three_level_alpha_residual(
-    controls: ThreeLevelControls, frame: ThreeLevelFrameParams, ts: np.ndarray
-) -> np.ndarray:
-    """Inner condition: the two-level alpha equation with Delta -> Delta1 - Delta0."""
-    c = controls
+def synthesize_two_level(
+    frame: TwoLevelFrameParams, *, gamma0, gamma1, xi0: float, xi1: float, delta,
+    varphi: float, grid: TimeGrid | np.ndarray,
+) -> TwoLevelControls:
+    """Solve the two-level triangularization condition for the drive envelope.
 
-    def delta_inner(t):
-        return np.asarray(c.delta1(t)) - np.asarray(c.delta0(t))
-
-    return np.abs(_two_level_phase_residual(
-        _inner_two_level_frame(frame), c.omega_a, delta_inner,
-        c.gamma0, c.gamma1, c.xi0, c.xi1, c.varphi_a, ts,
-    ))
-
-
-def _three_level_beta_residual(
-    controls: ThreeLevelControls, frame: ThreeLevelFrameParams, ts: np.ndarray
-) -> np.ndarray:
-    """Outer condition: real part of the bright/e above-diagonal rotated entry."""
-    c = controls
-    th = np.asarray(frame.theta(ts))
-    ph = np.asarray(frame.phi_mix(ts))
-    al = np.asarray(frame.alpha(ts))
-    be = np.asarray(frame.beta(ts))
-    sin_th2, cos_th2 = np.sin(th) ** 2, np.cos(th) ** 2
-    re_bright = (
-        np.asarray(c.delta0(ts)) * sin_th2 + np.asarray(c.delta1(ts)) * cos_th2
-        + 0.5 * (c.gamma0(ts) * np.cos(c.xi0) * sin_th2
-                 + c.gamma1(ts) * np.cos(c.xi1) * cos_th2)
-        + 0.5 * np.asarray(c.omega_a(ts)) * np.sin(2.0 * th) * np.cos(c.varphi_a + al)
-    )
-    re_e = np.asarray(c.delta_e(ts)) + 0.5 * c.gamma_e(ts) * np.cos(c.xi_e)
-    s2p, c2p = np.sin(2.0 * ph), np.cos(2.0 * ph)
-    return np.abs(
-        0.5 * s2p * (re_bright - re_e)
-        + 0.5 * np.asarray(c.omega(ts)) * c2p * np.cos(c.varphi + be)
-        + 0.5 * np.asarray(frame.beta_dot(ts)) * s2p
-        - 0.25 * np.asarray(frame.alpha_dot(ts)) * np.cos(2.0 * th) * s2p
-    )
+    The envelope is fixed by the imaginary part of the condition; the real
+    part couples the supplied ``alpha`` and ``delta`` and is *checked*,
+    not solved: a residual above :data:`CONSISTENCY_TOL` on the grid raises
+    :class:`PhaseConsistencyError`.  A denominator ``|sin(varphi + alpha)|``
+    below the guard raises :class:`SingularDenominatorError`.
+    """
+    g0, g1 = _as_callable(gamma0), _as_callable(gamma1)
+    return _consistent(TwoLevelControls(
+        omega=_inner_drive(frame, g0, g1, xi0, xi1, varphi), delta=_as_callable(delta),
+        gamma0=g0, gamma1=g1, varphi=float(varphi), xi0=float(xi0), xi1=float(xi1),
+    ), frame, grid)
 
 
-def two_level_consistency_residual(
-    controls: TwoLevelControls, frame: TwoLevelFrameParams, grid
-) -> float:
-    """Max local-phase consistency residual of synthesized two-level controls."""
-    ts = grid.times() if isinstance(grid, TimeGrid) else np.asarray(grid, dtype=float)
-    res = _two_level_phase_residual(
-        frame, controls.omega, controls.delta, controls.gamma0, controls.gamma1,
-        controls.xi0, controls.xi1, controls.varphi, ts,
-    )
-    return float(np.max(np.abs(res)))
+def synthesize_three_level(
+    frame: ThreeLevelFrameParams, *, gamma0, gamma1, gamma_e, xi0: float, xi1: float,
+    xi_e: float, delta0, delta1, delta_e, varphi: float, varphi_a: float,
+    grid: TimeGrid | np.ndarray,
+) -> ThreeLevelControls:
+    """Solve the three-level triangularization conditions for all drive envelopes.
+
+    The inner ``|0> <-> |1>`` pair is the two-level problem with ``varphi ->
+    varphi_a``; the outer pair couples its bright state to ``|e>``.  Both
+    residuals (alpha, then beta) are checked as for two levels.
+    """
+    g0, g1, ge = _as_callable(gamma0), _as_callable(gamma1), _as_callable(gamma_e)
+    sx0, sx1, sxe = np.sin(xi0), np.sin(xi1), np.sin(xi_e)
+    # 2 Im(d_bright - d_e): the bright state's gain part needs no omega_a
+    omega = _pair_drive(
+        lambda ts: _weigh(g0(ts) * sx0, g1(ts) * sx1, np.asarray(frame.theta(ts))) - ge(ts) * sxe,
+        frame.phi_mix, frame.phi_mix_dot, frame.beta, varphi, "varphi + beta")
+    return _consistent(ThreeLevelControls(
+        omega0=lambda t: np.asarray(omega(t)) * np.sin(np.asarray(frame.theta(t))),
+        omega1=lambda t: np.asarray(omega(t)) * np.cos(np.asarray(frame.theta(t))),
+        omega_a=_inner_drive(frame, g0, g1, xi0, xi1, varphi_a),
+        omega=omega,
+        delta0=_as_callable(delta0), delta1=_as_callable(delta1),
+        delta_e=_as_callable(delta_e),
+        varphi0=lambda t: varphi - 0.5 * np.asarray(frame.alpha(t)),
+        varphi1=lambda t: varphi + 0.5 * np.asarray(frame.alpha(t)),
+        varphi_a=float(varphi_a),
+        varphi=float(varphi),
+        gamma0=g0, gamma1=g1, gamma_e=ge,
+        xi0=float(xi0), xi1=float(xi1), xi_e=float(xi_e),
+    ), frame, grid)
 
 
-def three_level_consistency_residual(
-    controls: ThreeLevelControls, frame: ThreeLevelFrameParams, grid
-) -> float:
-    """Max of the alpha and beta consistency residuals over the grid."""
-    ts = grid.times() if isinstance(grid, TimeGrid) else np.asarray(grid, dtype=float)
-    r_alpha = _three_level_alpha_residual(controls, frame, ts)
-    r_beta = _three_level_beta_residual(controls, frame, ts)
-    return float(max(np.max(r_alpha), np.max(r_beta)))
+def two_level_consistency_residual(controls, frame, grid) -> float:
+    """Max local-phase consistency residual (alpha, and for three levels beta) over the grid.
+
+    ``three_level_consistency_residual`` is this function.
+    """
+    residuals = _consistency_residuals(controls, frame, _grid_times(grid))
+    return float(max(np.max(res) for res in residuals.values()))
+
+
+three_level_consistency_residual = two_level_consistency_residual
 
 
 @dataclass(frozen=True)
@@ -425,8 +363,7 @@ def _accumulate_simpson(fdot: Callable, times: np.ndarray) -> np.ndarray:
     stage-end cancellations in the imaginary part survive at the 1e-12
     level.
     """
-    left = times[:-1]
-    right = times[1:]
+    left, right = times[:-1], times[1:]
     mid = 0.5 * (left + right)
     panels = (right - left) / 6.0 * (
         np.asarray(fdot(left)) + 4.0 * np.asarray(fdot(mid)) + np.asarray(fdot(right))
@@ -437,136 +374,55 @@ def _accumulate_simpson(fdot: Callable, times: np.ndarray) -> np.ndarray:
     return out
 
 
-def _two_level_fdot(controls: TwoLevelControls, frame: TwoLevelFrameParams, passage: str):
-    c = controls
-    e0 = np.exp(1j * c.xi0)
-    e1 = np.exp(1j * c.xi1)
+def phase_two_level(controls, frame, grid: TimeGrid, passage: str = "ket") -> PhaseFunctional:
+    """Accumulated complex phase along a passage of two- or three-level controls.
 
-    def fdot(ts):
-        ts = np.asarray(ts, dtype=float)
-        th = np.asarray(frame.theta(ts))
-        al = np.asarray(frame.alpha(ts))
-        sin2, cos2 = np.sin(th) ** 2, np.cos(th) ** 2
-        s2, c2 = np.sin(2.0 * th), np.cos(2.0 * th)
-        drive = 0.5 * np.asarray(c.omega(ts)) * s2 * np.cos(c.varphi + al)
-        twist = 0.5 * np.asarray(frame.alpha_dot(ts)) * c2
-        if passage == "ket":
-            return (np.asarray(c.delta(ts)) * cos2 + drive - twist
-                    + 0.5 * (c.gamma0(ts) * e0 * sin2 + c.gamma1(ts) * e1 * cos2))
-        return (np.asarray(c.delta(ts)) * sin2 - drive + twist
-                + 0.5 * (c.gamma0(ts) * e0 * cos2 + c.gamma1(ts) * e1 * sin2))
-
-    return fdot
-
-
-def _three_level_fdot(controls: ThreeLevelControls, frame: ThreeLevelFrameParams, passage: str):
-    c = controls
-    e0 = np.exp(1j * c.xi0)
-    e1 = np.exp(1j * c.xi1)
-    ee = np.exp(1j * c.xi_e)
-
-    def fdot(ts):
-        ts = np.asarray(ts, dtype=float)
-        th = np.asarray(frame.theta(ts))
-        al = np.asarray(frame.alpha(ts))
-        sin2, cos2 = np.sin(th) ** 2, np.cos(th) ** 2
-        s2t, c2t = np.sin(2.0 * th), np.cos(2.0 * th)
-        drive_a = 0.5 * np.asarray(c.omega_a(ts)) * s2t * np.cos(c.varphi_a + al)
-        if passage == "bra":
-            return (np.asarray(c.delta0(ts)) * cos2 + np.asarray(c.delta1(ts)) * sin2
-                    - drive_a + 0.5 * np.asarray(frame.alpha_dot(ts)) * c2t
-                    + 0.5 * (c.gamma0(ts) * e0 * cos2 + c.gamma1(ts) * e1 * sin2))
-        ph = np.asarray(frame.phi_mix(ts))
-        be = np.asarray(frame.beta(ts))
-        sin2p, cos2p = np.sin(ph) ** 2, np.cos(ph) ** 2
-        s2p, c2p = np.sin(2.0 * ph), np.cos(2.0 * ph)
-        bright = (np.asarray(c.delta0(ts)) * sin2 + np.asarray(c.delta1(ts)) * cos2
-                  + drive_a
-                  + 0.5 * (c.gamma0(ts) * e0 * sin2 + c.gamma1(ts) * e1 * cos2))
-        level_e = np.asarray(c.delta_e(ts)) + 0.5 * c.gamma_e(ts) * ee
-        return (sin2p * bright + cos2p * level_e
-                + 0.5 * np.asarray(c.omega(ts)) * s2p * np.cos(c.varphi + be)
-                - 0.5 * np.asarray(frame.beta_dot(ts)) * c2p
-                - 0.5 * np.asarray(frame.alpha_dot(ts)) * sin2p * c2t)
-
-    return fdot
-
-
-def _phase_from_fdot(fdot, grid: TimeGrid, passage: str) -> PhaseFunctional:
-    times = grid.times()
-    f = _accumulate_simpson(fdot, times)
-    if passage == "ket":
-        return PhaseFunctional(times=times, f_real=f.real, f_imag=f.imag)
-    # bra passages carry exp(-i f*), so the recorded functional is the conjugate
-    return PhaseFunctional(times=times, f_real=f.real, f_imag=-f.imag)
-
-
-def phase_two_level(
-    controls: TwoLevelControls,
-    frame: TwoLevelFrameParams,
-    grid: TimeGrid,
-    passage: str = "ket",
-) -> PhaseFunctional:
-    """Accumulated complex phase along a two-level passage.
-
-    ``passage='ket'`` follows the last frame vector under ``H``;
-    ``passage='bra'`` follows the first frame vector under ``H^dag``
-    (recorded with the conjugate convention so that ``exp(f_imag)`` is
-    the norm in both cases).
+    ``phase_three_level`` is this function.  ``passage='ket'`` follows the
+    last frame vector under ``H``; ``passage='bra'`` follows the first frame
+    vector under ``H^dag`` (recorded with the conjugate convention so that
+    ``exp(f_imag)`` is the norm in both cases).
     """
     if passage not in ("ket", "bra"):
         raise InvalidArgumentError(f"passage must be 'ket' or 'bra', got {passage!r}")
-    return _phase_from_fdot(_two_level_fdot(controls, frame, passage), grid, passage)
+
+    def fdot(ts):
+        # the bra vector mu_1 lies in the inner pair; the three-level ket
+        # vector is the outer pair's, whose d_lo is the inner ket rate
+        inner = _inner_pair(controls, frame, ts, _cis)
+        if passage == "bra" or isinstance(controls, TwoLevelControls):
+            return _pair_rate(passage, *inner)
+        return _pair_rate("ket", *_outer_pair(controls, frame, ts, _cis,
+                                              _pair_rate("ket", *inner)))
+
+    times = grid.times()
+    f = _accumulate_simpson(fdot, times)
+    # bra passages carry exp(-i f*), so the recorded functional is the conjugate
+    return PhaseFunctional(times=times, f_real=f.real,
+                           f_imag=f.imag if passage == "ket" else -f.imag)
 
 
-def phase_three_level(
-    controls: ThreeLevelControls,
-    frame: ThreeLevelFrameParams,
-    grid: TimeGrid,
-    passage: str = "ket",
-) -> PhaseFunctional:
-    """Accumulated complex phase along a three-level passage (ket or bra space)."""
-    if passage not in ("ket", "bra"):
-        raise InvalidArgumentError(f"passage must be 'ket' or 'bra', got {passage!r}")
-    return _phase_from_fdot(_three_level_fdot(controls, frame, passage), grid, passage)
+phase_three_level = phase_two_level
 
 
 def bra_phase_relation_check(controls, frame, grid) -> float:
     """Residual of the linear relation tying the bra-passage phase to the ket one.
 
-    Two-level: ``conj(fdot_11) = Delta - conj(fdot_22)``.  Three-level:
-    ``conj(fdot_11) = Delta0 cos^2 theta + Delta1 - conj(fdot_22_inner)``
-    where the inner functional is the two-level one under ``Delta ->
-    Delta1``, ``Omega -> Omega_a``, ``varphi -> varphi_a``.  Returns the
-    max magnitude over grid points; both relations hold identically when
-    the gain/loss assignment satisfies
+    ``conj(fdot_11) = Delta0 cos^2 theta + Delta1 - conj(fdot_22_inner)`` on the
+    ``|0>, |1>`` pair (the whole system for two levels, with ``Delta0 = 0``,
+    ``Delta1 = Delta``): ``fdot_11`` is its bra rate and ``fdot_22_inner`` its
+    ket rate without ``Delta0``.  Returns the max magnitude over grid points;
+    the relation holds identically when the gain/loss assignment satisfies
     ``gamma0 e^{-i xi0} + gamma1 e^{-i xi1} = 0``.
     """
-    times = grid.times() if isinstance(grid, TimeGrid) else np.asarray(grid, dtype=float)
-    if isinstance(controls, TwoLevelControls):
-        # raw diagonal entries of the rotated generator (no bra conjugation here)
-        raw11 = _two_level_fdot(controls, frame, "bra")(times)
-        raw22 = _two_level_fdot(controls, frame, "ket")(times)
-        residual = np.conj(raw11) - np.asarray(controls.delta(times)) + np.conj(raw22)
-        return float(np.max(np.abs(residual)))
-    if isinstance(controls, ThreeLevelControls):
-        raw11 = _three_level_fdot(controls, frame, "bra")(times)
-        inner = TwoLevelControls(
-            omega=controls.omega_a,
-            delta=controls.delta1,
-            gamma0=controls.gamma0,
-            gamma1=controls.gamma1,
-            varphi=controls.varphi_a,
-            xi0=controls.xi0,
-            xi1=controls.xi1,
-        )
-        raw22 = _two_level_fdot(inner, _inner_two_level_frame(frame), "ket")(times)
-        th = np.asarray(frame.theta(times))
-        target = (np.asarray(controls.delta0(times)) * np.cos(th) ** 2
-                  + np.asarray(controls.delta1(times)))
-        residual = np.conj(raw11) - target + np.conj(raw22)
-        return float(np.max(np.abs(residual)))
-    raise TypeError(f"unsupported controls type {type(controls).__name__}")
+    times = _grid_times(grid)
+    d0, d1, *rest = _inner_pair(controls, frame, times, _cis)
+    # the detunings alone: the same diagonal entries with the gains weighted by zero
+    delta0, delta1, *_ = _inner_pair(controls, frame, times, lambda xi: 0.0)
+    # raw diagonal entries of the rotated generator (no bra conjugation here)
+    raw11 = _pair_rate("bra", d0, d1, *rest)
+    raw22 = _pair_rate("ket", d0 - delta0, d1, *rest)
+    target = delta0 * np.cos(rest[0]) ** 2 + delta1
+    return float(np.max(np.abs(np.conj(raw11) - target + np.conj(raw22))))
 
 
 @dataclass(frozen=True)
