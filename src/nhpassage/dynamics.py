@@ -150,26 +150,32 @@ class TimeGrid:
         return TimeGrid(self.t0, self.tf, self.dt / 2, self.stage_boundaries)
 
 
-def _tabulated(batch: Callable[[np.ndarray], np.ndarray], times: np.ndarray) -> Callable:
+class _Table:
     """``batch`` evaluated once on ``times``: a request for exactly those times, or a
     subset matched by exact float equality, is served read-only from the table, and
-    any other request evaluates ``batch``, so every caller gets the same floats."""
-    times = np.asarray(times, dtype=float)
-    table = np.asarray(batch(times)).view()
-    table.flags.writeable = False
+    any other request evaluates ``batch``, so every caller gets the same floats.
 
-    def lookup(ts):
+    ``checked`` declares that ``batch`` validates every block it returns, as
+    :meth:`TimeDependentOperator.sample` does: the table is then checked once,
+    when built, and the blocks it serves need no second scan."""
+
+    def __init__(self, batch: Callable[[np.ndarray], np.ndarray], times: np.ndarray,
+                 checked: bool = False):
+        self.batch, self.checked = batch, checked
+        self.times = np.asarray(times, dtype=float)
+        self.table = np.asarray(batch(self.times)).view()
+        self.table.flags.writeable = False
+
+    def __call__(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
-        if np.array_equal(ts, times):
-            return table
-        rows = np.minimum(np.searchsorted(times, ts), times.size - 1)
-        if not np.array_equal(times[rows], ts):
-            return batch(ts)
-        block = table[rows]
+        if np.array_equal(ts, self.times):
+            return self.table
+        rows = np.minimum(np.searchsorted(self.times, ts), self.times.size - 1)
+        if not np.array_equal(self.times[rows], ts):
+            return self.batch(ts)
+        block = self.table[rows]
         block.flags.writeable = False
         return block
-
-    return lookup
 
 
 @dataclass(frozen=True)
@@ -184,8 +190,15 @@ class TimeDependentOperator:
     values_at: Callable[[np.ndarray], np.ndarray]
 
     def sample(self, times: np.ndarray) -> np.ndarray:
-        """Evaluate at an array of times lying within one smooth stretch."""
+        """Evaluate at an array of times lying within one smooth stretch.
+
+        A block is checked for shape and NaN/Inf, and :class:`NonFiniteSampleError`
+        names its first bad time; a table from :meth:`tabulated` was checked so
+        when built, and serves its blocks as they are.
+        """
         times = np.asarray(times, dtype=float)
+        if isinstance(self.values_at, _Table) and self.values_at.checked:
+            return self.values_at(times)
         block = np.asarray(self.values_at(times), dtype=complex)
         if block.shape != (times.size, self.dim, self.dim):
             raise DimensionMismatchError(
@@ -196,8 +209,9 @@ class TimeDependentOperator:
         return block
 
     def tabulated(self, times: np.ndarray) -> "TimeDependentOperator":
-        """This generator evaluated once on ``times``; see :func:`_tabulated`."""
-        return TimeDependentOperator(self.dim, _tabulated(self.values_at, times))
+        """This generator sampled once on ``times``, its shape and NaN/Inf
+        checked then and not again per request; see :class:`_Table`."""
+        return TimeDependentOperator(self.dim, _Table(self.sample, times, checked=True))
 
     def adjoint(self) -> "TimeDependentOperator":
         """The Hermitian conjugate generator t -> H(t)^dag."""

@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import TimeDependentOperator, TimeGrid, _tabulated, _time_last
+from .dynamics import TimeDependentOperator, TimeGrid, _Table, _time_last
 from .exceptions import DimensionMismatchError, NonHermitianError
 
 __all__ = [
@@ -65,8 +65,8 @@ class AncillaryFrame:
 
     def tabulated(self, times: np.ndarray) -> "AncillaryFrame":
         """This frame and its derivative evaluated once on ``times``."""
-        return AncillaryFrame(self.dim, _tabulated(self.basis_batch, times),
-                              _tabulated(self.basis_derivative_batch, times))
+        return AncillaryFrame(self.dim, _Table(self.basis_batch, times),
+                              _Table(self.basis_derivative_batch, times))
 
     def sample_derivative(self, times: np.ndarray) -> np.ndarray:
         return self._checked(self.basis_derivative_batch, times)

@@ -507,6 +507,35 @@ def test_tables_serve_the_direct_values(t0, dt, n, seed):
             block[0, 0, 0] = 0.0
 
 
+def test_tabulating_a_nan_sample_raises_naming_its_time():
+    def values_at(ts):
+        block = np.zeros((len(ts), 2, 2), dtype=complex)
+        block[ts == 0.3, 0, 1] = np.nan
+        return block
+
+    H = TimeDependentOperator(dim=2, values_at=values_at)
+    with pytest.raises(NonFiniteSampleError, match=r"at t = 0\.3 contains"):
+        H.tabulated(np.array([0.0, 0.1, 0.25, 0.3, 0.5, 0.6]))
+
+
+def test_tables_are_scanned_once_and_fresh_samples_every_time(monkeypatch):
+    scans = []
+
+    def counting(block, times, inner=dynamics._check_finite_block):
+        scans.append(len(times))
+        inner(block, times)
+
+    monkeypatch.setattr(dynamics, "_check_finite_block", counting)
+    times = np.linspace(0.0, 1.0, 11)
+    tab = smooth_generator(3, 5).tabulated(times)
+    assert scans == [11]
+    tab.sample(times)
+    tab.sample(times[::2])
+    assert scans == [11]  # served from the table: no second scan
+    tab.sample(times + 0.05)
+    assert scans == [11, 11]  # a fresh evaluation keeps its check
+
+
 # ---------------------------------------------------------------------------
 # the dt/2 re-run against an extended-precision oracle
 
