@@ -153,15 +153,10 @@ class TimeGrid:
 class _Table:
     """``batch`` evaluated once on ``times``: a request for exactly those times, or a
     subset matched by exact float equality, is served read-only from the table, and
-    any other request evaluates ``batch``, so every caller gets the same floats.
+    any other request evaluates ``batch``, so every caller gets the same floats."""
 
-    ``checked`` declares that ``batch`` validates every block it returns, as
-    :meth:`TimeDependentOperator.sample` does: the table is then checked once,
-    when built, and the blocks it serves need no second scan."""
-
-    def __init__(self, batch: Callable[[np.ndarray], np.ndarray], times: np.ndarray,
-                 checked: bool = False):
-        self.batch, self.checked = batch, checked
+    def __init__(self, batch: Callable[[np.ndarray], np.ndarray], times: np.ndarray):
+        self.batch = batch
         self.times = np.asarray(times, dtype=float)
         self.table = np.asarray(batch(self.times)).view()
         self.table.flags.writeable = False
@@ -197,7 +192,7 @@ class TimeDependentOperator:
         when built, and serves its blocks as they are.
         """
         times = np.asarray(times, dtype=float)
-        if isinstance(self.values_at, _Table) and self.values_at.checked:
+        if isinstance(self.values_at, _Table):
             return self.values_at(times)
         block = np.asarray(self.values_at(times), dtype=complex)
         if block.shape != (times.size, self.dim, self.dim):
@@ -211,7 +206,7 @@ class TimeDependentOperator:
     def tabulated(self, times: np.ndarray) -> "TimeDependentOperator":
         """This generator sampled once on ``times``, its shape and NaN/Inf
         checked then and not again per request; see :class:`_Table`."""
-        return TimeDependentOperator(self.dim, _Table(self.sample, times, checked=True))
+        return TimeDependentOperator(self.dim, _Table(self.sample, times))
 
     def adjoint(self) -> "TimeDependentOperator":
         """The Hermitian conjugate generator t -> H(t)^dag."""
