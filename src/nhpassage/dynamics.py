@@ -150,6 +150,11 @@ class TimeGrid:
         return TimeGrid(self.t0, self.tf, self.dt / 2, self.stage_boundaries)
 
 
+def _dagger(block: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of every matrix of an ``(n, K, K)`` block."""
+    return np.conj(np.asarray(block)).transpose(0, 2, 1)
+
+
 class _Table:
     """``batch`` evaluated once on ``times``: a request for exactly those times, or a
     subset matched by exact float equality, is served read-only from the table, and
@@ -173,6 +178,17 @@ class _Table:
         return block
 
 
+class _AdjointTable:
+    """A table's blocks conjugate-transposed per request: what a bra sweep reads,
+    served as checked when the table was built, and no second table is held."""
+
+    def __init__(self, table: _Table):
+        self.table = table
+
+    def __call__(self, ts: np.ndarray) -> np.ndarray:
+        return _dagger(self.table(ts))
+
+
 @dataclass(frozen=True)
 class TimeDependentOperator:
     """A K x K complex-matrix-valued function of time.
@@ -189,10 +205,10 @@ class TimeDependentOperator:
 
         A block is checked for shape and NaN/Inf, and :class:`NonFiniteSampleError`
         names its first bad time; a table from :meth:`tabulated` was checked so
-        when built, and serves its blocks as they are.
+        when built, and it and its :meth:`adjoint` serve its blocks unchecked.
         """
         times = np.asarray(times, dtype=float)
-        if isinstance(self.values_at, _Table):
+        if isinstance(self.values_at, (_Table, _AdjointTable)):
             return self.values_at(times)
         block = np.asarray(self.values_at(times), dtype=complex)
         if block.shape != (times.size, self.dim, self.dim):
@@ -209,12 +225,12 @@ class TimeDependentOperator:
         return TimeDependentOperator(self.dim, _Table(self.sample, times))
 
     def adjoint(self) -> "TimeDependentOperator":
-        """The Hermitian conjugate generator t -> H(t)^dag."""
+        """The Hermitian conjugate generator t -> H(t)^dag; the adjoint of a table
+        serves the table's blocks conjugate-transposed, without a second scan."""
         batch = self.values_at
-        return TimeDependentOperator(
-            dim=self.dim,
-            values_at=lambda ts: np.conj(np.asarray(batch(ts))).transpose(0, 2, 1),
-        )
+        if isinstance(batch, _Table):
+            return TimeDependentOperator(self.dim, _AdjointTable(batch))
+        return TimeDependentOperator(self.dim, lambda ts: _dagger(batch(ts)))
 
 
 def constant_operator(matrix) -> TimeDependentOperator:
@@ -501,21 +517,27 @@ def dyson_truncation(
 ) -> np.ndarray:
     """Partial sum of the time-ordered series for the ket propagator.
 
-    Terms 0..``order`` of the expansion of ``U0(t)`` are evaluated by
-    nested left-endpoint Riemann sums with ``quadrature_steps`` nodes per
-    axis (computed recursively as cumulative sums, which is algebraically
-    identical to the naive nested sum).  The zeroth-order term is the
-    identity.  Useful as an independent short-horizon oracle: against an
-    accurate propagator the residual shrinks as O((t - t0)^(order + 1))
-    once the quadrature is resolved.
+    Terms 0..``order`` of the expansion of ``U0(t)`` are nested integrals
+    ``S_k(s) = int_t0^s (-i H) S_{k-1}``, ``S_0 = I``, each evaluated on
+    ``quadrature_steps + 1`` equally spaced nodes (an even count of steps)
+    by a cumulative composite Simpson rule: ``h/3 (f0 + 4 f1 + f2)`` per
+    panel up to the even nodes, and the three-point rule
+    ``h/12 (5 f0 + 8 f1 - f2)`` from each even node to the next odd one.
+    For a constant generator every integrand up to order 4 is a cubic,
+    which both rules integrate exactly, so the sum is the Taylor polynomial
+    of ``exp(-i H (t - t0))`` up to rounding at any node count; for a
+    time-dependent ``H`` the quadrature error is O(h^4).  Useful as an
+    independent short-horizon oracle: against an accurate propagator the
+    residual shrinks as O((t - t0)^(order + 1)).
     """
     for name, value in (("order", order), ("quadrature_steps", quadrature_steps)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
     if order < 0:
         raise InvalidArgumentError(f"order must be >= 0, got {order}")
-    if quadrature_steps < 1:
-        raise InvalidArgumentError(f"quadrature_steps must be >= 1, got {quadrature_steps}")
+    if quadrature_steps < 2 or quadrature_steps % 2:
+        raise InvalidArgumentError(
+            f"quadrature_steps must be even and >= 2, got {quadrature_steps}")
     if t < t0:
         raise InvalidArgumentError(f"t = {t} precedes t0 = {t0}")
     K = H.dim
@@ -524,12 +546,15 @@ def dyson_truncation(
         return total
     n = int(quadrature_steps)
     h = (t - t0) / n
-    gs = _time_last((-1j * h) * H.sample(t0 + h * np.arange(n)))
-    # S_k[..., j] approximates the k-fold nested integral up to node j.
-    s_prev = np.broadcast_to(np.eye(K, dtype=complex)[..., None], (K, K, n + 1))
+    gs = _time_last((-1j * h) * H.sample(t0 + h * np.arange(n + 1)))
+    # s[..., j] approximates the k-fold nested integral up to node j
+    s = np.broadcast_to(np.eye(K, dtype=complex)[..., None], (K, K, n + 1))
     for _ in range(order):
-        s = np.zeros((K, K, n + 1), dtype=complex)
-        np.cumsum(np.einsum("ijn,jkn->ikn", gs, s_prev[..., :n]), axis=-1, out=s[..., 1:])
+        f = _mul(gs, s)
+        f0, f1, f2 = f[..., 0:-1:2], f[..., 1::2], f[..., 2::2]
+        s = np.empty((K, K, n + 1), dtype=complex)
+        s[..., 0] = 0.0
+        np.cumsum((f0 + 4.0 * f1 + f2) / 3.0, axis=-1, out=s[..., 2::2])
+        s[..., 1::2] = s[..., 0:-1:2] + (5.0 * f0 + 8.0 * f1 - f2) / 12.0
         total = total + s[..., n]
-        s_prev = s
     return total

@@ -114,14 +114,14 @@ class ThreeLevelControls:
     ``omega0``/``omega1`` drive ``|0> <-> |e>`` and ``|1> <-> |e>`` with
     phases ``varphi0(t) = varphi - alpha(t)/2`` and ``varphi1(t) = varphi +
     alpha(t)/2``; ``omega_a`` drives ``|0> <-> |1>`` with constant phase
-    ``varphi_a``.  ``omega`` is the shared outer envelope, kept for
-    reference: ``omega0 = omega sin(theta)``, ``omega1 = omega cos(theta)``.
+    ``varphi_a``.  ``omega`` is the shared outer envelope and ``theta`` the
+    frame's mixing angle that splits it: ``omega0 = omega sin(theta)``,
+    ``omega1 = omega cos(theta)``, so scaling ``omega`` scales both.
     """
 
-    omega0: Callable
-    omega1: Callable
-    omega_a: Callable
     omega: Callable
+    theta: Callable
+    omega_a: Callable
     delta0: Callable
     delta1: Callable
     delta_e: Callable
@@ -135,6 +135,14 @@ class ThreeLevelControls:
     xi0: float
     xi1: float
     xi_e: float
+
+    def omega0(self, ts) -> np.ndarray:
+        """The ``|0> <-> |e>`` envelope ``omega sin(theta)``."""
+        return np.asarray(self.omega(ts)) * np.sin(np.asarray(self.theta(ts)))
+
+    def omega1(self, ts) -> np.ndarray:
+        """The ``|1> <-> |e>`` envelope ``omega cos(theta)``."""
+        return np.asarray(self.omega(ts)) * np.cos(np.asarray(self.theta(ts)))
 
 
 def two_level_hamiltonian(controls: TwoLevelControls) -> TimeDependentOperator:
@@ -171,8 +179,10 @@ def three_level_hamiltonian(controls: ThreeLevelControls) -> TimeDependentOperat
         h[..., 0, 0] = np.asarray(c.delta0(ts)) + 0.5 * e0 * c.gamma0(ts)
         h[..., 1, 1] = np.asarray(c.delta1(ts)) + 0.5 * e1 * c.gamma1(ts)
         h[..., 2, 2] = np.asarray(c.delta_e(ts)) + 0.5 * ee * c.gamma_e(ts)
-        h[..., 2, 0] = 0.5 * np.asarray(c.omega0(ts)) * np.exp(1j * np.asarray(c.varphi0(ts)))
-        h[..., 2, 1] = 0.5 * np.asarray(c.omega1(ts)) * np.exp(1j * np.asarray(c.varphi1(ts)))
+        # the outer envelope and mixing angle once for both outer drives
+        om, th = np.asarray(c.omega(ts)), np.asarray(c.theta(ts))
+        h[..., 2, 0] = 0.5 * (om * np.sin(th)) * np.exp(1j * np.asarray(c.varphi0(ts)))
+        h[..., 2, 1] = 0.5 * (om * np.cos(th)) * np.exp(1j * np.asarray(c.varphi1(ts)))
         h[..., 1, 0] = 0.5 * np.asarray(c.omega_a(ts)) * epa
         h[..., 0, 2] = np.conj(h[..., 2, 0])
         h[..., 1, 2] = np.conj(h[..., 2, 1])
@@ -315,10 +325,9 @@ def synthesize_three_level(
         lambda ts: _weigh(g0(ts) * sx0, g1(ts) * sx1, np.asarray(frame.theta(ts))) - ge(ts) * sxe,
         frame.phi_mix, frame.phi_mix_dot, frame.beta, varphi, "varphi + beta")
     return _consistent(ThreeLevelControls(
-        omega0=lambda t: np.asarray(omega(t)) * np.sin(np.asarray(frame.theta(t))),
-        omega1=lambda t: np.asarray(omega(t)) * np.cos(np.asarray(frame.theta(t))),
-        omega_a=_inner_drive(frame, g0, g1, xi0, xi1, varphi_a),
         omega=omega,
+        theta=frame.theta,
+        omega_a=_inner_drive(frame, g0, g1, xi0, xi1, varphi_a),
         delta0=_as_callable(delta0), delta1=_as_callable(delta1),
         delta_e=_as_callable(delta_e),
         varphi0=lambda t: varphi - 0.5 * np.asarray(frame.alpha(t)),

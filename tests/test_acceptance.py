@@ -155,7 +155,7 @@ def test_criterion_07_series_truncation_order():
         errs = []
         for tau in (1.0, 0.5):
             ref = propagator_ket(H, TimeGrid(0.0, tau, tau / 400))[-1]
-            errs.append(np.max(np.abs(ref - dyson_truncation(H, tau, 4, 65536))))
+            errs.append(np.max(np.abs(ref - dyson_truncation(H, tau, 4, 256))))
         order = float(np.log2(errs[0] / errs[1]))
         worst = min(worst, order)
         assert order >= 4.5

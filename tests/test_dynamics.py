@@ -1,5 +1,7 @@
 """Core propagation: paired evolutions, propagators, series oracle."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -273,8 +275,38 @@ def test_series_order_four_scales_as_fifth_power():
     errs = []
     for tau in (0.8, 0.4):
         ref = propagator_ket(H, TimeGrid(0.0, tau, tau / 400))[-1]
-        errs.append(np.max(np.abs(ref - dyson_truncation(H, tau, 4, 16384))))
+        errs.append(np.max(np.abs(ref - dyson_truncation(H, tau, 4, 256))))
     assert np.log2(errs[0] / errs[1]) > 4.5
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_series_is_the_taylor_polynomial_of_a_constant_generator_at_two_steps(order):
+    # every integrand up to order 4 is a cubic, which Simpson integrates exactly
+    h = random_generator(3, seed=58)
+    tau = 0.9
+    taylor = sum(np.linalg.matrix_power(-1j * tau * h, k) / math.factorial(k)
+                 for k in range(order + 1))
+    for steps in (2, 64):
+        got = dyson_truncation(constant_operator(h), tau, order, steps)
+        assert np.max(np.abs(got - taylor)) <= 1e-14
+
+
+def test_series_quadrature_error_falls_sixteenfold_per_halving():
+    # order 12 on a short horizon leaves only the O(h^4) quadrature error
+    H = smooth_generator(3, seed=59)
+    t0, t = 0.2, 0.6
+    ref = propagator_ket(H, TimeGrid(t0, t, (t - t0) / 20000))[-1]
+    errs = [np.max(np.abs(dyson_truncation(H, t, 12, steps, t0=t0) - ref))
+            for steps in (8, 16, 32)]
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 14.0 < coarse / fine < 18.0
+
+
+def test_series_rejects_an_odd_step_count():
+    H = constant_operator(np.eye(2))
+    for steps in (1, 3, 129):
+        with pytest.raises(InvalidArgumentError, match="even"):
+            dyson_truncation(H, 0.5, 2, steps)
 
 
 def test_series_rejects_bad_arguments():
@@ -304,16 +336,19 @@ def test_series_accepts_numpy_integers():
 
 
 def nfirst_dyson(H, t, order, n, t0=0.0):
-    """Reference copy of the series with ``(n, K, K)`` einsum products."""
+    """Reference copy of the series with ``(n, K, K)`` einsum products and the
+    cumulative Simpson rule taken node by node."""
     K = H.dim
     total = np.eye(K, dtype=complex)
     h = (t - t0) / n
-    hs = H.sample(t0 + h * np.arange(n))
+    gs = -1j * H.sample(t0 + h * np.arange(n + 1))
     s_prev = np.broadcast_to(np.eye(K, dtype=complex), (n + 1, K, K))
     for _ in range(order):
-        prod = (-1j * h) * np.einsum("nij,njk->nik", hs, s_prev[:n])
+        f = np.einsum("nij,njk->nik", gs, s_prev)
         s = np.zeros((n + 1, K, K), dtype=complex)
-        np.cumsum(prod, axis=0, out=s[1:])
+        for j in range(0, n, 2):
+            s[j + 1] = s[j] + h / 12.0 * (5.0 * f[j] + 8.0 * f[j + 1] - f[j + 2])
+            s[j + 2] = s[j] + h / 3.0 * (f[j] + 4.0 * f[j + 1] + f[j + 2])
         total = total + s[n]
         s_prev = s
     return total
@@ -322,8 +357,8 @@ def nfirst_dyson(H, t, order, n, t0=0.0):
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_series_matches_nfirst_form_on_time_dependent_generator(order):
     H = smooth_generator(3, seed=57)
-    got = dyson_truncation(H, 2.5, order, 4096, t0=0.2)
-    assert np.max(np.abs(got - nfirst_dyson(H, 2.5, order, 4096, t0=0.2))) <= 1e-13
+    got = dyson_truncation(H, 2.5, order, 256, t0=0.2)
+    assert np.max(np.abs(got - nfirst_dyson(H, 2.5, order, 256, t0=0.2))) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +569,18 @@ def test_tables_are_scanned_once_and_fresh_samples_every_time(monkeypatch):
     assert scans == [11]  # served from the table: no second scan
     tab.sample(times + 0.05)
     assert scans == [11, 11]  # a fresh evaluation keeps its check
+    # the bra path: the adjoint of a table serves its blocks conjugate-transposed
+    bra = tab.adjoint()
+    assert np.array_equal(bra.sample(times[::2]), tab.sample(times[::2]).conj().transpose(0, 2, 1))
+    assert np.array_equal(bra.sample(times), tab.sample(times).conj().transpose(0, 2, 1))
+    grid = TimeGrid(0.0, 1.0, 0.2)
+    swept = evolve_bra(tab, np.eye(3)[0], grid).states
+    assert scans == [11, 11]
+    assert np.array_equal(swept, evolve_bra(smooth_generator(3, 5), np.eye(3)[0], grid).states)
+    assert scans == [11, 11, 11]  # the untabulated run samples and checks afresh
+    fresh = bra.sample(times + 0.05)
+    assert scans == [11, 11, 11, 11]
+    assert np.array_equal(fresh, tab.sample(times + 0.05).conj().transpose(0, 2, 1))
 
 
 # ---------------------------------------------------------------------------

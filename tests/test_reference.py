@@ -5,8 +5,8 @@ The benchmark (``perfbench/``) compares stage-end populations and
 1e-12.  On ``cyclic_ccw`` with four loops the growing non-Hermitian modes
 amplify rounding so strongly that one ulp in ``H`` moves populations past
 that gate, so the synthesized envelopes must stay bitwise equal to the
-formulas below, in their operation order, and the three most amplifying
-reference inputs are rerun here.
+formulas below, in their operation order, as must the generator assembled
+from them, and the three most amplifying reference inputs are rerun here.
 """
 
 import json
@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nhpassage import ScenarioConfig, run_scenario
+from nhpassage import ScenarioConfig, TwoLevelControls, run_scenario
 from nhpassage.dynamics import _sample_times
 from nhpassage.scenarios import _stages
 
@@ -57,6 +57,33 @@ def outer_envelope(p, c, ts):
     return (-4.0 * np.asarray(p.phi_mix_dot(ts)) + rate * np.sin(2.0 * ph)) * inv / 2.0
 
 
+def closed_form_generator(p, c, ts):
+    """The generator assembled from the closed-form envelopes, in the
+    operation order of ``two_level_hamiltonian``/``three_level_hamiltonian``."""
+    if isinstance(c, TwoLevelControls):
+        h = np.empty(ts.shape + (2, 2), dtype=complex)
+        h[:, 0, 0] = 0.5 * np.exp(1j * c.xi0) * c.gamma0(ts)
+        h[:, 1, 1] = np.asarray(c.delta(ts)) + 0.5 * np.exp(1j * c.xi1) * c.gamma1(ts)
+        h[:, 1, 0] = (0.5 * inner_envelope(p, c, c.varphi, ts).astype(complex)
+                      * np.exp(1j * c.varphi))
+        h[:, 0, 1] = np.conj(h[:, 1, 0])
+        return h
+    omega, th = outer_envelope(p, c, ts), np.asarray(p.theta(ts))
+    alpha = np.asarray(p.alpha(ts))
+    h = np.empty(ts.shape + (3, 3), dtype=complex)
+    for i, (delta, xi, gamma) in enumerate(((c.delta0, c.xi0, c.gamma0),
+                                            (c.delta1, c.xi1, c.gamma1),
+                                            (c.delta_e, c.xi_e, c.gamma_e))):
+        h[:, i, i] = np.asarray(delta(ts)) + 0.5 * np.exp(1j * xi) * gamma(ts)
+    h[:, 2, 0] = 0.5 * (omega * np.sin(th)) * np.exp(1j * (c.varphi - 0.5 * alpha))
+    h[:, 2, 1] = 0.5 * (omega * np.cos(th)) * np.exp(1j * (c.varphi + 0.5 * alpha))
+    h[:, 1, 0] = 0.5 * inner_envelope(p, c, c.varphi_a, ts) * np.exp(1j * c.varphi_a)
+    h[:, 0, 2] = np.conj(h[:, 2, 0])
+    h[:, 1, 2] = np.conj(h[:, 2, 1])
+    h[:, 0, 1] = np.conj(h[:, 1, 0])
+    return h
+
+
 @pytest.mark.parametrize("gamma_scale", [0.8, 1.15])
 @pytest.mark.parametrize("scenario", ["two_level_a", "two_level_b", "two_level_c",
                                       "two_level_d", "cyclic_cw", "cyclic_ccw"])
@@ -65,6 +92,7 @@ def test_built_in_envelopes_are_bitwise_the_closed_forms(scenario, gamma_scale):
     for stage in _stages(ScenarioConfig(scenario=scenario, loops=loops), gamma_scale=gamma_scale):
         p, c = stage.frame_params, stage.controls
         ts = _sample_times(stage.grid.times())
+        assert np.array_equal(stage.H.sample(ts), closed_form_generator(p, c, ts))
         if stage.H.dim == 2:
             assert np.array_equal(c.omega(ts), inner_envelope(p, c, c.varphi, ts))
             continue

@@ -330,6 +330,45 @@ def test_verify_negative_controls_cover_every_stage(monkeypatch, sid):
         assert sorted(covered) == pytest.approx([(0.0, 2.0), (2.0, 4.0), (4.0, 6.0)]), kind
 
 
+def test_verify_series_oracle_covers_every_stage(monkeypatch):
+    # two horizons per stage, each on that stage's frozen sample 0.6T in:
+    # H on a ket stage, H^dag on a bra stage
+    config = ScenarioConfig(scenario="cyclic_ccw", loops=2)
+    stages = scenarios._stages(config)
+    assert {s.passage for s in stages} == {"ket", "bra"}
+    inner = scenarios.dyson_truncation
+    seen = []
+
+    def recording(H, t, *args, **kwargs):
+        seen.append(H.sample(np.array([0.0]))[0])
+        return inner(H, t, *args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "dyson_truncation", recording)
+    report = verify(config)
+    assert report.passed
+    assert len(seen) == 2 * len(stages) == 12
+    fits = []
+    for stage, h in zip(stages, seen[::2]):
+        want = stage.H.sample(np.array([stage.grid.t0 + 0.6 * config.T]))[0]
+        if stage.passage == "bra":
+            want = want.conj().T
+        assert np.array_equal(h, want)
+        fits.append(scenarios._series_order_fit(want))
+    assert report.residuals["dyson_order_fit"] == min(fits)
+
+
+def test_series_order_fit_is_scale_free():
+    rng = np.random.default_rng(3)
+    h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    fit = scenarios._series_order_fit(h)
+    assert fit > 4.5
+    for scale in (1e-16, 1e6):
+        assert abs(scenarios._series_order_fit(scale * h) - fit) <= 1e-6
+    # a zero sample has no truncation error to fit, and passes
+    assert scenarios._series_order_fit(np.zeros((3, 3), dtype=complex)) == np.inf
+    assert scenarios.CheckResult.above("dyson_truncation_order_fit", np.inf, 4.5).passed
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_verify_reports_an_overflowing_run():
     # the gain outruns the step: the state overflows mid-run
