@@ -71,7 +71,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merged(args: argparse.Namespace, key: str, file_values: dict, cast, default):
+#: Run options a flag or the config file may set; ``ScenarioConfig`` defaults the rest.
+_RUN_OPTIONS = {"T": float, "dt": float, "loops": int, "gamma_scale": float, "tolerance": float}
+
+
+def _merged(args: argparse.Namespace, key: str, file_values: dict, cast):
+    """The flag's value, else the config file's cast by ``cast``, else None."""
     flag = getattr(args, key, None)
     if flag is not None:
         return flag
@@ -82,21 +87,21 @@ def _merged(args: argparse.Namespace, key: str, file_values: dict, cast, default
             raise ConfigError(
                 f"config value {key} = {file_values[key]!r} is not a valid {cast.__name__}"
             ) from None
-    return default
+    return None
 
 
 def _scenario_id(args: argparse.Namespace, file_values: dict) -> str:
     if args.command == "two-level":
-        short = _merged(args, "scenario", file_values, str, None)
+        short = _merged(args, "scenario", file_values, str)
         if short is None:
             raise PassageError("two-level needs --scenario a|b|c|d (or a config entry)")
         return _SHORT_IDS.get(short, short)
     if args.command == "cyclic":
-        direction = _merged(args, "direction", file_values, str, None)
+        direction = _merged(args, "direction", file_values, str)
         if direction is None:
             raise PassageError("cyclic needs --direction cw|ccw (or a config entry)")
         return f"cyclic_{direction}"
-    raw = _merged(args, "scenario", file_values, str, None)
+    raw = _merged(args, "scenario", file_values, str)
     if raw is None:
         raise PassageError("verify needs --scenario (or a config entry)")
     sid = _SHORT_IDS.get(raw, raw)
@@ -110,22 +115,15 @@ def main(argv=None) -> int:
     try:
         file_values = read_config(args.config) if args.config else {}
         scenario = _scenario_id(args, file_values)
-        T = _merged(args, "T", file_values, float, 1.0)
-        config = ScenarioConfig(
-            scenario=scenario,
-            T=T,
-            dt=_merged(args, "dt", file_values, float, None),
-            loops=int(_merged(args, "loops", file_values, int, 1)),
-            gamma_scale=_merged(args, "gamma_scale", file_values, float, 1.0),
-            tolerance=_merged(args, "tolerance", file_values, float, 1e-6),
-            csv_path=_merged(args, "csv", file_values, str, None),
-            svg_path=_merged(args, "svg", file_values, str, None),
-        )
+        given = {key: _merged(args, key, file_values, cast) for key, cast in _RUN_OPTIONS.items()}
+        config = ScenarioConfig(scenario, **{k: v for k, v in given.items() if v is not None})
+        csv_path = _merged(args, "csv", file_values, str)
+        svg_path = _merged(args, "svg", file_values, str)
         report = verify(config) if args.command == "verify" else run_scenario(config)
-        if config.csv_path:
-            export_csv(report, config.csv_path)
-        if config.svg_path:
-            export_svg(report, config.svg_path)
+        if csv_path:
+            export_csv(report, csv_path)
+        if svg_path:
+            export_svg(report, svg_path)
     except (PassageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -21,6 +21,12 @@ and column 0 the bra-space passage.  The triangularization direction
 depends on this ordering.  A frame, like a generator, is sampled only in
 batches: its callables map a 1-D array of times to ``(n, K, K)`` stacks of
 frame matrices and their analytic time derivatives.
+
+Both built-in frames come from one pair rotation, the pair that synthesis
+solves: the two-level frame is one pair on ``|0>, |1>``, and the
+three-level frame is a product of two pair rotations (the ``|0>, |1>``
+pair making the bright state, and the bright state paired with ``|e>``),
+its derivative by the product rule.
 """
 
 from __future__ import annotations
@@ -117,32 +123,51 @@ class ThreeLevelFrameParams:
     beta_dot: Callable
 
 
-def _stack_matrix(rows):
-    """Stack row-major component lists into (..., dim, dim) matrices."""
-    stacked = [np.stack(row, axis=-1) for row in rows]
-    return np.stack(stacked, axis=-2)
+def _pair(x, a, dx=None, da=None):
+    """The ``(n, 2, 2)`` rotation of one pair by angle ``x`` and local phase ``a``::
 
+        [[cos x e^{+ia/2},  sin x e^{+ia/2}],
+         [-sin x e^{-ia/2}, cos x e^{-ia/2}]]
 
-def _two_level_matrix(th, al):
-    c, s = np.cos(th), np.sin(th)
-    ep = np.exp(0.5j * np.asarray(al))
+    Given the rates ``dx, da`` it returns ``(matrix, derivative)``, the
+    derivative from the same cosines, sines and phase factors.
+    """
+    c, s = np.cos(x), np.sin(x)
+    ep = np.exp(0.5j * np.asarray(a))
     em = np.conj(ep)
-    return _stack_matrix([[c * ep, s * ep], [-s * em, c * em]])
+    shape = np.shape(c) + (2, 2)
+    m = np.stack([c * ep, s * ep, -s * em, c * em], axis=-1).reshape(shape)
+    if dx is None:
+        return m
+    dm = np.stack([(-s * dx + 0.5j * da * c) * ep, (c * dx + 0.5j * da * s) * ep,
+                   -((c * dx - 0.5j * da * s) * em), (-s * dx - 0.5j * da * c) * em],
+                  axis=-1).reshape(shape)
+    return m, dm
 
 
-def _two_level_matrix_dot(th, al, dth, dal):
-    c, s = np.cos(th), np.sin(th)
-    ep = np.exp(0.5j * np.asarray(al))
-    em = np.conj(ep)
-    dc = (-s * dth + 0.5j * dal * c) * ep
-    ds = (c * dth + 0.5j * dal * s) * ep
-    dcm = (-s * dth - 0.5j * dal * c) * em
-    dsm = (c * dth - 0.5j * dal * s) * em
-    return _stack_matrix([[dc, ds], [-dsm, dcm]])
+def _nested(inner, outer, d_inner=None, d_outer=None):
+    """The ``(n, 3, 3)`` frame of an outer pair nested on an inner one.
+
+    Column 0 is the inner pair's first column.  The outer pair's first row
+    scales the inner second column (the bright state) into rows 0-1 of
+    columns 1-2, and its second row is row 2 there.  Given both pairs'
+    derivatives it returns the frame's derivative, by the product rule.
+    Products keep the outer factor on the left: numpy's complex multiply
+    is not bitwise commutative.
+    """
+    # entries linear in one pair take that pair's rate in the derivative
+    lin_inner, lin_outer = (inner, outer) if d_inner is None else (d_inner, d_outer)
+    m = np.zeros(inner.shape[:-2] + (3, 3), dtype=complex)
+    m[..., :2, 0] = lin_inner[..., :, 0]
+    m[..., :2, 1:] = lin_outer[..., None, 0, :] * inner[..., :, 1, None]
+    if d_inner is not None:
+        m[..., :2, 1:] += outer[..., None, 0, :] * d_inner[..., :, 1, None]
+    m[..., 2, 1:] = lin_outer[..., 1, :]
+    return m
 
 
 def two_level_frame(params: TwoLevelFrameParams) -> AncillaryFrame:
-    """The standard two-level moving frame.
+    """The standard two-level moving frame: one pair on ``|0>, |1>``.
 
     Columns (in the fixed basis ``|0>, |1>``)::
 
@@ -156,93 +181,43 @@ def two_level_frame(params: TwoLevelFrameParams) -> AncillaryFrame:
 
     def batch(ts):
         ts = np.asarray(ts, dtype=float)
-        return _two_level_matrix(p.theta(ts), p.alpha(ts))
+        return _pair(p.theta(ts), p.alpha(ts))
 
     def batch_dot(ts):
         ts = np.asarray(ts, dtype=float)
-        return _two_level_matrix_dot(p.theta(ts), p.alpha(ts), p.theta_dot(ts), p.alpha_dot(ts))
+        return _pair(p.theta(ts), p.alpha(ts), p.theta_dot(ts), p.alpha_dot(ts))[1]
 
     return AncillaryFrame(dim=2, basis_batch=batch, basis_derivative_batch=batch_dot)
-
-
-def _three_level_matrix(th, al, ph, be):
-    cth, sth = np.cos(th), np.sin(th)
-    cph, sph = np.cos(ph), np.sin(ph)
-    ea = np.exp(0.5j * np.asarray(al))
-    eb = np.exp(0.5j * np.asarray(be))
-    eam, ebm = np.conj(ea), np.conj(eb)
-    zero = np.zeros_like(cth + 0j)
-    # bright combination of the two lower levels
-    b0, b1 = sth * ea, cth * eam
-    mu1 = [cth * ea, -sth * eam, zero]
-    mu2 = [cph * eb * b0, cph * eb * b1, -sph * ebm]
-    mu3 = [sph * eb * b0, sph * eb * b1, cph * ebm]
-    return _stack_matrix([
-        [mu1[0], mu2[0], mu3[0]],
-        [mu1[1], mu2[1], mu3[1]],
-        [mu1[2], mu2[2], mu3[2]],
-    ])
-
-
-def _three_level_matrix_dot(th, al, ph, be, dth, dal, dph, dbe):
-    cth, sth = np.cos(th), np.sin(th)
-    cph, sph = np.cos(ph), np.sin(ph)
-    ea = np.exp(0.5j * np.asarray(al))
-    eb = np.exp(0.5j * np.asarray(be))
-    eam, ebm = np.conj(ea), np.conj(eb)
-    zero = np.zeros_like(cth + 0j)
-
-    b0 = sth * ea
-    b1 = cth * eam
-    db0 = (cth * dth + 0.5j * dal * sth) * ea
-    db1 = (-sth * dth - 0.5j * dal * cth) * eam
-
-    dmu1_0 = (-sth * dth + 0.5j * dal * cth) * ea
-    dmu1_1 = -(cth * dth - 0.5j * dal * sth) * eam
-
-    ceb = cph * eb
-    seb = sph * eb
-    dceb = (-sph * dph + 0.5j * dbe * cph) * eb
-    dseb = (cph * dph + 0.5j * dbe * sph) * eb
-    dsebm = (cph * dph - 0.5j * dbe * sph) * ebm
-    dcebm = (-sph * dph - 0.5j * dbe * cph) * ebm
-
-    dmu2 = [dceb * b0 + ceb * db0, dceb * b1 + ceb * db1, -dsebm]
-    dmu3 = [dseb * b0 + seb * db0, dseb * b1 + seb * db1, dcebm]
-    return _stack_matrix([
-        [dmu1_0, dmu2[0], dmu3[0]],
-        [dmu1_1, dmu2[1], dmu3[1]],
-        [zero, dmu2[2], dmu3[2]],
-    ])
 
 
 def three_level_frame(params: ThreeLevelFrameParams) -> AncillaryFrame:
     """Nested moving frame for a three-level system in the basis ``|0>, |1>, |e>``.
 
-    The inner rotation builds the bright combination
+    The frame is a product of two pair rotations.  The inner pair
+    ``(theta, alpha)`` on ``|0>, |1>`` builds the bright combination
     ``b = sin(theta) e^{+i alpha/2}|0> + cos(theta) e^{-i alpha/2}|1>``
-    orthogonal to ``mu_1``; the outer rotation by ``phi_mix``/``beta``
-    mixes ``b`` with ``|e>``::
+    orthogonal to ``mu_1``; the outer pair ``(phi_mix, beta)`` mixes ``b``
+    with ``|e>``::
 
         mu_1 = cos(theta) e^{+i alpha/2}|0> - sin(theta) e^{-i alpha/2}|1>
         mu_2 = cos(phi_mix) e^{+i beta/2}|b> - sin(phi_mix) e^{-i beta/2}|e>
         mu_3 = sin(phi_mix) e^{+i beta/2}|b> + cos(phi_mix) e^{-i beta/2}|e>
 
     ``mu_3`` is the ket-space passage candidate and ``mu_1`` the bra-space
-    one; ``mu_1`` never touches ``|e>``.
+    one; ``mu_1`` never touches ``|e>``.  The derivative follows from the
+    two pairs' derivatives by the product rule.
     """
     p = params
 
     def batch(ts):
         ts = np.asarray(ts, dtype=float)
-        return _three_level_matrix(p.theta(ts), p.alpha(ts), p.phi_mix(ts), p.beta(ts))
+        return _nested(_pair(p.theta(ts), p.alpha(ts)), _pair(p.phi_mix(ts), p.beta(ts)))
 
     def batch_dot(ts):
         ts = np.asarray(ts, dtype=float)
-        return _three_level_matrix_dot(
-            p.theta(ts), p.alpha(ts), p.phi_mix(ts), p.beta(ts),
-            p.theta_dot(ts), p.alpha_dot(ts), p.phi_mix_dot(ts), p.beta_dot(ts),
-        )
+        inner = _pair(p.theta(ts), p.alpha(ts), p.theta_dot(ts), p.alpha_dot(ts))
+        outer = _pair(p.phi_mix(ts), p.beta(ts), p.phi_mix_dot(ts), p.beta_dot(ts))
+        return _nested(inner[0], outer[0], inner[1], outer[1])
 
     return AncillaryFrame(dim=3, basis_batch=batch, basis_derivative_batch=batch_dot)
 

@@ -135,8 +135,6 @@ class ScenarioConfig:
     loops: int = 1
     gamma_scale: float = 1.0
     tolerance: float = POPULATION_TOL
-    csv_path: str | None = None
-    svg_path: str | None = None
 
     def __post_init__(self):
         if self.scenario not in SCENARIO_IDS:
@@ -226,7 +224,6 @@ class TwoLevelScenario:
     gain/loss rate to the frame motion, ``gamma = gamma_ratio * theta_dot``.
     """
 
-    label: str
     theta: Callable
     theta_dot: Callable
     initial_level: int
@@ -243,7 +240,6 @@ def two_level_scenario(scenario_id: str, T: float) -> TwoLevelScenario:
     if scenario_id == "two_level_a":
         # |1> -> |0> riding the ket passage; theta: 0 -> -pi/2
         return TwoLevelScenario(
-            label="a",
             theta=lambda t: -(quarter * (np.asarray(t, float) - T) + np.pi / 4),
             theta_dot=lambda t: np.full_like(np.asarray(t, float), -quarter),
             initial_level=1, target_level=0, passage="ket",
@@ -251,7 +247,6 @@ def two_level_scenario(scenario_id: str, T: float) -> TwoLevelScenario:
     if scenario_id == "two_level_b":
         # |0> -> |1> riding the ket passage; theta: -pi/2 -> 0
         return TwoLevelScenario(
-            label="b",
             theta=lambda t: quarter * (np.asarray(t, float) - T) - np.pi / 4,
             theta_dot=lambda t: np.full_like(np.asarray(t, float), quarter),
             initial_level=0, target_level=1, passage="ket",
@@ -265,7 +260,7 @@ def two_level_scenario(scenario_id: str, T: float) -> TwoLevelScenario:
             return -(np.pi / 2) * quarter * np.cos(quarter * (np.asarray(t, float) + 2 * T))
 
         return TwoLevelScenario(
-            label="c", theta=theta, theta_dot=theta_dot,
+            theta=theta, theta_dot=theta_dot,
             initial_level=1, target_level=0, passage="bra",
         )
     if scenario_id == "two_level_d":
@@ -277,7 +272,7 @@ def two_level_scenario(scenario_id: str, T: float) -> TwoLevelScenario:
             return -(np.pi / 2) * quarter * np.sin(quarter * (np.asarray(t, float) + 2 * T))
 
         return TwoLevelScenario(
-            label="d", theta=theta, theta_dot=theta_dot,
+            theta=theta, theta_dot=theta_dot,
             initial_level=0, target_level=1, passage="bra",
         )
     raise ConfigError(f"not a built-in two-level scenario: {scenario_id!r}; "

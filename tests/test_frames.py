@@ -1,4 +1,4 @@
-"""Moving frames: orthonormality, gauge potential, rotation, residual certificates."""
+"""Moving frames: closed forms, orthonormality, gauge potential, rotation, residual certificates."""
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from nhpassage import (
     AncillaryFrame,
     DimensionMismatchError,
     NonHermitianError,
+    ScenarioConfig,
     ThreeLevelFrameParams,
     TimeGrid,
     TwoLevelFrameParams,
@@ -19,8 +20,9 @@ from nhpassage import (
     two_level_hamiltonian,
     von_neumann_residual,
 )
-from nhpassage.dynamics import TimeDependentOperator, _time_last
+from nhpassage.dynamics import TimeDependentOperator, _sample_times, _time_last
 from nhpassage.frames import _gauge_batch, _rotated_batch
+from nhpassage.scenarios import _stages
 
 #: Orthonormality tolerance for well-formed frames.
 GRAM_TOL = 1e-12
@@ -431,3 +433,118 @@ def test_time_last_residuals_match_nfirst_forms(angles, seed):
     H_herm = smooth_operator(seed, hermitian=True)
     vn = nfirst_von_neumann(H_herm, frame, times)
     assert abs(von_neumann_residual(H_herm, frame, times) - vn) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the pair-built frames against the closed forms they replaced, bitwise
+
+
+def closed_stack(rows):
+    """Stack row-major component lists into (..., dim, dim) matrices."""
+    stacked = [np.stack(row, axis=-1) for row in rows]
+    return np.stack(stacked, axis=-2)
+
+
+def closed_two_level(th, al):
+    c, s = np.cos(th), np.sin(th)
+    ep = np.exp(0.5j * np.asarray(al))
+    em = np.conj(ep)
+    return closed_stack([[c * ep, s * ep], [-s * em, c * em]])
+
+
+def closed_two_level_dot(th, al, dth, dal):
+    c, s = np.cos(th), np.sin(th)
+    ep = np.exp(0.5j * np.asarray(al))
+    em = np.conj(ep)
+    dc = (-s * dth + 0.5j * dal * c) * ep
+    ds = (c * dth + 0.5j * dal * s) * ep
+    dcm = (-s * dth - 0.5j * dal * c) * em
+    dsm = (c * dth - 0.5j * dal * s) * em
+    return closed_stack([[dc, ds], [-dsm, dcm]])
+
+
+def closed_three_level(th, al, ph, be):
+    cth, sth = np.cos(th), np.sin(th)
+    cph, sph = np.cos(ph), np.sin(ph)
+    ea = np.exp(0.5j * np.asarray(al))
+    eb = np.exp(0.5j * np.asarray(be))
+    eam, ebm = np.conj(ea), np.conj(eb)
+    zero = np.zeros_like(cth + 0j)
+    b0, b1 = sth * ea, cth * eam
+    mu1 = [cth * ea, -sth * eam, zero]
+    mu2 = [cph * eb * b0, cph * eb * b1, -sph * ebm]
+    mu3 = [sph * eb * b0, sph * eb * b1, cph * ebm]
+    return closed_stack([[mu1[i], mu2[i], mu3[i]] for i in range(3)])
+
+
+def closed_three_level_dot(th, al, ph, be, dth, dal, dph, dbe):
+    cth, sth = np.cos(th), np.sin(th)
+    cph, sph = np.cos(ph), np.sin(ph)
+    ea = np.exp(0.5j * np.asarray(al))
+    eb = np.exp(0.5j * np.asarray(be))
+    eam, ebm = np.conj(ea), np.conj(eb)
+    zero = np.zeros_like(cth + 0j)
+    b0 = sth * ea
+    b1 = cth * eam
+    db0 = (cth * dth + 0.5j * dal * sth) * ea
+    db1 = (-sth * dth - 0.5j * dal * cth) * eam
+    dmu1_0 = (-sth * dth + 0.5j * dal * cth) * ea
+    dmu1_1 = -(cth * dth - 0.5j * dal * sth) * eam
+    ceb = cph * eb
+    seb = sph * eb
+    dceb = (-sph * dph + 0.5j * dbe * cph) * eb
+    dseb = (cph * dph + 0.5j * dbe * sph) * eb
+    dsebm = (cph * dph - 0.5j * dbe * sph) * ebm
+    dcebm = (-sph * dph - 0.5j * dbe * cph) * ebm
+    dmu2 = [dceb * b0 + ceb * db0, dceb * b1 + ceb * db1, -dsebm]
+    dmu3 = [dseb * b0 + seb * db0, dseb * b1 + seb * db1, dcebm]
+    return closed_stack([
+        [dmu1_0, dmu2[0], dmu3[0]],
+        [dmu1_1, dmu2[1], dmu3[1]],
+        [zero, dmu2[2], dmu3[2]],
+    ])
+
+
+def closed_form_frame(p, ts):
+    """The frame matrices and derivatives of ``p`` on ``ts`` from the closed forms."""
+    if isinstance(p, TwoLevelFrameParams):
+        th, al = p.theta(ts), p.alpha(ts)
+        return (closed_two_level(th, al),
+                closed_two_level_dot(th, al, p.theta_dot(ts), p.alpha_dot(ts)))
+    angles = (p.theta(ts), p.alpha(ts), p.phi_mix(ts), p.beta(ts))
+    rates = (p.theta_dot(ts), p.alpha_dot(ts), p.phi_mix_dot(ts), p.beta_dot(ts))
+    return closed_three_level(*angles), closed_three_level_dot(*angles, *rates)
+
+
+def assert_frame_is_closed_form(frame, params, ts):
+    m, dm = closed_form_frame(params, ts)
+    assert np.array_equal(frame.sample(ts), m)
+    assert np.array_equal(frame.sample_derivative(ts), dm)
+
+
+@pytest.mark.parametrize("gamma_scale", [0.8, 1.15])
+@pytest.mark.parametrize("scenario", ["two_level_a", "two_level_b", "two_level_c",
+                                      "two_level_d", "cyclic_cw", "cyclic_ccw"])
+def test_built_in_frames_are_bitwise_the_closed_forms(scenario, gamma_scale):
+    loops = 2 if scenario.startswith("cyclic") else 1
+    for stage in _stages(ScenarioConfig(scenario=scenario, loops=loops), gamma_scale=gamma_scale):
+        assert_frame_is_closed_form(stage.frame, stage.frame_params,
+                                    _sample_times(stage.grid.times()))
+
+
+# a phase whose constant part is bounded away from zero never vanishes identically
+phase_angles = st.tuples(st.floats(0.1, 3.0) | st.floats(-3.0, -0.1), coefficient,
+                         coefficient, st.floats(0.2, 3.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(angles=st.tuples(trig_angles, phase_angles, trig_angles, phase_angles),
+       span=st.floats(0.5, 20.0))
+def test_drawn_frames_are_bitwise_the_closed_forms(angles, span):
+    (th, dth), (al, dal), (ph, dph), (be, dbe) = (trig_angle(*a) for a in angles)
+    ts = np.linspace(-span, span, 513)
+    two = TwoLevelFrameParams(theta=th, theta_dot=dth, alpha=al, alpha_dot=dal)
+    assert_frame_is_closed_form(two_level_frame(two), two, ts)
+    three = ThreeLevelFrameParams(theta=th, theta_dot=dth, alpha=al, alpha_dot=dal,
+                                  phi_mix=ph, phi_mix_dot=dph, beta=be, beta_dot=dbe)
+    assert_frame_is_closed_form(three_level_frame(three), three, ts)

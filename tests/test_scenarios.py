@@ -80,7 +80,6 @@ def test_custom_two_level_scenario_runs():
     T = 1.0
     quarter = np.pi / (4 * T)
     scenario = TwoLevelScenario(
-        label="custom",
         theta=lambda t: -(quarter * (np.asarray(t, float) - T) + np.pi / 4),
         theta_dot=lambda t: np.full_like(np.asarray(t, float), -quarter),
         initial_level=1, target_level=0, passage="ket",
@@ -554,6 +553,35 @@ def test_cli_flags_override_config_file(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "two_level_b" in out
+
+
+@pytest.fixture
+def verified_configs(monkeypatch):
+    """The configs ``cli.main`` hands to ``verify``, with a passing stand-in report."""
+    import types
+
+    import nhpassage.cli as cli
+
+    configs = []
+
+    def fake_verify(config):
+        configs.append(config)
+        return types.SimpleNamespace(checks=[], passed=True)
+
+    monkeypatch.setattr(cli, "verify", fake_verify)
+    return configs
+
+
+def test_cli_leaves_run_defaults_to_the_config(verified_configs, capsys):
+    assert cli_main(["verify", "--scenario", "a", "--quiet"]) == 0
+    assert verified_configs == [ScenarioConfig("two_level_a")]
+
+
+def test_cli_flag_and_file_values_reach_the_config(tmp_path, verified_configs, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scenario = b\nT = 2.5\n", encoding="utf-8")
+    assert cli_main(["verify", "--config", str(cfg), "--tolerance", "3e-7", "--quiet"]) == 0
+    assert verified_configs == [ScenarioConfig("two_level_b", T=2.5, tolerance=3e-7)]
 
 
 def test_cli_cyclic_and_verify(capsys):
