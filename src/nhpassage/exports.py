@@ -289,10 +289,10 @@ def export_svg(report: RunReport, path) -> None:
         f'font-family="sans-serif" font-size="13" '
         f'transform="rotate(-90 16 {mt + ph / 2:.1f})">population</text>'
     )
+    # px/py on the kept arrays: the same IEEE operations as on each float
+    xs = px(x[keep]).tolist()
     for name, vals, color, dash in series:
-        pts = " ".join(
-            f"{px(float(x[i])):.4f},{py(float(vals[i])):.4f}" for i in keep
-        )
+        pts = " ".join(map("{:.4f},{:.4f}".format, xs, py(vals[keep]).tolist()))
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.6"{dash_attr} '

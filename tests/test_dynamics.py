@@ -458,6 +458,90 @@ def test_time_last_kernels_match_nfirst_forms(make):
     assert abs(biorthogonality_defect(H, grid) - defect) <= 1e-13
 
 
+# ---------------------------------------------------------------------------
+# the block-major scan against the time-major one it replaced, bitwise
+
+
+def reference_prefix_products(incs, u0):
+    """Reference copy of the blocked scan with time-major ``(K, K, m, nb)`` blocks,
+    strided per-step slices and a transposed carry view in the closing product."""
+    mul = dynamics._mul
+    K, n = incs.shape[0], incs.shape[-1] + 1
+    m = max(1, int(np.sqrt(n)))
+    nb = -(-n // m)
+    padded = np.zeros((K, K, nb * m), dtype=complex)
+    padded[..., 1:n] = incs
+    F = np.ascontiguousarray(padded.reshape(K, K, nb, m).transpose(0, 1, 3, 2))
+    for j in range(1, m):
+        F[:, :, j] += F[:, :, j - 1] + mul(F[:, :, j], F[:, :, j - 1])
+    ends = np.moveaxis(F[:, :, -1], -1, 0)
+    carry = np.empty((nb,) + u0.shape, dtype=complex)
+    carry[0] = u0
+    for i in range(1, nb):
+        carry[i] = carry[i - 1] + ends[i - 1] @ carry[i - 1]
+    c = np.moveaxis(carry.reshape(nb, K, -1), 0, -1)[:, :, None]
+    out = (c + mul(F, c)).transpose(0, 1, 3, 2).reshape(K, -1, nb * m)
+    return out[..., :n].reshape(u0.shape + (n,))
+
+
+def drawn_increments(K, n, seed, scale):
+    rng = np.random.default_rng(seed)
+    incs = scale * (rng.normal(size=(K, K, n)) + 1j * rng.normal(size=(K, K, n)))
+    u0s = (rng.normal(size=K) + 1j * rng.normal(size=K),
+           rng.normal(size=(K, K)) + 1j * rng.normal(size=(K, K)))
+    return incs, u0s
+
+
+def assert_scan_is_the_reference(incs, u0s):
+    for u0 in u0s:
+        got = dynamics._prefix_products(incs, u0)
+        assert got.shape == u0.shape + (incs.shape[-1] + 1,)
+        assert np.array_equal(got, reference_prefix_products(incs, u0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(K=st.integers(1, 4), n=st.integers(1, 300), seed=st.integers(0, 2**16),
+       scale=st.sampled_from([1e-4, 1e-2, 0.3]))
+def test_block_major_scan_is_bitwise_the_reference(K, n, seed, scale):
+    assert_scan_is_the_reference(*drawn_increments(K, n, seed, scale))
+
+
+# the padding edges and the perfect squares n + 1 = 4, 64
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 63, 64, 4000, 4001])
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_block_major_scan_is_bitwise_the_reference_at_block_edges(K, n):
+    assert_scan_is_the_reference(*drawn_increments(K, n, seed=97 * K + n, scale=1e-2))
+
+
+def reference_propagators(H, grid):
+    """Ket and bra propagators and ``V^dag U`` by the reference scan, with the
+    ``-1j`` product and the time-last copies as separate passes."""
+    eye = np.eye(H.dim, dtype=complex)
+    gs = dynamics._time_last(-1j * H.sample(dynamics._sample_times(grid.times())))
+    gs_bra = -gs.conj().transpose(1, 0, 2)
+    U, V = (np.moveaxis(reference_prefix_products(dynamics._step_increments(g, grid.dt), eye),
+                        -1, 0) for g in (gs, gs_bra))
+    prod = np.einsum("jin,jkn->ikn", dynamics._time_last(V).conj(), dynamics._time_last(U))
+    prod[np.diag_indices(H.dim)] -= 1.0
+    return U, V, float(np.max(np.abs(prod)))
+
+
+def two_level_bra_stage_generator():
+    """The generator and grid of the bra-passage two-level scenario (c)."""
+    stage = _stages(ScenarioConfig("two_level_c", T=0.5, gamma_scale=1.15))[0]
+    assert stage.passage == "bra"
+    return stage.H, stage.grid
+
+
+@pytest.mark.parametrize("make", [cyclic_stage_generator, two_level_bra_stage_generator])
+def test_propagators_and_defect_are_bitwise_the_reference_path(make):
+    H, grid = make()
+    U, V, defect = reference_propagators(H, grid)
+    assert np.array_equal(propagator_ket(H, grid), U)
+    assert np.array_equal(propagator_bra(H, grid), V)
+    assert biorthogonality_defect(H, grid) == defect
+
+
 SWEEP_GENERATORS = [
     cyclic_stage_generator, two_level_generator, one_level_generator, four_level_generator]
 
@@ -551,6 +635,23 @@ def test_tabulating_a_nan_sample_raises_naming_its_time():
     H = TimeDependentOperator(dim=2, values_at=values_at)
     with pytest.raises(NonFiniteSampleError, match=r"at t = 0\.3 contains"):
         H.tabulated(np.array([0.0, 0.1, 0.25, 0.3, 0.5, 0.6]))
+
+
+@pytest.mark.parametrize("tabulate", [False, True], ids=["fresh", "table"])
+def test_a_nan_in_a_long_block_names_its_time(tabulate):
+    # a NaN at one middle time of a 16 001-point block, an Inf at a later one
+    times = np.linspace(0.0, 4.0, 16_001)
+
+    def values_at(ts):
+        block = np.zeros((len(ts), 3, 3), dtype=complex)
+        block[ts == 2.25, 1, 2] = complex(0.0, np.nan)
+        block[ts == 3.0, 0, 0] = np.inf
+        return block
+
+    H = TimeDependentOperator(dim=3, values_at=values_at)
+    with pytest.raises(NonFiniteSampleError,
+                       match=r"^generator sample at t = 2\.25 contains NaN or Inf$"):
+        H.tabulated(times) if tabulate else H.sample(times)
 
 
 def test_tables_are_scanned_once_and_fresh_samples_every_time(monkeypatch):

@@ -22,7 +22,7 @@ from nhpassage import (
 )
 from nhpassage.dynamics import TimeDependentOperator, _sample_times, _time_last
 from nhpassage.frames import _gauge_batch, _rotated_batch
-from nhpassage.scenarios import _stages
+from nhpassage.scenarios import _misaligned_frame, _stages
 
 #: Orthonormality tolerance for well-formed frames.
 GRAM_TOL = 1e-12
@@ -396,10 +396,11 @@ def trig_angle(c0, c1, c2, w):
     return angle, rate
 
 
-def smooth_operator(seed, hermitian):
-    """``cos(1.3 t) A + sin(0.7 t + 0.2) B`` with random (Hermitian) A, B."""
+def smooth_operator(seed, hermitian, dim=3, scale=1.0):
+    """``cos(1.3 t) A + sin(0.7 t + 0.2) B`` with random (Hermitian) A, B of
+    entries about ``scale``."""
     rng = np.random.default_rng(seed)
-    a, b = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
+    a, b = scale * (rng.normal(size=(2, dim, dim)) + 1j * rng.normal(size=(2, dim, dim)))
     if hermitian:
         a, b = a + a.conj().T, b + b.conj().T
 
@@ -408,7 +409,7 @@ def smooth_operator(seed, hermitian):
         return (np.cos(1.3 * ts)[:, None, None] * a
                 + np.sin(0.7 * ts + 0.2)[:, None, None] * b)
 
-    return TimeDependentOperator(dim=3, values_at=batch)
+    return TimeDependentOperator(dim=dim, values_at=batch)
 
 
 coefficient = st.floats(-1.5, 1.5)
@@ -548,3 +549,47 @@ def test_drawn_frames_are_bitwise_the_closed_forms(angles, span):
     three = ThreeLevelFrameParams(theta=th, theta_dot=dth, alpha=al, alpha_dot=dal,
                                   phi_mix=ph, phi_mix_dot=dph, beta=be, beta_dot=dbe)
     assert_frame_is_closed_form(three_level_frame(three), three, ts)
+
+
+# ---------------------------------------------------------------------------
+# the two-product von Neumann residual against the per-k form it replaced
+
+
+def per_k_von_neumann(H, frame, times):
+    """Reference copy of the residual with two full ``(K, K, n)`` products per k."""
+    hs = _time_last(H.sample(times))
+    ms = _time_last(frame.sample(times))
+    dms = _time_last(frame.sample_derivative(times))
+    worst = 0.0
+    for k in range(frame.dim):
+        mu, dmu = ms[:, k], dms[:, k]
+        pi = mu[:, None] * mu[None].conj()
+        dpi = dmu[:, None] * mu[None].conj() + mu[:, None] * dmu[None].conj()
+        comm = np.einsum("ijn,jkn->ikn", hs, pi) - np.einsum("ijn,jkn->ikn", pi, hs)
+        worst = max(worst, float(np.max(np.abs(dpi + 1j * comm))))
+    return worst
+
+
+@settings(max_examples=40, deadline=None)
+@given(angles=st.tuples(trig_angles, phase_angles, trig_angles, phase_angles),
+       dim=st.sampled_from([2, 3]), seed=st.integers(0, 2**16),
+       scale=st.sampled_from([0.01, 1.0, 30.0]))
+def test_two_product_von_neumann_matches_the_per_k_form(angles, dim, seed, scale):
+    (th, dth), (al, dal), (ph, dph), (be, dbe) = (trig_angle(*a) for a in angles)
+    if dim == 2:
+        frame = two_level_frame(TwoLevelFrameParams(
+            theta=th, theta_dot=dth, alpha=al, alpha_dot=dal))
+    else:
+        frame = three_level_frame(ThreeLevelFrameParams(
+            theta=th, theta_dot=dth, alpha=al, alpha_dot=dal,
+            phi_mix=ph, phi_mix_dot=dph, beta=be, beta_dot=dbe))
+    times = np.linspace(0.0, 2.0, 257)
+    H = smooth_operator(seed, True, dim, scale)
+    h_max = float(np.max(np.abs(H.sample(times))))
+    got, want = von_neumann_residual(H, frame, times), per_k_von_neumann(H, frame, times)
+    assert abs(got - want) <= 1e-14 * (1.0 + h_max)
+    bad = _misaligned_frame(dim, 2.0)
+    got, want = von_neumann_residual(H, bad, times), per_k_von_neumann(H, bad, times)
+    assert abs(got - want) <= 1e-12 * want
+    with pytest.raises(NonHermitianError):
+        von_neumann_residual(smooth_operator(seed, False, dim, scale), frame, times)
