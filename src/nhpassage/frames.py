@@ -26,12 +26,13 @@ Both built-in frames come from one pair rotation, the pair that synthesis
 solves: the two-level frame is one pair on ``|0>, |1>``, and the
 three-level frame is a product of two pair rotations (the ``|0>, |1>``
 pair making the bright state, and the bright state paired with ``|e>``),
-its derivative by the product rule.
+its derivative by the product rule; a built-in frame tabulates both from
+one evaluation of its pairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -65,14 +66,24 @@ class AncillaryFrame:
     dim: int
     basis_batch: Callable[[np.ndarray], np.ndarray]
     basis_derivative_batch: Callable[[np.ndarray], np.ndarray]
+    # matrices and derivatives from one evaluation; not an init field, so
+    # ``dataclasses.replace`` of a frame drops it
+    _both_batch: Callable | None = field(default=None, init=False, repr=False, compare=False)
+
+    @classmethod
+    def _of_pairs(cls, dim: int, batch: Callable, both: Callable) -> "AncillaryFrame":
+        frame = cls(dim, batch, lambda ts: both(ts)[1])
+        object.__setattr__(frame, "_both_batch", both)
+        return frame
 
     def sample(self, times: np.ndarray) -> np.ndarray:
         return self._checked(self.basis_batch, times)
 
     def tabulated(self, times: np.ndarray) -> "AncillaryFrame":
         """This frame and its derivative evaluated once on ``times``."""
-        return AncillaryFrame(self.dim, _Table(self.basis_batch, times),
-                              _Table(self.basis_derivative_batch, times))
+        tables = (None, None) if self._both_batch is None else self._both_batch(times)
+        return AncillaryFrame(self.dim, _Table(self.basis_batch, times, tables[0]),
+                              _Table(self.basis_derivative_batch, times, tables[1]))
 
     def sample_derivative(self, times: np.ndarray) -> np.ndarray:
         return self._checked(self.basis_derivative_batch, times)
@@ -183,11 +194,11 @@ def two_level_frame(params: TwoLevelFrameParams) -> AncillaryFrame:
         ts = np.asarray(ts, dtype=float)
         return _pair(p.theta(ts), p.alpha(ts))
 
-    def batch_dot(ts):
+    def both(ts):
         ts = np.asarray(ts, dtype=float)
-        return _pair(p.theta(ts), p.alpha(ts), p.theta_dot(ts), p.alpha_dot(ts))[1]
+        return _pair(p.theta(ts), p.alpha(ts), p.theta_dot(ts), p.alpha_dot(ts))
 
-    return AncillaryFrame(dim=2, basis_batch=batch, basis_derivative_batch=batch_dot)
+    return AncillaryFrame._of_pairs(2, batch, both)
 
 
 def three_level_frame(params: ThreeLevelFrameParams) -> AncillaryFrame:
@@ -213,33 +224,28 @@ def three_level_frame(params: ThreeLevelFrameParams) -> AncillaryFrame:
         ts = np.asarray(ts, dtype=float)
         return _nested(_pair(p.theta(ts), p.alpha(ts)), _pair(p.phi_mix(ts), p.beta(ts)))
 
-    def batch_dot(ts):
+    def both(ts):
         ts = np.asarray(ts, dtype=float)
-        inner = _pair(p.theta(ts), p.alpha(ts), p.theta_dot(ts), p.alpha_dot(ts))
-        outer = _pair(p.phi_mix(ts), p.beta(ts), p.phi_mix_dot(ts), p.beta_dot(ts))
-        return _nested(inner[0], outer[0], inner[1], outer[1])
+        inner, d_inner = _pair(p.theta(ts), p.alpha(ts), p.theta_dot(ts), p.alpha_dot(ts))
+        outer, d_outer = _pair(p.phi_mix(ts), p.beta(ts), p.phi_mix_dot(ts), p.beta_dot(ts))
+        return _nested(inner, outer), _nested(inner, outer, d_inner, d_outer)
 
-    return AncillaryFrame(dim=3, basis_batch=batch, basis_derivative_batch=batch_dot)
-
-
-def _gauge_batch(frames: np.ndarray, dframes: np.ndarray) -> np.ndarray:
-    """Gauge potentials of time-last ``(K, K, n)`` frame and derivative blocks."""
-    return 1j * np.einsum("ikn,imn->kmn", frames.conj(), dframes)
-
-
-def _rotated_batch(H: TimeDependentOperator, frame: AncillaryFrame, times: np.ndarray):
-    """``Hf - A`` on every time, as a time-last ``(K, K, n)`` block."""
-    hs = _time_last(H.sample(times))
-    ms = _time_last(frame.sample(times))
-    dms = _time_last(frame.sample_derivative(times))
-    hf = np.einsum("ikn,imn->kmn", ms.conj(), np.einsum("ijn,jmn->imn", hs, ms))
-    return hf - _gauge_batch(ms, dms)
+    return AncillaryFrame._of_pairs(3, batch, both)
 
 
 def _grid_times(grid) -> np.ndarray:
     if isinstance(grid, TimeGrid):
         return grid.times()
     return np.asarray(grid, dtype=float)
+
+
+def _time_last_samples(H: TimeDependentOperator, frame: AncillaryFrame, grid):
+    """``H``, the frame and its derivative on the grid, as time-last blocks."""
+    if H.dim != frame.dim:
+        raise DimensionMismatchError(f"operator dim {H.dim} != frame dim {frame.dim}")
+    times = _grid_times(grid)
+    return (_time_last(H.sample(times)), _time_last(frame.sample(times)),
+            _time_last(frame.sample_derivative(times)))
 
 
 def triangularization_residual(
@@ -251,15 +257,16 @@ def triangularization_residual(
     dynamics, i.e. that the last/first frame vectors are exact ket/bra
     passages.  ``grid`` may be a :class:`TimeGrid` or an array of times,
     which must not straddle discontinuities of ``H`` or the frame.
+
+    Only the entries read are formed, by the sums of the full rotated block:
+    ``H M`` on columns 1..K-1, then ``M^dag (H M)`` and the gauge term
+    ``i M^dag dM`` on rows 0..K-2, which hold every entry above the diagonal.
     """
-    if H.dim != frame.dim:
-        raise DimensionMismatchError(
-            f"operator dim {H.dim} != frame dim {frame.dim}"
-        )
-    times = _grid_times(grid)
-    rot = _rotated_batch(H, frame, times)
-    iu = np.triu_indices(frame.dim, k=1)
-    return float(np.max(np.abs(rot[iu])))
+    hs, ms, dms = _time_last_samples(H, frame, grid)
+    left = ms[:, :-1].conj()
+    rot = np.einsum("ikn,imn->kmn", left, np.einsum("ijn,jmn->imn", hs, ms[:, 1:]))
+    rot -= 1j * np.einsum("ikn,imn->kmn", left, dms[:, 1:])
+    return float(np.max(np.abs(rot[np.triu_indices(frame.dim - 1)])))
 
 
 def von_neumann_residual(
@@ -277,19 +284,12 @@ def von_neumann_residual(
     - i (M^dag H)_k)``, column ``k`` of the one and row ``k`` of the other, so
     each ``k`` costs two outer products.
     """
-    if H.dim != frame.dim:
-        raise DimensionMismatchError(
-            f"operator dim {H.dim} != frame dim {frame.dim}"
-        )
-    times = _grid_times(grid)
-    hs = _time_last(H.sample(times))
+    hs, ms, dms = _time_last_samples(H, frame, grid)
     herm_defect = float(np.max(np.abs(hs - hs.conj().transpose(1, 0, 2))))
     if herm_defect > _HERMITIAN_TOL:
         raise NonHermitianError(
             f"generator is not Hermitian on the grid (defect {herm_defect:.3e})"
         )
-    ms = _time_last(frame.sample(times))
-    dms = _time_last(frame.sample_derivative(times))
     hm = np.einsum("ijn,jkn->ikn", hs, ms)
     mh = np.einsum("jkn,jmn->kmn", ms.conj(), hs)
     worst = 0.0

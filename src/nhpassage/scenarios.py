@@ -24,12 +24,14 @@ fails if any reported population moves by more than the step-check
 tolerance, then packages the trajectory, accumulated passage phase,
 residual certificates, and checkpoint populations into a
 :class:`RunReport` whose pass/fail verdicts are derived solely from the
-recorded numbers.  :func:`verify` builds the same stages with overrides
-(zero gain, a 1% drive error) for its controls.
+recorded numbers.  :func:`verify` runs the same stages, and reads them
+again for its series oracle and, with a 1% drive error, for its
+perturbation control; its Hermitian limit builds them at zero gain.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field, replace
@@ -283,10 +285,6 @@ def _zero(t):
     return np.zeros_like(np.asarray(t, dtype=float))
 
 
-def _scaled(callable_f, factor: float):
-    return lambda t: factor * np.asarray(callable_f(t))
-
-
 # ---------------------------------------------------------------------------
 # the stage model
 
@@ -309,7 +307,7 @@ class _Stage:
 
 
 def _two_level_stage(scenario: TwoLevelScenario, T: float, dt: float,
-                     gamma_scale: float, drive_scale: float) -> _Stage:
+                     gamma_scale: float) -> _Stage:
     ratio = scenario.gamma_ratio * gamma_scale
 
     def gamma(t):
@@ -320,14 +318,12 @@ def _two_level_stage(scenario: TwoLevelScenario, T: float, dt: float,
     controls = synthesize_two_level(
         params, gamma0=gamma, gamma1=gamma, xi0=-np.pi / 2, xi1=np.pi / 2,
         delta=0.0, varphi=scenario.varphi, grid=grid)
-    if drive_scale != 1.0:
-        controls = replace(controls, omega=_scaled(controls.omega, drive_scale))
     return _Stage(grid, params, two_level_frame(params), controls,
                   two_level_hamiltonian(controls), scenario.passage, scenario.target_level)
 
 
 def _cyclic_stage(stage: ScheduleStage, target: int, dt: float,
-                  gamma_scale: float, drive_scale: float) -> _Stage:
+                  gamma_scale: float) -> _Stage:
 
     def gamma(t):
         return 3.0 * gamma_scale * np.asarray(stage.theta_dot(t))
@@ -342,8 +338,6 @@ def _cyclic_stage(stage: ScheduleStage, target: int, dt: float,
         params, gamma0=gamma, gamma1=gamma, gamma_e=gamma_e,
         xi0=-np.pi / 2, xi1=np.pi / 2, xi_e=stage.xi_e, delta0=0.0, delta1=0.0,
         delta_e=0.0, varphi=np.pi / 2, varphi_a=np.pi / 2, grid=grid)
-    if drive_scale != 1.0:
-        controls = replace(controls, omega=_scaled(controls.omega, drive_scale))
     return _Stage(grid, params, three_level_frame(params), controls,
                   three_level_hamiltonian(controls), stage.passage, target)
 
@@ -353,13 +347,10 @@ _CYCLE_TARGETS = {"cw": (2, 1, 0), "ccw": (1, 2, 0)}
 
 
 def _stages(config: ScenarioConfig, scenario: TwoLevelScenario | None = None,
-            gamma_scale: float | None = None, drive_scale: float = 1.0) -> list[_Stage]:
+            gamma_scale: float | None = None) -> list[_Stage]:
     """The stages of a run: one for a two-level task, three per loop for a cyclic one.
 
     ``gamma_scale`` overrides the config's (0 gives the Hermitian limit).
-    ``drive_scale`` multiplies the synthesized drive envelopes (all but the
-    inner ``omega_a`` of a three-level stage), so the frame no longer
-    triangularizes the generator.
     """
     dt = config.resolved_dt()
     if gamma_scale is None:
@@ -367,14 +358,23 @@ def _stages(config: ScenarioConfig, scenario: TwoLevelScenario | None = None,
     if config.scenario not in CYCLIC_IDS:
         if scenario is None:
             scenario = two_level_scenario(config.scenario, config.T)
-        return [_two_level_stage(scenario, config.T, dt, gamma_scale, drive_scale)]
+        return [_two_level_stage(scenario, config.T, dt, gamma_scale)]
     direction = "cw" if config.scenario == "cyclic_cw" else "ccw"
     make = clockwise_schedule if direction == "cw" else counterclockwise_schedule
     return [
-        _cyclic_stage(stage, target, dt, gamma_scale, drive_scale)
+        _cyclic_stage(stage, target, dt, gamma_scale)
         for k in range(1, config.loops + 1)
         for stage, target in zip(make(k, config.T).stages, _CYCLE_TARGETS[direction])
     ]
+
+
+def _drive_scaled(stage: _Stage, drive_scale: float) -> TimeDependentOperator:
+    """The stage's generator with its synthesized envelope ``omega`` (all drives
+    but the inner ``omega_a`` of a three-level stage) multiplied by
+    ``drive_scale``, so the stage's frame no longer triangularizes it."""
+    omega = stage.controls.omega
+    controls = replace(stage.controls, omega=lambda t: drive_scale * np.asarray(omega(t)))
+    return (two_level_hamiltonian if stage.H.dim == 2 else three_level_hamiltonian)(controls)
 
 
 # ---------------------------------------------------------------------------
@@ -422,17 +422,20 @@ def _joined(parts: list[np.ndarray]) -> np.ndarray:
     return np.concatenate([parts[0]] + [p[1:] for p in parts[1:]])
 
 
-def _run(config: ScenarioConfig, scenario: TwoLevelScenario | None = None) -> RunReport:
+def _run(config: ScenarioConfig, scenario: TwoLevelScenario | None = None,
+         stages: list[_Stage] | None = None) -> RunReport:
     """March a run's stages, collect per-stage certificates, and grade the run.
 
-    The state is handed across stage boundaries verbatim (global phases
-    included); the accumulated passage phase restarts at each stage, which
-    is also how the exported ``f_real``/``f_imag`` columns are defined.
+    ``stages`` are built unless given.  The state is handed across stage
+    boundaries verbatim (global phases included); the accumulated passage
+    phase restarts at each stage, which is also how the exported
+    ``f_real``/``f_imag`` columns are defined.
     """
     cyclic = config.scenario in CYCLIC_IDS
     if not cyclic and scenario is None:
         scenario = two_level_scenario(config.scenario, config.T)
-    stages = _stages(config, scenario)
+    if stages is None:
+        stages = _stages(config, scenario)
     psi0 = np.zeros(stages[0].H.dim, dtype=complex)
     psi0[0 if cyclic else scenario.initial_level] = 1.0
     # the dt/2 re-run goes first, on its own samples (see nhpassage.dynamics)
@@ -608,9 +611,9 @@ def _placeholder_report(config: ScenarioConfig, exc: PassageError) -> RunReport:
     )
 
 
-def _perturbed_omega_checks(config: ScenarioConfig):
-    perturbed = min(triangularization_residual(s.H, s.frame, s.grid)
-                    for s in _stages(config, drive_scale=1.01))
+def _perturbed_omega_checks(stages: list[_Stage]):
+    perturbed = min(triangularization_residual(_drive_scaled(s, 1.01), s.frame, s.grid)
+                    for s in stages)
     return ([CheckResult.above("perturbed_omega_breaks_triangularization", perturbed, 1e-3)],
             {"perturbed_triangularization": perturbed})
 
@@ -668,12 +671,12 @@ def _series_order_fit(h: np.ndarray) -> float:
     return np.inf if errs[1] == 0.0 else float(np.log2(errs[0] / errs[1]))
 
 
-def _dyson_checks(config: ScenarioConfig):
+def _dyson_checks(config: ScenarioConfig, stages: list[_Stage]):
     """Fitted convergence order of the order-4 series truncation under horizon
     halving, on a frozen sample 0.6T into every stage of the run: ``H`` for a
     ket stage, ``H^dag`` for a bra stage.  The check reports the worst stage."""
     fits = []
-    for stage in _stages(config):
+    for stage in stages:
         H = stage.H if stage.passage == "ket" else stage.H.adjoint()
         fits.append(_series_order_fit(H.sample(np.array([stage.grid.t0 + 0.6 * config.T]))[0]))
     order = float(np.min(fits))
@@ -690,25 +693,28 @@ def verify(config: ScenarioConfig) -> RunReport:
     where the projector commutation law must hold, a biorthogonality scan
     of paired random evolutions, and a short-horizon series-truncation
     order fit on a frozen sample of every stage, ket and bra, by nested
-    Simpson quadrature.  Each control check reports its worst stage.  A run or
-    certificate group that raises a :class:`PassageError` is recorded as
-    one failed check; a failed run leaves an all-zero trajectory of the
-    scenario's shape.
+    Simpson quadrature.  Each control check reports its worst stage.  The
+    run, the perturbation and the series oracle read one synthesis of the
+    stages.  A run or certificate group that raises a :class:`PassageError`
+    (its stages' build included) is recorded as one failed check; a failed
+    run leaves an all-zero trajectory of the scenario's shape.
     """
+    # a build that raises is not cached: each group that reads it records it
+    stages = functools.cache(lambda: _stages(config))
     try:
-        report = run_scenario(config)
+        report = _run(config, stages=stages())
     except PassageError as exc:
         report = _placeholder_report(config, exc)
     checks = list(report.checks)
 
     for group, certify in (
-        ("perturbed_omega", _perturbed_omega_checks),
-        ("hermitian_limit", _hermitian_limit_checks),
-        ("biorthogonality_random", _random_biorthogonality_checks),
-        ("dyson_truncation", _dyson_checks),
+        ("perturbed_omega", lambda: _perturbed_omega_checks(stages())),
+        ("hermitian_limit", lambda: _hermitian_limit_checks(config)),
+        ("biorthogonality_random", lambda: _random_biorthogonality_checks(config)),
+        ("dyson_truncation", lambda: _dyson_checks(config, stages())),
     ):
         try:
-            group_checks, group_residuals = certify(config)
+            group_checks, group_residuals = certify()
         except PassageError as exc:
             group_checks, group_residuals = [_failed_check(group, exc)], {}
         checks.extend(group_checks)

@@ -26,6 +26,7 @@ from nhpassage import (
 from nhpassage.scenarios import (
     CYCLIC_IDS,
     TWO_LEVEL_IDS,
+    _drive_scaled,
     _misaligned_frame,
     _stages,
 )
@@ -105,8 +106,9 @@ def test_criterion_04_triangularization_certificate(
         residual = report.residuals["triangularization"]
         worst_residual = max(worst_residual, residual)
         assert residual < 1e-9, sid
-        for stage in _stages(ScenarioConfig(scenario=sid), drive_scale=1.01):
-            perturbed = triangularization_residual(stage.H, stage.frame, stage.grid)
+        for stage in _stages(ScenarioConfig(scenario=sid)):
+            perturbed = triangularization_residual(
+                _drive_scaled(stage, 1.01), stage.frame, stage.grid)
             worst_perturbed = min(worst_perturbed, perturbed)
             assert perturbed > 1e-3, (sid, stage.grid.t0)
     print(f"\n[criterion 04] triangularization certificate: PASS "

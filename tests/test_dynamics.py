@@ -444,11 +444,18 @@ def four_level_generator():
     return smooth_generator(4, seed=85), TimeGrid(0.0, 1.0, 1e-3)
 
 
+def step_increments(H, grid):
+    """``_step_increments`` of ``H`` on ``grid``, fed its contiguous grid and
+    midpoint blocks of ``-iH``."""
+    g, mid = dynamics._minus_i_time_last(H.sample(dynamics._sample_times(grid.times())), 2)
+    return dynamics._step_increments(g[..., :-1], mid, g[..., 1:], grid.dt)
+
+
 @pytest.mark.parametrize("make", [cyclic_stage_generator, two_level_generator])
 def test_time_last_kernels_match_nfirst_forms(make):
     H, grid = make()
     gs = -1j * H.sample(dynamics._sample_times(grid.times()))
-    incs = dynamics._step_increments(dynamics._time_last(gs), grid.dt)
+    incs = step_increments(H, grid)
     assert incs.shape == (H.dim, H.dim, grid.n_steps)
     steps = np.moveaxis(incs, -1, 0) + np.eye(H.dim)
     assert np.max(np.abs(steps - nfirst_step_matrices(gs, grid.dt))) <= 1e-13
@@ -456,6 +463,82 @@ def test_time_last_kernels_match_nfirst_forms(make):
     prod = np.einsum("nji,njk->nik", V.conj(), U)
     defect = np.max(np.abs(prod - np.eye(H.dim)))
     assert abs(biorthogonality_defect(H, grid) - defect) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the in-place increments on contiguous blocks against the interleaved
+# expression they replaced, bitwise
+
+
+def reference_step_increments(gs, dt):
+    """Reference copy of the RK4 increments over the interleaved time-last
+    ``(K, K, 2n+1)`` block of ``-iH``, read through stride-2 views."""
+    mul = dynamics._mul
+    g1, g2, g3 = gs[..., 0:-1:2], gs[..., 1::2], gs[..., 2::2]
+    k2 = g2 + (0.5 * dt) * mul(g2, g1)
+    k3 = g2 + (0.5 * dt) * mul(g2, k2)
+    k4 = g3 + dt * mul(g3, k3)
+    return (dt / 6.0) * (g1 + 2.0 * (k2 + k3) + k4)
+
+
+def reference_halved(H, psi0, grid):
+    """Reference copy of the dt/2 re-run: increments of the interleaved block,
+    paired through stride-2 views."""
+    mul = dynamics._mul
+    half = grid.halved()
+    gs = dynamics._time_last(-1j * H.sample(dynamics._sample_times(half.times())))
+    d = reference_step_increments(gs, half.dt)
+    pairs = d[..., 0::2] + d[..., 1::2] + mul(d[..., 1::2], d[..., 0::2])
+    return reference_prefix_products(pairs, psi0).T
+
+
+def same_bits(a, b):
+    """Equal shapes and equal bytes: signed zeros and NaN payloads included."""
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def assert_increments_are_the_reference(H, grid):
+    gs = dynamics._time_last(-1j * H.sample(dynamics._sample_times(grid.times())))
+    assert same_bits(step_increments(H, grid), reference_step_increments(gs, grid.dt))
+    # the bra increments read the same blocks conjugate-transposed
+    g, mid = dynamics._minus_i_time_last(H.sample(dynamics._sample_times(grid.times())), 2)
+    g, mid = (-x.conj().transpose(1, 0, 2) for x in (g, mid))
+    bra = dynamics._step_increments(g[..., :-1], mid, g[..., 1:], grid.dt)
+    assert same_bits(bra, reference_step_increments(-gs.conj().transpose(1, 0, 2), grid.dt))
+
+
+def assert_halved_is_the_reference(H, grid):
+    psi0 = np.zeros(H.dim, dtype=complex)
+    psi0[-1] = 1.0
+    got = dynamics.evolve_ket_halved(H, psi0, grid).states
+    assert same_bits(got, reference_halved(H, psi0, grid))
+
+
+@settings(max_examples=40, deadline=None)
+@given(K=st.integers(1, 4), n=st.integers(1, 300), seed=st.integers(0, 2**16),
+       dt=st.sampled_from([1e-3, 0.05, 0.4]))
+def test_increments_and_halved_run_are_bitwise_the_reference(K, n, seed, dt):
+    H, grid = smooth_generator(K, seed), TimeGrid(0.0, n * dt, dt)
+    assert_increments_are_the_reference(H, grid)
+    assert_halved_is_the_reference(H, grid)
+
+
+@pytest.mark.parametrize("make", [
+    cyclic_stage_generator, two_level_generator, one_level_generator, four_level_generator])
+def test_increments_and_halved_run_are_bitwise_the_reference_on_long_grids(make):
+    H, grid = make()
+    assert_increments_are_the_reference(H, grid)
+    assert_halved_is_the_reference(H, grid)
+
+
+@pytest.mark.parametrize("gamma_scale", [0.8, 1.15])
+@pytest.mark.parametrize("scenario", ["two_level_a", "two_level_b", "two_level_c",
+                                      "two_level_d", "cyclic_cw", "cyclic_ccw"])
+def test_stage_increments_and_halved_runs_are_bitwise_the_reference(scenario, gamma_scale):
+    for stage in _stages(ScenarioConfig(scenario, gamma_scale=gamma_scale)):
+        H = stage.H if stage.passage == "ket" else stage.H.adjoint()
+        assert_increments_are_the_reference(H, stage.grid)
+        assert_halved_is_the_reference(H, stage.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -514,12 +597,12 @@ def test_block_major_scan_is_bitwise_the_reference_at_block_edges(K, n):
 
 
 def reference_propagators(H, grid):
-    """Ket and bra propagators and ``V^dag U`` by the reference scan, with the
-    ``-1j`` product and the time-last copies as separate passes."""
+    """Ket and bra propagators and ``V^dag U`` by the reference increments and
+    scan, with the ``-1j`` product and the time-last copies as separate passes."""
     eye = np.eye(H.dim, dtype=complex)
     gs = dynamics._time_last(-1j * H.sample(dynamics._sample_times(grid.times())))
     gs_bra = -gs.conj().transpose(1, 0, 2)
-    U, V = (np.moveaxis(reference_prefix_products(dynamics._step_increments(g, grid.dt), eye),
+    U, V = (np.moveaxis(reference_prefix_products(reference_step_increments(g, grid.dt), eye),
                         -1, 0) for g in (gs, gs_bra))
     prod = np.einsum("jin,jkn->ikn", dynamics._time_last(V).conj(), dynamics._time_last(U))
     prod[np.diag_indices(H.dim)] -= 1.0

@@ -21,8 +21,8 @@ from nhpassage import (
     von_neumann_residual,
 )
 from nhpassage.dynamics import TimeDependentOperator, _sample_times, _time_last
-from nhpassage.frames import _gauge_batch, _rotated_batch
-from nhpassage.scenarios import _misaligned_frame, _stages
+from nhpassage.scenarios import _drive_scaled, _misaligned_frame, _stages
+from rotation_reference import above_diagonal_max, gauge_block, rotated_block
 
 #: Orthonormality tolerance for well-formed frames.
 GRAM_TOL = 1e-12
@@ -53,12 +53,12 @@ def gauge_potential(frame, t):
     """``A_km = i <mu_k| d mu_m/dt>`` at one time, through the batched kernel."""
     ms = _time_last(frame.sample(np.array([t])))
     dms = _time_last(frame.sample_derivative(np.array([t])))
-    return _gauge_batch(ms, dms)[..., 0]
+    return gauge_block(ms, dms)[..., 0]
 
 
 def rotated_hamiltonian(H, frame, t):
     """``Hf - A`` at one time, through the batched kernel."""
-    return _rotated_batch(H, frame, np.array([t]))[..., 0]
+    return rotated_block(H, frame, np.array([t]))[..., 0]
 
 
 def const(value):
@@ -427,7 +427,7 @@ def test_time_last_residuals_match_nfirst_forms(angles, seed):
     times = np.linspace(0.0, 2.0, 257)
     H = smooth_operator(seed, hermitian=False)
     rot = nfirst_rotated(H, frame, times)
-    assert np.max(np.abs(_rotated_batch(H, frame, times) - np.moveaxis(rot, 0, -1))) <= 1e-13
+    assert np.max(np.abs(rotated_block(H, frame, times) - np.moveaxis(rot, 0, -1))) <= 1e-13
     iu = np.triu_indices(3, k=1)
     tri = np.max(np.abs(rot[:, iu[0], iu[1]]))
     assert abs(triangularization_residual(H, frame, times) - tri) <= 1e-13
@@ -593,3 +593,73 @@ def test_two_product_von_neumann_matches_the_per_k_form(angles, dim, seed, scale
     assert abs(got - want) <= 1e-12 * want
     with pytest.raises(NonHermitianError):
         von_neumann_residual(smooth_operator(seed, False, dim, scale), frame, times)
+
+
+# ---------------------------------------------------------------------------
+# the above-diagonal residual against the full rotated block, and the
+# one-pass frame tables against separate samples, bitwise
+
+
+def same_bits(a, b):
+    """Equal shapes and equal bytes: signed zeros included."""
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def drawn_frame(angles, dim):
+    (th, dth), (al, dal), (ph, dph), (be, dbe) = (trig_angle(*a) for a in angles)
+    if dim == 2:
+        return two_level_frame(TwoLevelFrameParams(
+            theta=th, theta_dot=dth, alpha=al, alpha_dot=dal))
+    return three_level_frame(ThreeLevelFrameParams(
+        theta=th, theta_dot=dth, alpha=al, alpha_dot=dal,
+        phi_mix=ph, phi_mix_dot=dph, beta=be, beta_dot=dbe))
+
+
+@settings(max_examples=40, deadline=None)
+@given(angles=st.tuples(trig_angles, phase_angles, trig_angles, phase_angles),
+       dim=st.sampled_from([2, 3]), seed=st.integers(0, 2**16),
+       scale=st.sampled_from([0.01, 1.0, 30.0]), hermitian=st.booleans())
+def test_above_diagonal_residual_is_bitwise_the_full_block(angles, dim, seed, scale, hermitian):
+    times = np.linspace(0.0, 2.0, 257)
+    H = smooth_operator(seed, hermitian, dim, scale)
+    frame = drawn_frame(angles, dim)
+    for f in (frame, frame.tabulated(times), _misaligned_frame(dim, 2.0)):
+        assert triangularization_residual(H, f, times) == above_diagonal_max(H, f, times)
+
+
+@pytest.mark.parametrize("gamma_scale", [0.0, 0.8, 1.15])
+@pytest.mark.parametrize("scenario", ["two_level_a", "two_level_b", "two_level_c",
+                                      "two_level_d", "cyclic_cw", "cyclic_ccw"])
+def test_stage_residuals_are_bitwise_the_full_block(scenario, gamma_scale):
+    # the run's residual, the 1% drive control and the misaligned frame
+    config = ScenarioConfig(scenario, loops=2 if scenario.startswith("cyclic") else 1)
+    stages = _stages(config, gamma_scale=gamma_scale)
+    bad = _misaligned_frame(stages[0].H.dim, config.T)
+    for stage in stages:
+        times = stage.grid.times()
+        H, frame = stage.H.tabulated(times), stage.frame.tabulated(times)
+        for h, f in ((H, frame), (_drive_scaled(stage, 1.01), stage.frame), (H, bad)):
+            assert triangularization_residual(h, f, stage.grid) == above_diagonal_max(h, f, times)
+
+
+@settings(max_examples=30, deadline=None)
+@given(angles=st.tuples(trig_angles, phase_angles, trig_angles, phase_angles),
+       dim=st.sampled_from([2, 3]))
+def test_built_in_frame_tables_evaluate_the_pairs_once(angles, dim):
+    (th, dth), (al, dal), (ph, dph), (be, dbe) = (trig_angle(*a) for a in angles)
+    calls = []
+
+    def counted_theta(t):
+        calls.append(1)
+        return th(t)
+
+    if dim == 2:
+        frame = two_level_frame(TwoLevelFrameParams(counted_theta, dth, al, dal))
+    else:
+        frame = three_level_frame(ThreeLevelFrameParams(
+            counted_theta, dth, al, dal, ph, dph, be, dbe))
+    ts = np.linspace(-3.0, 3.0, 257)
+    table = frame.tabulated(ts)
+    assert len(calls) == 1  # matrices and derivatives from one evaluation
+    assert same_bits(table.sample(ts), frame.sample(ts))
+    assert same_bits(table.sample_derivative(ts), frame.sample_derivative(ts))

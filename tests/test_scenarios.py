@@ -1,6 +1,7 @@
 """Scenario runner, verification suite, exports, config files, CLI."""
 
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from nhpassage import (
     ConfigError,
     NonFiniteSampleError,
+    PassageError,
     ScenarioConfig,
     StepSizeError,
     TwoLevelScenario,
@@ -265,6 +267,52 @@ def test_verify_failed_cyclic_run_keeps_the_scenario_shape(tmp_path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "t,P0,P1,Pe,total,f_real,f_imag,norm"
     assert len(lines) == 122
+
+
+def test_verify_records_each_groups_failure_when_stages_fail_to_build():
+    # the shared stages cannot be built (dt does not divide a stage); each group
+    # that reads them records the build's error, and none raises
+    reason = "tf = 2.0 is not an integer number of steps from t0"
+    report = verify(ScenarioConfig("cyclic_cw", dt=0.3))
+    got = [(c.name, c.value, c.threshold, c.mode, c.passed) for c in report.checks]
+    assert got[:3] + got[4:] == [(f"{group}_failed ({reason})", 1.0, 0.0, "below", False)
+                                 for group in ("run", "perturbed_omega", "hermitian_limit",
+                                               "dyson_truncation")]
+    assert got[3][0] == "biorthogonality_random_generator" and got[3][4]
+    assert report.checks[3] == scenarios._random_biorthogonality_checks(
+        ScenarioConfig("cyclic_cw"))[0][0]
+
+
+def rebuilt_verify_checks(config):
+    """verify's checks with each group building the config's stages again,
+    the perturbed ones by synthesizing and then scaling ``omega``."""
+    try:
+        checks = list(run_scenario(config).checks)
+    except PassageError as exc:
+        checks = [scenarios._failed_check("run", exc)]
+    perturbed = []
+    for stage in scenarios._stages(config):
+        omega = stage.controls.omega
+        controls = replace(stage.controls, omega=lambda t, f=omega: 1.01 * np.asarray(f(t)))
+        H = (scenarios.two_level_hamiltonian if stage.H.dim == 2
+             else scenarios.three_level_hamiltonian)(controls)
+        perturbed.append(triangularization_residual(H, stage.frame, stage.grid))
+    checks.append(scenarios.CheckResult.above(
+        "perturbed_omega_breaks_triangularization", min(perturbed), 1e-3))
+    checks += scenarios._hermitian_limit_checks(config)[0]
+    checks += scenarios._random_biorthogonality_checks(config)[0]
+    return checks + scenarios._dyson_checks(config, scenarios._stages(config))[0]
+
+
+@pytest.mark.parametrize("gamma_scale", [0.8, 1.15])
+@pytest.mark.parametrize("sid", ["two_level_a", "two_level_b", "two_level_c",
+                                 "two_level_d", "cyclic_cw", "cyclic_ccw"])
+def test_verify_on_shared_stages_is_the_rebuild_per_group_path(sid, gamma_scale):
+    config = ScenarioConfig(sid, loops=2 if sid in CYCLIC_IDS else 1, gamma_scale=gamma_scale)
+    got = [(c.name, repr(c.value), c.threshold, c.mode, c.passed) for c in verify(config).checks]
+    want = [(c.name, repr(c.value), c.threshold, c.mode, c.passed)
+            for c in rebuilt_verify_checks(config)]
+    assert got == want
 
 
 _SHARED_TAIL = [

@@ -24,7 +24,7 @@ from nhpassage import (
     two_level_frame,
     two_level_hamiltonian,
 )
-from nhpassage.frames import _rotated_batch
+from rotation_reference import rotated_block
 
 T = 1.0
 QUARTER = np.pi / (4 * T)
@@ -32,7 +32,7 @@ QUARTER = np.pi / (4 * T)
 
 def rotated_hamiltonian(H, frame, t):
     """``Hf - A`` of the rotated generator at one time."""
-    return _rotated_batch(H, frame, np.array([t]))[..., 0]
+    return rotated_block(H, frame, np.array([t]))[..., 0]
 
 
 def frame_matrix(frame, t):

@@ -36,8 +36,8 @@ from nhpassage import (
     two_level_frame,
     two_level_hamiltonian,
 )
-from nhpassage.frames import _rotated_batch
 from nhpassage.scenarios import RESIDUAL_TOL
+from rotation_reference import rotated_block
 
 GRID = TimeGrid(0.0, 1.0, 0.01)
 OFFSET = 1e-3
@@ -80,8 +80,8 @@ def least_squares(frame, base, terms, ts):
     the rotated ``base + sum_k x_k terms[k]``, one solve per sample."""
     dim = frame.dim
     iu = np.triu_indices(dim, k=1)
-    rot0 = _rotated_batch(TimeDependentOperator(dim, base), frame, ts)
-    cols = [(_rotated_batch(TimeDependentOperator(dim, lambda t, term=term: base(t) + term(t)),
+    rot0 = rotated_block(TimeDependentOperator(dim, base), frame, ts)
+    cols = [(rotated_block(TimeDependentOperator(dim, lambda t, term=term: base(t) + term(t)),
                             frame, ts) - rot0)[iu] for term in terms]
     a = np.stack(cols, axis=-1)
     a = np.concatenate([a.real, a.imag]).transpose(1, 0, 2)
@@ -108,7 +108,7 @@ def assert_phase_is_rotated_diagonal(phase, H, frame, passage):
     k = frame.dim - 1 if passage == "ket" else 0
     ts = GRID.times()
     left, right = ts[:-1], ts[1:]
-    entry = [_rotated_batch(H, frame, s)[k, k] for s in (left, 0.5 * (left + right), right)]
+    entry = [rotated_block(H, frame, s)[k, k] for s in (left, 0.5 * (left + right), right)]
     panels = (right - left) / 6.0 * (entry[0] + 4.0 * entry[1] + entry[2])
     f = np.concatenate([[0.0], np.cumsum(panels)])
     f_imag = f.imag if passage == "ket" else -f.imag
