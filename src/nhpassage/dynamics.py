@@ -24,15 +24,18 @@ RK4 step becomes an increment ``D_n = P_n - I``, all at once, and a
 blocked prefix scan chains them with the identity implicit, since ``I + D_n``
 rounded in float64 loses the low bits of the small ``D_n``.  It feeds only
 thresholded certificates and lands closer to exact RK4 arithmetic than a
-sweep.  The state sweeps (:func:`evolve_ket`, :func:`evolve_bra`) keep the
-exact operations and order of an all-numpy step: the growing modes of a
-non-Hermitian generator amplify any regrouped rounding (to ~1e-8 in
-stage-end populations over multi-loop runs), and trajectories are compared
-against recorded reference populations at 1e-12.  For K = 2 and K = 3 an
-unrolled kernel keeps the state in Python ``complex`` locals and sends only
-the matvecs, whose FMA rounding Python's complex multiply does not match, to
-numpy through two length-K buffers made once per sweep; other K run the
-plain all-numpy step.
+sweep.  The state sweeps (:func:`evolve_ket`, :func:`evolve_bra`) keep every
+sum of an all-numpy step, in its order: the growing modes of a non-Hermitian
+generator amplify regrouped rounding (routing the steps through step
+matrices moved stage-end populations of a four-loop run by 1.7e-8), and
+trajectories are compared against recorded reference populations at 1e-12.
+The step runs in Python ``complex`` arithmetic on flat rows of the ``-iH``
+samples, read a chunk at a time, in a kernel unrolled for K = 2 and K = 3
+and a generic one for other K.  Only the rounding inside a complex product
+differs from numpy's, which fuses a multiply-add into each part: sweep
+states lie within 1.1e-16 of the numpy step's, relative to their largest
+entry, on the test generators, and stage-end populations of all 240
+benchmark reference inputs within 5.5e-40 of the recorded ones.
 
 A run's sweep and certificates read one table per stage of the generator on
 the grid and RK4 midpoints (:meth:`TimeDependentOperator.tabulated`).  The
@@ -57,7 +60,10 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import reduce
+from itertools import chain
+from operator import add, mul
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -304,80 +310,109 @@ def _sample_times(times: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rk4_steps_2(gs, h: float, h2: float, h6: float, y: list) -> list:
+#: Samples read into Python rows at a time, about 55 kB (K = 2) to 0.1 MB (K = 3)
+#: of Python objects, so no sweep holds a Python copy of a whole block; chunks
+#: of 1024 raised the benchmark's peak RSS on ``verify_export`` by about 0.3 MB.
+_ROW_CHUNK = 256
+
+
+def _rk4_steps_2(rows: Iterator[list], h: float, h2: float, h6: float, y: list) -> list:
     """RK4 steps for K = 2 on Python ``complex`` locals, states flattened."""
     y0, y1 = y
-    v, w = np.array(y, dtype=complex), np.empty(2, dtype=complex)
-    rows = []
-    for g1, g2, g3 in zip(gs[0:-1:2], gs[1::2], gs[2::2]):
-        a0, a1 = g1.dot(v, w).tolist()
-        v[0] = y0 + h2 * a0; v[1] = y1 + h2 * a1
-        b0, b1 = g2.dot(v, w).tolist()
-        v[0] = y0 + h2 * b0; v[1] = y1 + h2 * b1
-        c0, c1 = g2.dot(v, w).tolist()
-        v[0] = y0 + h * c0; v[1] = y1 + h * c1
-        d0, d1 = g3.dot(v, w).tolist()
-        y0 = v[0] = y0 + h6 * (a0 + 2.0 * (b0 + c0) + d0)
-        y1 = v[1] = y1 + h6 * (a1 + 2.0 * (b1 + c1) + d1)
-        rows += (y0, y1)
-    return rows
+    out = []
+    s = next(rows)
+    for (m00, m01, m10, m11), e in zip(rows, rows):
+        s00, s01, s10, s11 = s
+        a0 = s00 * y0 + s01 * y1; a1 = s10 * y0 + s11 * y1
+        u0 = y0 + h2 * a0; u1 = y1 + h2 * a1
+        b0 = m00 * u0 + m01 * u1; b1 = m10 * u0 + m11 * u1
+        u0 = y0 + h2 * b0; u1 = y1 + h2 * b1
+        c0 = m00 * u0 + m01 * u1; c1 = m10 * u0 + m11 * u1
+        u0 = y0 + h * c0; u1 = y1 + h * c1
+        e00, e01, e10, e11 = s = e
+        d0 = e00 * u0 + e01 * u1; d1 = e10 * u0 + e11 * u1
+        y0 = y0 + h6 * (a0 + 2.0 * (b0 + c0) + d0)
+        y1 = y1 + h6 * (a1 + 2.0 * (b1 + c1) + d1)
+        out += (y0, y1)
+    return out
 
 
-def _rk4_steps_3(gs, h: float, h2: float, h6: float, y: list) -> list:
+def _rk4_steps_3(rows: Iterator[list], h: float, h2: float, h6: float, y: list) -> list:
     """RK4 steps for K = 3 on Python ``complex`` locals, states flattened."""
     y0, y1, y2 = y
-    v, w = np.array(y, dtype=complex), np.empty(3, dtype=complex)
-    rows = []
-    for g1, g2, g3 in zip(gs[0:-1:2], gs[1::2], gs[2::2]):
-        a0, a1, a2 = g1.dot(v, w).tolist()
-        v[0] = y0 + h2 * a0; v[1] = y1 + h2 * a1; v[2] = y2 + h2 * a2
-        b0, b1, b2 = g2.dot(v, w).tolist()
-        v[0] = y0 + h2 * b0; v[1] = y1 + h2 * b1; v[2] = y2 + h2 * b2
-        c0, c1, c2 = g2.dot(v, w).tolist()
-        v[0] = y0 + h * c0; v[1] = y1 + h * c1; v[2] = y2 + h * c2
-        d0, d1, d2 = g3.dot(v, w).tolist()
-        y0 = v[0] = y0 + h6 * (a0 + 2.0 * (b0 + c0) + d0)
-        y1 = v[1] = y1 + h6 * (a1 + 2.0 * (b1 + c1) + d1)
-        y2 = v[2] = y2 + h6 * (a2 + 2.0 * (b2 + c2) + d2)
-        rows += (y0, y1, y2)
-    return rows
+    out = []
+    s = next(rows)
+    for (m00, m01, m02, m10, m11, m12, m20, m21, m22), e in zip(rows, rows):
+        s00, s01, s02, s10, s11, s12, s20, s21, s22 = s
+        a0 = s00 * y0 + s01 * y1 + s02 * y2
+        a1 = s10 * y0 + s11 * y1 + s12 * y2
+        a2 = s20 * y0 + s21 * y1 + s22 * y2
+        u0 = y0 + h2 * a0; u1 = y1 + h2 * a1; u2 = y2 + h2 * a2
+        b0 = m00 * u0 + m01 * u1 + m02 * u2
+        b1 = m10 * u0 + m11 * u1 + m12 * u2
+        b2 = m20 * u0 + m21 * u1 + m22 * u2
+        u0 = y0 + h2 * b0; u1 = y1 + h2 * b1; u2 = y2 + h2 * b2
+        c0 = m00 * u0 + m01 * u1 + m02 * u2
+        c1 = m10 * u0 + m11 * u1 + m12 * u2
+        c2 = m20 * u0 + m21 * u1 + m22 * u2
+        u0 = y0 + h * c0; u1 = y1 + h * c1; u2 = y2 + h * c2
+        e00, e01, e02, e10, e11, e12, e20, e21, e22 = s = e
+        d0 = e00 * u0 + e01 * u1 + e02 * u2
+        d1 = e10 * u0 + e11 * u1 + e12 * u2
+        d2 = e20 * u0 + e21 * u1 + e22 * u2
+        y0 = y0 + h6 * (a0 + 2.0 * (b0 + c0) + d0)
+        y1 = y1 + h6 * (a1 + 2.0 * (b1 + c1) + d1)
+        y2 = y2 + h6 * (a2 + 2.0 * (b2 + c2) + d2)
+        out += (y0, y1, y2)
+    return out
 
 
-def _rk4_steps_any(gs, h: float, h2: float, h6: float, y: list) -> list:
-    """RK4 steps for any K by the plain all-numpy step, one state per step."""
-    y = np.array(y, dtype=complex)
-    rows = []
-    for g1, g2, g3 in zip(gs[0:-1:2], gs[1::2], gs[2::2]):
-        k1 = g1.dot(y)
-        k2 = g2.dot(y + h2 * k1)
-        k3 = g2.dot(y + h2 * k2)
-        k4 = g3.dot(y + h * k3)
-        y = y + h6 * (k1 + 2.0 * (k2 + k3) + k4)
-        rows.append(y)
-    return rows
+def _rk4_steps_any(rows: Iterator[list], h: float, h2: float, h6: float, y: list) -> list:
+    """RK4 steps for any K on lists of Python ``complex``, states flattened; the
+    K = 2 and K = 3 kernels unroll exactly these operations."""
+    K = len(y)
+
+    def matvec(g: list, v: list) -> list:  # each entry summed from the left
+        return [reduce(add, map(mul, g[i:i + K], v)) for i in range(0, K * K, K)]
+
+    out = []
+    s = next(rows)
+    for m, e in zip(rows, rows):
+        a = matvec(s, y)
+        b = matvec(m, [yi + h2 * ai for yi, ai in zip(y, a)])
+        c = matvec(m, [yi + h2 * bi for yi, bi in zip(y, b)])
+        d = matvec(e, [yi + h * ci for yi, ci in zip(y, c)])
+        y = [yi + h6 * (ai + 2.0 * (bi + ci) + di) for yi, ai, bi, ci, di in zip(y, a, b, c, d)]
+        out += y
+        s = e
+    return out
 
 
 def _rk4_sweep(H: TimeDependentOperator, grid: TimeGrid, y0: np.ndarray) -> np.ndarray:
     """Integrate dy/dt = -i H(t) y for a state vector, one RK4 step at a time.
 
-    The steps run in a kernel chosen by ``K = y0.size``: for K = 2
-    and K = 3 the state is Python ``complex`` locals and only the four
-    ``(K, K) . (K,)`` matvecs of a step go through numpy (``g.dot(v, w)``
-    on two buffers), since numpy's
-    complex multiply rounds each part by a fused multiply-add,
-    ``re = fl(ar*br - fl(ai*bi))``, and Python's (without ``math.fma``
-    before 3.13) does not.  The rest rounds as in numpy, so the unrolled
-    steps are bit-identical to the all-numpy step that every other K runs.
+    The whole step runs in Python ``complex`` arithmetic, in a kernel chosen
+    by ``K = y0.size`` (unrolled for K = 2 and K = 3, bit-identical to the
+    generic one).  Each matvec entry sums ``(g_i0 y_0 + g_i1 y_1) + g_i2 y_2``
+    from the left and the update is ``y + h/6 (k1 + 2 (k2 + k3) + k4)``: the
+    sums of an all-numpy step in its order, which the growing modes make
+    matter (see the module docstring).  Only the rounding inside a complex
+    product differs, since numpy fuses a multiply-add into each part,
+    ``re = fl(ar*br - fl(ai*bi))``, and Python rounds both products.  Each
+    step's end sample is the next step's start.
     """
     times = grid.times()
     h, h2, h6 = grid.dt, 0.5 * grid.dt, grid.dt / 6.0
-    steps = {2: _rk4_steps_2, 3: _rk4_steps_3}.get(y0.size, _rk4_steps_any)
-    gs = -1j * H.sample(_sample_times(times))
-    out = np.empty((times.size, y0.size), dtype=complex)
+    K = y0.size
+    steps = {2: _rk4_steps_2, 3: _rk4_steps_3}.get(K, _rk4_steps_any)
+    gs = H.sample(_sample_times(times))
+    # -iH as flat rows of Python complex, converted a chunk at a time
+    rows = chain.from_iterable((-1j * gs[i:i + _ROW_CHUNK]).reshape(-1, K * K).tolist()
+                               for i in range(0, len(gs), _ROW_CHUNK))
+    out = np.empty((times.size, K), dtype=complex)
     out[0] = y0
     # an overflowing run is reported once, by StateTrajectory, at its first bad time
-    with np.errstate(over="ignore", invalid="ignore"):
-        out[1:] = np.reshape(steps(gs, h, h2, h6, y0.tolist()), (times.size - 1, y0.size))
+    out[1:] = np.reshape(steps(rows, h, h2, h6, y0.tolist()), (times.size - 1, K))
     return out
 
 

@@ -159,8 +159,8 @@ class ScenarioConfig:
             raise ConfigError(f"loops must be >= 1, got {self.loops}")
         if self.loops != 1 and self.scenario not in CYCLIC_IDS:
             raise ConfigError(f"loops must be 1 for a two-level scenario, got {self.loops}")
-        if self.dt is not None and not self.dt > 0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
+        if not self.resolved_dt() > 0:  # T / DEFAULT_STEPS_PER_T can underflow to 0
+            raise ConfigError(f"dt must be positive, got {self.resolved_dt()}")
         if not self.tolerance > 0:
             raise ConfigError(f"tolerance must be positive, got {self.tolerance}")
 

@@ -47,7 +47,12 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import TimeDependentOperator, TimeGrid, _sample_times
-from .exceptions import InvalidArgumentError, PhaseConsistencyError, SingularDenominatorError
+from .exceptions import (
+    InvalidArgumentError,
+    NonFiniteSampleError,
+    PhaseConsistencyError,
+    SingularDenominatorError,
+)
 from .frames import ThreeLevelFrameParams, TwoLevelFrameParams, _grid_times
 
 __all__ = [
@@ -269,9 +274,18 @@ def _consistency_residuals(c, frame, ts) -> dict[str, np.ndarray]:
 
 
 def _consistent(controls, frame, grid):
-    """``controls``, after checking every consistency residual on the grid."""
+    """``controls``, after checking every consistency residual on the grid; a
+    residual that is NaN or Inf raises :class:`NonFiniteSampleError` at its
+    first such time."""
     ts = _grid_times(grid)
-    for name, res in _consistency_residuals(controls, frame, ts).items():
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = _consistency_residuals(controls, frame, ts)
+    for name, res in residuals.items():
+        finite = np.isfinite(res)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise NonFiniteSampleError(
+                f"{name} phase-evolution residual at t = {ts[bad]:g} is NaN or Inf")
         worst = int(np.argmax(res))
         if res[worst] > CONSISTENCY_TOL:
             raise PhaseConsistencyError(

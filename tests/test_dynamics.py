@@ -388,6 +388,37 @@ def loop_rk4_sweep(H, grid, y0):
     return out
 
 
+def complex_rk4_sweep(H, grid, y0):
+    """Reference copy of the state sweep's step loop in Python ``complex``
+    arithmetic: the sums of ``loop_rk4_sweep`` in their order, each complex
+    product rounded as Python rounds it; ``y0`` a vector."""
+    times = grid.times()
+    dt = grid.dt
+    gs = (-1j * H.sample(dynamics._sample_times(times))).tolist()
+    y = np.asarray(y0, dtype=complex).tolist()
+
+    def matvec(g, v):
+        out = []
+        for row in g:
+            acc = row[0] * v[0]
+            for gij, vj in zip(row[1:], v[1:]):
+                acc = acc + gij * vj
+            out.append(acc)
+        return out
+
+    out = [y]
+    for i in range(times.size - 1):
+        g1, g2, g3 = gs[2 * i], gs[2 * i + 1], gs[2 * i + 2]
+        k1 = matvec(g1, y)
+        k2 = matvec(g2, [a + (0.5 * dt) * b for a, b in zip(y, k1)])
+        k3 = matvec(g2, [a + (0.5 * dt) * b for a, b in zip(y, k2)])
+        k4 = matvec(g3, [a + dt * b for a, b in zip(y, k3)])
+        y = [a + (dt / 6.0) * (p + 2.0 * (q + r) + s)
+             for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
+        out.append(y)
+    return np.array(out, dtype=complex)
+
+
 def cyclic_stage_generator(gamma_ratio=3.45):
     """Generator and grid of stage 1 of the first clockwise loop (T = 1)."""
     stage = clockwise_schedule(1, 1.0).stages[0]
@@ -435,12 +466,12 @@ def two_level_generator():
 
 
 def one_level_generator():
-    """K = 1, which runs the generic all-numpy step kernel."""
+    """K = 1, which runs the generic step kernel."""
     return smooth_generator(1, seed=83), TimeGrid(0.0, 1.0, 1e-3)
 
 
 def four_level_generator():
-    """K = 4, which runs the generic all-numpy step kernel."""
+    """K = 4, which runs the generic step kernel."""
     return smooth_generator(4, seed=85), TimeGrid(0.0, 1.0, 1e-3)
 
 
@@ -639,7 +670,11 @@ def test_state_sweeps_are_bit_identical_to_step_loop(make, passage, halve):
     psi0 = np.zeros(H.dim, dtype=complex)
     psi0[0] = 1.0
     evolve, op = (evolve_ket, H) if passage == "ket" else (evolve_bra, H.adjoint())
-    assert np.array_equal(evolve(H, psi0, grid).states, loop_rk4_sweep(op, grid, psi0))
+    states = evolve(H, psi0, grid).states
+    assert np.array_equal(states, complex_rk4_sweep(op, grid, psi0))
+    # the numpy loop rounds each complex product with a fused multiply-add
+    numpy_loop = loop_rk4_sweep(op, grid, psi0)
+    assert np.max(np.abs(states - numpy_loop)) <= 1e-14 * np.max(np.abs(states))
 
 
 @pytest.mark.parametrize("passage", ["ket", "bra"])
@@ -667,11 +702,15 @@ def test_cyclic_run_is_bit_identical_to_step_loop(monkeypatch):
     # the most rounding-sensitive cyclic input: four loops of growing modes
     config = ScenarioConfig("cyclic_ccw", T=0.5, loops=4, gamma_scale=1.15)
     fast = run_cyclic(config)
-    monkeypatch.setattr(dynamics, "_rk4_sweep", loop_rk4_sweep)
+    monkeypatch.setattr(dynamics, "_rk4_sweep", complex_rk4_sweep)
     slow = run_cyclic(config)
     assert np.array_equal(fast.trajectory.states, slow.trajectory.states)
     assert np.array_equal(fast.phase.f_imag, slow.phase.f_imag)
     assert fast.residuals["step_check"] == slow.residuals["step_check"]
+    monkeypatch.setattr(dynamics, "_rk4_sweep", loop_rk4_sweep)
+    numpy_loop = run_cyclic(config)
+    pops = fast.trajectory.populations
+    assert np.max(np.abs(pops - numpy_loop.trajectory.populations)) <= 1e-30
     # guards the accuracy of the batched dt/2 re-run on this input
     assert fast.residuals["step_check"] <= 5e-9
 
@@ -680,11 +719,15 @@ def test_cyclic_run_is_bit_identical_to_step_loop(monkeypatch):
 def test_two_level_run_is_bit_identical_to_step_loop(monkeypatch, scenario):
     config = ScenarioConfig(scenario, T=0.5, gamma_scale=1.15)
     fast = run_two_level(config)
-    monkeypatch.setattr(dynamics, "_rk4_sweep", loop_rk4_sweep)
+    monkeypatch.setattr(dynamics, "_rk4_sweep", complex_rk4_sweep)
     slow = run_two_level(config)
     assert np.array_equal(fast.trajectory.states, slow.trajectory.states)
     assert np.array_equal(fast.phase.f_imag, slow.phase.f_imag)
     assert fast.residuals["step_check"] == slow.residuals["step_check"]
+    monkeypatch.setattr(dynamics, "_rk4_sweep", loop_rk4_sweep)
+    numpy_loop = run_two_level(config)
+    pops = fast.trajectory.populations
+    assert np.max(np.abs(pops - numpy_loop.trajectory.populations)) <= 1e-30
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ The benchmark (``perfbench/``) compares stage-end populations and
 amplify rounding so strongly that one ulp in ``H`` moves populations past
 that gate, so the synthesized envelopes must stay bitwise equal to the
 formulas below, in their operation order, as must the generator assembled
-from them, and the three most amplifying reference inputs are rerun here.
+from them, and the three most amplifying reference inputs are rerun here,
+with a ket and a bra two-level input for the K = 2 sweep.
 """
 
 import json
@@ -23,17 +24,29 @@ REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 GATE_TOL = 1e-12
 
 
-@pytest.mark.parametrize("gamma_scale", [1.05, 1.1, 1.15])
-def test_most_amplifying_reference_inputs(gamma_scale):
+def assert_matches_reference(config):
+    """Stage-end populations and ``f_imag`` of ``config``'s run within the gate."""
     with open(REFERENCE, encoding="utf-8") as fh:
         want = json.load(fh)["values"][
-            f"cyclic_ccw|loops=4|T=0.5|gamma_scale={gamma_scale!r}"]
-    report = run_scenario(ScenarioConfig(scenario="cyclic_ccw", loops=4, T=0.5,
-                                         gamma_scale=gamma_scale))
+            f"{config.scenario}|loops={config.loops}|T={config.T!r}"
+            f"|gamma_scale={config.gamma_scale!r}"]
+    report = run_scenario(config)
     traj = report.trajectory
     ends = [traj.grid.index_of(b) for b in traj.grid.stage_boundaries] + [traj.times.size - 1]
     assert np.max(np.abs(traj.populations[ends] - want["pops"])) <= GATE_TOL
     assert np.max(np.abs(report.phase.f_imag[ends] - want["f_imag"])) <= GATE_TOL
+
+
+@pytest.mark.parametrize("gamma_scale", [1.05, 1.1, 1.15])
+def test_most_amplifying_reference_inputs(gamma_scale):
+    assert_matches_reference(ScenarioConfig(scenario="cyclic_ccw", loops=4, T=0.5,
+                                            gamma_scale=gamma_scale))
+
+
+@pytest.mark.parametrize("scenario", ["two_level_a", "two_level_c"], ids=["ket", "bra"])
+def test_two_level_reference_inputs(scenario):
+    # the K = 2 sweep, on the longest reference grid and the strongest gains
+    assert_matches_reference(ScenarioConfig(scenario=scenario, T=2.0, gamma_scale=1.15))
 
 
 def inner_envelope(p, c, varphi, ts):

@@ -127,6 +127,19 @@ def test_config_rejects_wrong_types(field, value):
         ScenarioConfig(scenario="cyclic_cw", **{field: value})
 
 
+def test_config_rejects_a_default_dt_that_underflows():
+    # T / 2000 rounds to 0 for the smallest subnormal T
+    with pytest.raises(ConfigError, match="dt must be positive, got 0.0"):
+        ScenarioConfig(scenario="two_level_a", T=5e-324)
+
+
+def test_cli_reports_a_default_dt_that_underflows(capsys):
+    assert cli_main(["verify", "--scenario", "a", "--T", "5e-324", "--quiet"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: dt must be positive, got 0.0"]
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_config_accepts_numpy_scalars():
     config = ScenarioConfig(scenario="cyclic_cw", T=np.float64(0.5), dt=np.float32(0.25),
                             loops=np.int64(2), gamma_scale=np.int32(1))
@@ -430,6 +443,13 @@ def test_verify_reports_an_overflowing_run():
 def test_overflowing_run_raises_a_typed_error():
     with pytest.raises(NonFiniteSampleError, match="t = "):
         run_scenario(ScenarioConfig(scenario="cyclic_cw", gamma_scale=200))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_gains_fail_in_synthesis_with_a_typed_error():
+    # gains near the float64 limit make the consistency residual NaN at once
+    with pytest.raises(NonFiniteSampleError, match=r"alpha .* t = 0 is NaN or Inf"):
+        run_scenario(ScenarioConfig(scenario="cyclic_cw", gamma_scale=1e308))
 
 
 @pytest.mark.parametrize("scenario,loops", [("cyclic_ccw", 2), ("two_level_c", 1)])

@@ -5,6 +5,7 @@ import pytest
 
 from nhpassage import (
     InvalidArgumentError,
+    NonFiniteSampleError,
     PassageError,
     PhaseConsistencyError,
     SingularDenominatorError,
@@ -109,6 +110,24 @@ def test_singular_denominator_raises():
         synthesize_two_level(ramp_down_params(), gamma0=0.0, gamma1=0.0,
                              xi0=-np.pi / 2, xi1=np.pi / 2,
                              delta=0.0, varphi=0.0, grid=GRID)
+
+
+def nan_after_half(t):
+    return np.where(np.asarray(t, float) > 0.5, np.nan, 1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("gamma,error,match", [
+    (nan_after_half, NonFiniteSampleError, r"alpha .* t = 0\.51 is NaN or Inf"),
+    (1.0, PhaseConsistencyError, r"alpha .* residual 2\.496e-02 at t = 1"),
+], ids=["nan", "finite"])
+def test_consistency_check_names_nan_and_finite_violations(gamma, error, match):
+    # off-axis gain phases make the alpha condition bite; a NaN residual must not
+    # pass the check (NaN > tol is False) nor hide the finite violation
+    with pytest.raises(error, match=match):
+        synthesize_two_level(ramp_down_params(), gamma0=gamma, gamma1=gamma,
+                             xi0=-np.pi / 2 + 0.1, xi1=np.pi / 2, delta=0.0,
+                             varphi=np.pi / 2, grid=TimeGrid(0.0, 1.0, 0.01))
 
 
 def test_inconsistent_alpha_equation_raises():
