@@ -18,7 +18,6 @@ from .dynamics import (
     dyson_truncation,
     evolve_bra,
     evolve_ket,
-    propagator_bra,
     propagator_ket,
 )
 from .exceptions import (
@@ -113,7 +112,6 @@ __all__ = [
     "export_svg",
     "phase_three_level",
     "phase_two_level",
-    "propagator_bra",
     "propagator_ket",
     "run_cyclic",
     "run_scenario",

@@ -10,7 +10,8 @@ dual picture useful.
 Everything here works on plain complex numpy arrays (states are shape
 ``(K,)`` vectors, operators ``(K, K)`` matrices) at small ``K``; units are
 dimensionless with hbar = 1.  A generator is sampled only in batches: its
-one callable maps a 1-D array of times to an ``(n, K, K)`` block.
+one callable maps a 1-D array of times to an ``(n, K, K)`` block, as a frame's
+maps them to an ``(n, 2, K, K)`` one; one path checks and tabulates both.
 Propagation uses classical fixed-step RK4, which handles non-unitary
 generators without any norm-restoring tricks.  Each sweep covers one
 smooth stretch of ``H``; a run made of several stages (see
@@ -18,7 +19,7 @@ smooth stretch of ``H``; a run made of several stages (see
 the state across.
 
 Two paths share the scheme.  The batched path serves the propagators
-(:func:`propagator_ket`, :func:`propagator_bra`, :func:`biorthogonality_defect`)
+(:func:`propagator_ket`, :func:`biorthogonality_defect`)
 and the dt/2 re-run of a run's step check (:func:`evolve_ket_halved`): each
 RK4 step becomes an increment ``D_n = P_n - I``, all at once, and a
 blocked prefix scan chains them with the identity implicit, since ``I + D_n``
@@ -53,11 +54,13 @@ blocks block-major, one contiguous ``(K, K, nb)`` stack per step of a block,
 and closes on a contiguous carry: numpy's einsum runs about twice as fast on
 contiguous operands as on strided ones, with the same sums in the same
 order.  The propagators stay time-last from the scan to ``V^dag U``, and
-only :func:`propagator_ket`/:func:`propagator_bra` move time to the front.
+only :func:`propagator_ket` moves time to the front; the bra propagators are
+``propagator_ket(H.adjoint(), grid)``.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from functools import reduce
@@ -83,7 +86,6 @@ __all__ = [
     "evolve_bra",
     "evolve_ket_halved",
     "propagator_ket",
-    "propagator_bra",
     "biorthogonality_defect",
     "dyson_truncation",
 ]
@@ -103,14 +105,18 @@ def _as_state(psi, dim: int) -> np.ndarray:
     return psi
 
 
+#: What a sample block of each rank holds; a frame's stacks matrices and derivatives.
+_SAMPLE_KINDS = {3: "generator", 4: "frame"}
+
+
 def _check_finite_block(block: np.ndarray, times: np.ndarray) -> None:
     """Raise naming the first time whose sample holds a NaN or Inf; one flat
     scan decides, and only a failing block is reduced per time."""
     if np.isfinite(block).all():
         return
-    bad = int(np.argmin(np.isfinite(block).all(axis=(1, 2))))
+    bad = int(np.argmin(np.isfinite(block).reshape(len(times), -1).all(axis=1)))
     raise NonFiniteSampleError(
-        f"generator sample at t = {float(times[bad])!r} contains NaN or Inf"
+        f"{_SAMPLE_KINDS[block.ndim]} sample at t = {float(times[bad])!r} contains NaN or Inf"
     )
 
 
@@ -144,6 +150,9 @@ class TimeGrid:
 
     def _steps_or_raise(self, t: float, what: str) -> int:
         raw = (t - self.t0) / self.dt
+        if not math.isfinite(raw):  # a non-finite bound or time, or a step count past float range
+            raise GridError(f"{what} = {t} is not a finite number of steps of {self.dt} "
+                            f"from t0 = {self.t0}")
         n = round(raw)
         if abs(raw - n) > _GRID_RTOL * max(1.0, abs(raw)):
             raise GridError(f"{what} = {t} is not an integer number of steps from t0")
@@ -194,15 +203,22 @@ class _Table:
         return block
 
 
-class _AdjointTable:
-    """A table's blocks conjugate-transposed per request: what a bra sweep reads,
-    served as checked when the table was built, and no second table is held."""
-
-    def __init__(self, table: _Table):
-        self.table = table
-
-    def __call__(self, ts: np.ndarray) -> np.ndarray:
-        return _dagger(self.table(ts))
+def _checked_block(values_at: Callable, times: np.ndarray, shape: tuple) -> np.ndarray:
+    """``values_at(times)`` as one complex block of ``shape`` per time, its shape and
+    NaN/Inf checked, and :class:`NonFiniteSampleError` naming its first bad time; a
+    :class:`_Table` was checked so when built, and serves its blocks unchecked."""
+    times = np.asarray(times, dtype=float)
+    if isinstance(values_at, _Table):
+        return values_at(times)
+    block = np.asarray(values_at(times), dtype=complex)
+    expected = (times.size,) + shape
+    if block.shape != expected:
+        raise DimensionMismatchError(
+            f"{_SAMPLE_KINDS[len(expected)]} samples have shape {block.shape}, "
+            f"expected {expected}"
+        )
+    _check_finite_block(block, times)
+    return block
 
 
 @dataclass(frozen=True)
@@ -223,17 +239,7 @@ class TimeDependentOperator:
         names its first bad time; a table from :meth:`tabulated` was checked so
         when built, and it and its :meth:`adjoint` serve its blocks unchecked.
         """
-        times = np.asarray(times, dtype=float)
-        if isinstance(self.values_at, (_Table, _AdjointTable)):
-            return self.values_at(times)
-        block = np.asarray(self.values_at(times), dtype=complex)
-        if block.shape != (times.size, self.dim, self.dim):
-            raise DimensionMismatchError(
-                f"operator samples have shape {block.shape}, expected "
-                f"({times.size}, {self.dim}, {self.dim})"
-            )
-        _check_finite_block(block, times)
-        return block
+        return _checked_block(self.values_at, times, (self.dim, self.dim))
 
     def tabulated(self, times: np.ndarray) -> "TimeDependentOperator":
         """This generator sampled once on ``times``, its shape and NaN/Inf
@@ -242,10 +248,11 @@ class TimeDependentOperator:
 
     def adjoint(self) -> "TimeDependentOperator":
         """The Hermitian conjugate generator t -> H(t)^dag; the adjoint of a table
-        serves the table's blocks conjugate-transposed, without a second scan."""
+        is a table of its block conjugate-transposed, without a second scan."""
         batch = self.values_at
         if isinstance(batch, _Table):
-            return TimeDependentOperator(self.dim, _AdjointTable(batch))
+            return TimeDependentOperator(self.dim, _Table(
+                lambda ts: _dagger(batch.batch(ts)), batch.times, _dagger(batch.table)))
         return TimeDependentOperator(self.dim, lambda ts: _dagger(batch(ts)))
 
 
@@ -553,14 +560,10 @@ def propagator_ket(H: TimeDependentOperator, grid: TimeGrid) -> np.ndarray:
     """Time-evolution operators U0(t) on every grid point, U0(t0) = identity.
 
     Columns evolve like :func:`evolve_ket` runs from the corresponding
-    basis vectors (to rounding); shape ``(n_steps + 1, K, K)``.
+    basis vectors (to rounding); shape ``(n_steps + 1, K, K)``.  The dual-space
+    propagators ``V0(t)`` are ``propagator_ket(H.adjoint(), grid)``.
     """
     return np.moveaxis(_propagators(H, grid)[0], -1, 0)
-
-
-def propagator_bra(H: TimeDependentOperator, grid: TimeGrid) -> np.ndarray:
-    """Dual-space propagators V0(t) generated by ``H(t)^dag``."""
-    return np.moveaxis(_propagators(H.adjoint(), grid)[0], -1, 0)
 
 
 def biorthogonality_defect(H: TimeDependentOperator, grid: TimeGrid) -> float:
@@ -606,6 +609,8 @@ def dyson_truncation(
     if quadrature_steps < 2 or quadrature_steps % 2:
         raise InvalidArgumentError(
             f"quadrature_steps must be even and >= 2, got {quadrature_steps}")
+    if not (math.isfinite(t) and math.isfinite(t0)):
+        raise InvalidArgumentError(f"t = {t} and t0 = {t0} must be finite")
     if t < t0:
         raise InvalidArgumentError(f"t = {t} precedes t0 = {t0}")
     K = H.dim

@@ -18,26 +18,28 @@ directly.
 Frame convention: the frame matrix ``M(t)`` carries ``mu_k(t)`` in its
 columns, ordered so that column K-1 (the last) is the ket-space passage
 and column 0 the bra-space passage.  The triangularization direction
-depends on this ordering.  A frame, like a generator, is sampled only in
-batches: its callables map a 1-D array of times to ``(n, K, K)`` stacks of
-frame matrices and their analytic time derivatives.
+depends on this ordering.  A frame is sampled like a generator, only in
+batches: its one callable maps a 1-D array of times to an ``(n, 2, K, K)``
+block, ``[:, 0]`` the frame matrices and ``[:, 1]`` their analytic time
+derivatives, checked for shape and NaN/Inf and tabulated by the same code
+as a generator's block (see :mod:`nhpassage.dynamics`).
 
 Both built-in frames come from one pair rotation, the pair that synthesis
 solves: the two-level frame is one pair on ``|0>, |1>``, and the
 three-level frame is a product of two pair rotations (the ``|0>, |1>``
 pair making the bright state, and the bright state paired with ``|e>``),
-its derivative by the product rule; a built-in frame tabulates both from
-one evaluation of its pairs.
+its derivative by the product rule, so one evaluation of the pairs gives
+matrices and derivatives together.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .dynamics import TimeDependentOperator, TimeGrid, _Table, _time_last
+from .dynamics import TimeDependentOperator, TimeGrid, _checked_block, _Table, _time_last
 from .exceptions import DimensionMismatchError, NonHermitianError
 
 __all__ = [
@@ -58,45 +60,30 @@ _HERMITIAN_TOL = 1e-12
 class AncillaryFrame:
     """A complete orthonormal moving basis with analytic time derivatives.
 
-    ``basis_batch`` maps a 1-D time array to the ``(n, dim, dim)`` stack of
-    frame matrices whose columns are the basis vectors;
-    ``basis_derivative_batch`` gives their elementwise time derivatives.
+    ``values_at`` maps a 1-D time array to one ``(n, 2, dim, dim)`` block:
+    ``[:, 0]`` holds the frame matrices, whose columns are the basis
+    vectors, and ``[:, 1]`` their elementwise time derivatives.
     """
 
     dim: int
-    basis_batch: Callable[[np.ndarray], np.ndarray]
-    basis_derivative_batch: Callable[[np.ndarray], np.ndarray]
-    # matrices and derivatives from one evaluation; not an init field, so
-    # ``dataclasses.replace`` of a frame drops it
-    _both_batch: Callable | None = field(default=None, init=False, repr=False, compare=False)
+    values_at: Callable[[np.ndarray], np.ndarray]
 
-    @classmethod
-    def _of_pairs(cls, dim: int, batch: Callable, both: Callable) -> "AncillaryFrame":
-        frame = cls(dim, batch, lambda ts: both(ts)[1])
-        object.__setattr__(frame, "_both_batch", both)
-        return frame
+    def _block(self, times: np.ndarray) -> np.ndarray:
+        """The block at ``times``, checked as :meth:`TimeDependentOperator.sample` checks."""
+        return _checked_block(self.values_at, times, (2, self.dim, self.dim))
 
     def sample(self, times: np.ndarray) -> np.ndarray:
-        return self._checked(self.basis_batch, times)
-
-    def tabulated(self, times: np.ndarray) -> "AncillaryFrame":
-        """This frame and its derivative evaluated once on ``times``."""
-        tables = (None, None) if self._both_batch is None else self._both_batch(times)
-        return AncillaryFrame(self.dim, _Table(self.basis_batch, times, tables[0]),
-                              _Table(self.basis_derivative_batch, times, tables[1]))
+        """The frame matrices at ``times``: a view of the checked block."""
+        return self._block(times)[:, 0]
 
     def sample_derivative(self, times: np.ndarray) -> np.ndarray:
-        return self._checked(self.basis_derivative_batch, times)
+        """Their time derivatives: a view of the same block."""
+        return self._block(times)[:, 1]
 
-    def _checked(self, batch: Callable, times: np.ndarray) -> np.ndarray:
-        times = np.asarray(times, dtype=float)
-        block = np.asarray(batch(times), dtype=complex)
-        if block.shape != (times.size, self.dim, self.dim):
-            raise DimensionMismatchError(
-                f"frame samples have shape {block.shape}, expected "
-                f"({times.size}, {self.dim}, {self.dim})"
-            )
-        return block
+    def tabulated(self, times: np.ndarray) -> "AncillaryFrame":
+        """This frame sampled once on ``times``, checked then and not again per
+        request; see :class:`~nhpassage.dynamics._Table`."""
+        return AncillaryFrame(self.dim, _Table(self._block, times))
 
 
 @dataclass(frozen=True)
@@ -134,46 +121,41 @@ class ThreeLevelFrameParams:
     beta_dot: Callable
 
 
-def _pair(x, a, dx=None, da=None):
-    """The ``(n, 2, 2)`` rotation of one pair by angle ``x`` and local phase ``a``::
+def _pair(x, a, dx, da):
+    """The ``(n, 2, 2, 2)`` block of one pair's rotation by angle ``x`` and local
+    phase ``a``::
 
         [[cos x e^{+ia/2},  sin x e^{+ia/2}],
          [-sin x e^{-ia/2}, cos x e^{-ia/2}]]
 
-    Given the rates ``dx, da`` it returns ``(matrix, derivative)``, the
-    derivative from the same cosines, sines and phase factors.
+    and of its derivative at the rates ``dx, da``, from the same cosines,
+    sines and phase factors.
     """
     c, s = np.cos(x), np.sin(x)
     ep = np.exp(0.5j * np.asarray(a))
     em = np.conj(ep)
-    shape = np.shape(c) + (2, 2)
-    m = np.stack([c * ep, s * ep, -s * em, c * em], axis=-1).reshape(shape)
-    if dx is None:
-        return m
-    dm = np.stack([(-s * dx + 0.5j * da * c) * ep, (c * dx + 0.5j * da * s) * ep,
-                   -((c * dx - 0.5j * da * s) * em), (-s * dx - 0.5j * da * c) * em],
-                  axis=-1).reshape(shape)
-    return m, dm
+    return np.stack([c * ep, s * ep, -s * em, c * em,
+                     (-s * dx + 0.5j * da * c) * ep, (c * dx + 0.5j * da * s) * ep,
+                     -((c * dx - 0.5j * da * s) * em), (-s * dx - 0.5j * da * c) * em],
+                    axis=-1).reshape(np.shape(c) + (2, 2, 2))
 
 
-def _nested(inner, outer, d_inner=None, d_outer=None):
-    """The ``(n, 3, 3)`` frame of an outer pair nested on an inner one.
+def _nested(inner, outer):
+    """The ``(n, 2, 3, 3)`` block of an outer pair nested on an inner one, from
+    the two pairs' blocks.
 
     Column 0 is the inner pair's first column.  The outer pair's first row
     scales the inner second column (the bright state) into rows 0-1 of
-    columns 1-2, and its second row is row 2 there.  Given both pairs'
-    derivatives it returns the frame's derivative, by the product rule.
-    Products keep the outer factor on the left: numpy's complex multiply
-    is not bitwise commutative.
+    columns 1-2, and its second row is row 2 there.  The derivative follows
+    by the product rule: an entry linear in one pair takes that pair's
+    derivative.  Products keep the outer factor on the left: numpy's complex
+    multiply is not bitwise commutative.
     """
-    # entries linear in one pair take that pair's rate in the derivative
-    lin_inner, lin_outer = (inner, outer) if d_inner is None else (d_inner, d_outer)
-    m = np.zeros(inner.shape[:-2] + (3, 3), dtype=complex)
-    m[..., :2, 0] = lin_inner[..., :, 0]
-    m[..., :2, 1:] = lin_outer[..., None, 0, :] * inner[..., :, 1, None]
-    if d_inner is not None:
-        m[..., :2, 1:] += outer[..., None, 0, :] * d_inner[..., :, 1, None]
-    m[..., 2, 1:] = lin_outer[..., 1, :]
+    m = np.zeros(inner.shape[:-3] + (2, 3, 3), dtype=complex)
+    m[..., :2, 0] = inner[..., :, 0]
+    m[..., :2, 1:] = outer[..., None, 0, :] * inner[..., :1, :, 1, None]
+    m[..., 1, :2, 1:] += outer[..., 0, None, 0, :] * inner[..., 1, :, 1, None]
+    m[..., 2, 1:] = outer[..., 1, :]
     return m
 
 
@@ -190,15 +172,11 @@ def two_level_frame(params: TwoLevelFrameParams) -> AncillaryFrame:
     """
     p = params
 
-    def batch(ts):
-        ts = np.asarray(ts, dtype=float)
-        return _pair(p.theta(ts), p.alpha(ts))
-
-    def both(ts):
+    def values_at(ts):
         ts = np.asarray(ts, dtype=float)
         return _pair(p.theta(ts), p.alpha(ts), p.theta_dot(ts), p.alpha_dot(ts))
 
-    return AncillaryFrame._of_pairs(2, batch, both)
+    return AncillaryFrame(2, values_at)
 
 
 def three_level_frame(params: ThreeLevelFrameParams) -> AncillaryFrame:
@@ -220,17 +198,12 @@ def three_level_frame(params: ThreeLevelFrameParams) -> AncillaryFrame:
     """
     p = params
 
-    def batch(ts):
+    def values_at(ts):
         ts = np.asarray(ts, dtype=float)
-        return _nested(_pair(p.theta(ts), p.alpha(ts)), _pair(p.phi_mix(ts), p.beta(ts)))
+        return _nested(_pair(p.theta(ts), p.alpha(ts), p.theta_dot(ts), p.alpha_dot(ts)),
+                       _pair(p.phi_mix(ts), p.beta(ts), p.phi_mix_dot(ts), p.beta_dot(ts)))
 
-    def both(ts):
-        ts = np.asarray(ts, dtype=float)
-        inner, d_inner = _pair(p.theta(ts), p.alpha(ts), p.theta_dot(ts), p.alpha_dot(ts))
-        outer, d_outer = _pair(p.phi_mix(ts), p.beta(ts), p.phi_mix_dot(ts), p.beta_dot(ts))
-        return _nested(inner, outer), _nested(inner, outer, d_inner, d_outer)
-
-    return AncillaryFrame._of_pairs(3, batch, both)
+    return AncillaryFrame(3, values_at)
 
 
 def _grid_times(grid) -> np.ndarray:
@@ -240,12 +213,13 @@ def _grid_times(grid) -> np.ndarray:
 
 
 def _time_last_samples(H: TimeDependentOperator, frame: AncillaryFrame, grid):
-    """``H``, the frame and its derivative on the grid, as time-last blocks."""
+    """``H``, the frame and its derivative on the grid, as time-last blocks; one
+    sample of the frame serves both."""
     if H.dim != frame.dim:
         raise DimensionMismatchError(f"operator dim {H.dim} != frame dim {frame.dim}")
     times = _grid_times(grid)
-    return (_time_last(H.sample(times)), _time_last(frame.sample(times)),
-            _time_last(frame.sample_derivative(times)))
+    hs, fs = H.sample(times), frame._block(times)
+    return _time_last(hs), _time_last(fs[:, 0]), _time_last(fs[:, 1])
 
 
 def triangularization_residual(

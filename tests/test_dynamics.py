@@ -24,7 +24,6 @@ from nhpassage import (
     dyson_truncation,
     evolve_bra,
     evolve_ket,
-    propagator_bra,
     propagator_ket,
     run_cyclic,
     run_two_level,
@@ -175,6 +174,21 @@ def test_grid_rejects_off_grid_boundary():
         TimeGrid(0.0, 1.0, 0.1, stage_boundaries=(0.55,))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("make", [
+    lambda: TimeGrid(0.0, 2.0, 1e-320),
+    lambda: TimeGrid(0.0, np.inf, 1.0),
+    lambda: TimeGrid(-np.inf, 1.0, 0.5),
+    lambda: TimeGrid(0.0, 1e300, 1e-300),
+    lambda: TimeGrid(0.0, 1.0, 0.5).index_of(np.nan),
+    lambda: TimeGrid(0.0, 1.0, 0.5).index_of(np.inf),
+], ids=["overflowing-steps", "infinite-tf", "infinite-t0", "steps-past-float-range",
+        "nan-time", "infinite-time"])
+def test_grid_rejects_non_finite_bounds_step_counts_and_times(make):
+    with pytest.raises(GridError, match="is not a finite number of steps"):
+        make()
+
+
 def test_grid_segments_and_halving():
     grid = TimeGrid(0.0, 1.0, 0.1, stage_boundaries=(0.7, 0.4))
     assert grid.stage_boundaries == (0.4, 0.7)
@@ -232,7 +246,7 @@ def test_bra_propagator_equals_ket_for_hermitian():
     h = random_generator(2, seed=17, hermitian=True)
     grid = TimeGrid(0.0, 1.0, 1e-3)
     U = propagator_ket(constant_operator(h), grid)
-    V = propagator_bra(constant_operator(h), grid)
+    V = propagator_ket(constant_operator(h).adjoint(), grid)
     assert np.max(np.abs(U - V)) < 1e-14
 
 
@@ -327,6 +341,13 @@ def test_series_errors_are_typed():
             dyson_truncation(H, *args)
         assert isinstance(info.value, PassageError)
         assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("t,t0", [(np.nan, 0.0), (np.inf, 0.0), (1.0, -np.inf), (1.0, np.nan)])
+def test_series_rejects_non_finite_times(t, t0):
+    with pytest.raises(InvalidArgumentError, match="must be finite"):
+        dyson_truncation(constant_operator(np.eye(2)), t, 3, 4, t0=t0)
 
 
 def test_series_accepts_numpy_integers():
@@ -446,7 +467,7 @@ def test_batched_propagators_match_step_loop(make):
     # growing modes: the regime where regrouped products could drift
     assert np.max(np.abs(U_loop)) > 1.0
     assert np.max(np.abs(propagator_ket(H, grid) - U_loop)) <= 1e-12
-    assert np.max(np.abs(propagator_bra(H, grid) - V_loop)) <= 1e-12
+    assert np.max(np.abs(propagator_ket(H.adjoint(), grid) - V_loop)) <= 1e-12
     prod = np.einsum("nji,njk->nik", V_loop.conj(), U_loop)
     assert abs(biorthogonality_defect(H, grid) - np.max(np.abs(prod - eye))) <= 1e-12
 
@@ -490,7 +511,7 @@ def test_time_last_kernels_match_nfirst_forms(make):
     assert incs.shape == (H.dim, H.dim, grid.n_steps)
     steps = np.moveaxis(incs, -1, 0) + np.eye(H.dim)
     assert np.max(np.abs(steps - nfirst_step_matrices(gs, grid.dt))) <= 1e-13
-    U, V = propagator_ket(H, grid), propagator_bra(H, grid)
+    U, V = propagator_ket(H, grid), propagator_ket(H.adjoint(), grid)
     prod = np.einsum("nji,njk->nik", V.conj(), U)
     defect = np.max(np.abs(prod - np.eye(H.dim)))
     assert abs(biorthogonality_defect(H, grid) - defect) <= 1e-13
@@ -652,7 +673,7 @@ def test_propagators_and_defect_are_bitwise_the_reference_path(make):
     H, grid = make()
     U, V, defect = reference_propagators(H, grid)
     assert np.array_equal(propagator_ket(H, grid), U)
-    assert np.array_equal(propagator_bra(H, grid), V)
+    assert np.array_equal(propagator_ket(H.adjoint(), grid), V)
     assert biorthogonality_defect(H, grid) == defect
 
 

@@ -1,5 +1,8 @@
 """Moving frames: closed forms, orthonormality, gauge potential, rotation, residual certificates."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from nhpassage import (
     AncillaryFrame,
     DimensionMismatchError,
+    NonFiniteSampleError,
     NonHermitianError,
     ScenarioConfig,
     ThreeLevelFrameParams,
@@ -182,13 +186,18 @@ def test_frame_unitary_is_unitary(t):
 def test_frame_samples_of_the_wrong_shape_raise():
     good = wobble_frame()
     ts = np.linspace(0.0, 1.0, 5)
-    wrong_dim = AncillaryFrame(3, good.basis_batch, good.basis_derivative_batch)
-    one_matrix = AncillaryFrame(2, lambda ts: good.basis_batch(ts)[0],
-                                good.basis_derivative_batch)
-    for call in (lambda: wrong_dim.sample(ts), lambda: wrong_dim.sample_derivative(ts),
-                 lambda: one_matrix.sample(ts)):
-        with pytest.raises(DimensionMismatchError):
-            call()
+    n = ts.size
+    frames = [AncillaryFrame(3, good.values_at), AncillaryFrame(2, lambda t: good.values_at(t)[0])]
+    for K in (2, 3):  # one matrix per time, a wrong K, n or axis order, three parts
+        frames += [AncillaryFrame(K, lambda t, shape=shape: np.zeros(shape, complex))
+                   for shape in ((n, K, K), (n, 2, K + 1, K + 1), (n + 1, 2, K, K),
+                                 (2, n, K, K), (n, 3, K, K))]
+    for frame in frames:
+        for call in (frame.sample, frame.sample_derivative, frame.tabulated):
+            with pytest.raises(DimensionMismatchError, match=re.escape(
+                    f"frame samples have shape {frame.values_at(ts).shape}, "
+                    f"expected {(n, 2, frame.dim, frame.dim)}")):
+                call(ts)
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +239,9 @@ def test_finite_difference_fallback_frame():
     # a frame without analytic rates passes a central difference of its basis
     analytic = wobble_frame()
     h = 1e-6
-    fd_frame = AncillaryFrame(
-        dim=2, basis_batch=analytic.basis_batch,
-        basis_derivative_batch=lambda ts: (analytic.basis_batch(ts + h)
-                                           - analytic.basis_batch(ts - h)) / (2 * h))
+    fd_frame = AncillaryFrame(dim=2, values_at=lambda ts: np.stack(
+        [analytic.sample(ts), (analytic.sample(ts + h) - analytic.sample(ts - h)) / (2 * h)],
+        axis=1))
     for t in (0.3, 2.1):
         a = gauge_potential(fd_frame, t)
         assert np.max(np.abs(a - a.conj().T)) < 1e-6
@@ -332,8 +340,8 @@ def test_von_neumann_static_eigenframe_of_constant_hermitian():
     h = np.array([[0.5, 0.2], [0.2, -0.5]], dtype=complex)
     w, v = np.linalg.eigh(h)
     frame = AncillaryFrame(
-        dim=2, basis_batch=lambda ts: np.broadcast_to(v, (len(ts), 2, 2)),
-        basis_derivative_batch=lambda ts: np.zeros((len(ts), 2, 2), complex))
+        dim=2, values_at=lambda ts: np.stack([np.broadcast_to(v, (len(ts), 2, 2)),
+                                              np.zeros((len(ts), 2, 2), complex)], axis=1))
     res = von_neumann_residual(constant_operator(h), frame, TimeGrid(0, 1, 0.01))
     assert res < 1e-14
 
@@ -600,13 +608,25 @@ def test_two_product_von_neumann_matches_the_per_k_form(angles, dim, seed, scale
 # one-pass frame tables against separate samples, bitwise
 
 
+def counting(fn, calls):
+    """``fn``, recording each call in ``calls``."""
+    def counted(t):
+        calls.append(1)
+        return fn(t)
+    return counted
+
+
 def same_bits(a, b):
     """Equal shapes and equal bytes: signed zeros included."""
     return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
 
 
-def drawn_frame(angles, dim):
+def drawn_frame(angles, dim, calls=None):
+    """The built-in frame of drawn ``angles``; each evaluation of its pairs is
+    recorded in ``calls`` if given."""
     (th, dth), (al, dal), (ph, dph), (be, dbe) = (trig_angle(*a) for a in angles)
+    if calls is not None:
+        th = counting(th, calls)
     if dim == 2:
         return two_level_frame(TwoLevelFrameParams(
             theta=th, theta_dot=dth, alpha=al, alpha_dot=dal))
@@ -663,3 +683,64 @@ def test_built_in_frame_tables_evaluate_the_pairs_once(angles, dim):
     assert len(calls) == 1  # matrices and derivatives from one evaluation
     assert same_bits(table.sample(ts), frame.sample(ts))
     assert same_bits(table.sample_derivative(ts), frame.sample_derivative(ts))
+
+
+# ---------------------------------------------------------------------------
+# the frame contract: one (n, 2, K, K) block, checked as a generator's is and
+# tabulated by one call
+
+
+@settings(max_examples=25, deadline=None)
+@given(angles=st.tuples(trig_angles, phase_angles, trig_angles, phase_angles),
+       dim=st.sampled_from([2, 3]),
+       rows=st.lists(st.integers(0, 128), min_size=1, max_size=12, unique=True))
+def test_frame_tables_are_one_call_and_bitwise_fresh_samples(angles, dim, rows):
+    calls = []
+    built_in = drawn_frame(angles, dim, calls)
+    ts = np.linspace(-3.0, 3.0, 129)
+    subset = ts[np.sort(rows)]
+    want = {times.size: (built_in.sample(times), built_in.sample_derivative(times))
+            for times in (ts, subset)}
+    caller_built = AncillaryFrame(dim, lambda t: built_in.values_at(t))
+    for frame in (built_in, replace(built_in), caller_built):
+        calls.clear()
+        table = frame.tabulated(ts)
+        assert len(calls) == 1  # matrices and derivatives from one evaluation
+        for times in (ts, subset):
+            m, dm = want[times.size]
+            assert same_bits(table.sample(times), m)
+            assert same_bits(table.sample_derivative(times), dm)
+        assert len(calls) == 1  # the subset is served from the table
+
+
+@settings(max_examples=25, deadline=None)
+@given(angles=st.tuples(trig_angles, phase_angles, trig_angles, phase_angles),
+       dim=st.sampled_from([2, 3]))
+def test_frame_derivative_is_the_limit_of_central_differences(angles, dim):
+    frame = drawn_frame(angles, dim)
+    ts = np.linspace(-2.0, 2.0, 33)
+    dm = frame.sample_derivative(ts)
+    errs = [np.max(np.abs((frame.sample(ts + h) - frame.sample(ts - h)) / (2 * h) - dm))
+            for h in (2e-3, 1e-3)]
+    # O(h^2): halving h quarters the error, down to the difference's roundoff
+    assert errs[1] <= 0.3 * errs[0] + 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(dim=st.sampled_from([2, 3]), bad=st.integers(0, 127), later=st.integers(1, 128),
+       part=st.sampled_from([0, 1]), value=st.sampled_from([np.nan, np.inf, complex(0.0, np.nan)]))
+def test_a_non_finite_frame_sample_names_its_first_bad_time(dim, bad, later, part, value):
+    ts = np.linspace(0.0, 1.0, 129)
+    smooth = _misaligned_frame(dim, 1.0)
+
+    def values_at(t):
+        block = smooth.values_at(t)
+        block[t == ts[bad], part, dim - 1, 0] = value
+        block[t == ts[min(bad + later, 128)], 0, 0, 0] = np.inf
+        return block
+
+    frame = AncillaryFrame(dim, values_at)
+    message = rf"^frame sample at t = {re.escape(repr(float(ts[bad])))} contains NaN or Inf$"
+    for call in (frame.sample, frame.sample_derivative, frame.tabulated):
+        with pytest.raises(NonFiniteSampleError, match=message):
+            call(ts)

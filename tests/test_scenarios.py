@@ -140,6 +140,22 @@ def test_cli_reports_a_default_dt_that_underflows(capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize("sid,dt", [("two_level_a", 1e-320), ("cyclic_cw", 1e-308)])
+def test_config_rejects_a_dt_whose_step_count_overflows(sid, dt):
+    # 2T / dt (6T per loop for a cyclic run) is past float range
+    with pytest.raises(ConfigError, match="the run's step count overflows"):
+        ScenarioConfig(sid, dt=dt)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_reports_a_dt_whose_step_count_overflows(capsys):
+    assert cli_main(["verify", "--scenario", "a", "--dt", "1e-320", "--quiet"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: dt = 1e-320 is too small for T = 1.0: the run's step count overflows"]
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_config_accepts_numpy_scalars():
     config = ScenarioConfig(scenario="cyclic_cw", T=np.float64(0.5), dt=np.float32(0.25),
                             loops=np.int64(2), gamma_scale=np.int32(1))
@@ -294,6 +310,15 @@ def test_verify_records_each_groups_failure_when_stages_fail_to_build():
     assert got[3][0] == "biorthogonality_random_generator" and got[3][4]
     assert report.checks[3] == scenarios._random_biorthogonality_checks(
         ScenarioConfig("cyclic_cw"))[0][0]
+
+
+def test_verify_random_generator_control_of_custom_is_two_level():
+    # 'custom' is a two-level task: its control draws a 2x2 generator, as for the
+    # built-in two-level runs, and its failed run's placeholder is two-level too
+    report = verify(ScenarioConfig("custom"))
+    got = [c for c in report.checks if c.name == "biorthogonality_random_generator"]
+    assert got == scenarios._random_biorthogonality_checks(ScenarioConfig("two_level_a"))[0]
+    assert report.trajectory.dim == 2
 
 
 def rebuilt_verify_checks(config):
