@@ -40,6 +40,11 @@ benchmark reference inputs within 5.5e-40 of the recorded ones.
 
 A run's sweep and certificates read one table per stage of the generator on
 the grid and RK4 midpoints (:meth:`TimeDependentOperator.tabulated`).  The
+built-in generators and frames are closed forms (:class:`_Derived`) over a
+sample set (:class:`_Samples`), in which each callable of time they read (a
+frame angle, a gain, an envelope) and each sine and cosine they take of one
+is evaluated once: a stage's table, its passage phase and its frame table
+read one set, and the dt/2 re-run's one sample of ``H`` builds its own.  The
 dt/2 re-run keeps its own samples: the table's times halved again differ
 from ``grid.halved()``'s by an ulp at 2532 of 16 001 times of a 4000-step
 stage, and serving them moved re-run populations by 1.3e-10.
@@ -92,6 +97,9 @@ __all__ = [
 
 #: Relative slack when deciding whether a time is an integer number of steps.
 _GRID_RTOL = 1e-9
+
+#: Most steps a grid may hold: numpy cannot index an array of more points.
+_MAX_STEPS = int(np.iinfo(np.intp).max) - 1
 
 
 def _as_state(psi, dim: int) -> np.ndarray:
@@ -154,6 +162,9 @@ class TimeGrid:
             raise GridError(f"{what} = {t} is not a finite number of steps of {self.dt} "
                             f"from t0 = {self.t0}")
         n = round(raw)
+        if abs(n) > _MAX_STEPS:
+            raise GridError(f"{what} = {t} is {raw:.3g} steps of {self.dt} from t0 = {self.t0}, "
+                            f"more than numpy can index ({_MAX_STEPS})")
         if abs(raw - n) > _GRID_RTOL * max(1.0, abs(raw)):
             raise GridError(f"{what} = {t} is not an integer number of steps from t0")
         return n
@@ -180,6 +191,82 @@ def _dagger(block: np.ndarray) -> np.ndarray:
     return np.conj(np.asarray(block)).transpose(0, 2, 1)
 
 
+class _Derived:
+    """A callable of time given as a closed form ``form(samples)`` over a sample set
+    (:class:`_Samples`): called on a time array it builds a set there, and read
+    from a set it takes that set's values of the callables it is a form of."""
+
+    __slots__ = ("form",)
+
+    def __init__(self, form: Callable[["_Samples"], np.ndarray]):
+        self.form = form
+
+    def __call__(self, ts) -> np.ndarray:
+        return self.form(_Samples(np.asarray(ts, dtype=float)))
+
+
+class _Samples:
+    """Callables of time evaluated once each on ``times``, however many closed
+    forms read them.
+
+    ``samples(f)`` is ``f(times)``: a :class:`_Derived` ``f`` by its form on this
+    set, any other called once.  The sines and cosines the closed forms take of
+    a callable ``f``, of ``2 f`` (``sin2``, ``cos2``) and of ``c + f``
+    (``sin_plus``, ``cos_plus``) are kept the same way.  A set
+    keeps every value it served, so it should die with the work that reads it.
+    :meth:`even` is the set on every other time: it evaluates derived forms on
+    its own times and slices every other value from this set, which holds the
+    same floats as evaluating them there.
+    """
+
+    def __init__(self, times: np.ndarray, parent: "_Samples | None" = None):
+        self.times = times
+        self._parent = parent
+        self._memo: dict = {}
+
+    @staticmethod
+    def of(times) -> "_Samples":
+        """``times`` if it is a set, else the set on that time array."""
+        return times if isinstance(times, _Samples) else _Samples(np.asarray(times, dtype=float))
+
+    def even(self) -> "_Samples":
+        return _Samples(np.ascontiguousarray(self.times[::2]), self)
+
+    def _get(self, key, f, compute: Callable, here: bool = False) -> np.ndarray:
+        # keys hold id(f), so any callable may be one; the entry keeps f alive
+        entry = self._memo.get(key)
+        if entry is None:
+            if here or self._parent is None:
+                value = compute(self)
+            else:
+                value = np.ascontiguousarray(self._parent._get(key, f, compute)[::2])
+            entry = self._memo[key] = (f, value)
+        return entry[1]
+
+    def __call__(self, f: Callable) -> np.ndarray:
+        if isinstance(f, _Derived):
+            return self._get(id(f), f, f.form, here=True)
+        return self._get(id(f), f, lambda s: np.asarray(f(s.times)))
+
+    def sin(self, f: Callable) -> np.ndarray:
+        return self._get(("sin", id(f)), f, lambda s: np.sin(s(f)))
+
+    def cos(self, f: Callable) -> np.ndarray:
+        return self._get(("cos", id(f)), f, lambda s: np.cos(s(f)))
+
+    def sin2(self, f: Callable) -> np.ndarray:
+        return self._get(("sin2", id(f)), f, lambda s: np.sin(2.0 * s(f)))
+
+    def cos2(self, f: Callable) -> np.ndarray:
+        return self._get(("cos2", id(f)), f, lambda s: np.cos(2.0 * s(f)))
+
+    def sin_plus(self, c: float, f: Callable) -> np.ndarray:
+        return self._get(("sin", c, id(f)), f, lambda s: np.sin(c + s(f)))
+
+    def cos_plus(self, c: float, f: Callable) -> np.ndarray:
+        return self._get(("cos", c, id(f)), f, lambda s: np.cos(c + s(f)))
+
+
 class _Table:
     """``batch`` evaluated once on ``times`` (or given there as ``table``): a request
     for those times, or a subset matched by exact float equality, is served read-only
@@ -203,14 +290,16 @@ class _Table:
         return block
 
 
-def _checked_block(values_at: Callable, times: np.ndarray, shape: tuple) -> np.ndarray:
-    """``values_at(times)`` as one complex block of ``shape`` per time, its shape and
-    NaN/Inf checked, and :class:`NonFiniteSampleError` naming its first bad time; a
-    :class:`_Table` was checked so when built, and serves its blocks unchecked."""
-    times = np.asarray(times, dtype=float)
+def _checked_block(values_at: Callable, times, shape: tuple) -> np.ndarray:
+    """``values_at`` on ``times``, a time array or a sample set, as one complex block
+    of ``shape`` per time, its shape and NaN/Inf checked, and
+    :class:`NonFiniteSampleError` naming its first bad time; a :class:`_Table` was
+    checked so when built, and serves its blocks unchecked."""
+    samples = _Samples.of(times)
+    times = samples.times
     if isinstance(values_at, _Table):
         return values_at(times)
-    block = np.asarray(values_at(times), dtype=complex)
+    block = np.asarray(samples(values_at), dtype=complex)
     expected = (times.size,) + shape
     if block.shape != expected:
         raise DimensionMismatchError(
@@ -241,10 +330,14 @@ class TimeDependentOperator:
         """
         return _checked_block(self.values_at, times, (self.dim, self.dim))
 
-    def tabulated(self, times: np.ndarray) -> "TimeDependentOperator":
-        """This generator sampled once on ``times``, its shape and NaN/Inf
-        checked then and not again per request; see :class:`_Table`."""
-        return TimeDependentOperator(self.dim, _Table(self.sample, times))
+    def tabulated(self, times) -> "TimeDependentOperator":
+        """This generator sampled once on ``times``, its shape and NaN/Inf checked
+        then and not again per request; see :class:`_Table`.  ``times`` may be a
+        sample set (:class:`_Samples`), whose values a generator assembled from
+        frame parameters and gains then reads."""
+        samples = _Samples.of(times)
+        block = _checked_block(self.values_at, samples, (self.dim, self.dim))
+        return TimeDependentOperator(self.dim, _Table(self.sample, samples.times, block))
 
     def adjoint(self) -> "TimeDependentOperator":
         """The Hermitian conjugate generator t -> H(t)^dag; the adjoint of a table
@@ -253,7 +346,7 @@ class TimeDependentOperator:
         if isinstance(batch, _Table):
             return TimeDependentOperator(self.dim, _Table(
                 lambda ts: _dagger(batch.batch(ts)), batch.times, _dagger(batch.table)))
-        return TimeDependentOperator(self.dim, lambda ts: _dagger(batch(ts)))
+        return TimeDependentOperator(self.dim, _Derived(lambda s: _dagger(s(batch))))
 
 
 def constant_operator(matrix) -> TimeDependentOperator:

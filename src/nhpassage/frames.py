@@ -39,7 +39,8 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import TimeDependentOperator, TimeGrid, _checked_block, _Table, _time_last
+from .dynamics import (TimeDependentOperator, TimeGrid, _checked_block, _Derived, _Samples,
+                       _Table, _time_last)
 from .exceptions import DimensionMismatchError, NonHermitianError
 
 __all__ = [
@@ -80,10 +81,13 @@ class AncillaryFrame:
         """Their time derivatives: a view of the same block."""
         return self._block(times)[:, 1]
 
-    def tabulated(self, times: np.ndarray) -> "AncillaryFrame":
+    def tabulated(self, times) -> "AncillaryFrame":
         """This frame sampled once on ``times``, checked then and not again per
-        request; see :class:`~nhpassage.dynamics._Table`."""
-        return AncillaryFrame(self.dim, _Table(self._block, times))
+        request; see :class:`~nhpassage.dynamics._Table`.  ``times`` may be a
+        sample set, whose angles a built-in frame then reads."""
+        samples = _Samples.of(times)
+        block = _checked_block(self.values_at, samples, (2, self.dim, self.dim))
+        return AncillaryFrame(self.dim, _Table(self._block, samples.times, block))
 
 
 @dataclass(frozen=True)
@@ -121,7 +125,7 @@ class ThreeLevelFrameParams:
     beta_dot: Callable
 
 
-def _pair(x, a, dx, da):
+def _pair(samples, x, a, dx, da):
     """The ``(n, 2, 2, 2)`` block of one pair's rotation by angle ``x`` and local
     phase ``a``::
 
@@ -129,10 +133,12 @@ def _pair(x, a, dx, da):
          [-sin x e^{-ia/2}, cos x e^{-ia/2}]]
 
     and of its derivative at the rates ``dx, da``, from the same cosines,
-    sines and phase factors.
+    sines and phase factors; the angles, rates and trig factors are the sample
+    set's.
     """
-    c, s = np.cos(x), np.sin(x)
-    ep = np.exp(0.5j * np.asarray(a))
+    c, s = samples.cos(x), samples.sin(x)
+    dx, da = samples(dx), samples(da)
+    ep = np.exp(0.5j * samples(a))
     em = np.conj(ep)
     return np.stack([c * ep, s * ep, -s * em, c * em,
                      (-s * dx + 0.5j * da * c) * ep, (c * dx + 0.5j * da * s) * ep,
@@ -171,12 +177,8 @@ def two_level_frame(params: TwoLevelFrameParams) -> AncillaryFrame:
     the bra-space one.  Derivatives are analytic via the chain rule.
     """
     p = params
-
-    def values_at(ts):
-        ts = np.asarray(ts, dtype=float)
-        return _pair(p.theta(ts), p.alpha(ts), p.theta_dot(ts), p.alpha_dot(ts))
-
-    return AncillaryFrame(2, values_at)
+    return AncillaryFrame(2, _Derived(lambda s: _pair(s, p.theta, p.alpha, p.theta_dot,
+                                                      p.alpha_dot)))
 
 
 def three_level_frame(params: ThreeLevelFrameParams) -> AncillaryFrame:
@@ -197,13 +199,9 @@ def three_level_frame(params: ThreeLevelFrameParams) -> AncillaryFrame:
     two pairs' derivatives by the product rule.
     """
     p = params
-
-    def values_at(ts):
-        ts = np.asarray(ts, dtype=float)
-        return _nested(_pair(p.theta(ts), p.alpha(ts), p.theta_dot(ts), p.alpha_dot(ts)),
-                       _pair(p.phi_mix(ts), p.beta(ts), p.phi_mix_dot(ts), p.beta_dot(ts)))
-
-    return AncillaryFrame(3, values_at)
+    return AncillaryFrame(3, _Derived(lambda s: _nested(
+        _pair(s, p.theta, p.alpha, p.theta_dot, p.alpha_dot),
+        _pair(s, p.phi_mix, p.beta, p.phi_mix_dot, p.beta_dot))))
 
 
 def _grid_times(grid) -> np.ndarray:

@@ -17,9 +17,13 @@ frame, the generator ``H``, the passage (ket under ``H`` or bra under
 ``H^dag``) that carries the state, and the level it ends on.  A two-level
 task is one stage; a cyclic task is three per loop.  One runner first
 re-integrates every stage at half the step (the batched scan of
-:func:`~nhpassage.dynamics.evolve_ket_halved`), then, stage by stage,
-sweeps the state, handed across each boundary verbatim, and takes every
-certificate from one table of the stage's ``H`` and one of its frame.  It
+:func:`~nhpassage.dynamics.evolve_ket_halved`, on one sample of ``H`` per
+stage), then, stage by stage, builds one sample set on the grid points and
+RK4 midpoints, from which the table of the stage's ``H``, its passage phase
+and its frame table (the set's even entries) read each frame angle, gain and
+trig factor once.  The set is dropped before the stage's sweep; the state,
+handed across each boundary verbatim, and every certificate read the two
+tables, and the consistency residual is the one synthesis recorded.  It
 fails if any reported population moves by more than the step-check
 tolerance, then packages the trajectory, accumulated passage phase,
 residual certificates, and checkpoint populations into a
@@ -34,6 +38,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -43,6 +48,9 @@ from .dynamics import (
     StateTrajectory,
     TimeDependentOperator,
     TimeGrid,
+    _MAX_STEPS,
+    _Derived,
+    _Samples,
     _sample_times,
     biorthogonality_defect,
     constant_operator,
@@ -62,12 +70,13 @@ from .frames import (
     two_level_frame,
     von_neumann_residual,
 )
-from .synthesis import (
+from .synthesis import (  # the phase and consistency names stay bound for perfbench's tracer
     CONSISTENCY_TOL,
     PhaseFunctional,
     ScheduleStage,
     ThreeLevelControls,
     TwoLevelControls,
+    _phase,
     clockwise_schedule,
     counterclockwise_schedule,
     phase_three_level,
@@ -157,13 +166,20 @@ class ScenarioConfig:
             raise ConfigError(f"T must be positive, got {self.T}")
         if self.loops < 1:
             raise ConfigError(f"loops must be >= 1, got {self.loops}")
+        if self.loops > sys.float_info.max:  # the run's length would not be a float
+            raise ConfigError(f"loops must be below {sys.float_info.max:.4g}, "
+                              f"got an integer of {int(self.loops).bit_length()} bits")
         if self.loops != 1 and self.scenario not in CYCLIC_IDS:
             raise ConfigError(f"loops must be 1 for a two-level scenario, got {self.loops}")
         if not self.resolved_dt() > 0:  # T / DEFAULT_STEPS_PER_T can underflow to 0
             raise ConfigError(f"dt must be positive, got {self.resolved_dt()}")
-        if not math.isfinite(self._span() / self.resolved_dt()):
+        steps = self._span() / self.resolved_dt()
+        if not math.isfinite(steps):
             raise ConfigError(f"dt = {self.resolved_dt()} is too small for T = {self.T}: "
                               "the run's step count overflows")
+        if steps > _MAX_STEPS:
+            raise ConfigError(f"a run of length {self._span():.4g} at dt = {self.resolved_dt()} "
+                              f"takes {steps:.3g} steps, more than numpy can index")
         if not self.tolerance > 0:
             raise ConfigError(f"tolerance must be positive, got {self.tolerance}")
 
@@ -316,10 +332,7 @@ class _Stage:
 def _two_level_stage(scenario: TwoLevelScenario, T: float, dt: float,
                      gamma_scale: float) -> _Stage:
     ratio = scenario.gamma_ratio * gamma_scale
-
-    def gamma(t):
-        return ratio * np.asarray(scenario.theta_dot(t))
-
+    gamma = _Derived(lambda s: ratio * s(scenario.theta_dot))
     params = TwoLevelFrameParams(scenario.theta, scenario.theta_dot, _zero, _zero)
     grid = TimeGrid(0.0, 2.0 * T, dt)
     controls = synthesize_two_level(
@@ -331,13 +344,8 @@ def _two_level_stage(scenario: TwoLevelScenario, T: float, dt: float,
 
 def _cyclic_stage(stage: ScheduleStage, target: int, dt: float,
                   gamma_scale: float) -> _Stage:
-
-    def gamma(t):
-        return 3.0 * gamma_scale * np.asarray(stage.theta_dot(t))
-
-    def gamma_e(t):
-        return 0.5 * gamma(t)
-
+    gamma = _Derived(lambda s: 3.0 * gamma_scale * s(stage.theta_dot))
+    gamma_e = _Derived(lambda s: 0.5 * s(gamma))
     params = ThreeLevelFrameParams(stage.theta, stage.theta_dot, _zero, _zero,
                                    stage.phi_mix, stage.phi_mix_dot, _zero, _zero)
     grid = TimeGrid(stage.start, stage.end, dt)
@@ -380,7 +388,7 @@ def _drive_scaled(stage: _Stage, drive_scale: float) -> TimeDependentOperator:
     but the inner ``omega_a`` of a three-level stage) multiplied by
     ``drive_scale``, so the stage's frame no longer triangularizes it."""
     omega = stage.controls.omega
-    controls = replace(stage.controls, omega=lambda t: drive_scale * np.asarray(omega(t)))
+    controls = replace(stage.controls, omega=_Derived(lambda s: drive_scale * s(omega)))
     return (two_level_hamiltonian if stage.H.dim == 2 else three_level_hamiltonian)(controls)
 
 
@@ -447,19 +455,21 @@ def _run(config: ScenarioConfig, scenario: TwoLevelScenario | None = None,
     psi0[0 if cyclic else scenario.initial_level] = 1.0
     # the dt/2 re-run goes first, on its own samples (see nhpassage.dynamics)
     fine = _march_halved(stages, psi0)
-    psi, trajs, phases, tri, consistency, bio, fidelity = psi0, [], [], [], [], [], []
+    psi, trajs, phases, tri, bio, fidelity = psi0, [], [], [], [], []
     for stage in stages:
-        # tables of H and the frame serve the stage's sweep and certificates
+        # one sample set on the grid points and RK4 midpoints: the table of H, the
+        # phase rates and the frame table (its even entries) read each frame
+        # angle, gain and trig factor once; tables serve the sweep and certificates
         times = stage.grid.times()
-        H, frame = stage.H.tabulated(_sample_times(times)), stage.frame.tabulated(times)
+        samples = _Samples(_sample_times(times))
+        H = stage.H.tabulated(samples)
+        phases.append(_phase(stage.controls, stage.frame_params, samples, times, stage.passage))
+        frame = stage.frame.tabulated(samples.even())
+        del samples  # before the sweep and the certificates
         traj = (evolve_ket if stage.passage == "ket" else evolve_bra)(H, psi, stage.grid)
         psi = traj.states[-1]
-        # both stage kinds: the three-level names (bound for perfbench's tracer) are these
-        args = (stage.controls, stage.frame_params, stage.grid)
-        phases.append(phase_two_level(*args, stage.passage))
         trajs.append(traj)
         tri.append(triangularization_residual(H, frame, stage.grid))
-        consistency.append(two_level_consistency_residual(*args))
         bio.append(biorthogonality_defect(H, stage.grid))
         fidelity.append(_passage_fidelity_error(traj, frame, phases[-1], stage.passage))
         del H, frame  # before the next stage's tables are built
@@ -474,7 +484,8 @@ def _run(config: ScenarioConfig, scenario: TwoLevelScenario | None = None,
                             f_imag=_joined([p.f_imag for p in phases]))
     residuals = {
         "triangularization": max(tri),
-        "consistency": max(consistency),
+        # synthesis checked each stage's residual on its grid and recorded the largest
+        "consistency": max(stage.controls.consistency for stage in stages),
         "biorthogonality": max(bio),
         "passage_fidelity": max(fidelity),
         "step_check": step_delta,
@@ -614,9 +625,15 @@ def _placeholder_report(config: ScenarioConfig, exc: PassageError) -> RunReport:
     )
 
 
+def _tables(times: np.ndarray, *sampled):
+    """A table on ``times`` of each generator or frame, all read from one sample set."""
+    samples = _Samples(times)
+    return [x.tabulated(samples) for x in sampled]
+
+
 def _perturbed_omega_checks(stages: list[_Stage]):
-    perturbed = min(triangularization_residual(_drive_scaled(s, 1.01), s.frame, s.grid)
-                    for s in stages)
+    perturbed = min(triangularization_residual(
+        *_tables(s.grid.times(), _drive_scaled(s, 1.01), s.frame), s.grid) for s in stages)
     return ([CheckResult.above("perturbed_omega_breaks_triangularization", perturbed, 1e-3)],
             {"perturbed_triangularization": perturbed})
 
@@ -625,9 +642,8 @@ def _hermitian_limit_checks(config: ScenarioConfig):
     stages = _stages(config, gamma_scale=0.0)
     bad_frame = _misaligned_frame(stages[0].H.dim, config.T)
     scans = []
-    for s in stages:  # one zero-gain H table and one table per frame per stage
-        times = s.grid.times()
-        H, frame, bad = s.H.tabulated(times), s.frame.tabulated(times), bad_frame.tabulated(times)
+    for s in stages:  # one sample set per stage serves its zero-gain H and both frames
+        H, frame, bad = _tables(s.grid.times(), s.H, s.frame, bad_frame)
         scans.append([residual(H, f, s.grid) for f in (frame, bad)
                       for residual in (triangularization_residual, von_neumann_residual)])
     tri_h, von_h, tri_bad, von_bad = zip(*scans)

@@ -29,6 +29,13 @@ state (its ket-side vector); the outer pair, bright state and ``|e>`` on
 split as ``Omega_0 = Omega sin theta``, ``Omega_1 = Omega cos theta`` with
 phases ``varphi -+ alpha/2``.
 
+The envelopes, the generators, the passage rates and the consistency residual
+are closed forms over a sample set (:class:`~nhpassage.dynamics._Samples`):
+each reads the frame angles, gains and detunings, and the sines and cosines of
+``x``, ``2x`` and ``varphi + a``, from the set, so every consumer of one set
+shares each evaluation.  Synthesis checks the consistency residual on its grid
+once and records the largest as the controls' ``consistency``.
+
 Each envelope keeps the operations, and their order, of the closed forms it
 was first written in: on four ``cyclic_ccw`` loops the growing modes amplify
 one ulp in ``H`` past the benchmark's 1e-12 gate on stage-end populations (a
@@ -41,12 +48,13 @@ state norm and probability returns to one exactly when ``f_imag`` does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .dynamics import TimeDependentOperator, TimeGrid, _sample_times
+from .dynamics import TimeDependentOperator, TimeGrid, _Derived, _Samples, _sample_times
 from .exceptions import (
     InvalidArgumentError,
     NonFiniteSampleError,
@@ -100,7 +108,9 @@ class TwoLevelControls:
             + (1/2)[Omega e^{i varphi} |1><0| + h.c.]
 
     Envelope, detuning, and rates are vectorized callables of time; the
-    phases are constants.
+    phases are constants.  ``consistency`` is the largest local-phase
+    consistency residual synthesis measured on its grid (NaN for controls
+    assembled by hand).
     """
 
     omega: Callable
@@ -110,6 +120,7 @@ class TwoLevelControls:
     varphi: float
     xi0: float
     xi1: float
+    consistency: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -122,6 +133,7 @@ class ThreeLevelControls:
     ``varphi_a``.  ``omega`` is the shared outer envelope and ``theta`` the
     frame's mixing angle that splits it: ``omega0 = omega sin(theta)``,
     ``omega1 = omega cos(theta)``, so scaling ``omega`` scales both.
+    ``consistency`` is as for :class:`TwoLevelControls`, over both local phases.
     """
 
     omega: Callable
@@ -140,6 +152,7 @@ class ThreeLevelControls:
     xi0: float
     xi1: float
     xi_e: float
+    consistency: float = math.nan
 
     def omega0(self, ts) -> np.ndarray:
         """The ``|0> <-> |e>`` envelope ``omega sin(theta)``."""
@@ -157,17 +170,15 @@ def two_level_hamiltonian(controls: TwoLevelControls) -> TimeDependentOperator:
     e1 = np.exp(1j * c.xi1)
     ephi = np.exp(1j * c.varphi)
 
-    def batch(ts):
-        ts = np.asarray(ts, dtype=float)
-        om = np.asarray(c.omega(ts), dtype=complex)
-        h = np.empty(ts.shape + (2, 2), dtype=complex)
-        h[..., 0, 0] = 0.5 * e0 * c.gamma0(ts)
-        h[..., 1, 1] = np.asarray(c.delta(ts)) + 0.5 * e1 * c.gamma1(ts)
-        h[..., 1, 0] = 0.5 * om * ephi
+    def assemble(s):
+        h = np.empty(s.times.shape + (2, 2), dtype=complex)
+        h[..., 0, 0] = 0.5 * e0 * s(c.gamma0)
+        h[..., 1, 1] = s(c.delta) + 0.5 * e1 * s(c.gamma1)
+        h[..., 1, 0] = 0.5 * np.asarray(s(c.omega), dtype=complex) * ephi
         h[..., 0, 1] = np.conj(h[..., 1, 0])
         return h
 
-    return TimeDependentOperator(dim=2, values_at=batch)
+    return TimeDependentOperator(dim=2, values_at=_Derived(assemble))
 
 
 def three_level_hamiltonian(controls: ThreeLevelControls) -> TimeDependentOperator:
@@ -178,108 +189,111 @@ def three_level_hamiltonian(controls: ThreeLevelControls) -> TimeDependentOperat
     ee = np.exp(1j * c.xi_e)
     epa = np.exp(1j * c.varphi_a)
 
-    def batch(ts):
-        ts = np.asarray(ts, dtype=float)
-        h = np.empty(ts.shape + (3, 3), dtype=complex)
-        h[..., 0, 0] = np.asarray(c.delta0(ts)) + 0.5 * e0 * c.gamma0(ts)
-        h[..., 1, 1] = np.asarray(c.delta1(ts)) + 0.5 * e1 * c.gamma1(ts)
-        h[..., 2, 2] = np.asarray(c.delta_e(ts)) + 0.5 * ee * c.gamma_e(ts)
-        # the outer envelope and mixing angle once for both outer drives
-        om, th = np.asarray(c.omega(ts)), np.asarray(c.theta(ts))
-        h[..., 2, 0] = 0.5 * (om * np.sin(th)) * np.exp(1j * np.asarray(c.varphi0(ts)))
-        h[..., 2, 1] = 0.5 * (om * np.cos(th)) * np.exp(1j * np.asarray(c.varphi1(ts)))
-        h[..., 1, 0] = 0.5 * np.asarray(c.omega_a(ts)) * epa
+    def assemble(s):
+        h = np.empty(s.times.shape + (3, 3), dtype=complex)
+        h[..., 0, 0] = s(c.delta0) + 0.5 * e0 * s(c.gamma0)
+        h[..., 1, 1] = s(c.delta1) + 0.5 * e1 * s(c.gamma1)
+        h[..., 2, 2] = s(c.delta_e) + 0.5 * ee * s(c.gamma_e)
+        om = s(c.omega)
+        h[..., 2, 0] = 0.5 * (om * s.sin(c.theta)) * np.exp(1j * s(c.varphi0))
+        h[..., 2, 1] = 0.5 * (om * s.cos(c.theta)) * np.exp(1j * s(c.varphi1))
+        h[..., 1, 0] = 0.5 * s(c.omega_a) * epa
         h[..., 0, 2] = np.conj(h[..., 2, 0])
         h[..., 1, 2] = np.conj(h[..., 2, 1])
         h[..., 0, 1] = np.conj(h[..., 1, 0])
         return h
 
-    return TimeDependentOperator(dim=3, values_at=batch)
+    return TimeDependentOperator(dim=3, values_at=_Derived(assemble))
 
 
-def _weigh(lo, hi, x):
+def _weigh(lo, hi, sin_x, cos_x):
     """``lo sin^2 x + hi cos^2 x``: the diagonal entries as the upper vector sees them."""
-    return lo * np.sin(x) ** 2 + hi * np.cos(x) ** 2
+    return lo * sin_x ** 2 + hi * cos_x ** 2
 
 
-def _pair_drive(rate, x, x_dot, a, varphi, context: str) -> Callable:
-    """A pair's envelope as a callable of time, for ``rate(t) = 2 Im(d_lo - d_hi)``."""
+def _pair_drive(rate, x, x_dot, a, varphi, context: str) -> _Derived:
+    """A pair's envelope as a closed form over a sample set, for ``rate(s) = 2
+    Im(d_lo - d_hi)`` read from the set."""
 
-    def omega(ts):
-        ts = np.asarray(ts, dtype=float)
-        s = np.sin(varphi + np.asarray(a(ts)))
-        small = np.abs(s) < EPS_SINGULAR
+    def omega(s):
+        sin_a = s.sin_plus(varphi, a)
+        small = np.abs(sin_a) < EPS_SINGULAR
         if np.any(small):
             raise SingularDenominatorError(
                 f"|sin({context})| < {EPS_SINGULAR:g} at sample index {int(np.argmax(small))}")
-        x_ts, inv = np.asarray(x(ts)), 1.0 / s
-        return (-4.0 * np.asarray(x_dot(ts)) + rate(ts) * np.sin(2.0 * x_ts)) * inv / 2.0
+        return (-4.0 * s(x_dot) + rate(s) * s.sin2(x)) * (1.0 / sin_a) / 2.0
 
-    return omega
+    return _Derived(omega)
 
 
-def _pair_rate(side: str, d_lo, d_hi, x, a, a_dot, omega, varphi):
-    """Rotated diagonal entry of the upper ('ket') or lower ('bra') frame vector."""
-    drive_twist = (0.5 * omega * np.sin(2.0 * x) * np.cos(varphi + a)
-                   - 0.5 * a_dot * np.cos(2.0 * x))
+def _pair_rate(side: str, s, d_lo, d_hi, x, a, a_dot, omega, varphi):
+    """Rotated diagonal entry of the upper ('ket') or lower ('bra') frame vector,
+    its angles, rates and envelope read from the sample set ``s``."""
+    drive_twist = (0.5 * s(omega) * s.sin2(x) * s.cos_plus(varphi, a)
+                   - 0.5 * s(a_dot) * s.cos2(x))
     if side == "ket":
-        return _weigh(d_lo, d_hi, x) + drive_twist
-    return _weigh(d_hi, d_lo, x) - drive_twist
+        return _weigh(d_lo, d_hi, s.sin(x), s.cos(x)) + drive_twist
+    return _weigh(d_hi, d_lo, s.sin(x), s.cos(x)) - drive_twist
 
 
-def _pair_residual(d_lo, d_hi, x, a, a_dot, omega, varphi):
+def _pair_residual(s, d_lo, d_hi, x, a, a_dot, omega, varphi):
     """Real part of the rotated above-diagonal entry, from the real parts of ``d_lo``, ``d_hi``."""
-    s2 = np.sin(2.0 * x)
+    s2 = s.sin2(x)
     return (0.5 * s2 * (d_lo - d_hi)
-            + 0.5 * omega * np.cos(2.0 * x) * np.cos(varphi + a)
-            + 0.5 * a_dot * s2)
+            + 0.5 * s(omega) * s.cos2(x) * s.cos_plus(varphi, a)
+            + 0.5 * s(a_dot) * s2)
 
 
 def _cis(xi):
     return np.exp(1j * xi)
 
 
-def _inner_pair(c, frame, ts, weight):
+def _inner_pair(c, frame, s, weight):
     """Pair arguments of ``|0>, |1>``: a whole two-level system, or the inner
     pair of three levels.  ``weight(xi)`` multiplies ``gamma/2`` on the
-    diagonal: :func:`_cis` for the entries, ``np.cos`` for their real parts."""
+    diagonal: :func:`_cis` for the entries, ``np.cos`` for their real parts.
+    The diagonal entries are read from the sample set ``s``; the angles, rates
+    and envelope are passed as callables, which the pair formulas read there."""
     if isinstance(c, TwoLevelControls):
-        d0 = 0.5 * weight(c.xi0) * c.gamma0(ts)
+        d0 = 0.5 * weight(c.xi0) * s(c.gamma0)
         delta1, omega, varphi = c.delta, c.omega, c.varphi
     elif isinstance(c, ThreeLevelControls):
-        d0 = np.asarray(c.delta0(ts)) + 0.5 * weight(c.xi0) * c.gamma0(ts)
+        d0 = s(c.delta0) + 0.5 * weight(c.xi0) * s(c.gamma0)
         delta1, omega, varphi = c.delta1, c.omega_a, c.varphi_a
     else:
         raise TypeError(f"unsupported controls type {type(c).__name__}")
-    d1 = np.asarray(delta1(ts)) + 0.5 * weight(c.xi1) * c.gamma1(ts)
-    return (d0, d1, np.asarray(frame.theta(ts)), np.asarray(frame.alpha(ts)),
-            np.asarray(frame.alpha_dot(ts)), np.asarray(omega(ts)), varphi)
+    d1 = s(delta1) + 0.5 * weight(c.xi1) * s(c.gamma1)
+    return d0, d1, frame.theta, frame.alpha, frame.alpha_dot, omega, varphi
 
 
-def _outer_pair(c: ThreeLevelControls, frame, ts, weight, bright):
+def _outer_pair(c: ThreeLevelControls, frame, s, weight, bright):
     """Pair arguments of the bright state, whose entry is the inner ket rate, and ``|e>``."""
-    d_e = np.asarray(c.delta_e(ts)) + 0.5 * weight(c.xi_e) * c.gamma_e(ts)
-    return (bright, d_e, np.asarray(frame.phi_mix(ts)), np.asarray(frame.beta(ts)),
-            np.asarray(frame.beta_dot(ts)), np.asarray(c.omega(ts)), c.varphi)
+    d_e = s(c.delta_e) + 0.5 * weight(c.xi_e) * s(c.gamma_e)
+    return bright, d_e, frame.phi_mix, frame.beta, frame.beta_dot, c.omega, c.varphi
 
 
-def _consistency_residuals(c, frame, ts) -> dict[str, np.ndarray]:
-    """Magnitude of each pair's consistency residual, keyed by its local phase."""
-    inner = _inner_pair(c, frame, ts, np.cos)
-    residuals = {"alpha": np.abs(_pair_residual(*inner))}
+def _consistency_residuals(c, frame, s) -> dict[str, np.ndarray]:
+    """Magnitude of each pair's consistency residual on the sample set ``s``,
+    keyed by its local phase."""
+    inner = _inner_pair(c, frame, s, np.cos)
+    residuals = {"alpha": np.abs(_pair_residual(s, *inner))}
     if isinstance(c, ThreeLevelControls):
-        outer = _outer_pair(c, frame, ts, np.cos, _pair_rate("ket", *inner))
-        residuals["beta"] = np.abs(_pair_residual(*outer))
+        outer = _outer_pair(c, frame, s, np.cos, _pair_rate("ket", s, *inner))
+        residuals["beta"] = np.abs(_pair_residual(s, *outer))
     return residuals
 
 
+def _worst(residuals: dict[str, np.ndarray]) -> float:
+    return float(max(np.max(res) for res in residuals.values()))
+
+
 def _consistent(controls, frame, grid):
-    """``controls``, after checking every consistency residual on the grid; a
-    residual that is NaN or Inf raises :class:`NonFiniteSampleError` at its
-    first such time."""
+    """``controls``, after checking every consistency residual on the grid, with
+    the largest recorded as their ``consistency``; a residual that is NaN or Inf
+    raises :class:`NonFiniteSampleError` at its first such time."""
     ts = _grid_times(grid)
     with np.errstate(over="ignore", invalid="ignore"):
-        residuals = _consistency_residuals(controls, frame, ts)
+        residuals = _consistency_residuals(controls, frame, _Samples(ts))
     for name, res in residuals.items():
         finite = np.isfinite(res)
         if not finite.all():
@@ -292,13 +306,13 @@ def _consistent(controls, frame, grid):
                 f"{name} phase-evolution condition violated: residual "
                 f"{res[worst]:.3e} at t = {ts[worst]:g}"
             )
-    return controls
+    return replace(controls, consistency=_worst(residuals))
 
 
-def _inner_drive(frame, g0, g1, xi0, xi1, varphi) -> Callable:
+def _inner_drive(frame, g0, g1, xi0, xi1, varphi) -> _Derived:
     """Envelope of the ``|0> <-> |1>`` drive."""
     sx0, sx1 = np.sin(xi0), np.sin(xi1)
-    return _pair_drive(lambda ts: g0(ts) * sx0 - g1(ts) * sx1, frame.theta, frame.theta_dot,
+    return _pair_drive(lambda s: s(g0) * sx0 - s(g1) * sx1, frame.theta, frame.theta_dot,
                        frame.alpha, varphi, "varphi + alpha")
 
 
@@ -336,7 +350,8 @@ def synthesize_three_level(
     sx0, sx1, sxe = np.sin(xi0), np.sin(xi1), np.sin(xi_e)
     # 2 Im(d_bright - d_e): the bright state's gain part needs no omega_a
     omega = _pair_drive(
-        lambda ts: _weigh(g0(ts) * sx0, g1(ts) * sx1, np.asarray(frame.theta(ts))) - ge(ts) * sxe,
+        lambda s: (_weigh(s(g0) * sx0, s(g1) * sx1, s.sin(frame.theta), s.cos(frame.theta))
+                   - s(ge) * sxe),
         frame.phi_mix, frame.phi_mix_dot, frame.beta, varphi, "varphi + beta")
     return _consistent(ThreeLevelControls(
         omega=omega,
@@ -344,8 +359,8 @@ def synthesize_three_level(
         omega_a=_inner_drive(frame, g0, g1, xi0, xi1, varphi_a),
         delta0=_as_callable(delta0), delta1=_as_callable(delta1),
         delta_e=_as_callable(delta_e),
-        varphi0=lambda t: varphi - 0.5 * np.asarray(frame.alpha(t)),
-        varphi1=lambda t: varphi + 0.5 * np.asarray(frame.alpha(t)),
+        varphi0=_Derived(lambda s: varphi - 0.5 * s(frame.alpha)),
+        varphi1=_Derived(lambda s: varphi + 0.5 * s(frame.alpha)),
         varphi_a=float(varphi_a),
         varphi=float(varphi),
         gamma0=g0, gamma1=g1, gamma_e=ge,
@@ -356,10 +371,10 @@ def synthesize_three_level(
 def two_level_consistency_residual(controls, frame, grid) -> float:
     """Max local-phase consistency residual (alpha, and for three levels beta) over the grid.
 
-    ``three_level_consistency_residual`` is this function.
+    ``three_level_consistency_residual`` is this function.  Synthesized
+    controls carry the same number, from their own check, as ``consistency``.
     """
-    residuals = _consistency_residuals(controls, frame, _grid_times(grid))
-    return float(max(np.max(res) for res in residuals.values()))
+    return _worst(_consistency_residuals(controls, frame, _Samples(_grid_times(grid))))
 
 
 three_level_consistency_residual = two_level_consistency_residual
@@ -379,14 +394,14 @@ class PhaseFunctional:
     f_imag: np.ndarray
 
 
-def _accumulate_simpson(fdot: Callable, times: np.ndarray) -> np.ndarray:
-    """Cumulative integral of ``fdot`` on the grid, one Simpson panel per step.
+def _accumulate_simpson(rates: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Cumulative integral on the grid, one Simpson panel per step, of the rates
+    sampled at each grid point and midpoint (:func:`_sample_times`).
 
     Uses the same midpoint samples the integrator sees; exact enough that
     stage-end cancellations in the imaginary part survive at the 1e-12
     level.
     """
-    rates = np.asarray(fdot(_sample_times(times)))  # each grid point and midpoint once
     panels = (times[1:] - times[:-1]) / 6.0 * (
         rates[0:-1:2] + 4.0 * rates[1::2] + rates[2::2]
     )
@@ -404,26 +419,30 @@ def phase_two_level(controls, frame, grid: TimeGrid, passage: str = "ket") -> Ph
     vector under ``H^dag`` (recorded with the conjugate convention so that
     ``exp(f_imag)`` is the norm in both cases).
     """
-    if passage not in ("ket", "bra"):
-        raise InvalidArgumentError(f"passage must be 'ket' or 'bra', got {passage!r}")
-
-    def fdot(ts):
-        # the bra vector mu_1 lies in the inner pair; the three-level ket
-        # vector is the outer pair's, whose d_lo is the inner ket rate
-        inner = _inner_pair(controls, frame, ts, _cis)
-        if passage == "bra" or isinstance(controls, TwoLevelControls):
-            return _pair_rate(passage, *inner)
-        return _pair_rate("ket", *_outer_pair(controls, frame, ts, _cis,
-                                              _pair_rate("ket", *inner)))
-
     times = grid.times()
-    f = _accumulate_simpson(fdot, times)
-    # bra passages carry exp(-i f*), so the recorded functional is the conjugate
-    return PhaseFunctional(times=times, f_real=f.real,
-                           f_imag=f.imag if passage == "ket" else -f.imag)
+    return _phase(controls, frame, _Samples(_sample_times(times)), times, passage)
 
 
 phase_three_level = phase_two_level
+
+
+def _phase(controls, frame, s, times: np.ndarray, passage: str) -> PhaseFunctional:
+    """:func:`phase_two_level` on the grid ``times``, its rates read from the
+    sample set ``s`` on the grid points and midpoints."""
+    if passage not in ("ket", "bra"):
+        raise InvalidArgumentError(f"passage must be 'ket' or 'bra', got {passage!r}")
+    # the bra vector mu_1 lies in the inner pair; the three-level ket vector is
+    # the outer pair's, whose d_lo is the inner ket rate
+    inner = _inner_pair(controls, frame, s, _cis)
+    if passage == "bra" or isinstance(controls, TwoLevelControls):
+        rates = _pair_rate(passage, s, *inner)
+    else:
+        rates = _pair_rate("ket", s, *_outer_pair(controls, frame, s, _cis,
+                                                  _pair_rate("ket", s, *inner)))
+    f = _accumulate_simpson(np.asarray(rates), times)
+    # bra passages carry exp(-i f*), so the recorded functional is the conjugate
+    return PhaseFunctional(times=times, f_real=f.real,
+                           f_imag=f.imag if passage == "ket" else -f.imag)
 
 
 def bra_phase_relation_check(controls, frame, grid) -> float:
@@ -436,14 +455,14 @@ def bra_phase_relation_check(controls, frame, grid) -> float:
     the relation holds identically when the gain/loss assignment satisfies
     ``gamma0 e^{-i xi0} + gamma1 e^{-i xi1} = 0``.
     """
-    times = _grid_times(grid)
-    d0, d1, *rest = _inner_pair(controls, frame, times, _cis)
+    s = _Samples(_grid_times(grid))
+    d0, d1, *rest = _inner_pair(controls, frame, s, _cis)
     # the detunings alone: the same diagonal entries with the gains weighted by zero
-    delta0, delta1, *_ = _inner_pair(controls, frame, times, lambda xi: 0.0)
+    delta0, delta1, *_ = _inner_pair(controls, frame, s, lambda xi: 0.0)
     # raw diagonal entries of the rotated generator (no bra conjugation here)
-    raw11 = _pair_rate("bra", d0, d1, *rest)
-    raw22 = _pair_rate("ket", d0 - delta0, d1, *rest)
-    target = delta0 * np.cos(rest[0]) ** 2 + delta1
+    raw11 = _pair_rate("bra", s, d0, d1, *rest)
+    raw22 = _pair_rate("ket", s, d0 - delta0, d1, *rest)
+    target = delta0 * s.cos(frame.theta) ** 2 + delta1
     return float(np.max(np.abs(np.conj(raw11) - target + np.conj(raw22))))
 
 

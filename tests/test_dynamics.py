@@ -189,6 +189,17 @@ def test_grid_rejects_non_finite_bounds_step_counts_and_times(make):
         make()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: TimeGrid(0.0, 2.0, 1e-300),
+    lambda: TimeGrid(0.0, 1.0, 1e-19),
+    lambda: TimeGrid(0.0, 1.0, 0.5).index_of(1e300),
+], ids=["tf", "tf-just-past-intp", "time"])
+def test_grid_rejects_a_step_count_numpy_cannot_index(make):
+    # a finite step count past np.intp: linspace would raise an untyped ValueError
+    with pytest.raises(GridError, match="more than numpy can index"):
+        make()
+
+
 def test_grid_segments_and_halving():
     grid = TimeGrid(0.0, 1.0, 0.1, stage_boundaries=(0.7, 0.4))
     assert grid.stage_boundaries == (0.4, 0.7)

@@ -1,5 +1,6 @@
 """Scenario runner, verification suite, exports, config files, CLI."""
 
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -153,6 +154,42 @@ def test_cli_reports_a_dt_whose_step_count_overflows(capsys):
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [
         "error: dt = 1e-320 is too small for T = 1.0: the run's step count overflows"]
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("sid,dt,steps", [("two_level_a", 1e-300, "2e+300"),
+                                          ("cyclic_cw", 1e-19, "6e+19")])
+def test_config_rejects_a_step_count_numpy_cannot_index(sid, dt, steps):
+    # finite, but past np.intp: no time array of that many points can exist
+    with pytest.raises(ConfigError, match=rf"takes {re.escape(steps)} steps, more than numpy can index"):
+        ScenarioConfig(sid, dt=dt)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_reports_a_step_count_numpy_cannot_index(capsys):
+    assert cli_main(["verify", "--scenario", "a", "--dt", "1e-300", "--quiet"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: a run of length 2 at dt = 1e-300 takes 2e+300 steps, more than numpy can index"]
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_config_rejects_a_loop_count_past_float_range():
+    with pytest.raises(ConfigError, match=r"^loops must be below 1\.798e\+308, got an integer "
+                                          r"of 1329 bits$"):
+        ScenarioConfig("cyclic_cw", loops=10**400)
+    # the largest float-range count passes this check and fails on its step count
+    with pytest.raises(ConfigError, match="more than numpy can index"):
+        ScenarioConfig("cyclic_cw", loops=10**300)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", [["cyclic", "--direction", "cw"], ["verify", "--scenario", "cw"]])
+def test_cli_reports_a_loop_count_past_float_range(capsys, command):
+    assert cli_main(command + ["--loops", "1" + "0" * 400, "--quiet"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: loops must be below 1.798e+308, got an integer of 1329 bits"]
     assert "Traceback" not in captured.out + captured.err
 
 
