@@ -46,11 +46,9 @@ from .scenarios import (
     CheckResult,
     RunReport,
     ScenarioConfig,
-    TwoLevelScenario,
     run_cyclic,
     run_scenario,
     run_two_level,
-    two_level_scenario,
     verify,
 )
 from .synthesis import (
@@ -99,7 +97,6 @@ __all__ = [
     "TimeGrid",
     "TwoLevelControls",
     "TwoLevelFrameParams",
-    "TwoLevelScenario",
     "biorthogonality_defect",
     "bra_phase_relation_check",
     "clockwise_schedule",
@@ -125,7 +122,6 @@ __all__ = [
     "two_level_consistency_residual",
     "two_level_frame",
     "two_level_hamiltonian",
-    "two_level_scenario",
     "verify",
     "von_neumann_residual",
 ]

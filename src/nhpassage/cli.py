@@ -19,7 +19,6 @@ from .config import read_config
 from .exceptions import ConfigError, PassageError
 from .exports import export_csv, export_svg
 from .scenarios import (
-    CYCLIC_IDS,
     SCENARIO_IDS,
     TWO_LEVEL_IDS,
     ScenarioConfig,
@@ -95,7 +94,11 @@ def _scenario_id(args: argparse.Namespace, file_values: dict) -> str:
         short = _merged(args, "scenario", file_values, str)
         if short is None:
             raise PassageError("two-level needs --scenario a|b|c|d (or a config entry)")
-        return _SHORT_IDS.get(short, short)
+        sid = _SHORT_IDS.get(short, short)
+        if sid not in TWO_LEVEL_IDS:  # a config file value passes no argparse choices
+            raise PassageError(f"two-level scenario {short!r} is not one of a|b|c|d "
+                               f"or {TWO_LEVEL_IDS}")
+        return sid
     if args.command == "cyclic":
         direction = _merged(args, "direction", file_values, str)
         if direction is None:
@@ -105,8 +108,8 @@ def _scenario_id(args: argparse.Namespace, file_values: dict) -> str:
     if raw is None:
         raise PassageError("verify needs --scenario (or a config entry)")
     sid = _SHORT_IDS.get(raw, raw)
-    if sid not in TWO_LEVEL_IDS + CYCLIC_IDS:
-        raise PassageError(f"unknown scenario {raw!r}; choose from {SCENARIO_IDS[:-1]}")
+    if sid not in SCENARIO_IDS:
+        raise PassageError(f"unknown scenario {raw!r}; choose from {SCENARIO_IDS}")
     return sid
 
 

@@ -15,8 +15,10 @@ Both families are built from one stage model.  A stage is a grid, a
 moving frame, drives synthesized to triangularize the generator in that
 frame, the generator ``H``, the passage (ket under ``H`` or bra under
 ``H^dag``) that carries the state, and the level it ends on.  A two-level
-task is one stage; a cyclic task is three per loop.  One runner first
-re-integrates every stage at half the step (the batched scan of
+task is one stage, read from one table of frame angle, initial and target
+level, and passage; a cyclic task is three per loop.  One runner,
+:func:`run_scenario` (also bound as ``run_two_level`` and ``run_cyclic``),
+first re-integrates every stage at half the step (the batched scan of
 :func:`~nhpassage.dynamics.evolve_ket_halved`, on one sample of ``H`` per
 stage), then, stage by stage, builds one sample set on the grid points and
 RK4 midpoints, from which the table of the stage's ``H``, its passage phase
@@ -40,7 +42,6 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
@@ -76,6 +77,7 @@ from .synthesis import (  # the phase and consistency names stay bound for perfb
     ScheduleStage,
     ThreeLevelControls,
     TwoLevelControls,
+    _affine,
     _phase,
     clockwise_schedule,
     counterclockwise_schedule,
@@ -102,8 +104,6 @@ __all__ = [
     "ScenarioConfig",
     "CheckResult",
     "RunReport",
-    "TwoLevelScenario",
-    "two_level_scenario",
     "run_two_level",
     "run_cyclic",
     "run_scenario",
@@ -125,7 +125,7 @@ DEFAULT_STEPS_PER_T = 2000
 
 TWO_LEVEL_IDS = ("two_level_a", "two_level_b", "two_level_c", "two_level_d")
 CYCLIC_IDS = ("cyclic_cw", "cyclic_ccw")
-SCENARIO_IDS = TWO_LEVEL_IDS + CYCLIC_IDS + ("custom",)
+SCENARIO_IDS = TWO_LEVEL_IDS + CYCLIC_IDS
 
 
 @dataclass(frozen=True)
@@ -236,74 +236,6 @@ class RunReport:
         return [c.describe() for c in self.checks]
 
 
-# ---------------------------------------------------------------------------
-# two-level scenarios
-
-
-@dataclass(frozen=True)
-class TwoLevelScenario:
-    """Frame motion and task of one two-level transfer.
-
-    ``passage`` picks the space: 'ket' rides the last frame vector under
-    ``H``, 'bra' the first under ``H^dag``.  ``gamma_ratio`` slaves the
-    gain/loss rate to the frame motion, ``gamma = gamma_ratio * theta_dot``.
-    """
-
-    theta: Callable
-    theta_dot: Callable
-    initial_level: int
-    target_level: int
-    passage: str
-    varphi: float = np.pi / 2
-    gamma_ratio: float = 2.0
-
-
-def two_level_scenario(scenario_id: str, T: float) -> TwoLevelScenario:
-    """The built-in two-level transfer tasks (a)-(d)."""
-    quarter = np.pi / (4.0 * T)
-
-    if scenario_id == "two_level_a":
-        # |1> -> |0> riding the ket passage; theta: 0 -> -pi/2
-        return TwoLevelScenario(
-            theta=lambda t: -(quarter * (np.asarray(t, float) - T) + np.pi / 4),
-            theta_dot=lambda t: np.full_like(np.asarray(t, float), -quarter),
-            initial_level=1, target_level=0, passage="ket",
-        )
-    if scenario_id == "two_level_b":
-        # |0> -> |1> riding the ket passage; theta: -pi/2 -> 0
-        return TwoLevelScenario(
-            theta=lambda t: quarter * (np.asarray(t, float) - T) - np.pi / 4,
-            theta_dot=lambda t: np.full_like(np.asarray(t, float), quarter),
-            initial_level=0, target_level=1, passage="ket",
-        )
-    if scenario_id == "two_level_c":
-        # |1> -> |0> riding the bra passage; theta: -pi/2 -> 0, sinusoidal
-        def theta(t):
-            return -(np.pi / 2) * np.sin(quarter * (np.asarray(t, float) + 2 * T))
-
-        def theta_dot(t):
-            return -(np.pi / 2) * quarter * np.cos(quarter * (np.asarray(t, float) + 2 * T))
-
-        return TwoLevelScenario(
-            theta=theta, theta_dot=theta_dot,
-            initial_level=1, target_level=0, passage="bra",
-        )
-    if scenario_id == "two_level_d":
-        # |0> -> |1> riding the bra passage; theta: 0 -> -pi/2, sinusoidal
-        def theta(t):
-            return (np.pi / 2) * np.cos(quarter * (np.asarray(t, float) + 2 * T))
-
-        def theta_dot(t):
-            return -(np.pi / 2) * quarter * np.sin(quarter * (np.asarray(t, float) + 2 * T))
-
-        return TwoLevelScenario(
-            theta=theta, theta_dot=theta_dot,
-            initial_level=0, target_level=1, passage="bra",
-        )
-    raise ConfigError(f"not a built-in two-level scenario: {scenario_id!r}; "
-                      "pass a TwoLevelScenario to run_two_level")
-
-
 def _zero(t):
     return np.zeros_like(np.asarray(t, dtype=float))
 
@@ -329,17 +261,48 @@ class _Stage:
     target: int
 
 
-def _two_level_stage(scenario: TwoLevelScenario, T: float, dt: float,
-                     gamma_scale: float) -> _Stage:
-    ratio = scenario.gamma_ratio * gamma_scale
-    gamma = _Derived(lambda s: ratio * s(scenario.theta_dot))
-    params = TwoLevelFrameParams(scenario.theta, scenario.theta_dot, _zero, _zero)
-    grid = TimeGrid(0.0, 2.0 * T, dt)
+def _quarter_wave(T: float, sine: bool):
+    """The frame angle of task (c) (``sine``) or (d), a quarter period of a
+    sinusoid of amplitude pi/2 over ``[0, 2T]``, and its rate."""
+    quarter = np.pi / (4.0 * T)
+
+    def phase(t):
+        return quarter * (np.asarray(t, float) + 2 * T)
+
+    if sine:
+        return (lambda t: -(np.pi / 2) * np.sin(phase(t)),
+                lambda t: -(np.pi / 2) * quarter * np.cos(phase(t)))
+    return (lambda t: (np.pi / 2) * np.cos(phase(t)),
+            lambda t: -(np.pi / 2) * quarter * np.sin(phase(t)))
+
+
+#: The two-level tasks: (frame angle and rate at a given T, initial level,
+#: target level, passage).  The gain/loss rate is ``2 theta_dot``.
+_TWO_LEVEL_TASKS = {
+    # |1> -> |0> on the ket passage; theta: 0 -> -pi/2
+    "two_level_a": (lambda T: _affine(-np.pi / (4.0 * T), T, -np.pi / 4), 1, 0, "ket"),
+    # |0> -> |1> on the ket passage; theta: -pi/2 -> 0
+    "two_level_b": (lambda T: _affine(np.pi / (4.0 * T), T, -np.pi / 4), 0, 1, "ket"),
+    # |1> -> |0> on the bra passage; theta: -pi/2 -> 0
+    "two_level_c": (lambda T: _quarter_wave(T, sine=True), 1, 0, "bra"),
+    # |0> -> |1> on the bra passage; theta: 0 -> -pi/2
+    "two_level_d": (lambda T: _quarter_wave(T, sine=False), 0, 1, "bra"),
+}
+#: Stage-end target level (index into |0>, |1>, |e>) for each direction.
+_CYCLE_TARGETS = {"cw": (2, 1, 0), "ccw": (1, 2, 0)}
+
+
+def _two_level_stage(config: ScenarioConfig) -> _Stage:
+    angles, _, target, passage = _TWO_LEVEL_TASKS[config.scenario]
+    theta, theta_dot = angles(config.T)
+    gamma = _Derived(lambda s: 2.0 * config.gamma_scale * s(theta_dot))
+    params = TwoLevelFrameParams(theta, theta_dot, _zero, _zero)
+    grid = TimeGrid(0.0, 2.0 * config.T, config.resolved_dt())
     controls = synthesize_two_level(
         params, gamma0=gamma, gamma1=gamma, xi0=-np.pi / 2, xi1=np.pi / 2,
-        delta=0.0, varphi=scenario.varphi, grid=grid)
+        delta=0.0, varphi=np.pi / 2, grid=grid)
     return _Stage(grid, params, two_level_frame(params), controls,
-                  two_level_hamiltonian(controls), scenario.passage, scenario.target_level)
+                  two_level_hamiltonian(controls), passage, target)
 
 
 def _cyclic_stage(stage: ScheduleStage, target: int, dt: float,
@@ -357,27 +320,14 @@ def _cyclic_stage(stage: ScheduleStage, target: int, dt: float,
                   three_level_hamiltonian(controls), stage.passage, target)
 
 
-#: Stage-end target level (index into |0>, |1>, |e>) for each direction.
-_CYCLE_TARGETS = {"cw": (2, 1, 0), "ccw": (1, 2, 0)}
-
-
-def _stages(config: ScenarioConfig, scenario: TwoLevelScenario | None = None,
-            gamma_scale: float | None = None) -> list[_Stage]:
-    """The stages of a run: one for a two-level task, three per loop for a cyclic one.
-
-    ``gamma_scale`` overrides the config's (0 gives the Hermitian limit).
-    """
-    dt = config.resolved_dt()
-    if gamma_scale is None:
-        gamma_scale = config.gamma_scale
+def _stages(config: ScenarioConfig) -> list[_Stage]:
+    """The stages of a run: one for a two-level task, three per loop for a cyclic one."""
     if config.scenario not in CYCLIC_IDS:
-        if scenario is None:
-            scenario = two_level_scenario(config.scenario, config.T)
-        return [_two_level_stage(scenario, config.T, dt, gamma_scale)]
+        return [_two_level_stage(config)]
     direction = "cw" if config.scenario == "cyclic_cw" else "ccw"
     make = clockwise_schedule if direction == "cw" else counterclockwise_schedule
     return [
-        _cyclic_stage(stage, target, dt, gamma_scale)
+        _cyclic_stage(stage, target, config.resolved_dt(), config.gamma_scale)
         for k in range(1, config.loops + 1)
         for stage, target in zip(make(k, config.T).stages, _CYCLE_TARGETS[direction])
     ]
@@ -437,8 +387,7 @@ def _joined(parts: list[np.ndarray]) -> np.ndarray:
     return np.concatenate([parts[0]] + [p[1:] for p in parts[1:]])
 
 
-def _run(config: ScenarioConfig, scenario: TwoLevelScenario | None = None,
-         stages: list[_Stage] | None = None) -> RunReport:
+def _run(config: ScenarioConfig, stages: list[_Stage] | None = None) -> RunReport:
     """March a run's stages, collect per-stage certificates, and grade the run.
 
     ``stages`` are built unless given.  The state is handed across stage
@@ -447,12 +396,10 @@ def _run(config: ScenarioConfig, scenario: TwoLevelScenario | None = None,
     ``f_real``/``f_imag`` columns are defined.
     """
     cyclic = config.scenario in CYCLIC_IDS
-    if not cyclic and scenario is None:
-        scenario = two_level_scenario(config.scenario, config.T)
     if stages is None:
-        stages = _stages(config, scenario)
+        stages = _stages(config)
     psi0 = np.zeros(stages[0].H.dim, dtype=complex)
-    psi0[0 if cyclic else scenario.initial_level] = 1.0
+    psi0[0 if cyclic else _TWO_LEVEL_TASKS[config.scenario][1]] = 1.0
     # the dt/2 re-run goes first, on its own samples (see nhpassage.dynamics)
     fine = _march_halved(stages, psi0)
     psi, trajs, phases, tri, bio, fidelity = psi0, [], [], [], [], []
@@ -558,27 +505,17 @@ def _cyclic_checks(config, stages, trajs, traj):
     return checkpoints, checks
 
 
-def run_two_level(
-    config: ScenarioConfig, scenario: TwoLevelScenario | None = None
-) -> RunReport:
-    """Simulate one two-level transfer and grade it.
+def run_scenario(config: ScenarioConfig) -> RunReport:
+    """Simulate a built-in scenario, two-level or cyclic, and grade it.
 
-    ``scenario`` overrides the built-in lookup (use ``config.scenario =
-    'custom'`` for fully caller-defined tasks).  Raises
+    Also bound as ``run_two_level`` and ``run_cyclic``.  Raises
     :class:`StepSizeError` when the dt/2 self-check fails and propagates
     synthesis errors for inconsistent inputs.
     """
-    return _run(config, scenario)
-
-
-def run_cyclic(config: ScenarioConfig) -> RunReport:
-    """Simulate clockwise or counterclockwise cyclic transfer loops and grade them."""
     return _run(config)
 
 
-def run_scenario(config: ScenarioConfig) -> RunReport:
-    """Simulate any built-in scenario and grade it."""
-    return _run(config)
+run_two_level = run_cyclic = run_scenario
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +576,7 @@ def _perturbed_omega_checks(stages: list[_Stage]):
 
 
 def _hermitian_limit_checks(config: ScenarioConfig):
-    stages = _stages(config, gamma_scale=0.0)
+    stages = _stages(replace(config, gamma_scale=0.0))
     bad_frame = _misaligned_frame(stages[0].H.dim, config.T)
     scans = []
     for s in stages:  # one sample set per stage serves its zero-gain H and both frames

@@ -6,6 +6,8 @@ fixed here, not imported, so loosening a library constant cannot silently
 weaken the gate.  Everything runs at desk scale (T = 1, dt = T/2000).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -123,7 +125,7 @@ def test_criterion_05_hermitian_reduction(sid):
     config = ScenarioConfig(scenario=sid)
     tri = von = 0.0
     tri_bad = von_bad = np.inf
-    for stage in _stages(config, gamma_scale=0.0):
+    for stage in _stages(replace(config, gamma_scale=0.0)):
         H, frame, grid = stage.H, stage.frame, stage.grid
         tri_s = triangularization_residual(H, frame, grid)
         von_s = von_neumann_residual(H, frame, grid)

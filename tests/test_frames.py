@@ -536,7 +536,7 @@ def assert_frame_is_closed_form(frame, params, ts):
                                       "two_level_d", "cyclic_cw", "cyclic_ccw"])
 def test_built_in_frames_are_bitwise_the_closed_forms(scenario, gamma_scale):
     loops = 2 if scenario.startswith("cyclic") else 1
-    for stage in _stages(ScenarioConfig(scenario=scenario, loops=loops), gamma_scale=gamma_scale):
+    for stage in _stages(ScenarioConfig(scenario, loops=loops, gamma_scale=gamma_scale)):
         assert_frame_is_closed_form(stage.frame, stage.frame_params,
                                     _sample_times(stage.grid.times()))
 
@@ -652,8 +652,9 @@ def test_above_diagonal_residual_is_bitwise_the_full_block(angles, dim, seed, sc
                                       "two_level_d", "cyclic_cw", "cyclic_ccw"])
 def test_stage_residuals_are_bitwise_the_full_block(scenario, gamma_scale):
     # the run's residual, the 1% drive control and the misaligned frame
-    config = ScenarioConfig(scenario, loops=2 if scenario.startswith("cyclic") else 1)
-    stages = _stages(config, gamma_scale=gamma_scale)
+    config = ScenarioConfig(scenario, loops=2 if scenario.startswith("cyclic") else 1,
+                            gamma_scale=gamma_scale)
+    stages = _stages(config)
     bad = _misaligned_frame(stages[0].H.dim, config.T)
     for stage in stages:
         times = stage.grid.times()

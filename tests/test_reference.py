@@ -102,7 +102,7 @@ def closed_form_generator(p, c, ts):
                                       "two_level_d", "cyclic_cw", "cyclic_ccw"])
 def test_built_in_envelopes_are_bitwise_the_closed_forms(scenario, gamma_scale):
     loops = 2 if scenario.startswith("cyclic") else 1
-    for stage in _stages(ScenarioConfig(scenario=scenario, loops=loops), gamma_scale=gamma_scale):
+    for stage in _stages(ScenarioConfig(scenario, loops=loops, gamma_scale=gamma_scale)):
         p, c = stage.frame_params, stage.controls
         ts = _sample_times(stage.grid.times())
         assert np.array_equal(stage.H.sample(ts), closed_form_generator(p, c, ts))

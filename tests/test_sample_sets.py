@@ -27,10 +27,8 @@ from nhpassage import (
     TimeGrid,
     TwoLevelControls,
     TwoLevelFrameParams,
-    TwoLevelScenario,
     phase_two_level,
     run_scenario,
-    run_two_level,
     synthesize_three_level,
     synthesize_two_level,
     three_level_frame,
@@ -38,10 +36,9 @@ from nhpassage import (
     two_level_consistency_residual,
     two_level_frame,
     two_level_hamiltonian,
-    two_level_scenario,
 )
 from nhpassage import scenarios
-from nhpassage.dynamics import TimeDependentOperator, _sample_times
+from nhpassage.dynamics import TimeDependentOperator, _Derived, _sample_times
 from nhpassage.scenarios import RESIDUAL_TOL
 from test_synthesis_oracle import (
     GRID,
@@ -280,26 +277,38 @@ def test_drawn_three_level_stage_reads_the_public_calls_numbers(
     assert_reads_are_the_public_calls([stage], report, got)
 
 
+def hand_built(built_in, calls):
+    """The two-level stage ``built_in`` rebuilt by hand, as a caller builds one,
+    with its frame angle and rate counted; the gains read the rate as the
+    built-ins' do, and the drives are synthesized on the stage's grid."""
+    p, c = built_in.frame_params, built_in.controls
+    params = TwoLevelFrameParams(counted(p.theta, calls, "theta"),
+                                 counted(p.theta_dot, calls, "theta_dot"), p.alpha, p.alpha_dot)
+    gamma = _Derived(lambda s: 2.0 * s(params.theta_dot))
+    controls = synthesize_two_level(params, gamma0=gamma, gamma1=gamma, xi0=c.xi0, xi1=c.xi1,
+                                    delta=0.0, varphi=c.varphi, grid=built_in.grid)
+    return scenarios._Stage(built_in.grid, params, two_level_frame(params), controls,
+                            two_level_hamiltonian(controls), built_in.passage, built_in.target)
+
+
 def test_a_run_calls_each_frame_angle_once_per_time_array():
-    # a caller's two-level task: its angle and rate, which also set the gains,
+    # a caller-built two-level stage: its angle and rate, which also set the gains,
     # are called once on the synthesis grid, once on the stage's grid points and
     # midpoints, and once on the dt/2 re-run's, and on nothing else
     calls = {"theta": [], "theta_dot": []}
-    built_in = two_level_scenario("two_level_c", 1.0)
-    task = TwoLevelScenario(counted(built_in.theta, calls, "theta"),
-                            counted(built_in.theta_dot, calls, "theta_dot"),
-                            initial_level=1, target_level=0, passage="bra")
-    report = run_two_level(ScenarioConfig("custom"), task)
+    config = ScenarioConfig("two_level_c")
+    report = scenarios._run(config, [hand_built(scenarios._stages(config)[0], calls)])
     assert report.passed
     steps = 4000
     for sizes in calls.values():
         assert sorted(sizes) == [steps + 1, 2 * steps + 1, 4 * steps + 1]
+    assert same_bits(report.trajectory.states, run_scenario(config).trajectory.states)
 
 
 def test_an_opaque_envelope_is_called_once_per_time_array():
     # controls assembled by hand: the envelope is a plain callable, read like a gain
     calls = {name: [] for name in ("omega", "delta", "gamma", "theta", "theta_dot")}
-    built_in = two_level_scenario("two_level_a", 1.0)
+    built_in = scenarios._stages(ScenarioConfig("two_level_a"))[0].frame_params
     params = TwoLevelFrameParams(counted(built_in.theta, calls, "theta"),
                                  counted(built_in.theta_dot, calls, "theta_dot"),
                                  scenarios._zero, scenarios._zero)
@@ -321,11 +330,8 @@ def test_an_opaque_envelope_is_called_once_per_time_array():
 def test_a_drive_scaled_control_reads_one_sample_set():
     # verify's perturbed control: the scaled generator and the frame table read
     # the stage's angles from one set on the grid
-    built_in = two_level_scenario("two_level_c", 1.0)
     calls = {"theta": [], "theta_dot": []}
-    task = TwoLevelScenario(counted(built_in.theta, calls, "theta"),
-                            counted(built_in.theta_dot, calls, "theta_dot"), 1, 0, "bra")
-    stage = scenarios._two_level_stage(task, 1.0, 0.01, 1.0)
+    stage = hand_built(scenarios._stages(ScenarioConfig("two_level_c", dt=0.01))[0], calls)
     assert calls == {"theta": [201], "theta_dot": [201]}  # synthesis
     scenarios._perturbed_omega_checks([stage])
     assert calls == {"theta": [201, 201], "theta_dot": [201, 201]}

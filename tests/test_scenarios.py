@@ -13,7 +13,6 @@ from nhpassage import (
     PassageError,
     ScenarioConfig,
     StepSizeError,
-    TwoLevelScenario,
     biorthogonality_defect,
     clockwise_schedule,
     evolve_bra,
@@ -25,7 +24,6 @@ from nhpassage import (
     run_scenario,
     run_two_level,
     triangularization_residual,
-    two_level_scenario,
     verify,
     von_neumann_residual,
 )
@@ -61,12 +59,29 @@ def test_two_level_norm_tracks_imaginary_phase(two_level_reports):
     assert np.max(np.abs(np.exp(report.phase.f_imag) - norm)) < 1e-6
 
 
-def test_initial_state_is_exactly_prepared(two_level_reports):
-    for sid, report in two_level_reports.items():
-        scenario = two_level_scenario(sid, report.config.T)
-        expected = np.zeros(2)
-        expected[scenario.initial_level] = 1.0
-        assert np.array_equal(report.trajectory.populations[0], expected)
+#: Each built-in's initial level and the (passage, target level) of each stage of a loop.
+BUILT_IN_LEVELS = {
+    "two_level_a": (1, [("ket", 0)]),
+    "two_level_b": (0, [("ket", 1)]),
+    "two_level_c": (1, [("bra", 0)]),
+    "two_level_d": (0, [("bra", 1)]),
+    "cyclic_cw": (0, [("ket", 2), ("ket", 1), ("bra", 0)]),
+    "cyclic_ccw": (0, [("bra", 1), ("ket", 2), ("ket", 0)]),
+}
+
+
+def test_initial_state_is_exactly_prepared(two_level_reports, cyclic_cw_report,
+                                           cyclic_ccw_report):
+    reports = {**two_level_reports, "cyclic_cw": cyclic_cw_report,
+               "cyclic_ccw": cyclic_ccw_report}
+    assert set(reports) == set(BUILT_IN_LEVELS) == set(scenarios.SCENARIO_IDS)
+    for sid, report in reports.items():
+        initial, stages = BUILT_IN_LEVELS[sid]
+        assert [(s.passage, s.target) for s in scenarios._stages(report.config)] == (
+            stages * report.config.loops), sid
+        expected = np.zeros(report.trajectory.dim)
+        expected[initial] = 1.0
+        assert np.array_equal(report.trajectory.populations[0], expected), sid
 
 
 def test_report_checkpoints_complete(two_level_reports):
@@ -76,20 +91,6 @@ def test_report_checkpoints_complete(two_level_reports):
     for key in ("triangularization", "consistency", "biorthogonality",
                 "step_check", "passage_fidelity"):
         assert key in report.residuals
-
-
-def test_custom_two_level_scenario_runs():
-    # a slower sweep, same boundary angles as scenario (a)
-    T = 1.0
-    quarter = np.pi / (4 * T)
-    scenario = TwoLevelScenario(
-        theta=lambda t: -(quarter * (np.asarray(t, float) - T) + np.pi / 4),
-        theta_dot=lambda t: np.full_like(np.asarray(t, float), -quarter),
-        initial_level=1, target_level=0, passage="ket",
-        gamma_ratio=1.0,
-    )
-    report = run_two_level(ScenarioConfig(scenario="custom"), scenario)
-    assert report.passed
 
 
 def test_coarse_step_fails_convergence_check():
@@ -201,7 +202,7 @@ def test_config_accepts_numpy_scalars():
 
 def test_two_level_config_rejects_loops():
     # a two-level task is exactly one stage; more loops would be ignored
-    for sid in ("two_level_a", "two_level_d", "custom"):
+    for sid in ("two_level_a", "two_level_d"):
         with pytest.raises(ConfigError, match="loops"):
             ScenarioConfig(scenario=sid, loops=3)
     assert ScenarioConfig(scenario="two_level_a", loops=1).loops == 1
@@ -214,8 +215,8 @@ def test_config_validation():
         ScenarioConfig(scenario="cyclic_cw", loops=0)
     with pytest.raises(ConfigError):
         ScenarioConfig(scenario="two_level_a", T=-1.0)
-    with pytest.raises(ConfigError):
-        run_scenario(ScenarioConfig(scenario="custom"))
+    with pytest.raises(ConfigError, match="unknown scenario 'custom'"):
+        ScenarioConfig(scenario="custom")
 
 
 # ---------------------------------------------------------------------------
@@ -347,15 +348,6 @@ def test_verify_records_each_groups_failure_when_stages_fail_to_build():
     assert got[3][0] == "biorthogonality_random_generator" and got[3][4]
     assert report.checks[3] == scenarios._random_biorthogonality_checks(
         ScenarioConfig("cyclic_cw"))[0][0]
-
-
-def test_verify_random_generator_control_of_custom_is_two_level():
-    # 'custom' is a two-level task: its control draws a 2x2 generator, as for the
-    # built-in two-level runs, and its failed run's placeholder is two-level too
-    report = verify(ScenarioConfig("custom"))
-    got = [c for c in report.checks if c.name == "biorthogonality_random_generator"]
-    assert got == scenarios._random_biorthogonality_checks(ScenarioConfig("two_level_a"))[0]
-    assert report.trajectory.dim == 2
 
 
 def rebuilt_verify_checks(config):
@@ -551,7 +543,7 @@ def test_stage_tables_serve_the_same_floats(monkeypatch, scenario, loops):
     assert report.residuals["passage_fidelity"] == max(results["fidelity"])
 
     report = verify(config)
-    zero_gain = scenarios._stages(config, gamma_scale=0.0)
+    zero_gain = scenarios._stages(replace(config, gamma_scale=0.0))
     bad = scenarios._misaligned_frame(zero_gain[0].H.dim, config.T)
     values = {c.name: c.value for c in report.checks}
     assert report.residuals["hermitian_triangularization"] == max(
@@ -718,6 +710,50 @@ def test_cli_cyclic_and_verify(capsys):
     assert cli_main(["cyclic", "--direction", "ccw", "--loops", "1", "--quiet"]) == 0
     capsys.readouterr()
     assert cli_main(["verify", "--scenario", "a", "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("value", ["cw", "ccw", "cyclic_cw", "cyclic_ccw", "custom", "e"])
+def test_cli_two_level_rejects_a_config_scenario_that_is_not_two_level(
+        tmp_path, monkeypatch, capsys, value):
+    # argparse's choices guard only the flag; a config file value is checked too
+    import nhpassage.cli as cli
+
+    monkeypatch.setattr(cli, "run_scenario", lambda config: pytest.fail(config.scenario))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"scenario = {value}\n", encoding="utf-8")
+    code = cli_main(["two-level", "--config", str(cfg), "--quiet"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == (f"error: two-level scenario {value!r} is not one of a|b|c|d or "
+                   "('two_level_a', 'two_level_b', 'two_level_c', 'two_level_d')\n")
+
+
+@pytest.mark.parametrize("value,sid", [("b", "two_level_b"), ("two_level_d", "two_level_d")])
+def test_cli_two_level_takes_a_short_or_full_config_scenario(
+        tmp_path, monkeypatch, capsys, value, sid):
+    import types
+
+    import nhpassage.cli as cli
+
+    configs = []
+
+    def fake_run(config):
+        configs.append(config)
+        return types.SimpleNamespace(checks=[], passed=True)
+
+    monkeypatch.setattr(cli, "run_scenario", fake_run)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"scenario = {value}\n", encoding="utf-8")
+    assert cli_main(["two-level", "--config", str(cfg), "--quiet"]) == 0
+    assert configs == [ScenarioConfig(sid)]
+
+
+def test_cli_verify_custom_is_an_unknown_scenario(verified_configs, capsys):
+    code = cli_main(["verify", "--scenario", "custom", "--quiet"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == "" and verified_configs == []
+    assert err == ("error: unknown scenario 'custom'; choose from ('two_level_a', "
+                   "'two_level_b', 'two_level_c', 'two_level_d', 'cyclic_cw', 'cyclic_ccw')\n")
 
 
 def test_cli_missing_scenario_is_an_error(capsys):
