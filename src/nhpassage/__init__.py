@@ -53,13 +53,9 @@ from .scenarios import (
 )
 from .synthesis import (
     PhaseFunctional,
-    ScheduleStage,
-    StageSchedule,
     ThreeLevelControls,
     TwoLevelControls,
     bra_phase_relation_check,
-    clockwise_schedule,
-    counterclockwise_schedule,
     phase_three_level,
     phase_two_level,
     synthesize_three_level,
@@ -86,9 +82,7 @@ __all__ = [
     "PhaseFunctional",
     "RunReport",
     "ScenarioConfig",
-    "ScheduleStage",
     "SingularDenominatorError",
-    "StageSchedule",
     "StateTrajectory",
     "StepSizeError",
     "ThreeLevelControls",
@@ -99,9 +93,7 @@ __all__ = [
     "TwoLevelFrameParams",
     "biorthogonality_defect",
     "bra_phase_relation_check",
-    "clockwise_schedule",
     "constant_operator",
-    "counterclockwise_schedule",
     "dyson_truncation",
     "evolve_bra",
     "evolve_ket",

@@ -19,6 +19,7 @@ from .config import read_config
 from .exceptions import ConfigError, PassageError
 from .exports import export_csv, export_svg
 from .scenarios import (
+    CYCLIC_IDS,
     SCENARIO_IDS,
     TWO_LEVEL_IDS,
     ScenarioConfig,
@@ -29,6 +30,12 @@ from .scenarios import (
 _SHORT_IDS = {
     "a": "two_level_a", "b": "two_level_b", "c": "two_level_c", "d": "two_level_d",
     "cw": "cyclic_cw", "ccw": "cyclic_ccw",
+}
+#: Per subcommand, the key that names its scenario and the ids it runs.
+_SUBCOMMAND_IDS = {
+    "two-level": ("scenario", TWO_LEVEL_IDS),
+    "cyclic": ("direction", CYCLIC_IDS),
+    "verify": ("scenario", SCENARIO_IDS),
 }
 
 
@@ -90,26 +97,16 @@ def _merged(args: argparse.Namespace, key: str, file_values: dict, cast):
 
 
 def _scenario_id(args: argparse.Namespace, file_values: dict) -> str:
-    if args.command == "two-level":
-        short = _merged(args, "scenario", file_values, str)
-        if short is None:
-            raise PassageError("two-level needs --scenario a|b|c|d (or a config entry)")
-        sid = _SHORT_IDS.get(short, short)
-        if sid not in TWO_LEVEL_IDS:  # a config file value passes no argparse choices
-            raise PassageError(f"two-level scenario {short!r} is not one of a|b|c|d "
-                               f"or {TWO_LEVEL_IDS}")
-        return sid
-    if args.command == "cyclic":
-        direction = _merged(args, "direction", file_values, str)
-        if direction is None:
-            raise PassageError("cyclic needs --direction cw|ccw (or a config entry)")
-        return f"cyclic_{direction}"
-    raw = _merged(args, "scenario", file_values, str)
+    """The subcommand's scenario id, from its key's flag or config value: a short
+    id or a full one, among the ids the subcommand runs."""
+    key, ids = _SUBCOMMAND_IDS[args.command]
+    shorts = "|".join(short for short, sid in _SHORT_IDS.items() if sid in ids)
+    raw = _merged(args, key, file_values, str)
     if raw is None:
-        raise PassageError("verify needs --scenario (or a config entry)")
+        raise PassageError(f"{args.command} needs --{key} {shorts} (or a config entry)")
     sid = _SHORT_IDS.get(raw, raw)
-    if sid not in SCENARIO_IDS:
-        raise PassageError(f"unknown scenario {raw!r}; choose from {SCENARIO_IDS}")
+    if sid not in ids:  # a config file value passes no argparse choices
+        raise PassageError(f"{args.command} {key} {raw!r} is not one of {shorts} or {ids}")
     return sid
 
 

@@ -268,14 +268,14 @@ class _Samples:
 
 
 class _Table:
-    """``batch`` evaluated once on ``times`` (or given there as ``table``): a request
-    for those times, or a subset matched by exact float equality, is served read-only
+    """``batch`` as evaluated on ``times``, given there as ``table``: a request for
+    those times, or a subset matched by exact float equality, is served read-only
     from the table, and any other evaluates ``batch``, so all get the same floats."""
 
-    def __init__(self, batch: Callable, times: np.ndarray, table: np.ndarray | None = None):
+    def __init__(self, batch: Callable, times: np.ndarray, table: np.ndarray):
         self.batch = batch
         self.times = np.asarray(times, dtype=float)
-        self.table = np.asarray(batch(self.times) if table is None else table).view()
+        self.table = np.asarray(table).view()
         self.table.flags.writeable = False
 
     def __call__(self, ts: np.ndarray) -> np.ndarray:

@@ -38,4 +38,4 @@ class ConfigError(PassageError):
 
 
 class InvalidArgumentError(PassageError, ValueError):
-    """An argument lies outside its domain (loop index, passage name, series order, ...)."""
+    """An argument lies outside its domain (passage name, series order, ...)."""

@@ -14,9 +14,12 @@ middle stage.
 Both families are built from one stage model.  A stage is a grid, a
 moving frame, drives synthesized to triangularize the generator in that
 frame, the generator ``H``, the passage (ket under ``H`` or bra under
-``H^dag``) that carries the state, and the level it ends on.  A two-level
-task is one stage, read from one table of frame angle, initial and target
-level, and passage; a cyclic task is three per loop.  One runner,
+``H^dag``) that carries the state, and the level it ends on; stage ``i`` of a
+run spans ``[2iT, 2(i+1)T]``.  The built-ins are stage lists read from two
+tables by one stage builder: a two-level task is one stage (frame angle,
+initial and target level, passage), a cyclic task three per loop (per stage,
+the time the affine angles pass their offsets, the ``phi_mix`` offset, the
+passage, the third level's gain/loss phase and the target).  One runner,
 :func:`run_scenario` (also bound as ``run_two_level`` and ``run_cyclic``),
 first re-integrates every stage at half the step (the batched scan of
 :func:`~nhpassage.dynamics.evolve_ket_halved`, on one sample of ``H`` per
@@ -74,13 +77,9 @@ from .frames import (
 from .synthesis import (  # the phase and consistency names stay bound for perfbench's tracer
     CONSISTENCY_TOL,
     PhaseFunctional,
-    ScheduleStage,
     ThreeLevelControls,
     TwoLevelControls,
-    _affine,
     _phase,
-    clockwise_schedule,
-    counterclockwise_schedule,
     phase_three_level,
     phase_two_level,
     synthesize_three_level,
@@ -261,6 +260,17 @@ class _Stage:
     target: int
 
 
+def _affine(slope: float, t_ref: float, offset: float):
+    """A frame angle of constant rate ``slope`` through ``offset`` at ``t_ref``, and its rate."""
+    def f(t):
+        return slope * (np.asarray(t, dtype=float) - t_ref) + offset
+
+    def fdot(t):
+        return np.full_like(np.asarray(t, dtype=float), slope)
+
+    return f, fdot
+
+
 def _quarter_wave(T: float, sine: bool):
     """The frame angle of task (c) (``sine``) or (d), a quarter period of a
     sinusoid of amplitude pi/2 over ``[0, 2T]``, and its rate."""
@@ -288,49 +298,70 @@ _TWO_LEVEL_TASKS = {
     # |0> -> |1> on the bra passage; theta: 0 -> -pi/2
     "two_level_d": (lambda T: _quarter_wave(T, sine=False), 0, 1, "bra"),
 }
-#: Stage-end target level (index into |0>, |1>, |e>) for each direction.
-_CYCLE_TARGETS = {"cw": (2, 1, 0), "ccw": (1, 2, 0)}
+#: The cyclic tasks, each a loop from |0> run ``loops`` times: the sign of the
+#: theta slope, and per stage (r, phi_mix offset, passage, xi_e, target level).
+#: In loop k both angles move at pi/(4T), phi_mix always upwards, and pass
+#: through their offsets (theta's is 0) at ``2 (3k - r) T``; ``xi_e``, the
+#: third level's gain/loss phase, flips sign in the middle stage.  The gain/loss
+#: rate is ``3 theta_dot``, half that on |e>.
+_CYCLES = {
+    # |0> -> |e> -> |1> -> |0>: two ket passages, then a bra one that never touches |e>
+    "cyclic_cw": (1.0, ((2, 0.0, "ket", np.pi / 2, 2),
+                        (1, -np.pi / 2, "ket", -np.pi / 2, 1),
+                        (2, np.pi / 2, "bra", np.pi / 2, 0))),
+    # |0> -> |1> -> |e> -> |0>: a bra passage, then two ket ones
+    "cyclic_ccw": (-1.0, ((3, 0.0, "bra", np.pi / 2, 1),
+                          (2, -np.pi / 2, "ket", -np.pi / 2, 2),
+                          (1, np.pi, "ket", np.pi / 2, 0))),
+}
 
 
-def _two_level_stage(config: ScenarioConfig) -> _Stage:
-    angles, _, target, passage = _TWO_LEVEL_TASKS[config.scenario]
-    theta, theta_dot = angles(config.T)
-    gamma = _Derived(lambda s: 2.0 * config.gamma_scale * s(theta_dot))
-    params = TwoLevelFrameParams(theta, theta_dot, _zero, _zero)
-    grid = TimeGrid(0.0, 2.0 * config.T, config.resolved_dt())
-    controls = synthesize_two_level(
-        params, gamma0=gamma, gamma1=gamma, xi0=-np.pi / 2, xi1=np.pi / 2,
-        delta=0.0, varphi=np.pi / 2, grid=grid)
-    return _Stage(grid, params, two_level_frame(params), controls,
-                  two_level_hamiltonian(controls), passage, target)
-
-
-def _cyclic_stage(stage: ScheduleStage, target: int, dt: float,
-                  gamma_scale: float) -> _Stage:
-    gamma = _Derived(lambda s: 3.0 * gamma_scale * s(stage.theta_dot))
+def _stage(start: float, end: float, dt: float, angles, passage: str, target: int,
+           gamma_scale: float, xi_e: float | None = None) -> _Stage:
+    """A stage on ``[start, end]``: two levels for ``angles = (theta, theta_dot)``,
+    three for ``(theta, theta_dot, phi_mix, phi_mix_dot)`` with the third level's
+    gain/loss phase ``xi_e``; the gain/loss rate is ``gamma_scale`` times ``2
+    theta_dot`` or ``3 theta_dot``, and other local phases are zero."""
+    theta, theta_dot, *mix = angles
+    grid = TimeGrid(start, end, dt)
+    if not mix:
+        gamma = _Derived(lambda s: 2.0 * gamma_scale * s(theta_dot))
+        params = TwoLevelFrameParams(theta, theta_dot, _zero, _zero)
+        controls = synthesize_two_level(
+            params, gamma0=gamma, gamma1=gamma, xi0=-np.pi / 2, xi1=np.pi / 2,
+            delta=0.0, varphi=np.pi / 2, grid=grid)
+        return _Stage(grid, params, two_level_frame(params), controls,
+                      two_level_hamiltonian(controls), passage, target)
+    gamma = _Derived(lambda s: 3.0 * gamma_scale * s(theta_dot))
     gamma_e = _Derived(lambda s: 0.5 * s(gamma))
-    params = ThreeLevelFrameParams(stage.theta, stage.theta_dot, _zero, _zero,
-                                   stage.phi_mix, stage.phi_mix_dot, _zero, _zero)
-    grid = TimeGrid(stage.start, stage.end, dt)
+    params = ThreeLevelFrameParams(theta, theta_dot, _zero, _zero, *mix, _zero, _zero)
     controls = synthesize_three_level(
         params, gamma0=gamma, gamma1=gamma, gamma_e=gamma_e,
-        xi0=-np.pi / 2, xi1=np.pi / 2, xi_e=stage.xi_e, delta0=0.0, delta1=0.0,
+        xi0=-np.pi / 2, xi1=np.pi / 2, xi_e=xi_e, delta0=0.0, delta1=0.0,
         delta_e=0.0, varphi=np.pi / 2, varphi_a=np.pi / 2, grid=grid)
     return _Stage(grid, params, three_level_frame(params), controls,
-                  three_level_hamiltonian(controls), stage.passage, target)
+                  three_level_hamiltonian(controls), passage, target)
 
 
 def _stages(config: ScenarioConfig) -> list[_Stage]:
-    """The stages of a run: one for a two-level task, three per loop for a cyclic one."""
-    if config.scenario not in CYCLIC_IDS:
-        return [_two_level_stage(config)]
-    direction = "cw" if config.scenario == "cyclic_cw" else "ccw"
-    make = clockwise_schedule if direction == "cw" else counterclockwise_schedule
-    return [
-        _cyclic_stage(stage, target, config.resolved_dt(), config.gamma_scale)
-        for k in range(1, config.loops + 1)
-        for stage, target in zip(make(k, config.T).stages, _CYCLE_TARGETS[direction])
-    ]
+    """The stages of a run, read from the tables, stage ``i`` on ``[2iT, 2(i+1)T]``:
+    one for a two-level task, three per loop for a cyclic one."""
+    T = config.T
+    if config.scenario in _TWO_LEVEL_TASKS:
+        angles, _, target, passage = _TWO_LEVEL_TASKS[config.scenario]
+        plan = [(angles(T), passage, target, None)]
+    else:
+        sign, loop = _CYCLES[config.scenario]
+        quarter = np.pi / (4.0 * T)
+        plan = []
+        for k in range(1, config.loops + 1):
+            for r, offset, passage, xi_e, target in loop:
+                t_ref = 2.0 * (3 * k - r) * T
+                angles = _affine(sign * quarter, t_ref, 0.0) + _affine(quarter, t_ref, offset)
+                plan.append((angles, passage, target, xi_e))
+    return [_stage(2.0 * i * T, 2.0 * (i + 1) * T, config.resolved_dt(), angles, passage,
+                   target, config.gamma_scale, xi_e)
+            for i, (angles, passage, target, xi_e) in enumerate(plan)]
 
 
 def _drive_scaled(stage: _Stage, drive_scale: float) -> TimeDependentOperator:
@@ -522,9 +553,9 @@ run_two_level = run_cyclic = run_scenario
 # verification suite
 
 
-def _misaligned_frame(dim: int, T: float, seed: int = 12345) -> AncillaryFrame:
+def _misaligned_frame(dim: int, T: float) -> AncillaryFrame:
     """A smooth deterministic frame that satisfies no passage condition."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(12345)
     w = rng.uniform(0.5, 1.5, size=4) / T
     c = rng.uniform(0.2, 0.6, size=4)
 

@@ -41,6 +41,9 @@ was first written in: on four ``cyclic_ccw`` loops the growing modes amplify
 one ulp in ``H`` past the benchmark's 1e-12 gate on stage-end populations (a
 per-sample least-squares solve, exact to rounding, moved them by 1.2e-9).
 
+The frames themselves, and the stage lists of the built-in scenarios, are
+:mod:`~nhpassage.frames`' and :mod:`~nhpassage.scenarios`' concern.
+
 All accumulated phases follow the convention that the passage state is
 ``c * exp(-i (f_real + i f_imag)) * mu(t)``, so ``exp(f_imag)`` is the
 state norm and probability returns to one exactly when ``f_imag`` does.
@@ -69,8 +72,6 @@ __all__ = [
     "TwoLevelControls",
     "ThreeLevelControls",
     "PhaseFunctional",
-    "ScheduleStage",
-    "StageSchedule",
     "synthesize_two_level",
     "synthesize_three_level",
     "two_level_hamiltonian",
@@ -80,8 +81,6 @@ __all__ = [
     "phase_two_level",
     "phase_three_level",
     "bra_phase_relation_check",
-    "clockwise_schedule",
-    "counterclockwise_schedule",
 ]
 
 #: Guard on |sin(varphi + phase)| denominators.
@@ -464,98 +463,3 @@ def bra_phase_relation_check(controls, frame, grid) -> float:
     raw22 = _pair_rate("ket", s, d0 - delta0, d1, *rest)
     target = delta0 * s.cos(frame.theta) ** 2 + delta1
     return float(np.max(np.abs(np.conj(raw11) - target + np.conj(raw22))))
-
-
-@dataclass(frozen=True)
-class ScheduleStage:
-    """One smooth stage of a cyclic schedule.
-
-    ``passage`` names the space whose frame vector carries the state
-    ('ket' for the last frame vector under H, 'bra' for the first under
-    H^dag); ``xi_e`` is the gain/loss phase assigned to the third level
-    during the stage.
-    """
-
-    start: float
-    end: float
-    theta: Callable
-    theta_dot: Callable
-    phi_mix: Callable
-    phi_mix_dot: Callable
-    passage: str
-    xi_e: float
-
-
-@dataclass(frozen=True)
-class StageSchedule:
-    """Three equal-duration stages forming one loop of a cyclic transfer."""
-
-    T: float
-    loop_index: int
-    direction: str
-    stages: tuple[ScheduleStage, ScheduleStage, ScheduleStage]
-
-
-def _affine(slope: float, t_ref: float, offset: float = 0.0):
-    def f(t):
-        return slope * (np.asarray(t, dtype=float) - t_ref) + offset
-
-    def fdot(t):
-        return np.full_like(np.asarray(t, dtype=float), slope)
-
-    return f, fdot
-
-
-def clockwise_schedule(k: int, T: float) -> StageSchedule:
-    """Stage angles for the k-th clockwise loop ``|0> -> |e> -> |1> -> |0>``.
-
-    Each stage lasts ``2T``.  Stages 1-2 ride the ket-space passage under
-    ``H`` and stage 3 the bra-space passage under ``H^dag`` (which never
-    touches the third level).  The third-level gain flips sign in stage 2
-    via ``xi_e``.
-    """
-    if k < 1:
-        raise InvalidArgumentError(f"loop index must be >= 1, got {k}")
-    if not T > 0:
-        raise InvalidArgumentError(f"stage half-duration must be positive, got {T}")
-    slope = np.pi / (4.0 * T)
-    base = 6.0 * (k - 1) * T
-    th1, th1_dot = _affine(slope, 2.0 * (3 * k - 2) * T)
-    ph1, ph1_dot = _affine(slope, 2.0 * (3 * k - 2) * T)
-    th2, th2_dot = _affine(slope, 2.0 * (3 * k - 1) * T)
-    ph2, ph2_dot = _affine(slope, 2.0 * (3 * k - 1) * T, -np.pi / 2.0)
-    th3, th3_dot = _affine(slope, 2.0 * (3 * k - 2) * T)
-    ph3, ph3_dot = _affine(slope, 2.0 * (3 * k - 2) * T, np.pi / 2.0)
-    stages = (
-        ScheduleStage(base, base + 2 * T, th1, th1_dot, ph1, ph1_dot, "ket", np.pi / 2),
-        ScheduleStage(base + 2 * T, base + 4 * T, th2, th2_dot, ph2, ph2_dot, "ket", -np.pi / 2),
-        ScheduleStage(base + 4 * T, base + 6 * T, th3, th3_dot, ph3, ph3_dot, "bra", np.pi / 2),
-    )
-    return StageSchedule(T=T, loop_index=k, direction="cw", stages=stages)
-
-
-def counterclockwise_schedule(k: int, T: float) -> StageSchedule:
-    """Stage angles for the k-th counterclockwise loop ``|0> -> |1> -> |e> -> |0>``.
-
-    Stage 1 rides the bra-space passage under ``H^dag`` and stages 2-3 the
-    ket-space passage under ``H``; the ``xi_e`` assignment matches the
-    clockwise case.
-    """
-    if k < 1:
-        raise InvalidArgumentError(f"loop index must be >= 1, got {k}")
-    if not T > 0:
-        raise InvalidArgumentError(f"stage half-duration must be positive, got {T}")
-    slope = -np.pi / (4.0 * T)
-    base = 6.0 * (k - 1) * T
-    th1, th1_dot = _affine(slope, 6.0 * (k - 1) * T)
-    ph1, ph1_dot = _affine(-slope, 6.0 * (k - 1) * T)
-    th2, th2_dot = _affine(slope, 2.0 * (3 * k - 2) * T)
-    ph2, ph2_dot = _affine(-slope, 2.0 * (3 * k - 2) * T, -np.pi / 2.0)
-    th3, th3_dot = _affine(slope, 2.0 * (3 * k - 1) * T)
-    ph3, ph3_dot = _affine(-slope, 2.0 * (3 * k - 1) * T, np.pi)
-    stages = (
-        ScheduleStage(base, base + 2 * T, th1, th1_dot, ph1, ph1_dot, "bra", np.pi / 2),
-        ScheduleStage(base + 2 * T, base + 4 * T, th2, th2_dot, ph2, ph2_dot, "ket", -np.pi / 2),
-        ScheduleStage(base + 4 * T, base + 6 * T, th3, th3_dot, ph3, ph3_dot, "ket", np.pi / 2),
-    )
-    return StageSchedule(T=T, loop_index=k, direction="ccw", stages=stages)

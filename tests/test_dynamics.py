@@ -14,12 +14,10 @@ from nhpassage import (
     InvalidArgumentError,
     PassageError,
     ScenarioConfig,
-    ThreeLevelFrameParams,
     NonFiniteSampleError,
     TimeDependentOperator,
     TimeGrid,
     biorthogonality_defect,
-    clockwise_schedule,
     constant_operator,
     dyson_truncation,
     evolve_bra,
@@ -452,21 +450,17 @@ def complex_rk4_sweep(H, grid, y0):
 
 
 def cyclic_stage_generator(gamma_ratio=3.45):
-    """Generator and grid of stage 1 of the first clockwise loop (T = 1)."""
-    stage = clockwise_schedule(1, 1.0).stages[0]
-    zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-    params = ThreeLevelFrameParams(
-        theta=stage.theta, theta_dot=stage.theta_dot, alpha=zero, alpha_dot=zero,
-        phi_mix=stage.phi_mix, phi_mix_dot=stage.phi_mix_dot, beta=zero, beta_dot=zero,
-    )
-    grid = TimeGrid(stage.start, stage.end, 1.0 / 2000)
-    gamma = lambda t: gamma_ratio * np.asarray(stage.theta_dot(t))
+    """Generator and grid of stage 1 of the first clockwise loop (T = 1), its
+    gain/loss rate ``gamma_ratio theta_dot`` rather than the run's."""
+    stage = _stages(ScenarioConfig("cyclic_cw"))[0]
+    params = stage.frame_params
+    gamma = lambda t: gamma_ratio * np.asarray(params.theta_dot(t))
     controls = synthesize_three_level(
         params, gamma0=gamma, gamma1=gamma, gamma_e=lambda t: 0.5 * gamma(t),
-        xi0=-np.pi / 2, xi1=np.pi / 2, xi_e=stage.xi_e,
+        xi0=-np.pi / 2, xi1=np.pi / 2, xi_e=stage.controls.xi_e,
         delta0=0.0, delta1=0.0, delta_e=0.0,
-        varphi=np.pi / 2, varphi_a=np.pi / 2, grid=grid)
-    return three_level_hamiltonian(controls), grid
+        varphi=np.pi / 2, varphi_a=np.pi / 2, grid=stage.grid)
+    return three_level_hamiltonian(controls), stage.grid
 
 
 @pytest.mark.parametrize("make", [cyclic_stage_generator])

@@ -14,7 +14,6 @@ from nhpassage import (
     ScenarioConfig,
     StepSizeError,
     biorthogonality_defect,
-    clockwise_schedule,
     evolve_bra,
     evolve_ket,
     export_csv,
@@ -752,8 +751,57 @@ def test_cli_verify_custom_is_an_unknown_scenario(verified_configs, capsys):
     code = cli_main(["verify", "--scenario", "custom", "--quiet"])
     out, err = capsys.readouterr()
     assert code == 1 and out == "" and verified_configs == []
-    assert err == ("error: unknown scenario 'custom'; choose from ('two_level_a', "
-                   "'two_level_b', 'two_level_c', 'two_level_d', 'cyclic_cw', 'cyclic_ccw')\n")
+    assert err == ("error: verify scenario 'custom' is not one of a|b|c|d|cw|ccw or "
+                   "('two_level_a', 'two_level_b', 'two_level_c', 'two_level_d', "
+                   "'cyclic_cw', 'cyclic_ccw')\n")
+
+
+@pytest.mark.parametrize("value", ["a", "two_level_a", "custom", "cyclic", "CW"])
+def test_cli_cyclic_rejects_a_config_direction_that_is_not_cyclic(
+        tmp_path, monkeypatch, capsys, value):
+    # the message names the value the file holds, not an id built from it
+    import nhpassage.cli as cli
+
+    monkeypatch.setattr(cli, "run_scenario", lambda config: pytest.fail(config.scenario))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"direction = {value}\n", encoding="utf-8")
+    code = cli_main(["cyclic", "--config", str(cfg), "--quiet"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == (f"error: cyclic direction {value!r} is not one of cw|ccw or "
+                   "('cyclic_cw', 'cyclic_ccw')\n")
+
+
+@pytest.mark.parametrize("value,sid", [("cw", "cyclic_cw"), ("ccw", "cyclic_ccw"),
+                                       ("cyclic_cw", "cyclic_cw"), ("cyclic_ccw", "cyclic_ccw")])
+def test_cli_cyclic_takes_a_short_or_full_config_direction(
+        tmp_path, monkeypatch, capsys, value, sid):
+    import types
+
+    import nhpassage.cli as cli
+
+    configs = []
+
+    def fake_run(config):
+        configs.append(config)
+        return types.SimpleNamespace(checks=[], passed=True)
+
+    monkeypatch.setattr(cli, "run_scenario", fake_run)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"direction = {value}\nloops = 2\n", encoding="utf-8")
+    assert cli_main(["cyclic", "--config", str(cfg), "--quiet"]) == 0
+    assert configs == [ScenarioConfig(sid, loops=2)]
+
+
+@pytest.mark.parametrize("command,message", [
+    ("two-level", "two-level needs --scenario a|b|c|d (or a config entry)"),
+    ("cyclic", "cyclic needs --direction cw|ccw (or a config entry)"),
+    ("verify", "verify needs --scenario a|b|c|d|cw|ccw (or a config entry)"),
+], ids=["two-level", "cyclic", "verify"])
+def test_cli_names_the_missing_key_and_its_ids(capsys, command, message):
+    assert cli_main([command, "--quiet"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
 
 
 def test_cli_missing_scenario_is_an_error(capsys):
@@ -817,12 +865,14 @@ def test_cli_non_utf8_config_is_a_clean_error(tmp_path, capsys):
 
 
 def test_cli_typed_argument_error_is_a_clean_error(monkeypatch, capsys):
-    # route a loop index of 0 into the schedule builder the runner uses
+    # a stage list whose first stage names no passage: the stage is built, and
+    # its phase raises the typed error when the run reads it
     import nhpassage.scenarios as scenarios
 
-    monkeypatch.setattr(scenarios, "clockwise_schedule",
-                        lambda k, T: clockwise_schedule(k - 1, T))
+    sign, loop = scenarios._CYCLES["cyclic_cw"]
+    monkeypatch.setitem(scenarios._CYCLES, "cyclic_cw",
+                        (sign, ((*loop[0][:2], "side", *loop[0][3:]),) + loop[1:]))
     code = cli_main(["cyclic", "--direction", "cw", "--quiet"])
     assert code == 1
     err = capsys.readouterr().err
-    assert err == "error: loop index must be >= 1, got 0\n"
+    assert err == "error: passage must be 'ket' or 'bra', got 'side'\n"

@@ -1,20 +1,22 @@
-"""Drive synthesis, accumulated phases, bra/ket phase relation, schedules."""
+"""Drive synthesis, accumulated phases, bra/ket phase relation, cyclic stage lists."""
+
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nhpassage import (
     InvalidArgumentError,
     NonFiniteSampleError,
     PassageError,
     PhaseConsistencyError,
+    ScenarioConfig,
     SingularDenominatorError,
     ThreeLevelFrameParams,
     TimeGrid,
     TwoLevelFrameParams,
     bra_phase_relation_check,
-    clockwise_schedule,
-    counterclockwise_schedule,
     phase_three_level,
     phase_two_level,
     synthesize_three_level,
@@ -25,6 +27,7 @@ from nhpassage import (
     two_level_frame,
     two_level_hamiltonian,
 )
+from nhpassage.scenarios import _stages
 from rotation_reference import rotated_block
 
 T = 1.0
@@ -240,12 +243,7 @@ def test_phase_rate_matches_rotated_diagonal(passage, column):
 
 
 def stage1_cw_frame_params():
-    sched = clockwise_schedule(1, T)
-    s = sched.stages[0]
-    return ThreeLevelFrameParams(
-        theta=s.theta, theta_dot=s.theta_dot, alpha=const(0.0), alpha_dot=const(0.0),
-        phi_mix=s.phi_mix, phi_mix_dot=s.phi_mix_dot, beta=const(0.0), beta_dot=const(0.0),
-    )
+    return _stages(ScenarioConfig("cyclic_cw", T=T))[0].frame_params
 
 
 def synthesize_stage1_cw(gamma_ratio=3.0):
@@ -405,83 +403,121 @@ def test_bra_relation_three_level():
 
 
 # ---------------------------------------------------------------------------
-# cyclic schedules
+# cyclic stage lists
+
+
+@functools.lru_cache(maxsize=None)
+def cyclic_stages(sid, loops):
+    """The stages of a cyclic run at ``T``, as the runner builds them."""
+    return tuple(_stages(ScenarioConfig(sid, T=T, loops=loops)))
+
+
+LOOPS = (1, 2, 4)
+PI = np.pi
+#: Per stage of a loop: (passage, xi_e, target level, theta at the stage's
+#: start and end, phi_mix at its start and end), the same in every loop.
+CYCLE_TABLE = {
+    "cyclic_cw": (("ket", PI / 2, 2, (-PI / 2, 0.0), (-PI / 2, 0.0)),
+                  ("ket", -PI / 2, 1, (-PI / 2, 0.0), (-PI, -PI / 2)),
+                  ("bra", PI / 2, 0, (PI / 2, PI), (PI, 3 * PI / 2))),
+    "cyclic_ccw": (("bra", PI / 2, 1, (0.0, -PI / 2), (0.0, PI / 2)),
+                   ("ket", -PI / 2, 2, (0.0, -PI / 2), (-PI / 2, 0.0)),
+                   ("ket", PI / 2, 0, (0.0, -PI / 2), (PI, 3 * PI / 2))),
+}
+
+
+def check_stage_table(sid, loops):
+    stages = cyclic_stages(sid, loops)
+    assert len(stages) == 3 * loops
+    for i, stage in enumerate(stages):
+        passage, xi_e, target, theta, phi_mix = CYCLE_TABLE[sid][i % 3]
+        assert (stage.passage, stage.controls.xi_e, stage.target) == (passage, xi_e, target)
+        assert (stage.grid.t0, stage.grid.tf) == (2.0 * i * T, 2.0 * (i + 1) * T)
+        # at T = 1 every angle is computed exactly at both ends of its stage
+        ends = np.array([stage.grid.t0, stage.grid.tf])
+        assert np.array_equal(stage.frame_params.theta(ends), theta)
+        assert np.array_equal(stage.frame_params.phi_mix(ends), phi_mix)
+
+
+def check_frame_endpoints(sid, loops):
+    """The frame vector that carries each stage (the last under ``H``, the first
+    under ``H^dag``) starts on the level the stage before ended on and ends on
+    the stage's target."""
+    level = 0
+    for stage in cyclic_stages(sid, loops):
+        column = 2 if stage.passage == "ket" else 0
+        for t, expected in ((stage.grid.t0, level), (stage.grid.tf, stage.target)):
+            pops = np.abs(frame_matrix(stage.frame, t)[:, column]) ** 2
+            assert np.allclose(pops, np.eye(3)[expected], atol=1e-12)
+        level = stage.target
+    assert level == 0
 
 
 def test_clockwise_stage_angles_and_passives():
-    sched = clockwise_schedule(1, T)
-    s1, s2, s3 = sched.stages
-    assert (s1.passage, s2.passage, s3.passage) == ("ket", "ket", "bra")
-    assert (s1.xi_e, s2.xi_e, s3.xi_e) == (np.pi / 2, -np.pi / 2, np.pi / 2)
-    assert abs(s1.theta(0.0) + np.pi / 2) < 1e-15 and abs(s1.phi_mix(0.0) + np.pi / 2) < 1e-15
-    assert abs(s1.theta(2 * T)) < 1e-12 and abs(s1.phi_mix(2 * T)) < 1e-12
-    assert abs(s3.theta(4 * T) - np.pi / 2) < 1e-12 and abs(s3.theta(6 * T) - np.pi) < 1e-12
+    for loops in LOOPS:
+        check_stage_table("cyclic_cw", loops)
 
 
 def test_clockwise_passage_endpoints_through_frame():
-    sched = clockwise_schedule(1, T)
-    s1 = sched.stages[0]
-    frame = three_level_frame(ThreeLevelFrameParams(
-        theta=s1.theta, theta_dot=s1.theta_dot, alpha=const(0.0), alpha_dot=const(0.0),
-        phi_mix=s1.phi_mix, phi_mix_dot=s1.phi_mix_dot, beta=const(0.0), beta_dot=const(0.0)))
-    start = frame_matrix(frame, 0.0)[:, 2]
-    end = frame_matrix(frame, 2 * T)[:, 2]
-    assert np.allclose(np.abs(start) ** 2, [1.0, 0.0, 0.0], atol=1e-12)
-    assert np.allclose(np.abs(end) ** 2, [0.0, 0.0, 1.0], atol=1e-12)
+    # |0> -> |e> -> |1> -> |0>, every loop
+    for loops in LOOPS:
+        check_frame_endpoints("cyclic_cw", loops)
 
 
 def test_counterclockwise_boundary_targets():
-    sched = counterclockwise_schedule(1, T)
-    s1, s2, s3 = sched.stages
-    assert (s1.passage, s2.passage, s3.passage) == ("bra", "ket", "ket")
-    # mu_1 carries |0> -> |1>, then mu_3 carries |1> -> |e| -> |0>
-    f1 = three_level_frame(ThreeLevelFrameParams(
-        theta=s1.theta, theta_dot=s1.theta_dot, alpha=const(0.0), alpha_dot=const(0.0),
-        phi_mix=s1.phi_mix, phi_mix_dot=s1.phi_mix_dot, beta=const(0.0), beta_dot=const(0.0)))
-    assert np.allclose(np.abs(frame_matrix(f1, 0.0)[:, 0]) ** 2, [1, 0, 0], atol=1e-12)
-    assert np.allclose(np.abs(frame_matrix(f1, 2 * T)[:, 0]) ** 2, [0, 1, 0], atol=1e-12)
-    f3 = three_level_frame(ThreeLevelFrameParams(
-        theta=s3.theta, theta_dot=s3.theta_dot, alpha=const(0.0), alpha_dot=const(0.0),
-        phi_mix=s3.phi_mix, phi_mix_dot=s3.phi_mix_dot, beta=const(0.0), beta_dot=const(0.0)))
-    assert np.allclose(np.abs(frame_matrix(f3, 4 * T)[:, 2]) ** 2, [0, 0, 1], atol=1e-12)
-    assert np.allclose(np.abs(frame_matrix(f3, 6 * T)[:, 2]) ** 2, [1, 0, 0], atol=1e-12)
+    # mu_1 carries |0> -> |1>, then mu_3 carries |1> -> |e> -> |0>, every loop
+    for loops in LOOPS:
+        check_stage_table("cyclic_ccw", loops)
+        check_frame_endpoints("cyclic_ccw", loops)
 
 
 def test_schedule_slopes_are_exact():
-    for sched in (clockwise_schedule(2, T), counterclockwise_schedule(2, T)):
-        sign = 1.0 if sched.direction == "cw" else -1.0
-        for s in sched.stages:
-            ts = np.linspace(s.start, s.end, 7)
-            slopes = np.diff(s.theta(ts)) / np.diff(ts)
-            assert np.max(np.abs(slopes - sign * QUARTER)) < 1e-12
-            # affine in t: second differences vanish
-            assert np.max(np.abs(np.diff(s.theta(ts), 2))) < 1e-12
-            assert np.max(np.abs(np.diff(s.phi_mix(ts), 2))) < 1e-12
+    for sid, sign in (("cyclic_cw", 1.0), ("cyclic_ccw", -1.0)):
+        for loops in LOOPS:
+            for s in cyclic_stages(sid, loops):
+                p = s.frame_params
+                ts = np.linspace(s.grid.t0, s.grid.tf, 7)
+                assert np.all(p.theta_dot(ts) == sign * QUARTER)
+                assert np.all(p.phi_mix_dot(ts) == QUARTER)
+                slopes = np.diff(p.theta(ts)) / np.diff(ts)
+                assert np.max(np.abs(slopes - sign * QUARTER)) < 1e-12
+                slopes = np.diff(p.phi_mix(ts)) / np.diff(ts)
+                assert np.max(np.abs(slopes - QUARTER)) < 1e-12
+                # affine in t: second differences vanish
+                assert np.max(np.abs(np.diff(p.theta(ts), 2))) < 1e-12
+                assert np.max(np.abs(np.diff(p.phi_mix(ts), 2))) < 1e-12
 
 
 def test_second_loop_repeats_first_shifted():
-    s1 = clockwise_schedule(1, T)
-    s2 = clockwise_schedule(2, T)
     ts = np.linspace(0.0, 2 * T, 11)
-    for a, b in zip(s1.stages, s2.stages):
-        assert np.max(np.abs(np.asarray(a.theta(a.start + ts))
-                             - np.asarray(b.theta(b.start + ts)))) < 1e-12
+    for sid in ("cyclic_cw", "cyclic_ccw"):
+        for loops in (2, 4):
+            stages = cyclic_stages(sid, loops)
+            for a, b in zip(stages, stages[3:]):
+                assert b.grid.t0 == a.grid.t0 + 6 * T
+                assert (a.passage, a.controls.xi_e, a.target) == (
+                    b.passage, b.controls.xi_e, b.target)
+                for angle in ("theta", "phi_mix"):
+                    fa = getattr(a.frame_params, angle)
+                    fb = getattr(b.frame_params, angle)
+                    assert np.max(np.abs(fa(a.grid.t0 + ts) - fb(b.grid.t0 + ts))) < 1e-12
 
 
-def test_schedule_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        clockwise_schedule(0, T)
-    with pytest.raises(ValueError):
-        counterclockwise_schedule(1, -1.0)
+@settings(max_examples=60, deadline=None)
+@given(T=st.floats(0.01, 3.0), loops=st.integers(1, 5),
+       sid=st.sampled_from(("cyclic_cw", "cyclic_ccw")))
+def test_cyclic_stages_meet_exactly(T, loops, sid):
+    # stage i spans [2iT, 2(i+1)T], so each loop seam is one float on both sides
+    config = ScenarioConfig(sid, T=T, loops=loops, dt=T / 10)
+    stages = _stages(config)
+    assert stages[0].grid.t0 == 0.0 and stages[-1].grid.tf == config._span()
+    for a, b in zip(stages, stages[1:]):
+        assert a.grid.tf == b.grid.t0
 
 
 def test_argument_errors_are_typed():
     params, controls, _, _ = synthesize_stage1_cw()
     calls = [
-        lambda: clockwise_schedule(0, T),
-        lambda: clockwise_schedule(1, 0.0),
-        lambda: counterclockwise_schedule(0, T),
-        lambda: counterclockwise_schedule(1, -1.0),
         lambda: phase_three_level(controls, params, GRID, passage="side"),
         lambda: phase_two_level(None, None, GRID, passage="side"),
     ]
