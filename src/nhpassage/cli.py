@@ -7,7 +7,9 @@ Subcommands::
     nhpassage verify --scenario <id> [options]
 
 Options may also come from a ``--config`` key=value file; explicit flags
-win over file values.  Exit status is 0 iff every recorded check passed.
+win over file values.  ``OPTIONS`` lists every option once: its flags, each
+subcommand's file keys and the one cast that flag and file values share come
+from it.  Exit status is 0 iff every recorded check passed.
 """
 
 from __future__ import annotations
@@ -31,25 +33,36 @@ _SHORT_IDS = {
     "a": "two_level_a", "b": "two_level_b", "c": "two_level_c", "d": "two_level_d",
     "cw": "cyclic_cw", "ccw": "cyclic_ccw",
 }
-#: Per subcommand, the key that names its scenario and the ids it runs.
-_SUBCOMMAND_IDS = {
-    "two-level": ("scenario", TWO_LEVEL_IDS),
-    "cyclic": ("direction", CYCLIC_IDS),
-    "verify": ("scenario", SCENARIO_IDS),
+_COMMANDS = {
+    "two-level": "run a two-level transfer (a-d)",
+    "cyclic": "run cyclic three-level transfer loops",
+    "verify": "run the full residual suite for a scenario",
 }
+_ALL = tuple(_COMMANDS)
+
+#: key, cast (for the key naming the run's scenario: the ids it may name), help,
+#: and the subcommands that read it, as the flag ``--key`` (``_`` as ``-``) or a
+#: config file key.
+OPTIONS = (
+    ("scenario", TWO_LEVEL_IDS, "scenario id", ("two-level",)),
+    ("direction", CYCLIC_IDS, "loop direction", ("cyclic",)),
+    ("scenario", SCENARIO_IDS, "scenario id", ("verify",)),
+    ("loops", int, "number of cyclic loops (default 1)", ("cyclic", "verify")),
+    ("T", float, "stage half-duration (default 1.0)", _ALL),
+    ("dt", float, "integration step (default T/2000)", _ALL),
+    ("gamma_scale", float, "scale factor on the gain/loss-to-frame-rate ratio", _ALL),
+    ("tolerance", float, "pass/fail tolerance on end-point populations", _ALL),
+    ("csv", str, "write the trajectory as CSV", _ALL),
+    ("svg", str, "write a population chart as SVG", _ALL),
+)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--T", type=float, default=None, help="stage half-duration (default 1.0)")
-    parser.add_argument("--dt", type=float, default=None, help="integration step (default T/2000)")
-    parser.add_argument("--gamma-scale", type=float, default=None,
-                        help="scale factor on the gain/loss-to-frame-rate ratio")
-    parser.add_argument("--tolerance", type=float, default=None,
-                        help="pass/fail tolerance on end-point populations")
-    parser.add_argument("--config", default=None, help="key=value config file")
-    parser.add_argument("--csv", default=None, help="write the trajectory as CSV")
-    parser.add_argument("--svg", default=None, help="write a population chart as SVG")
-    parser.add_argument("--quiet", action="store_true", help="suppress per-check lines")
+def _rows(command: str) -> list[tuple]:
+    return [row for row in OPTIONS if command in row[3]]
+
+
+def _shorts(ids: tuple) -> str:
+    return "|".join(short for short, sid in _SHORT_IDS.items() if sid in ids)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,67 +71,53 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Nonadiabatic passage scenarios for non-Hermitian generators",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p2 = sub.add_parser("two-level", help="run a two-level transfer (a-d)")
-    p2.add_argument("--scenario", choices=("a", "b", "c", "d"), default=None)
-    _add_common(p2)
-
-    p3 = sub.add_parser("cyclic", help="run cyclic three-level transfer loops")
-    p3.add_argument("--direction", choices=("cw", "ccw"), default=None)
-    p3.add_argument("--loops", type=int, default=None)
-    _add_common(p3)
-
-    pv = sub.add_parser("verify", help="run the full residual suite for a scenario")
-    pv.add_argument("--scenario", default=None,
-                    help="scenario id (two_level_a..d, cyclic_cw/ccw, or a|b|c|d|cw|ccw)")
-    pv.add_argument("--loops", type=int, default=None)
-    _add_common(pv)
-
+    for command, summary in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for key, cast, text, _ in _rows(command):
+            if isinstance(cast, tuple):
+                text = f"{text}: {_shorts(cast)} or one of {', '.join(cast)}"
+            p.add_argument(f"--{key.replace('_', '-')}", dest=key, help=text)
+        p.add_argument("--config", help="key=value config file")
+        p.add_argument("--quiet", action="store_true", help="suppress per-check lines")
     return parser
 
 
-#: Run options a flag or the config file may set; ``ScenarioConfig`` defaults the rest.
-_RUN_OPTIONS = {"T": float, "dt": float, "loops": int, "gamma_scale": float, "tolerance": float}
+def _cast(command: str, key: str, cast, raw: str):
+    """``raw``, from a flag or a config file, as the option's value: a short or
+    full id among those the subcommand runs, a number, or a path."""
+    if isinstance(cast, tuple):
+        sid = _SHORT_IDS.get(raw, raw)
+        if sid not in cast:
+            raise ConfigError(f"{command} {key} {raw!r} is not one of {_shorts(cast)} or {cast}")
+        return sid
+    try:
+        return cast(raw)
+    except ValueError:
+        raise ConfigError(f"config value {key} = {raw!r} is not a valid {cast.__name__}") from None
 
 
-def _merged(args: argparse.Namespace, key: str, file_values: dict, cast):
-    """The flag's value, else the config file's cast by ``cast``, else None."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in file_values:
-        try:
-            return cast(file_values[key])
-        except ValueError:
-            raise ConfigError(
-                f"config value {key} = {file_values[key]!r} is not a valid {cast.__name__}"
-            ) from None
-    return None
-
-
-def _scenario_id(args: argparse.Namespace, file_values: dict) -> str:
-    """The subcommand's scenario id, from its key's flag or config value: a short
-    id or a full one, among the ids the subcommand runs."""
-    key, ids = _SUBCOMMAND_IDS[args.command]
-    shorts = "|".join(short for short, sid in _SHORT_IDS.items() if sid in ids)
-    raw = _merged(args, key, file_values, str)
-    if raw is None:
-        raise PassageError(f"{args.command} needs --{key} {shorts} (or a config entry)")
-    sid = _SHORT_IDS.get(raw, raw)
-    if sid not in ids:  # a config file value passes no argparse choices
-        raise PassageError(f"{args.command} {key} {raw!r} is not one of {shorts} or {ids}")
-    return sid
+def _options(args: argparse.Namespace) -> dict:
+    """Each option the subcommand reads, from its flag, else the config file, cast."""
+    rows = _rows(args.command)
+    keys = [row[0] for row in rows]
+    file_values = read_config(args.config, keys, args.command) if args.config else {}
+    values = {}
+    for key, cast, _, _ in rows:
+        raw = getattr(args, key)
+        raw = file_values.get(key) if raw is None else raw
+        if raw is not None:
+            values[key] = _cast(args.command, key, cast, raw)
+        elif isinstance(cast, tuple):
+            raise ConfigError(f"{args.command} needs --{key} {_shorts(cast)} (or a config entry)")
+    return values
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        file_values = read_config(args.config) if args.config else {}
-        scenario = _scenario_id(args, file_values)
-        given = {key: _merged(args, key, file_values, cast) for key, cast in _RUN_OPTIONS.items()}
-        config = ScenarioConfig(scenario, **{k: v for k, v in given.items() if v is not None})
-        csv_path = _merged(args, "csv", file_values, str)
-        svg_path = _merged(args, "svg", file_values, str)
+        values = _options(args)
+        csv_path, svg_path = values.pop("csv", None), values.pop("svg", None)
+        config = ScenarioConfig(values.pop("scenario", None) or values.pop("direction"), **values)
         report = verify(config) if args.command == "verify" else run_scenario(config)
         if csv_path:
             export_csv(report, csv_path)

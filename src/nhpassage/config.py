@@ -1,26 +1,22 @@
 """Plain key=value config files for scenario runs.
 
 One ``key = value`` pair per line; ``#`` starts a comment; blank lines are
-ignored.  Recognized keys mirror the CLI flags: ``scenario``,
-``direction``, ``loops``, ``T``, ``dt``, ``gamma_scale``, ``tolerance``,
-``csv``, ``svg``.  Values stay strings here; the CLI casts them.
+ignored.  A subcommand reads only its own keys, the options it also takes
+as flags (``cli.OPTIONS`` lists them); any other key is an error.  Short and
+full scenario ids both work.  Values stay strings here; the CLI casts them
+as it casts flag values.
 """
 
 from __future__ import annotations
 
 from .exceptions import ConfigError
 
-__all__ = ["KNOWN_KEYS", "read_config"]
-
-KNOWN_KEYS = (
-    "scenario", "direction", "loops", "T", "dt",
-    "gamma_scale", "tolerance", "csv", "svg",
-)
+__all__ = ["read_config"]
 
 
-def read_config(path) -> dict[str, str]:
-    """Parse a key=value file; unknown or repeated keys, malformed lines and
-    text that is not UTF-8 are errors."""
+def read_config(path, keys, command: str) -> dict[str, str]:
+    """Parse a key=value file for ``command``, which reads ``keys``; other or
+    repeated keys, malformed lines and text that is not UTF-8 are errors."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -34,8 +30,9 @@ def read_config(path) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in KNOWN_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key not in keys:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r} for {command} "
+                              f"(it reads {', '.join(keys)})")
         if not value:
             raise ConfigError(f"{path}:{lineno}: empty value for {key!r}")
         if key in seen:

@@ -131,8 +131,13 @@ SCENARIO_IDS = TWO_LEVEL_IDS + CYCLIC_IDS
 class ScenarioConfig:
     """Parameters of a reproducible scenario run.
 
-    ``dt`` defaults to ``T / 2000``, which passes the dt/2 self-check with
-    orders of magnitude to spare for all built-ins.  ``gamma_scale``
+    ``dt`` defaults to ``T / 2000``.  At ``gamma_scale`` 1 that passes the
+    dt/2 self-check for every two-level built-in, for ``cyclic_ccw`` up to
+    loops = 5 and for ``cyclic_cw`` up to loops = 8.  It fails from
+    loops = 6 for ``cyclic_ccw`` (a shift of 6.4e-8 against
+    ``STEP_CHECK_TOL`` 1e-8) and from loops = 9 for ``cyclic_cw`` (3.0e-8;
+    1.4e-7 at loops = 10): the shift is amplified rounding that grows each
+    loop, so a smaller ``dt`` does not bring it back.  ``gamma_scale``
     multiplies the scenario's gain/loss-to-frame-rate ratio (1.0 is the
     reference setting; checkpoint transients are only asserted there).
     ``loops`` counts cyclic loops; a two-level task is one stage, so it

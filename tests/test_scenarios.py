@@ -1,11 +1,14 @@
 """Scenario runner, verification suite, exports, config files, CLI."""
 
+import contextlib
+import io
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nhpassage import (
     ConfigError,
@@ -623,17 +626,24 @@ def test_identical_configs_reproduce_identical_numbers():
 # config files
 
 
+#: The keys ``verify`` and ``two-level`` read from a config file.
+VERIFY_KEYS = ("scenario", "loops", "T", "dt", "gamma_scale", "tolerance", "csv", "svg")
+TWO_LEVEL_KEYS = ("scenario", "T", "dt", "gamma_scale", "tolerance", "csv", "svg")
+
+
 def test_read_config_roundtrip(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("# demo\nscenario = a\nT = 2.0\nloops=3  # inline\n", encoding="utf-8")
-    assert read_config(path) == {"scenario": "a", "T": "2.0", "loops": "3"}
+    assert read_config(path, VERIFY_KEYS, "verify") == {"scenario": "a", "T": "2.0", "loops": "3"}
 
 
-MALFORMED_CONFIGS = {  # file text -> the error it must raise
+MALFORMED_CONFIGS = {  # file text -> the error it must raise, read for two-level
     "bogus_key = 1\n": r":1: unknown key 'bogus_key'",
     "just some words\n": r":1: expected key=value",
     "T =\n": r":1: empty value for 'T'",
     "T = 1\nscenario = a\nT = 2\n": r":3: duplicate key 'T' \(first set on line 1\)",
+    "scenario = a\nloops = 1\n": (r":2: unknown key 'loops' for two-level \(it reads scenario, "
+                                  r"T, dt, gamma_scale, tolerance, csv, svg\)$"),
 }
 
 
@@ -642,14 +652,14 @@ def test_read_config_rejects_malformed(tmp_path, content):
     path = tmp_path / "bad.cfg"
     path.write_text(content, encoding="utf-8")
     with pytest.raises(ConfigError, match=MALFORMED_CONFIGS[content]):
-        read_config(path)
+        read_config(path, TWO_LEVEL_KEYS, "two-level")
 
 
 def test_read_config_rejects_non_utf8(tmp_path):
     path = tmp_path / "latin.cfg"
     path.write_bytes(b"scenario = a\nT = \xff\xfe1\n")
     with pytest.raises(ConfigError, match=r"latin\.cfg: not UTF-8 text"):
-        read_config(path)
+        read_config(path, VERIFY_KEYS, "verify")
 
 
 # ---------------------------------------------------------------------------
@@ -714,7 +724,7 @@ def test_cli_cyclic_and_verify(capsys):
 @pytest.mark.parametrize("value", ["cw", "ccw", "cyclic_cw", "cyclic_ccw", "custom", "e"])
 def test_cli_two_level_rejects_a_config_scenario_that_is_not_two_level(
         tmp_path, monkeypatch, capsys, value):
-    # argparse's choices guard only the flag; a config file value is checked too
+    # a config file value passes the same id check as a flag
     import nhpassage.cli as cli
 
     monkeypatch.setattr(cli, "run_scenario", lambda config: pytest.fail(config.scenario))
@@ -876,3 +886,171 @@ def test_cli_typed_argument_error_is_a_clean_error(monkeypatch, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err == "error: passage must be 'ket' or 'bra', got 'side'\n"
+
+
+@pytest.fixture
+def no_run(monkeypatch):
+    """Fail the test if ``cli.main`` starts a run."""
+    import nhpassage.cli as cli
+
+    monkeypatch.setattr(cli, "run_scenario", lambda config: pytest.fail(config.scenario))
+    monkeypatch.setattr(cli, "verify", lambda config: pytest.fail(config.scenario))
+
+
+@pytest.mark.parametrize("command,content,key", [
+    ("cyclic", "direction = cw\nscenario = a\n", "scenario"),
+    ("verify", "scenario = a\ndirection = ccw\n", "direction"),
+    ("two-level", "scenario = a\nloops = 1\n", "loops"),
+], ids=["cyclic-scenario", "verify-direction", "two-level-loops"])
+def test_cli_rejects_a_config_key_the_subcommand_does_not_read(
+        tmp_path, no_run, capsys, command, content, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(content, encoding="utf-8")
+    assert cli_main([command, "--config", str(cfg), "--quiet"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith(f"error: {cfg}:2: unknown key {key!r} for {command} (it reads ")
+
+
+@pytest.mark.parametrize("argv,sid", [
+    (["two-level", "--scenario", "two_level_c"], "two_level_c"),
+    (["cyclic", "--direction", "cyclic_ccw"], "cyclic_ccw"),
+    (["verify", "--scenario", "cyclic_cw"], "cyclic_cw"),
+])
+def test_cli_takes_a_full_id_as_a_flag(verified_configs, monkeypatch, capsys, argv, sid):
+    import nhpassage.cli as cli
+
+    monkeypatch.setattr(cli, "run_scenario", cli.verify)  # the same stand-in
+    assert cli_main(argv + ["--quiet"]) == 0
+    assert verified_configs == [ScenarioConfig(sid)]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["two-level", "--scenario", "cw"],
+     "two-level scenario 'cw' is not one of a|b|c|d or "
+     "('two_level_a', 'two_level_b', 'two_level_c', 'two_level_d')"),
+    (["cyclic", "--direction", "a"],
+     "cyclic direction 'a' is not one of cw|ccw or ('cyclic_cw', 'cyclic_ccw')"),
+    (["cyclic", "--direction", "cw", "--loops", "two"],
+     "config value loops = 'two' is not a valid int"),
+    (["verify", "--scenario", "a", "--T", "1.0.0"], "config value T = '1.0.0' is not a valid float"),
+])
+def test_cli_bad_flag_value_is_the_config_file_error(no_run, capsys, argv, message):
+    # one error line and exit 1, as for the same value in a config file
+    assert cli_main(argv + ["--quiet"]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_cli_option_errors_are_config_errors():
+    import nhpassage.cli as cli
+
+    with pytest.raises(ConfigError, match=r"is not one of cw\|ccw"):
+        cli._cast("cyclic", "direction", scenarios.CYCLIC_IDS, "two_level_a")
+    with pytest.raises(ConfigError, match="is not a valid int"):
+        cli._cast("cyclic", "loops", int, "2.0")
+    with pytest.raises(ConfigError, match=r"^cyclic needs --direction cw\|ccw"):
+        cli._options(cli._build_parser().parse_args(["cyclic"]))
+
+
+# ---------------------------------------------------------------------------
+# CLI: flags against the config file
+
+#: Per subcommand, the keys it reads as a flag or a config file key.
+READS = {"two-level": TWO_LEVEL_KEYS,
+         "cyclic": ("direction", "loops", "T", "dt", "gamma_scale", "tolerance", "csv", "svg"),
+         "verify": VERIFY_KEYS}
+ALL_KEYS = ("scenario", "direction") + VERIFY_KEYS[1:]
+
+
+def _file_value(value: str) -> bool:
+    """Whether ``key = value`` holds ``value`` as written: a config line cannot
+    carry a line break, a comment sign or whitespace at either end."""
+    return bool(value) and value == value.strip() and not set(value) & set("#\n\r")
+
+
+_IDS = st.sampled_from(["a", "b", "c", "d", "cw", "ccw", *scenarios.SCENARIO_IDS,
+                        "e", "CW", "two_level_e", "cyclic"])
+_NUMBERS = st.one_of(
+    st.integers(-2, 12).map(str),
+    st.floats(1e-4, 4.0).map(repr),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["two", "1.5", "2.0", "1e3", "1_0", "0x10", "٣", "-0", "nan"]),
+)
+_PATHS = st.text("abcxyz019._-/", min_size=1, max_size=8)
+_ANY_TEXT = st.text(min_size=1, max_size=8).filter(_file_value)
+_VALUES = {key: st.one_of({"scenario": _IDS, "direction": _IDS, "csv": _PATHS, "svg": _PATHS}
+                          .get(key, _NUMBERS).filter(_file_value), _ANY_TEXT)
+           for key in ALL_KEYS}
+_UNREAD = {command: st.one_of(st.sampled_from([k for k in ALL_KEYS if k not in reads]),
+                              _ANY_TEXT.filter(lambda k: "=" not in k and k not in ALL_KEYS))
+           for command, reads in READS.items()}
+
+
+def _cli_outcome(tmp_path, command, flags, file_values):
+    """Exit code, stderr and every call ``cli.main`` makes to a run or an
+    exporter, each a stand-in; flags are written ``--key=value``."""
+    import types
+
+    import nhpassage.cli as cli
+
+    calls = []
+    report = types.SimpleNamespace(checks=[], passed=True)
+
+    def run(config):
+        calls.append(("run", config))
+        return report
+
+    argv = [command, "--quiet"]
+    argv += [f"--{key.replace('_', '-')}={value}" for key, value in flags.items()]
+    if file_values:
+        cfg = tmp_path / "drawn.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in file_values.items()), encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        mp.setattr(cli, "run_scenario", run)
+        mp.setattr(cli, "verify", run)
+        mp.setattr(cli, "export_csv", lambda r, path: calls.append(("csv", path)))
+        mp.setattr(cli, "export_svg", lambda r, path: calls.append(("svg", path)))
+        code = cli.main(argv)
+    return code, err.getvalue(), calls
+
+
+@st.composite
+def _split_options(draw):
+    """A subcommand, options it reads (values as text, good or bad) and the
+    keys that go to the config file rather than to flags."""
+    command = draw(st.sampled_from(sorted(READS)))
+    keys = draw(st.lists(st.sampled_from(READS[command]), unique=True))
+    options = {key: draw(_VALUES[key]) for key in keys}
+    in_file = draw(st.sets(st.sampled_from(keys))) if keys else set()
+    return command, options, in_file
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_split_options())
+def test_cli_flags_and_config_file_give_the_same_run(tmp_path, drawn):
+    command, options, in_file = drawn
+    flags = {k: v for k, v in options.items() if k not in in_file}
+    file_values = {k: v for k, v in options.items() if k in in_file}
+    code, err, calls = _cli_outcome(tmp_path, command, flags, file_values)
+    assert (code, err, calls) == _cli_outcome(tmp_path, command, options, {})
+    if calls:
+        assert code == 0 and err == ""
+    else:
+        assert code == 1 and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_cli_config_key_the_subcommand_does_not_read_stops_the_run(tmp_path, data):
+    command, options, _ = data.draw(_split_options())
+    unread = data.draw(_UNREAD[command])
+    file_values = {**options, unread: data.draw(_ANY_TEXT)}
+    code, err, calls = _cli_outcome(tmp_path, command, {}, file_values)
+    assert code == 1 and calls == []
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and f"unknown key {unread!r} for {command}" in err
