@@ -9,7 +9,9 @@ Subcommands::
 Options may also come from a ``--config`` key=value file; explicit flags
 win over file values.  ``OPTIONS`` lists every option once: its flags, each
 subcommand's file keys and the one cast that flag and file values share come
-from it.  Exit status is 0 iff every recorded check passed.
+from it.  A flag that names another subcommand's option is refused as a file
+key the subcommand does not read is: one ``error:`` line, exit status 1.
+Exit status is 0 iff every recorded check passed.
 """
 
 from __future__ import annotations
@@ -57,6 +59,9 @@ OPTIONS = (
 )
 
 
+_KEYS = {row[0] for row in OPTIONS}
+
+
 def _rows(command: str) -> list[tuple]:
     return [row for row in OPTIONS if command in row[3]]
 
@@ -96,10 +101,14 @@ def _cast(command: str, key: str, cast, raw: str):
         raise ConfigError(f"config value {key} = {raw!r} is not a valid {cast.__name__}") from None
 
 
-def _options(args: argparse.Namespace) -> dict:
-    """Each option the subcommand reads, from its flag, else the config file, cast."""
+def _options(args: argparse.Namespace, others=()) -> dict:
+    """Each option the subcommand reads, from its flag, else the config file, cast;
+    ``others`` are flags of other subcommands' options, refused as a file's keys are."""
     rows = _rows(args.command)
     keys = [row[0] for row in rows]
+    if others:
+        raise ConfigError(f"{others[0]}: unknown key {_flag_key(others[0])!r} for "
+                          f"{args.command} (it reads {', '.join(keys)})")
     file_values = read_config(args.config, keys, args.command) if args.config else {}
     values = {}
     for key, cast, _, _ in rows:
@@ -112,10 +121,21 @@ def _options(args: argparse.Namespace) -> dict:
     return values
 
 
+def _flag_key(flag: str) -> str:
+    """The option key a ``--flag`` names."""
+    return flag[2:].replace("-", "_")
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args, extras = parser.parse_known_args(argv)
+    # a flag of another subcommand's option is a ConfigError below; any other
+    # word the subcommand does not take is argparse's usage error
+    flags = [word.split("=", 1)[0] for word in extras if word.startswith("--")]
+    if extras and (not flags or any(_flag_key(f) not in _KEYS for f in flags)):
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
-        values = _options(args)
+        values = _options(args, flags)
         csv_path, svg_path = values.pop("csv", None), values.pop("svg", None)
         config = ScenarioConfig(values.pop("scenario", None) or values.pop("direction"), **values)
         report = verify(config) if args.command == "verify" else run_scenario(config)

@@ -21,11 +21,11 @@ the state across.
 Two paths share the scheme.  The batched path serves the propagators
 (:func:`propagator_ket`, :func:`biorthogonality_defect`)
 and the dt/2 re-run of a run's step check (:func:`evolve_ket_halved`): each
-RK4 step becomes an increment ``D_n = P_n - I``, all at once, and a
-blocked prefix scan chains them with the identity implicit, since ``I + D_n``
-rounded in float64 loses the low bits of the small ``D_n``.  It feeds only
-thresholded certificates and lands closer to exact RK4 arithmetic than a
-sweep.  The state sweeps (:func:`evolve_ket`, :func:`evolve_bra`) keep every
+RK4 step becomes an increment ``D_n = P_n - I``, a chunk of steps at a time,
+and a blocked prefix scan chains them with the identity implicit, since ``I
++ D_n`` rounded in float64 loses the low bits of the small ``D_n``.  It feeds
+only thresholded certificates and lands closer to exact RK4 arithmetic than
+a sweep.  The state sweeps (:func:`evolve_ket`, :func:`evolve_bra`) keep every
 sum of an all-numpy step, in its order: the growing modes of a non-Hermitian
 generator amplify regrouped rounding (routing the steps through step
 matrices moved stage-end populations of a four-loop run by 1.7e-8), and
@@ -44,10 +44,10 @@ built-in generators and frames are closed forms (:class:`_Derived`) over a
 sample set (:class:`_Samples`), in which each callable of time they read (a
 frame angle, a gain, an envelope) and each sine and cosine they take of one
 is evaluated once: a stage's table, its passage phase and its frame table
-read one set, and the dt/2 re-run's one sample of ``H`` builds its own.  The
-dt/2 re-run keeps its own samples: the table's times halved again differ
-from ``grid.halved()``'s by an ulp at 2532 of 16 001 times of a 4000-step
-stage, and serving them moved re-run populations by 1.3e-10.
+read one set, and each chunk of the dt/2 re-run's samples of ``H`` builds
+its own.  The dt/2 re-run keeps its own samples: the table's times halved
+again differ from ``grid.halved()``'s by an ulp at 2532 of 16 001 times of a
+4000-step stage, and serving them moved re-run populations by 1.3e-10.
 
 The certificate algebra (step increments, ``V^dag U``, the series oracle and
 the frame residuals) copies each sampled ``(n, K, K)`` block once into a
@@ -61,6 +61,16 @@ contiguous operands as on strided ones, with the same sums in the same
 order.  The propagators stay time-last from the scan to ``V^dag U``, and
 only :func:`propagator_ket` moves time to the front; the bra propagators are
 ``propagator_ket(H.adjoint(), grid)``.
+
+The certificates stream: each reads its samples, makes their ``-1j``
+copies and increments, and writes them into the scan blocks one contiguous
+chunk of steps at a time (:data:`_CHUNK_BYTES` of samples, about 512 KiB),
+and closes the scan over a contiguous range of block steps at a time.  So
+:func:`biorthogonality_defect` holds the ket and bra scan blocks and a
+running maximum, never a whole ``U``, ``V`` or ``V^dag U``, and the dt/2
+re-run holds its scan blocks and the states it returns, never a stage of
+samples.  A chunk's edges leave every sum and its order, so every number is
+bitwise the one-block computation's.
 """
 
 from __future__ import annotations
@@ -71,7 +81,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain
 from operator import add, mul
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -553,56 +563,98 @@ def _step_increments(g1: np.ndarray, g2: np.ndarray, g3: np.ndarray, dt: float) 
     return np.multiply(dt / 6.0, d, out=d)
 
 
-def _prefix_products(incs: np.ndarray, u0: np.ndarray) -> np.ndarray:
-    """``out[..., i] = (I + E_{i-1}) ... (I + E_0) u0`` by a blocked scan on increments.
+#: Bytes of samples a certificate reads at a time, about 512 KiB: a chunk of
+#: steps is sized by it, so no certificate holds a whole stage's samples,
+#: increments or propagators, and a two-level chunk stays long.
+_CHUNK_BYTES = 1 << 19
 
-    ``incs`` holds the time-last ``(K, K, n)`` increments and ``u0`` is a
-    ``(K,)`` state or a ``(K, K)`` matrix; returns ``u0.shape + (n+1,)``.
-    The identity stays implicit.  Zero-padded blocks of ``m = int(sqrt(n))``
-    steps advance at once by ``F_j = E_j + F_{j-1} + E_j F_{j-1}``, a short
-    carry ``c_{i+1} = c_i + F_i c_i`` chains the block ends from ``u0``, and
-    one batched product gives every output as ``c + F c``.  The blocks are
-    held block-major, ``F[j]`` the contiguous ``(K, K, nb)`` stack of step
-    ``j`` of every block, and the carry is made contiguous before the closing
-    product: numpy's einsum runs about twice as fast on contiguous operands,
-    and the layout leaves the sums and their order, so every rounding, as
-    they are.  Another ``m`` would regroup the rounding.
+
+def _chunks(n_steps: int, bytes_per_step: int) -> Iterator[tuple[int, int]]:
+    """Contiguous step ranges ``[s0, s1)`` covering ``n_steps`` steps, each of
+    at most :data:`_CHUNK_BYTES` at ``bytes_per_step``, and at least one step."""
+    size = max(1, _CHUNK_BYTES // bytes_per_step)
+    for s0 in range(0, n_steps, size):
+        yield s0, min(n_steps, s0 + size)
+
+
+def _scan(incs: Iterable[np.ndarray], n: int, K: int) -> np.ndarray:
+    """The scan blocks of an ``n``-point grid's increments, given in time order
+    as time-last ``(K, K, c)`` chunks that together hold its ``n - 1`` steps.
+
+    Each chunk is written into a zero-padded time-last array of ``nb`` blocks
+    of ``m = int(sqrt(n))`` points, increment ``i`` at point ``i + 1`` and
+    point 0 left zero.  That array is copied block-major, ``F[j]`` the
+    contiguous ``(K, K, nb)`` stack of point ``j`` of every block, and the
+    blocks advance at once by ``F_j = E_j + F_{j-1} + E_j F_{j-1}``.
+    Returns ``F``, of shape ``(m, K, K, nb)``.  Another ``m`` would regroup
+    the rounding.
     """
-    K, n = incs.shape[0], incs.shape[-1] + 1
     m = max(1, int(np.sqrt(n)))
     nb = -(-n // m)
     padded = np.zeros((K, K, nb * m), dtype=complex)
-    padded[..., 1:n] = incs
+    i = 1
+    for inc in incs:
+        padded[..., i:i + inc.shape[-1]] = inc
+        i += inc.shape[-1]
     F = np.ascontiguousarray(padded.reshape(K, K, nb, m).transpose(3, 0, 1, 2))
+    del padded
     for j in range(1, m):
         step = _mul(F[j], F[j - 1])
         np.add(F[j], np.add(F[j - 1], step, out=step), out=F[j])
+    return F
+
+
+def _carry(F: np.ndarray, u0: np.ndarray) -> np.ndarray:
+    """Each block's start ``c_i`` from a ``(K,)`` state or ``(K, K)`` matrix
+    ``u0``, by the short chain ``c_{i+1} = c_i + F_end c_i`` over the block
+    ends, as a contiguous ``(K, X, nb)`` block (``X`` 1 for a state)."""
+    K, nb = F.shape[1], F.shape[-1]
     ends = np.moveaxis(F[-1], -1, 0)
     carry = np.empty((nb,) + u0.shape, dtype=complex)
     carry[0] = u0
     for i in range(1, nb):
         carry[i] = carry[i - 1] + ends[i - 1] @ carry[i - 1]
-    c = np.ascontiguousarray(np.moveaxis(carry.reshape(nb, K, -1), 0, -1))
-    out = (c + np.einsum("milb,lkb->mikb", F, c)).transpose(1, 2, 3, 0).reshape(K, -1, nb * m)
-    return out[..., :n].reshape(u0.shape + (n,))
+    return np.ascontiguousarray(np.moveaxis(carry.reshape(nb, K, -1), 0, -1))
 
 
-def _propagators(
-    H: TimeDependentOperator, grid: TimeGrid, with_bra: bool = False
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Ket propagators of ``H`` on every grid point and, if asked, the bra ones,
-    each a time-last ``(K, K, n_steps + 1)`` block as the scan returns it.
+def _close(F: np.ndarray, c: np.ndarray, j0: int, j1: int) -> np.ndarray:
+    """The products at steps ``j0 <= j < j1`` of every block, ``c + F[j] c``, as
+    an ``(j1 - j0, K, X, nb)`` block; the step range is contiguous in ``F``."""
+    out = np.einsum("milb,lkb->mikb", F[j0:j1], c)
+    return np.add(c, out, out=out)
 
-    ``H`` is sampled once; the bra steps reuse that block
-    conjugate-transposed, since ``-i H^dag = -(-i H)^dag``.
+
+def _products(F: np.ndarray, u0: np.ndarray, n: int) -> np.ndarray:
+    """``out[..., i] = (I + E_{i-1}) ... (I + E_0) u0`` on every point of the
+    grid that :func:`_scan` made ``F`` from, for a ``(K,)`` state or ``(K, K)``
+    matrix ``u0``; returns ``u0.shape + (n,)``.
+
+    The identity stays implicit: a short carry chains the block ends from
+    ``u0`` (:func:`_carry`), and batched products give every output as ``c +
+    F c`` (:func:`_close`), a contiguous range of block steps at a time,
+    written into one array.  The blocks are held block-major and the carry is
+    made contiguous before the closing product: numpy's einsum runs about
+    twice as fast on contiguous operands, and the layout leaves the sums and
+    their order, so every rounding, as they are.
     """
-    eye = np.eye(H.dim, dtype=complex)
-    g, mid = _minus_i_time_last(H.sample(_sample_times(grid.times())), 2)
-    U = _prefix_products(_step_increments(g[..., :-1], mid, g[..., 1:], grid.dt), eye)
-    if not with_bra:
-        return U, None
-    g, mid = (-x.conj().transpose(1, 0, 2) for x in (g, mid))
-    return U, _prefix_products(_step_increments(g[..., :-1], mid, g[..., 1:], grid.dt), eye)
+    m, K, _, nb = F.shape
+    c = _carry(F, u0)
+    out = np.empty(c.shape + (m,), dtype=complex)
+    for j0, j1 in _chunks(m, c.size * 16):
+        out[..., j0:j1] = _close(F, c, j0, j1).transpose(1, 2, 3, 0)
+    return out.reshape(K, -1, nb * m)[..., :n].reshape(u0.shape + (n,))
+
+
+def _increments(gs: np.ndarray, dt: float, bra: bool = False) -> Iterator[np.ndarray]:
+    """The RK4 step increments of a grid, a chunk of steps at a time, from the
+    ``(2 n + 1, K, K)`` samples ``gs`` of ``H`` at its points and midpoints:
+    under ``-iH``, or, for ``bra``, under ``-iH^dag = -(-iH)^dag``."""
+    K = gs.shape[-1]
+    for s0, s1 in _chunks((len(gs) - 1) // 2, 2 * K * K * 16):
+        g, mid = _minus_i_time_last(gs[2 * s0:2 * s1 + 1], 2)
+        if bra:  # negated and conjugated in place, then transposed
+            g, mid = (np.negative(np.conj(x, out=x), out=x).transpose(1, 0, 2) for x in (g, mid))
+        yield _step_increments(g[..., :-1], mid, g[..., 1:], dt)
 
 
 def evolve_ket(H: TimeDependentOperator, psi0, grid: TimeGrid) -> StateTrajectory:
@@ -626,26 +678,47 @@ def evolve_bra(H: TimeDependentOperator, phi0, grid: TimeGrid) -> StateTrajector
     return evolve_ket(H.adjoint(), phi0, grid)
 
 
-def evolve_ket_halved(H: TimeDependentOperator, psi0, grid: TimeGrid) -> StateTrajectory:
-    """The RK4 run of :func:`evolve_ket` at step ``grid.dt / 2``, on the points of ``grid``.
+def _halved_pairs(H: TimeDependentOperator, grid: TimeGrid) -> Iterator[np.ndarray]:
+    """Each step of ``grid`` as two RK4 steps of ``grid.dt / 2``, paired, a chunk
+    of steps at a time: ``E = D_0 + D_1 + D_1 D_0``, so ``I + E = (I + D_1)(I +
+    D_0)`` with no ``I + small`` formed.
 
-    It samples what ``evolve_ket(H, psi0, grid.halved())`` samples, pairs
-    each two half-step increments into one, ``E = D_0 + D_1 + D_1 D_0``
-    (so ``I + E = (I + D_1)(I + D_0)`` with no ``I + small`` formed), and
-    chains them by the blocked scan of :func:`_prefix_products`.  Raises
-    :class:`NonFiniteSampleError` at the first grid time whose state
-    overflows, as :class:`StateTrajectory` does.
+    A chunk samples ``H`` on its grid points and the quarter, half and
+    three-quarter points of its steps, and carries its predecessor's last
+    sample, so each time of ``grid.halved()`` is evaluated once.
     """
-    psi0 = _as_state(psi0, H.dim)
     half = grid.halved()
-    # grid points, then the quarter, half and three-quarter points of each step
-    g, q1, q2, q3 = _minus_i_time_last(H.sample(_sample_times(half.times())), 4)
-    with np.errstate(over="ignore", invalid="ignore"):
+    times = half.times()
+    last = None
+    for s0, s1 in _chunks(grid.n_steps, 4 * H.dim * H.dim * 16):
+        ts = _sample_times(times[2 * s0:2 * s1 + 1])
+        # grid points, then the quarter, half and three-quarter points of each step
+        if last is None:
+            g, q1, q2, q3 = _minus_i_time_last(H.sample(ts), 4)
+        else:
+            q1, q2, q3, g = _minus_i_time_last(H.sample(ts[1:]), 4)
+            g = np.concatenate((last, g), axis=-1)
+        last = g[..., -1:].copy()
         d0 = _step_increments(g[..., :-1], q1, q2, half.dt)
         d1 = _step_increments(q2, q3, g[..., 1:], half.dt)
         pairs = _mul(d1, d0)
-        np.add(np.add(d0, d1, out=d0), pairs, out=pairs)
-        states = _prefix_products(pairs, psi0).T
+        yield np.add(np.add(d0, d1, out=d0), pairs, out=pairs)
+
+
+def evolve_ket_halved(H: TimeDependentOperator, psi0, grid: TimeGrid) -> StateTrajectory:
+    """The RK4 run of :func:`evolve_ket` at step ``grid.dt / 2``, on the points of ``grid``.
+
+    It samples what ``evolve_ket(H, psi0, grid.halved())`` samples, a chunk
+    of steps at a time, pairs each two half-step increments into one (see
+    :func:`_halved_pairs`), and chains them by the blocked scan of
+    :func:`_scan` and :func:`_products`; no whole stage of samples or
+    increments is held.  Raises :class:`NonFiniteSampleError` at the first grid time whose
+    state overflows, as :class:`StateTrajectory` does.
+    """
+    psi0 = _as_state(psi0, H.dim)
+    n = grid.n_steps + 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = _products(_scan(_halved_pairs(H, grid), n, H.dim), psi0, n).T
     return StateTrajectory(grid=grid, times=grid.times(), states=states)
 
 
@@ -656,7 +729,10 @@ def propagator_ket(H: TimeDependentOperator, grid: TimeGrid) -> np.ndarray:
     basis vectors (to rounding); shape ``(n_steps + 1, K, K)``.  The dual-space
     propagators ``V0(t)`` are ``propagator_ket(H.adjoint(), grid)``.
     """
-    return np.moveaxis(_propagators(H, grid)[0], -1, 0)
+    n = grid.n_steps + 1
+    gs = H.sample(_sample_times(grid.times()))
+    U = _products(_scan(_increments(gs, grid.dt), n, H.dim), np.eye(H.dim, dtype=complex), n)
+    return np.moveaxis(U, -1, 0)
 
 
 def biorthogonality_defect(H: TimeDependentOperator, grid: TimeGrid) -> float:
@@ -664,12 +740,30 @@ def biorthogonality_defect(H: TimeDependentOperator, grid: TimeGrid) -> float:
 
     Paired ket/bra evolutions keep mutual overlaps frozen, so this defect
     isolates integrator error; it should sit at the integrator's accuracy
-    regardless of how non-Hermitian ``H`` is.
+    regardless of how non-Hermitian ``H`` is.  ``H`` is sampled once, and
+    the bra steps read that block conjugate-transposed.  Both scans are
+    closed together over a contiguous range of steps of every block at a
+    time, and only the running maximum is kept, so no whole ``U``, ``V`` or
+    ``V^dag U`` is formed.
     """
-    U, V = _propagators(H, grid, with_bra=True)
-    prod = np.einsum("jin,jkn->ikn", V.conj(), U)
-    prod[np.diag_indices(H.dim)] -= 1.0
-    return float(np.max(np.abs(prod)))
+    K, n = H.dim, grid.n_steps + 1
+    gs = H.sample(_sample_times(grid.times()))
+    FU, FV = (_scan(_increments(gs, grid.dt, bra), n, K) for bra in (False, True))
+    eye = np.eye(K, dtype=complex)
+    cU, cV = _carry(FU, eye), _carry(FV, eye)
+    m, nb = FU.shape[0], FU.shape[-1]
+    last = n - (nb - 1) * m  # steps of the last block that lie on the grid
+    diag = np.arange(K)
+    worst = np.float64(0.0)
+    for j0, j1 in _chunks(m, K * K * 16 * nb):
+        V = _close(FV, cV, j0, j1)
+        prod = np.einsum("mjib,mjkb->mikb", np.conj(V, out=V), _close(FU, cU, j0, j1))
+        del V
+        prod[:, diag, diag] -= 1.0
+        dev = np.abs(prod)
+        dev[max(0, last - j0):, ..., -1] = 0.0  # the padding past the grid's end
+        worst = np.maximum(worst, np.max(dev))  # NaN propagates, as one max over the grid
+    return float(worst)
 
 
 def dyson_truncation(

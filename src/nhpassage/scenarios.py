@@ -21,15 +21,18 @@ initial and target level, passage), a cyclic task three per loop (per stage,
 the time the affine angles pass their offsets, the ``phi_mix`` offset, the
 passage, the third level's gain/loss phase and the target).  One runner,
 :func:`run_scenario` (also bound as ``run_two_level`` and ``run_cyclic``),
-first re-integrates every stage at half the step (the batched scan of
-:func:`~nhpassage.dynamics.evolve_ket_halved`, on one sample of ``H`` per
-stage), then, stage by stage, builds one sample set on the grid points and
-RK4 midpoints, from which the table of the stage's ``H``, its passage phase
-and its frame table (the set's even entries) read each frame angle, gain and
-trig factor once.  The set is dropped before the stage's sweep; the state,
-handed across each boundary verbatim, and every certificate read the two
-tables, and the consistency residual is the one synthesis recorded.  It
-fails if any reported population moves by more than the step-check
+marches the stages.  For each, the dt/2 re-run goes first (the batched scan
+of :func:`~nhpassage.dynamics.evolve_ket_halved`, on its own samples of
+``H``, a chunk of steps at a time, handing its own state across the
+boundaries); then one sample set on the grid points and RK4 midpoints, from
+which the stage's frame table (the set's even entries), the table of its
+``H`` and its passage phase read each frame angle, gain and trig factor
+once.  The set is dropped before the stage's sweep; the state, handed
+across each boundary verbatim, and every certificate read the two tables,
+each table goes once its last reader is done, and the consistency residual
+is the one synthesis recorded.  A stage keeps only its states, phase and
+certificate values, written into the run's arrays, and its dt/2 shift; the
+run fails if the largest shift (a NaN included) exceeds the step-check
 tolerance, then packages the trajectory, accumulated passage phase,
 residual certificates, and checkpoint populations into a
 :class:`RunReport` whose pass/fail verdicts are derived solely from the
@@ -392,14 +395,19 @@ def _passage_fidelity_error(
     return float(np.max(np.linalg.norm(traj.states - dressed, axis=1)))
 
 
-def _step_check(states: np.ndarray, fine: np.ndarray) -> float:
-    """Max population change at shared grid points when the run is repeated at dt/2.
+def _step_shift(states: np.ndarray, fine: np.ndarray) -> np.float64:
+    """Max population change at a stage's grid points when it is repeated at dt/2;
+    ``fine`` holds the dt/2 re-run's states at those points.  A NaN propagates."""
+    return np.max(np.abs(np.abs(states) ** 2 - np.abs(fine) ** 2))
 
-    ``fine`` holds the dt/2 re-run's states at the run's grid points.
+
+def _step_check(shifts: list) -> float:
+    """The run's dt/2 shift, the largest of its stages' (:func:`_step_shift`).
+
     Raises :class:`StepSizeError` above :data:`STEP_CHECK_TOL`, and on a
-    NaN shift (an overflowed run).
+    NaN shift (an overflowed run) in any stage.
     """
-    delta = float(np.max(np.abs(np.abs(states) ** 2 - np.abs(fine) ** 2)))
+    delta = float(np.max(shifts))
     if not delta <= STEP_CHECK_TOL:
         raise StepSizeError(
             f"dt/2 re-run moved a population by {delta:.3e} "
@@ -408,63 +416,64 @@ def _step_check(states: np.ndarray, fine: np.ndarray) -> float:
     return delta
 
 
-def _march_halved(stages: list[_Stage], psi: np.ndarray) -> np.ndarray:
-    """The dt/2 re-run of the stages, joined, at the run's own grid points."""
-    parts = []
-    for stage in stages:
-        H = stage.H if stage.passage == "ket" else stage.H.adjoint()
-        parts.append(evolve_ket_halved(H, psi, stage.grid).states)
-        psi = parts[-1][-1]
-    return _joined(parts)
-
-
-def _joined(parts: list[np.ndarray]) -> np.ndarray:
-    """Per-stage arrays end to end, each later stage without its shared first point."""
-    return np.concatenate([parts[0]] + [p[1:] for p in parts[1:]])
-
-
 def _run(config: ScenarioConfig, stages: list[_Stage] | None = None) -> RunReport:
     """March a run's stages, collect per-stage certificates, and grade the run.
 
     ``stages`` are built unless given.  The state is handed across stage
     boundaries verbatim (global phases included); the accumulated passage
     phase restarts at each stage, which is also how the exported
-    ``f_real``/``f_imag`` columns are defined.
+    ``f_real``/``f_imag`` columns are defined.  Each stage writes its states
+    and phase into the run's arrays, which hold a shared boundary point once,
+    with the earlier stage's value.
     """
     cyclic = config.scenario in CYCLIC_IDS
     if stages is None:
         stages = _stages(config)
-    psi0 = np.zeros(stages[0].H.dim, dtype=complex)
-    psi0[0 if cyclic else _TWO_LEVEL_TASKS[config.scenario][1]] = 1.0
-    # the dt/2 re-run goes first, on its own samples (see nhpassage.dynamics)
-    fine = _march_halved(stages, psi0)
-    psi, trajs, phases, tri, bio, fidelity = psi0, [], [], [], [], []
-    for stage in stages:
-        # one sample set on the grid points and RK4 midpoints: the table of H, the
-        # phase rates and the frame table (its even entries) read each frame
-        # angle, gain and trig factor once; tables serve the sweep and certificates
-        times = stage.grid.times()
-        samples = _Samples(_sample_times(times))
-        H = stage.H.tabulated(samples)
-        phases.append(_phase(stage.controls, stage.frame_params, samples, times, stage.passage))
+    psi = np.zeros(stages[0].H.dim, dtype=complex)
+    psi[0 if cyclic else _TWO_LEVEL_TASKS[config.scenario][1]] = 1.0
+    psi_fine = psi  # the dt/2 re-run hands its own state across the boundaries
+    starts = np.cumsum([0] + [stage.grid.n_steps for stage in stages])
+    states = np.empty((starts[-1] + 1, psi.size), dtype=complex)
+    f_real, f_imag = np.empty(starts[-1] + 1), np.empty(starts[-1] + 1)
+    shifts, end_f_imag, tri, bio, fidelity = [], [], [], [], []
+    for i, (stage, i0) in enumerate(zip(stages, starts)):
+        # the dt/2 re-run goes first, on its own samples (see nhpassage.dynamics)
+        fine = evolve_ket_halved(stage.H if stage.passage == "ket" else stage.H.adjoint(),
+                                 psi_fine, stage.grid).states
+        psi_fine = fine[-1].copy()
+        # one sample set on the grid points and RK4 midpoints: the frame table (its
+        # even entries), the table of H and the phase rates read each frame angle,
+        # gain and trig factor once; the frame table's build peaks highest, so it
+        # goes before H's table exists; tables serve the sweep and certificates
+        stage_times = stage.grid.times()
+        samples = _Samples(_sample_times(stage_times))
         frame = stage.frame.tabulated(samples.even())
+        H = stage.H.tabulated(samples)
+        phase = _phase(stage.controls, stage.frame_params, samples, stage_times, stage.passage)
         del samples  # before the sweep and the certificates
         traj = (evolve_ket if stage.passage == "ket" else evolve_bra)(H, psi, stage.grid)
-        psi = traj.states[-1]
-        trajs.append(traj)
+        shifts.append(_step_shift(traj.states, fine))
+        del fine
+        first = 1 if i else 0  # the boundary point keeps the earlier stage's value
+        for joined, part in ((states, traj.states), (f_real, phase.f_real),
+                             (f_imag, phase.f_imag)):
+            joined[i0 + first:i0 + len(part)] = part[first:]
+        psi = states[starts[i + 1]]
+        end_f_imag.append(abs(float(phase.f_imag[-1])))
+        # each table and the stage's trajectory go once their last reader is done
+        fidelity.append(_passage_fidelity_error(traj, frame, phase, stage.passage))
+        del traj, phase
         tri.append(triangularization_residual(H, frame, stage.grid))
+        del frame
         bio.append(biorthogonality_defect(H, stage.grid))
-        fidelity.append(_passage_fidelity_error(traj, frame, phases[-1], stage.passage))
-        del H, frame  # before the next stage's tables are built
-    states = _joined([t.states for t in trajs])
-    step_delta = _step_check(states, fine)
+        del H  # before the next stage's tables are built
+    step_delta = _step_check(shifts)
 
-    times = _joined([t.times for t in trajs])
     grid = TimeGrid(stages[0].grid.t0, stages[-1].grid.tf, config.resolved_dt(),
                     stage_boundaries=tuple(s.grid.tf for s in stages[:-1]))
+    times = np.concatenate([stages[0].grid.times()[:1]] + [s.grid.times()[1:] for s in stages])
     traj = StateTrajectory(grid=grid, times=times, states=states)
-    phase = PhaseFunctional(times=times, f_real=_joined([p.f_real for p in phases]),
-                            f_imag=_joined([p.f_imag for p in phases]))
+    phase = PhaseFunctional(times=times, f_real=f_real, f_imag=f_imag)
     residuals = {
         "triangularization": max(tri),
         # synthesis checked each stage's residual on its grid and recorded the largest
@@ -474,9 +483,9 @@ def _run(config: ScenarioConfig, stages: list[_Stage] | None = None) -> RunRepor
         "step_check": step_delta,
     }
     scenario_checks = _cyclic_checks if cyclic else _two_level_checks
-    checkpoints, checks = scenario_checks(config, stages, trajs, traj)
+    checkpoints, checks = scenario_checks(config, stages, starts, traj)
     checks += [CheckResult.below(name, value, threshold) for name, value, threshold in (
-        ("stage_end_f_imag", max(abs(float(p.f_imag[-1])) for p in phases), STAGE_PHASE_TOL),
+        ("stage_end_f_imag", max(end_f_imag), STAGE_PHASE_TOL),
         ("phase_norm_identity",
          float(np.max(np.abs(np.exp(phase.f_imag) - traj.vector_norm()))), config.tolerance),
         ("triangularization_residual", residuals["triangularization"], RESIDUAL_TOL),
@@ -489,7 +498,7 @@ def _run(config: ScenarioConfig, stages: list[_Stage] | None = None) -> RunRepor
                      residuals=residuals, checkpoints=checkpoints, checks=checks)
 
 
-def _two_level_checks(config, stages, trajs, traj):
+def _two_level_checks(config, stages, starts, traj):
     """Checkpoints and checks of a two-level transfer: target and norm at 2T."""
     end = traj.populations[-1]
     checkpoints = {
@@ -506,11 +515,12 @@ def _two_level_checks(config, stages, trajs, traj):
     ]
 
 
-def _cyclic_checks(config, stages, trajs, traj):
+def _cyclic_checks(config, stages, starts, traj):
     """Checkpoints and checks of cyclic loops: every stage end, the bra stages,
-    the clockwise transient, and loop-to-loop periodicity."""
+    the clockwise transient, and loop-to-loop periodicity.  Stage ``i`` spans
+    the run's points ``starts[i]`` to ``starts[i + 1]``."""
     T, tol = config.T, config.tolerance
-    ends = np.array([t.populations[-1] for t in trajs])
+    ends = traj.populations[starts[1:]]
     checkpoints = {"total_min": float(np.min(traj.total_norm))}
     checks = []
     for i, (stage, pops) in enumerate(zip(stages, ends)):
@@ -522,8 +532,9 @@ def _cyclic_checks(config, stages, trajs, traj):
             f"{key}_P{level}(t={2.0 * (i + 1):g}T)", abs(pops[level] - 1.0), tol))
         checks.append(CheckResult.below(f"{key}_total_norm", abs(pops.sum() - 1.0), tol))
 
-    bra_pe = max([0.0] + [float(np.max(t.populations[:, 2]))
-                          for stage, t in zip(stages, trajs) if stage.passage == "bra"])
+    bra_pe = max([0.0] + [float(np.max(traj.populations[a:b + 1, 2]))
+                          for stage, a, b in zip(stages, starts, starts[1:])
+                          if stage.passage == "bra"])
     checks.append(CheckResult.below("mid_evolution_norm_dip", checkpoints["total_min"],
                                     1.0 - NORM_DIP))
     checks.append(CheckResult.below("bra_stage_Pe_max", bra_pe, 1e-8))

@@ -1,6 +1,7 @@
 """Core propagation: paired evolutions, propagators, series oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -633,10 +634,17 @@ def drawn_increments(K, n, seed, scale):
 
 
 def assert_scan_is_the_reference(incs, u0s):
-    for u0 in u0s:
-        got = dynamics._prefix_products(incs, u0)
-        assert got.shape == u0.shape + (incs.shape[-1] + 1,)
-        assert np.array_equal(got, reference_prefix_products(incs, u0))
+    """The scan of ``incs``, given in chunks with edges on and off block edges
+    or as one, and closed in ranges of the same budget, against the reference."""
+    K, n = incs.shape[0], incs.shape[-1] + 1
+    for steps in edge_chunks(n):
+        chunks = [incs[..., i:i + steps] for i in range(0, n - 1, steps)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "_CHUNK_BYTES", steps * K * K * 16)
+            for u0 in u0s:
+                got = dynamics._products(dynamics._scan(chunks, n, K), u0, n)
+                assert got.shape == u0.shape + (n,)
+                assert np.array_equal(got, reference_prefix_products(incs, u0))
 
 
 @settings(max_examples=80, deadline=None)
@@ -680,6 +688,120 @@ def test_propagators_and_defect_are_bitwise_the_reference_path(make):
     assert np.array_equal(propagator_ket(H, grid), U)
     assert np.array_equal(propagator_ket(H.adjoint(), grid), V)
     assert biorthogonality_defect(H, grid) == defect
+
+
+# ---------------------------------------------------------------------------
+# the certificates a chunk at a time: bitwise the one-block reference at any
+# chunk edge
+
+
+def chunk_steps(steps, K):
+    """A chunk budget of ``steps`` steps of a K-level grid's samples at grid points
+    and midpoints; the dt/2 re-run, which reads four samples a step, takes half."""
+    return steps * 2 * K * K * 16
+
+
+def edge_chunks(n):
+    """Chunk lengths in steps for an ``n``-point grid cut into blocks of ``m``
+    points, increment ``i`` at point ``i + 1``: ``m - 1`` puts every chunk edge
+    of the increments on a block edge and ``2 (m - 1)`` every re-run chunk edge,
+    ``1`` and ``m`` put edges inside blocks, and ``n`` leaves one chunk."""
+    m = max(1, int(np.sqrt(n)))
+    return sorted({1, max(1, m - 1), m, max(1, 2 * (m - 1)), n})
+
+
+def assert_chunked_certificates_are_the_reference(H, grid):
+    """The increments, propagators, defect and dt/2 re-run of ``H`` on ``grid``,
+    at the chunk budget in force, against the one-block reference."""
+    gs = H.sample(dynamics._sample_times(grid.times()))
+    ref = dynamics._time_last(-1j * gs)
+    for bra, g in ((False, ref), (True, -ref.conj().transpose(1, 0, 2))):
+        chunks = list(dynamics._increments(gs, grid.dt, bra))
+        assert sum(c.shape[-1] for c in chunks) == grid.n_steps
+        assert same_bits(np.concatenate(chunks, axis=-1), reference_step_increments(g, grid.dt))
+    U, V, defect = reference_propagators(H, grid)
+    assert np.array_equal(propagator_ket(H, grid), U)
+    assert np.array_equal(propagator_ket(H.adjoint(), grid), V)
+    assert biorthogonality_defect(H, grid) == defect
+    assert_halved_is_the_reference(H, grid)
+
+
+@settings(max_examples=40, deadline=None)
+@given(K=st.integers(1, 4), n=st.integers(1, 300), seed=st.integers(0, 2**16),
+       dt=st.sampled_from([1e-3, 0.05, 0.4]), chunk=st.integers(1, 320))
+def test_chunked_certificates_are_bitwise_the_reference(K, n, seed, dt, chunk):
+    H, grid = smooth_generator(K, seed), TimeGrid(0.0, n * dt, dt)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_CHUNK_BYTES", chunk_steps(chunk, K))
+        assert_chunked_certificates_are_the_reference(H, grid)
+
+
+@pytest.mark.parametrize("make", [cyclic_stage_generator, two_level_bra_stage_generator])
+def test_chunked_stage_certificates_are_bitwise_the_reference(monkeypatch, make):
+    H, grid = make()
+    for steps in edge_chunks(grid.n_steps + 1)[1:-1]:  # several chunks, edges on and off blocks
+        monkeypatch.setattr(dynamics, "_CHUNK_BYTES", chunk_steps(steps, H.dim))
+        assert_chunked_certificates_are_the_reference(H, grid)
+
+
+def growing_generators():
+    """Generators whose propagators overflow: ``V^dag U`` meets ``0 * inf``."""
+    return [
+        (constant_operator(np.diag([1000j, 0.0])), TimeGrid(0.0, 1.0, 1e-3)),
+        (constant_operator(np.array([[1000j, 1e3], [0.0, -500j]])), TimeGrid(0.0, 1.0, 1e-3)),
+        (constant_operator(np.array([[800j, 1.0, 0.0], [0.0, 0.0, 1.0], [1e3, 0.0, 300j]])),
+         TimeGrid(0.0, 2.0, 1e-3)),
+    ]
+
+
+@pytest.mark.parametrize("steps", [None, 1, 37])
+def test_an_overflowing_defect_is_the_reference_value(monkeypatch, steps):
+    # a NaN anywhere on the grid is the defect, as one max over the whole grid gives;
+    # the padding past the grid's last block is not read
+    for H, grid in growing_generators():
+        if steps is not None:
+            monkeypatch.setattr(dynamics, "_CHUNK_BYTES", chunk_steps(steps, H.dim))
+        with np.errstate(all="ignore"):
+            got = biorthogonality_defect(H, grid)
+            want = reference_propagators(H, grid)[2]
+        assert np.isnan(want)
+        assert same_bits(np.float64(got), np.float64(want))
+
+
+# ---------------------------------------------------------------------------
+# memory: the certificates hold their scan blocks and a chunk or two
+
+
+def traced_peak(call):
+    """Bytes ``call()`` allocates at its peak, above what was live before it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_certificates_of_a_long_stage_hold_their_scan_blocks_and_two_chunks():
+    # a 40 000-step three-level stage, its H tabulated as the runner does; the
+    # one-block certificates peaked at 46 MB (defect) and 56 MB (dt/2 re-run)
+    stage = _stages(ScenarioConfig("cyclic_ccw", T=10.0, dt=1 / 2000, gamma_scale=1.15))[1]
+    grid, K = stage.grid, 3
+    assert grid.n_steps == 40_000
+    n = grid.n_steps + 1
+    m = int(np.sqrt(n))
+    # one passage's scan blocks, as the padded array the chunks are written
+    # into or as the block-major copy the scan runs on, and at most one
+    # padded array alive beside the copies
+    block = m * K * K * -(-n // m) * 16
+    # a chunk: its samples, their -1j copies and its increments, at most four budgets
+    chunk = 4 * dynamics._CHUNK_BYTES
+    H = stage.H.tabulated(dynamics._sample_times(grid.times()))
+    assert traced_peak(lambda: biorthogonality_defect(H, grid)) <= 3 * block + 2 * chunk
+    states = n * K * 16  # the re-run's result
+    psi0 = np.eye(K)[1]
+    assert traced_peak(lambda: dynamics.evolve_ket_halved(stage.H, psi0, grid)) <= (
+        2 * block + states + 2 * chunk)
 
 
 SWEEP_GENERATORS = [

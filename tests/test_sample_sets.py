@@ -2,19 +2,19 @@
 
 The runner evaluates each frame angle, gain and trig factor of a stage once
 on the stage's grid points and RK4 midpoints, and once more on the dt/2
-re-run's times, and reports the consistency residual synthesis recorded.
-Every number it takes from a set must be the number a public call computes
-on its own, bit for bit: ``H.sample`` for the generator table and the dt/2
-samples, ``phase_two_level`` for the phase, ``two_level_consistency_residual``
-for the consistency value, and ``frame.sample``/``sample_derivative`` for the
-frame table, which the runner slices from the set's even entries.  The
-inputs are the six built-ins and controls drawn as in
-``test_synthesis_oracle``: random smooth frames, gains that are not
-PT-balanced, and free detunings.
+re-run's times, a contiguous chunk of them at a time, and reports the
+consistency residual synthesis recorded.  Every number it takes from a set
+must be the number a public call computes on its own, bit for bit:
+``H.sample`` for the generator table and the dt/2 samples (the chunks'
+samples joined), ``phase_two_level`` for the phase,
+``two_level_consistency_residual`` for the consistency value, and
+``frame.sample``/``sample_derivative`` for the frame table, which the runner
+slices from the set's even entries.  The inputs are the six built-ins and
+controls drawn as in ``test_synthesis_oracle``: random smooth frames, gains
+that are not PT-balanced, and free detunings.
 """
 
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -37,7 +37,7 @@ from nhpassage import (
     two_level_frame,
     two_level_hamiltonian,
 )
-from nhpassage import scenarios
+from nhpassage import dynamics, scenarios
 from nhpassage.dynamics import TimeDependentOperator, _Derived, _sample_times
 from nhpassage.scenarios import RESIDUAL_TOL
 from test_synthesis_oracle import (
@@ -62,11 +62,16 @@ def same_bits(a, b):
     return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
 
 
+#: A chunk budget of a few dozen steps, so every dt/2 re-run here takes several chunks.
+CHUNK_BYTES = 1 << 13
+
+
 def recorded_run(config, stages):
     """``stages`` through the runner, with what it read per stage recorded: the
     table of ``H`` each sweep ran on, the frame table of each triangularization
-    certificate and its value, the samples of each dt/2 re-run, and each phase.  The report
-    is None when the dt/2 check refuses the run; every stage has run by then."""
+    certificate and its value, the times and samples of each chunk of each dt/2
+    re-run, and each phase.  The re-runs read chunks of :data:`CHUNK_BYTES`.  The
+    report is None when the dt/2 check refuses the run; every stage has run by then."""
     got = {"H": [], "frame": [], "tri": [], "half": [], "phase": []}
 
     def sweep(inner):
@@ -81,9 +86,12 @@ def recorded_run(config, stages):
         return got["tri"][-1]
 
     def halved(H, psi, grid, inner=scenarios.evolve_ket_halved):
-        def values_at(ts):  # the re-run's one sample of H, recorded
-            got["half"].append(H.sample(ts))
-            return got["half"][-1]
+        chunks = []
+        got["half"].append(chunks)
+
+        def values_at(ts):  # each chunk's sample of H, recorded with its times
+            chunks.append((np.array(ts), H.sample(ts)))
+            return chunks[-1][1]
         return inner(TimeDependentOperator(H.dim, values_at), psi, grid)
 
     def phase(*args, inner=scenarios._phase):
@@ -96,6 +104,7 @@ def recorded_run(config, stages):
         mp.setattr(scenarios, "triangularization_residual", triangularization)
         mp.setattr(scenarios, "evolve_ket_halved", halved)
         mp.setattr(scenarios, "_phase", phase)
+        mp.setattr(dynamics, "_CHUNK_BYTES", CHUNK_BYTES)
         try:
             report = scenarios._run(config, stages=stages)
         except StepSizeError:
@@ -110,7 +119,10 @@ def assert_reads_are_the_public_calls(stages, report, got):
         times = stage.grid.times()
         assert same_bits(got["H"][i], stage.H.sample(_sample_times(times)))
         H = stage.H if stage.passage == "ket" else stage.H.adjoint()
-        assert same_bits(got["half"][i], H.sample(_sample_times(stage.grid.halved().times())))
+        rerun = _sample_times(stage.grid.halved().times())
+        assert len(got["half"][i]) > 1
+        assert_chunks_cover_once([ts for ts, _ in got["half"][i]], rerun)
+        assert same_bits(np.concatenate([block for _, block in got["half"][i]]), H.sample(rerun))
         assert same_bits(got["frame"][i][:, 0], stage.frame.sample(times))
         assert same_bits(got["frame"][i][:, 1], stage.frame.sample_derivative(times))
         phase = phase_two_level(stage.controls, stage.frame_params, stage.grid, stage.passage)
@@ -121,6 +133,13 @@ def assert_reads_are_the_public_calls(stages, report, got):
         assert stage.controls.consistency == consistency
     if report is not None:
         assert report.residuals["consistency"] == max(s.controls.consistency for s in stages)
+
+
+def assert_chunks_cover_once(chunks, times):
+    """The chunks, in the order they were read, are disjoint contiguous pieces
+    of ``times`` that cover it once: joined, they are ``times``, bit for bit."""
+    assert all(chunk.size for chunk in chunks)
+    assert same_bits(np.concatenate(chunks), times)
 
 
 @pytest.mark.parametrize("gamma_scale", [0.8, 1.15])
@@ -139,18 +158,22 @@ def test_built_in_runs_read_the_public_calls_numbers(sid, T, gamma_scale):
 # drawn controls
 
 
-def counted(fn, calls, name):
-    """``fn``, recording the size of each time array it is called on under ``name``."""
+def counted(fn, calls, name, arrays=None):
+    """``fn``, recording the size of each time array it is called on under
+    ``name``, and the array itself in ``arrays`` if given."""
     def f(t):
         calls[name].append(np.size(t))
+        if arrays is not None:
+            arrays.setdefault(name, []).append(np.array(t))
         return fn(t)
     return f
 
 
-def drawn_two_level(theta, alpha, gap, g0, g1, xi0, xi1, calls):
+def drawn_two_level(theta, alpha, gap, g0, g1, xi0, xi1, calls, arrays):
     """Synthesized two-level controls on ``GRID`` whose every frame parameter and
-    gain counts its calls; the detuning is solved by least squares from the
-    uncounted ones, so the inputs are consistent."""
+    gain counts its calls, recording each time array in ``arrays``; the
+    detuning is solved by least squares from the uncounted ones, so the inputs
+    are consistent."""
     th, th_dot = trig(*theta)
     al, al_dot = trig(*alpha)
     params = TwoLevelFrameParams(th, th_dot, al, al_dot)
@@ -169,15 +192,16 @@ def drawn_two_level(theta, alpha, gap, g0, g1, xi0, xi1, calls):
     def delta(t):
         return least_squares(frame, base, terms, np.asarray(t, dtype=float))[1]
 
-    watched = TwoLevelFrameParams(*(counted(f, calls, name) for f, name in (
+    watched = TwoLevelFrameParams(*(counted(f, calls, name, arrays) for f, name in (
         (th, "theta"), (th_dot, "theta_dot"), (al, "alpha"), (al_dot, "alpha_dot"))))
     controls = synthesize_two_level(
-        watched, gamma0=counted(gamma0, calls, "gamma0"), gamma1=counted(gamma1, calls, "gamma1"),
-        xi0=xi0, xi1=xi1, delta=counted(delta, calls, "delta"), varphi=varphi, grid=GRID)
+        watched, gamma0=counted(gamma0, calls, "gamma0", arrays),
+        gamma1=counted(gamma1, calls, "gamma1", arrays), xi0=xi0, xi1=xi1,
+        delta=counted(delta, calls, "delta", arrays), varphi=varphi, grid=GRID)
     return watched, two_level_frame(watched), controls, two_level_hamiltonian(controls)
 
 
-def drawn_three_level(theta, alpha, phi, beta, gap_a, gap, g0, g1, ge, xi, d0, calls):
+def drawn_three_level(theta, alpha, phi, beta, gap_a, gap, g0, g1, ge, xi, d0, calls, arrays):
     """As :func:`drawn_two_level`, for three levels with a free detuning on ``|0>``."""
     th, th_dot = trig(*theta)
     al, al_dot = trig(*alpha)
@@ -210,15 +234,16 @@ def drawn_three_level(theta, alpha, phi, beta, gap_a, gap, g0, g1, ge, xi, d0, c
     def solved(t):
         return least_squares(frame, base, terms, np.asarray(t, dtype=float))
 
-    watched = ThreeLevelFrameParams(*(counted(f, calls, name) for f, name in (
+    watched = ThreeLevelFrameParams(*(counted(f, calls, name, arrays) for f, name in (
         (th, "theta"), (th_dot, "theta_dot"), (al, "alpha"), (al_dot, "alpha_dot"),
         (ph, "phi_mix"), (ph_dot, "phi_mix_dot"), (be, "beta"), (be_dot, "beta_dot"))))
     controls = synthesize_three_level(
-        watched, gamma0=counted(gamma0, calls, "gamma0"), gamma1=counted(gamma1, calls, "gamma1"),
-        gamma_e=counted(gamma_e, calls, "gamma_e"), xi0=xi[0], xi1=xi[1], xi_e=xi[2],
-        delta0=counted(delta0, calls, "delta0"),
-        delta1=counted(lambda t: solved(t)[2], calls, "delta1"),
-        delta_e=counted(lambda t: solved(t)[3], calls, "delta_e"),
+        watched, gamma0=counted(gamma0, calls, "gamma0", arrays),
+        gamma1=counted(gamma1, calls, "gamma1", arrays),
+        gamma_e=counted(gamma_e, calls, "gamma_e", arrays), xi0=xi[0], xi1=xi[1], xi_e=xi[2],
+        delta0=counted(delta0, calls, "delta0", arrays),
+        delta1=counted(lambda t: solved(t)[2], calls, "delta1", arrays),
+        delta_e=counted(lambda t: solved(t)[3], calls, "delta_e", arrays),
         varphi=varphi, varphi_a=varphi_a, grid=GRID)
     return watched, three_level_frame(watched), controls, three_level_hamiltonian(controls)
 
@@ -231,15 +256,21 @@ def assert_runner_numbers_certify(got, stage):
     assert_phase_is_rotated_diagonal(got["phase"][0], stage.H, stage.frame, stage.passage)
 
 
-def assert_one_call_per_time_array(calls, arrays):
-    """Each counted callable ran at most once on each time array, and only on ``arrays``."""
-    for name, sizes in calls.items():
-        assert max(Counter(sizes).values()) == 1, (name, sizes)
-        assert set(sizes) <= set(arrays), (name, sizes)
+def assert_one_call_per_time_array(arrays, grid):
+    """Each counted callable ran at most once on the synthesis grid and once on
+    the stage's grid points and midpoints, and otherwise only on the dt/2
+    re-run's chunks, which cover its time array once."""
+    whole = (grid.times(), _sample_times(grid.times()))
+    for name, called in arrays.items():
+        for times in whole:
+            assert sum(same_bits(t, times) for t in called) <= 1, name
+        chunks = [t for t in called if not any(same_bits(t, times) for times in whole)]
+        if chunks:
+            assert len(chunks) > 1, name
+            assert_chunks_cover_once(chunks, _sample_times(grid.halved().times()))
 
 
 STEPS = GRID.n_steps
-ONE_STAGE = (STEPS + 1, 2 * STEPS + 1, 4 * STEPS + 1)  # synthesis grid, stage set, dt/2 set
 
 
 @settings(max_examples=12, deadline=None)
@@ -249,11 +280,13 @@ def test_drawn_two_level_stage_reads_the_public_calls_numbers(
         theta, alpha, gap, g0, g1, xi0, xi1, passage):
     calls = {name: [] for name in ("theta", "theta_dot", "alpha", "alpha_dot",
                                    "gamma0", "gamma1", "delta")}
-    params, frame, controls, H = drawn_two_level(theta, alpha, gap, g0, g1, xi0, xi1, calls)
+    arrays = {}
+    params, frame, controls, H = drawn_two_level(theta, alpha, gap, g0, g1, xi0, xi1, calls,
+                                                 arrays)
     assert all(sizes == [STEPS + 1] for sizes in calls.values())  # synthesis: once, on its grid
     stage = scenarios._Stage(GRID, params, frame, controls, H, passage, 0)
     report, got = recorded_run(ScenarioConfig("two_level_a", T=0.5, dt=GRID.dt), [stage])
-    assert_one_call_per_time_array(calls, ONE_STAGE)
+    assert_one_call_per_time_array(arrays, GRID)
     assert_runner_numbers_certify(got, stage)
     assert_reads_are_the_public_calls([stage], report, got)
 
@@ -267,23 +300,26 @@ def test_drawn_three_level_stage_reads_the_public_calls_numbers(
     calls = {name: [] for name in ("theta", "theta_dot", "alpha", "alpha_dot", "phi_mix",
                                    "phi_mix_dot", "beta", "beta_dot", "gamma0", "gamma1",
                                    "gamma_e", "delta0", "delta1", "delta_e")}
+    arrays = {}
     params, frame, controls, H = drawn_three_level(
-        theta, alpha, phi, beta, gap_a, gap, g0, g1, ge, xi, d0, calls)
+        theta, alpha, phi, beta, gap_a, gap, g0, g1, ge, xi, d0, calls, arrays)
     assert all(sizes == [STEPS + 1] for sizes in calls.values())
     stage = scenarios._Stage(GRID, params, frame, controls, H, passage, 0)
     report, got = recorded_run(ScenarioConfig("cyclic_ccw", dt=GRID.dt), [stage])
-    assert_one_call_per_time_array(calls, ONE_STAGE)
+    assert_one_call_per_time_array(arrays, GRID)
     assert_runner_numbers_certify(got, stage)
     assert_reads_are_the_public_calls([stage], report, got)
 
 
-def hand_built(built_in, calls):
+def hand_built(built_in, calls, arrays=None):
     """The two-level stage ``built_in`` rebuilt by hand, as a caller builds one,
-    with its frame angle and rate counted; the gains read the rate as the
-    built-ins' do, and the drives are synthesized on the stage's grid."""
+    with its frame angle and rate counted (see :func:`counted`); the gains read
+    the rate as the built-ins' do, and the drives are synthesized on the
+    stage's grid."""
     p, c = built_in.frame_params, built_in.controls
-    params = TwoLevelFrameParams(counted(p.theta, calls, "theta"),
-                                 counted(p.theta_dot, calls, "theta_dot"), p.alpha, p.alpha_dot)
+    params = TwoLevelFrameParams(counted(p.theta, calls, "theta", arrays),
+                                 counted(p.theta_dot, calls, "theta_dot", arrays),
+                                 p.alpha, p.alpha_dot)
     gamma = _Derived(lambda s: 2.0 * s(params.theta_dot))
     controls = synthesize_two_level(params, gamma0=gamma, gamma1=gamma, xi0=c.xi0, xi1=c.xi1,
                                     delta=0.0, varphi=c.varphi, grid=built_in.grid)
@@ -294,14 +330,18 @@ def hand_built(built_in, calls):
 def test_a_run_calls_each_frame_angle_once_per_time_array():
     # a caller-built two-level stage: its angle and rate, which also set the gains,
     # are called once on the synthesis grid, once on the stage's grid points and
-    # midpoints, and once on the dt/2 re-run's, and on nothing else
-    calls = {"theta": [], "theta_dot": []}
+    # midpoints, and on the dt/2 re-run's chunks (two at the default budget),
+    # which cover its times once, and on nothing else
+    calls, arrays = {"theta": [], "theta_dot": []}, {}
     config = ScenarioConfig("two_level_c")
-    report = scenarios._run(config, [hand_built(scenarios._stages(config)[0], calls)])
+    stage = hand_built(scenarios._stages(config)[0], calls, arrays)
+    report = scenarios._run(config, [stage])
     assert report.passed
     steps = 4000
     for sizes in calls.values():
-        assert sorted(sizes) == [steps + 1, 2 * steps + 1, 4 * steps + 1]
+        assert sizes.count(steps + 1) == sizes.count(2 * steps + 1) == 1
+        assert len(sizes) == 4 and sum(sizes) == (steps + 1) + (2 * steps + 1) + (4 * steps + 1)
+    assert_one_call_per_time_array(arrays, stage.grid)
     assert same_bits(report.trajectory.states, run_scenario(config).trajectory.states)
 
 
@@ -338,11 +378,12 @@ def test_a_drive_scaled_control_reads_one_sample_set():
 
 
 # ---------------------------------------------------------------------------
-# memory: a set dies with its stage
+# memory: a set dies with its stage, and a run holds no stage's certificates
 
 
-def traced_peak(loops):
-    config = ScenarioConfig("cyclic_ccw", loops=loops, T=1.0, dt=1.0 / 500, gamma_scale=1.15)
+def traced_peak(loops, dt=1.0 / 500):
+    """Bytes a ``cyclic_ccw`` run at ``gamma_scale`` 1.15 allocates at its peak."""
+    config = ScenarioConfig("cyclic_ccw", loops=loops, T=1.0, dt=dt, gamma_scale=1.15)
     tracemalloc.start()
     try:
         report = run_scenario(config)
@@ -352,14 +393,25 @@ def traced_peak(loops):
 
 
 def test_a_runs_traced_peak_grows_with_loops_only_by_what_it_keeps():
-    # per point the run keeps, until it joins them, the dt/2 re-run's states and
-    # each stage's trajectory (states, populations, norm, times) and phase
-    # (times, complex f, f_imag); a sample set or table that outlived its
-    # stage would add about 0.9 MB per stage here, 2.7 MB per loop
+    # per point the run keeps its states and both parts of its phase, and at its
+    # end builds the trajectory's populations, norm and times; a sample set or
+    # table that outlived its stage would add about 0.9 MB per stage here,
+    # 2.7 MB per loop
     run_scenario(ScenarioConfig("cyclic_ccw", T=1.0, dt=1.0 / 500))  # imports and caches
     peak_one, _ = traced_peak(1)
     peak_two, report = traced_peak(2)
     K, points = 3, 3 * 1000
-    kept = points * (2 * 16 * K + 8 * K + 8 + 8 + 16 + 8 + 8)
+    kept = points * (16 * K + 8 + 8 + 8 * K + 8 + 8)
     assert report.passed
     assert peak_two - peak_one <= kept + 0.25e6, (peak_one, peak_two, kept)
+
+
+def test_a_four_loop_runs_traced_peak_stays_under_ten_mb():
+    # the certificates and the dt/2 re-run take a chunk at a time and the re-run
+    # goes stage by stage, so no run holds a stage's propagators, its dt/2
+    # samples or a run-length dt/2 copy; when runs did, this one peaked 15.1 MB
+    # above what was live before it, and it peaks 8.6 MB now
+    run_scenario(ScenarioConfig("cyclic_ccw", T=1.0, dt=1.0 / 500))  # imports and caches
+    peak, report = traced_peak(4, dt=None)
+    assert report.passed
+    assert peak <= 10e6, peak

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import re
+import types
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -16,6 +17,7 @@ from nhpassage import (
     PassageError,
     ScenarioConfig,
     StepSizeError,
+    TimeDependentOperator,
     biorthogonality_defect,
     evolve_bra,
     evolve_ket,
@@ -30,7 +32,7 @@ from nhpassage import (
     von_neumann_residual,
 )
 from nhpassage import scenarios
-from nhpassage.cli import main as cli_main
+from nhpassage.cli import OPTIONS, main as cli_main
 from nhpassage.config import read_config
 from nhpassage.scenarios import CYCLIC_IDS
 
@@ -105,9 +107,41 @@ def test_step_check_rejects_nan_shift():
     # an overflowed run yields NaN populations, and NaN > tol is False
     import nhpassage.scenarios as scenarios
 
+    # in a later stage: Python's max(0.0, nan) would return 0.0
     states = np.array([[1.0, 0.0], [np.nan, 0.0], [0.5, 0.5]], dtype=complex)
+    shifts = [scenarios._step_shift(states[:1], states[:1].copy()),
+              scenarios._step_shift(states, states.copy())]
+    assert shifts[0] == 0.0
     with pytest.raises(StepSizeError, match="nan"):
-        scenarios._step_check(states, states.copy())
+        scenarios._step_check(shifts)
+
+
+def test_a_nan_shift_in_a_later_stage_refuses_the_run(monkeypatch):
+    # each stage's dt/2 shift is folded into one maximum that keeps a NaN, as one
+    # max over the joined run does; Python's max(shift, nan) would drop it
+    calls = []
+
+    def halved(H, psi, grid, inner=scenarios.evolve_ket_halved):
+        states = inner(H, psi, grid).states.copy()
+        calls.append(grid)
+        if len(calls) == 2:
+            states[len(states) // 2, 1] = np.nan
+        return types.SimpleNamespace(states=states)
+
+    monkeypatch.setattr(scenarios, "evolve_ket_halved", halved)
+    with pytest.raises(StepSizeError, match=r"moved a population by nan"):
+        run_scenario(ScenarioConfig("cyclic_cw", T=0.5))
+    assert len(calls) == 3  # every stage ran first
+
+
+def test_an_overflowing_run_names_the_time():
+    # a later stage whose generator grows without bound: its dt/2 re-run, which
+    # goes first, overflows and names the first grid time that does
+    first, second = scenarios._stages(ScenarioConfig("cyclic_cw"))[:2]
+    grow = TimeDependentOperator(3, lambda ts: second.H.values_at(ts) + np.diag([0, 300j, 0]))
+    with pytest.raises(NonFiniteSampleError,
+                       match=r"^state at t = 3\.216 overflows or is not finite$"):
+        scenarios._run(ScenarioConfig("cyclic_cw"), [first, replace(second, H=grow)])
 
 
 @pytest.mark.parametrize("field,value", [
@@ -910,6 +944,42 @@ def test_cli_rejects_a_config_key_the_subcommand_does_not_read(
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1
     assert err.startswith(f"error: {cfg}:2: unknown key {key!r} for {command} (it reads ")
+
+
+@pytest.mark.parametrize("command,flag,key", [
+    ("cyclic", ["--scenario", "a"], "scenario"),
+    ("verify", ["--direction", "ccw"], "direction"),
+    ("two-level", ["--loops", "1"], "loops"),
+    ("two-level", ["--loops=1"], "loops"),
+    ("two-level", ["--direction", "cw"], "direction"),
+], ids=["cyclic-scenario", "verify-direction", "two-level-loops", "two-level-loops=",
+        "two-level-direction"])
+def test_cli_rejects_a_flag_of_another_subcommand_like_a_config_key(
+        tmp_path, no_run, capsys, command, flag, key):
+    # the flag and the same key in a config file fail alike: exit 1, one line
+    first = {"cyclic": ["--direction", "cw"], "verify": ["--scenario", "a"],
+             "two-level": ["--scenario", "a"]}[command]
+    assert cli_main([command] + first + flag + ["--quiet"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    reads = ", ".join(k for k, _, _, commands in OPTIONS if command in commands)
+    assert err == f"error: --{key}: unknown key {key!r} for {command} (it reads {reads})\n"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = 1\n", encoding="utf-8")
+    assert cli_main([command] + first + ["--config", str(cfg), "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg}:1: unknown key {key!r} for {command} (it reads {reads})\n")
+
+
+@pytest.mark.parametrize("extra", [["--bogus", "1"], ["--loop", "2"], ["junk"],
+                                   ["--loops", "1", "--bogus"]])
+def test_cli_other_unknown_words_stay_argparse_usage_errors(no_run, capsys, extra):
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["two-level", "--scenario", "a"] + extra)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert err.endswith(f"error: unrecognized arguments: {' '.join(extra)}\n")
 
 
 @pytest.mark.parametrize("argv,sid", [
