@@ -55,7 +55,6 @@ from .synthesis import (
     PhaseFunctional,
     ThreeLevelControls,
     TwoLevelControls,
-    bra_phase_relation_check,
     phase_three_level,
     phase_two_level,
     synthesize_three_level,
@@ -92,7 +91,6 @@ __all__ = [
     "TwoLevelControls",
     "TwoLevelFrameParams",
     "biorthogonality_defect",
-    "bra_phase_relation_check",
     "constant_operator",
     "dyson_truncation",
     "evolve_bra",

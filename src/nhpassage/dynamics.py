@@ -498,8 +498,10 @@ def _rk4_steps_any(rows: Iterator[list], h: float, h2: float, h6: float, y: list
     return out
 
 
-def _rk4_sweep(H: TimeDependentOperator, grid: TimeGrid, y0: np.ndarray) -> np.ndarray:
-    """Integrate dy/dt = -i H(t) y for a state vector, one RK4 step at a time.
+def _rk4_sweep(H: TimeDependentOperator, grid: TimeGrid, y0: np.ndarray,
+               bra: bool = False) -> np.ndarray:
+    """Integrate dy/dt = -i H(t) y, or for ``bra`` dy/dt = -i H(t)^dag y, for a
+    state vector, one RK4 step at a time.
 
     The whole step runs in Python ``complex`` arithmetic, in a kernel chosen
     by ``K = y0.size`` (unrolled for K = 2 and K = 3, bit-identical to the
@@ -509,15 +511,21 @@ def _rk4_sweep(H: TimeDependentOperator, grid: TimeGrid, y0: np.ndarray) -> np.n
     matter (see the module docstring).  Only the rounding inside a complex
     product differs, since numpy fuses a multiply-add into each part,
     ``re = fl(ar*br - fl(ai*bi))``, and Python rounds both products.  Each
-    step's end sample is the next step's start.
+    step's end sample is the next step's start.  A bra sweep reads each chunk of
+    samples conjugate-transposed as it converts it, so no adjoint copy of a
+    whole table is made.
     """
     times = grid.times()
     h, h2, h6 = grid.dt, 0.5 * grid.dt, grid.dt / 6.0
     K = y0.size
     steps = {2: _rk4_steps_2, 3: _rk4_steps_3}.get(K, _rk4_steps_any)
     gs = H.sample(_sample_times(times))
-    # -iH as flat rows of Python complex, converted a chunk at a time
-    rows = chain.from_iterable((-1j * gs[i:i + _ROW_CHUNK]).reshape(-1, K * K).tolist()
+
+    def minus_i(chunk):  # -iH, or -iH^dag, of a chunk of samples
+        return -1j * (np.conj(chunk).transpose(0, 2, 1) if bra else chunk)
+
+    # as flat rows of Python complex, converted a chunk at a time
+    rows = chain.from_iterable(minus_i(gs[i:i + _ROW_CHUNK]).reshape(-1, K * K).tolist()
                                for i in range(0, len(gs), _ROW_CHUNK))
     out = np.empty((times.size, K), dtype=complex)
     out[0] = y0
@@ -674,8 +682,10 @@ def evolve_bra(H: TimeDependentOperator, phi0, grid: TimeGrid) -> StateTrajector
 
     The returned vectors are ket-space representations of the bra-space
     solutions: gain and loss swap roles relative to :func:`evolve_ket`.
+    ``H`` is sampled as for :func:`evolve_ket` and read conjugate-transposed.
     """
-    return evolve_ket(H.adjoint(), phi0, grid)
+    states = _rk4_sweep(H, grid, _as_state(phi0, H.dim), bra=True)
+    return StateTrajectory(grid=grid, times=grid.times(), states=states)
 
 
 def _halved_pairs(H: TimeDependentOperator, grid: TimeGrid) -> Iterator[np.ndarray]:

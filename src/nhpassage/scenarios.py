@@ -16,10 +16,11 @@ moving frame, drives synthesized to triangularize the generator in that
 frame, the generator ``H``, the passage (ket under ``H`` or bra under
 ``H^dag``) that carries the state, and the level it ends on; stage ``i`` of a
 run spans ``[2iT, 2(i+1)T]``.  The built-ins are stage lists read from two
-tables by one stage builder: a two-level task is one stage (frame angle,
-initial and target level, passage), a cyclic task three per loop (per stage,
-the time the affine angles pass their offsets, the ``phi_mix`` offset, the
-passage, the third level's gain/loss phase and the target).  One runner,
+tables, each by its family's stage builder: a two-level task is one stage
+(frame angle, initial and target level, passage), a cyclic task three per
+loop (per stage, the time the affine angles pass their offsets, the
+``phi_mix`` offset, the passage, the third level's gain/loss phase and the
+target).  One runner,
 :func:`run_scenario` (also bound as ``run_two_level`` and ``run_cyclic``),
 marches the stages.  For each, the dt/2 re-run goes first (the batched scan
 of :func:`~nhpassage.dynamics.evolve_ket_halved`, on its own samples of
@@ -34,9 +35,11 @@ is the one synthesis recorded.  A stage keeps only its states, phase and
 certificate values, written into the run's arrays, and its dt/2 shift; the
 run fails if the largest shift (a NaN included) exceeds the step-check
 tolerance, then packages the trajectory, accumulated passage phase,
-residual certificates, and checkpoint populations into a
-:class:`RunReport` whose pass/fail verdicts are derived solely from the
-recorded numbers.  :func:`verify` runs the same stages, and reads them
+checkpoint populations and checks into a :class:`RunReport`.  The checks
+are the report's only record of each certificate: a per-stage value is
+folded over the stages by ``np.max`` or ``np.min``, so a NaN on any stage is
+the check's value and fails it, and every verdict is derived solely from
+the recorded numbers.  :func:`verify` runs the same stages, and reads them
 again for its series oracle and, with a 1% drive error, for its
 perturbation control; its Hermitian limit builds them at zero gain.
 """
@@ -226,12 +229,11 @@ class CheckResult:
 
 @dataclass
 class RunReport:
-    """Everything a scenario run measured, plus derived pass/fail verdicts."""
+    """Everything a scenario run measured; each certificate is one of its ``checks``."""
 
     config: ScenarioConfig
     trajectory: StateTrajectory
     phase: PhaseFunctional
-    residuals: dict[str, float]
     checkpoints: dict[str, float]
     checks: list[CheckResult] = field(default_factory=list)
 
@@ -324,25 +326,29 @@ _CYCLES = {
 }
 
 
-def _stage(start: float, end: float, dt: float, angles, passage: str, target: int,
-           gamma_scale: float, xi_e: float | None = None) -> _Stage:
-    """A stage on ``[start, end]``: two levels for ``angles = (theta, theta_dot)``,
-    three for ``(theta, theta_dot, phi_mix, phi_mix_dot)`` with the third level's
-    gain/loss phase ``xi_e``; the gain/loss rate is ``gamma_scale`` times ``2
-    theta_dot`` or ``3 theta_dot``, and other local phases are zero."""
-    theta, theta_dot, *mix = angles
-    grid = TimeGrid(start, end, dt)
-    if not mix:
-        gamma = _Derived(lambda s: 2.0 * gamma_scale * s(theta_dot))
-        params = TwoLevelFrameParams(theta, theta_dot, _zero, _zero)
-        controls = synthesize_two_level(
-            params, gamma0=gamma, gamma1=gamma, xi0=-np.pi / 2, xi1=np.pi / 2,
-            delta=0.0, varphi=np.pi / 2, grid=grid)
-        return _Stage(grid, params, two_level_frame(params), controls,
-                      two_level_hamiltonian(controls), passage, target)
+def _two_level_stage(grid: TimeGrid, theta, theta_dot, passage: str, target: int,
+                     gamma_scale: float) -> _Stage:
+    """A two-level stage on ``grid`` at frame angle ``theta``: the gain/loss rate
+    is ``gamma_scale`` times ``2 theta_dot``, and other local phases are zero."""
+    gamma = _Derived(lambda s: 2.0 * gamma_scale * s(theta_dot))
+    params = TwoLevelFrameParams(theta, theta_dot, _zero, _zero)
+    controls = synthesize_two_level(
+        params, gamma0=gamma, gamma1=gamma, xi0=-np.pi / 2, xi1=np.pi / 2,
+        delta=0.0, varphi=np.pi / 2, grid=grid)
+    return _Stage(grid, params, two_level_frame(params), controls,
+                  two_level_hamiltonian(controls), passage, target)
+
+
+def _three_level_stage(grid: TimeGrid, theta, theta_dot, phi_mix, phi_mix_dot,
+                       passage: str, target: int, gamma_scale: float, xi_e: float) -> _Stage:
+    """A three-level stage on ``grid`` at frame angles ``theta`` and ``phi_mix``,
+    the third level's gain/loss phase ``xi_e``: the gain/loss rate is
+    ``gamma_scale`` times ``3 theta_dot``, half that on |e>, and other local
+    phases are zero."""
     gamma = _Derived(lambda s: 3.0 * gamma_scale * s(theta_dot))
     gamma_e = _Derived(lambda s: 0.5 * s(gamma))
-    params = ThreeLevelFrameParams(theta, theta_dot, _zero, _zero, *mix, _zero, _zero)
+    params = ThreeLevelFrameParams(theta, theta_dot, _zero, _zero,
+                                   phi_mix, phi_mix_dot, _zero, _zero)
     controls = synthesize_three_level(
         params, gamma0=gamma, gamma1=gamma, gamma_e=gamma_e,
         xi0=-np.pi / 2, xi1=np.pi / 2, xi_e=xi_e, delta0=0.0, delta1=0.0,
@@ -354,22 +360,22 @@ def _stage(start: float, end: float, dt: float, angles, passage: str, target: in
 def _stages(config: ScenarioConfig) -> list[_Stage]:
     """The stages of a run, read from the tables, stage ``i`` on ``[2iT, 2(i+1)T]``:
     one for a two-level task, three per loop for a cyclic one."""
-    T = config.T
+    T, dt = config.T, config.resolved_dt()
     if config.scenario in _TWO_LEVEL_TASKS:
         angles, _, target, passage = _TWO_LEVEL_TASKS[config.scenario]
-        plan = [(angles(T), passage, target, None)]
-    else:
-        sign, loop = _CYCLES[config.scenario]
-        quarter = np.pi / (4.0 * T)
-        plan = []
-        for k in range(1, config.loops + 1):
-            for r, offset, passage, xi_e, target in loop:
-                t_ref = 2.0 * (3 * k - r) * T
-                angles = _affine(sign * quarter, t_ref, 0.0) + _affine(quarter, t_ref, offset)
-                plan.append((angles, passage, target, xi_e))
-    return [_stage(2.0 * i * T, 2.0 * (i + 1) * T, config.resolved_dt(), angles, passage,
-                   target, config.gamma_scale, xi_e)
-            for i, (angles, passage, target, xi_e) in enumerate(plan)]
+        return [_two_level_stage(TimeGrid(0.0, 2.0 * T, dt), *angles(T), passage, target,
+                                 config.gamma_scale)]
+    sign, loop = _CYCLES[config.scenario]
+    quarter = np.pi / (4.0 * T)
+    stages = []
+    for k in range(1, config.loops + 1):
+        for r, offset, passage, xi_e, target in loop:
+            i, t_ref = len(stages), 2.0 * (3 * k - r) * T
+            angles = _affine(sign * quarter, t_ref, 0.0) + _affine(quarter, t_ref, offset)
+            stages.append(_three_level_stage(TimeGrid(2.0 * i * T, 2.0 * (i + 1) * T, dt),
+                                             *angles, passage, target, config.gamma_scale,
+                                             xi_e))
+    return stages
 
 
 def _drive_scaled(stage: _Stage, drive_scale: float) -> TimeDependentOperator:
@@ -474,28 +480,23 @@ def _run(config: ScenarioConfig, stages: list[_Stage] | None = None) -> RunRepor
     times = np.concatenate([stages[0].grid.times()[:1]] + [s.grid.times()[1:] for s in stages])
     traj = StateTrajectory(grid=grid, times=times, states=states)
     phase = PhaseFunctional(times=times, f_real=f_real, f_imag=f_imag)
-    residuals = {
-        "triangularization": max(tri),
-        # synthesis checked each stage's residual on its grid and recorded the largest
-        "consistency": max(stage.controls.consistency for stage in stages),
-        "biorthogonality": max(bio),
-        "passage_fidelity": max(fidelity),
-        "step_check": step_delta,
-    }
     scenario_checks = _cyclic_checks if cyclic else _two_level_checks
     checkpoints, checks = scenario_checks(config, stages, starts, traj)
+    # each per-stage list folds to its largest value, a NaN in any stage included;
+    # synthesis checked each stage's consistency on its grid and recorded the largest
     checks += [CheckResult.below(name, value, threshold) for name, value, threshold in (
-        ("stage_end_f_imag", max(end_f_imag), STAGE_PHASE_TOL),
+        ("stage_end_f_imag", np.max(end_f_imag), STAGE_PHASE_TOL),
         ("phase_norm_identity",
-         float(np.max(np.abs(np.exp(phase.f_imag) - traj.vector_norm()))), config.tolerance),
-        ("triangularization_residual", residuals["triangularization"], RESIDUAL_TOL),
-        ("consistency_residual", residuals["consistency"], CONSISTENCY_TOL),
-        ("biorthogonality_defect", residuals["biorthogonality"], POPULATION_TOL),
-        ("passage_fidelity", residuals["passage_fidelity"], POPULATION_TOL),
+         np.max(np.abs(np.exp(phase.f_imag) - traj.vector_norm())), config.tolerance),
+        ("triangularization_residual", np.max(tri), RESIDUAL_TOL),
+        ("consistency_residual", np.max([s.controls.consistency for s in stages]),
+         CONSISTENCY_TOL),
+        ("biorthogonality_defect", np.max(bio), POPULATION_TOL),
+        ("passage_fidelity", np.max(fidelity), POPULATION_TOL),
         ("step_halving_shift", step_delta, STEP_CHECK_TOL),
     )]
     return RunReport(config=config, trajectory=traj, phase=phase,
-                     residuals=residuals, checkpoints=checkpoints, checks=checks)
+                     checkpoints=checkpoints, checks=checks)
 
 
 def _two_level_checks(config, stages, starts, traj):
@@ -532,9 +533,9 @@ def _cyclic_checks(config, stages, starts, traj):
             f"{key}_P{level}(t={2.0 * (i + 1):g}T)", abs(pops[level] - 1.0), tol))
         checks.append(CheckResult.below(f"{key}_total_norm", abs(pops.sum() - 1.0), tol))
 
-    bra_pe = max([0.0] + [float(np.max(traj.populations[a:b + 1, 2]))
-                          for stage, a, b in zip(stages, starts, starts[1:])
-                          if stage.passage == "bra"])
+    bra_pe = np.max([np.max(traj.populations[a:b + 1, 2])
+                     for stage, a, b in zip(stages, starts, starts[1:])
+                     if stage.passage == "bra"], initial=0.0)
     checks.append(CheckResult.below("mid_evolution_norm_dip", checkpoints["total_min"],
                                     1.0 - NORM_DIP))
     checks.append(CheckResult.below("bra_stage_Pe_max", bra_pe, 1e-8))
@@ -604,7 +605,7 @@ def _placeholder_report(config: ScenarioConfig, exc: PassageError) -> RunReport:
         trajectory=StateTrajectory(grid=grid, times=grid.times(),
                                    states=np.zeros((n_steps + 1, dim), complex)),
         phase=PhaseFunctional(times=grid.times(), f_real=zeros, f_imag=zeros),
-        residuals={}, checkpoints={},
+        checkpoints={},
         checks=[_failed_check("run", exc)],
     )
 
@@ -615,14 +616,13 @@ def _tables(times: np.ndarray, *sampled):
     return [x.tabulated(samples) for x in sampled]
 
 
-def _perturbed_omega_checks(stages: list[_Stage]):
-    perturbed = min(triangularization_residual(
-        *_tables(s.grid.times(), _drive_scaled(s, 1.01), s.frame), s.grid) for s in stages)
-    return ([CheckResult.above("perturbed_omega_breaks_triangularization", perturbed, 1e-3)],
-            {"perturbed_triangularization": perturbed})
+def _perturbed_omega_checks(stages: list[_Stage]) -> list[CheckResult]:
+    perturbed = np.min([triangularization_residual(
+        *_tables(s.grid.times(), _drive_scaled(s, 1.01), s.frame), s.grid) for s in stages])
+    return [CheckResult.above("perturbed_omega_breaks_triangularization", perturbed, 1e-3)]
 
 
-def _hermitian_limit_checks(config: ScenarioConfig):
+def _hermitian_limit_checks(config: ScenarioConfig) -> list[CheckResult]:
     stages = _stages(replace(config, gamma_scale=0.0))
     bad_frame = _misaligned_frame(stages[0].H.dim, config.T)
     scans = []
@@ -631,26 +631,22 @@ def _hermitian_limit_checks(config: ScenarioConfig):
         scans.append([residual(H, f, s.grid) for f in (frame, bad)
                       for residual in (triangularization_residual, von_neumann_residual)])
     tri_h, von_h, tri_bad, von_bad = zip(*scans)
-    checks = [
-        CheckResult.below("hermitian_limit_triangularization", max(tri_h), RESIDUAL_TOL),
-        CheckResult.below("hermitian_limit_von_neumann", max(von_h), RESIDUAL_TOL),
-        CheckResult.above("misaligned_frame_triangularization", min(tri_bad), 1e-3),
-        CheckResult.above("misaligned_frame_von_neumann", min(von_bad), 1e-3),
+    return [
+        CheckResult.below("hermitian_limit_triangularization", np.max(tri_h), RESIDUAL_TOL),
+        CheckResult.below("hermitian_limit_von_neumann", np.max(von_h), RESIDUAL_TOL),
+        CheckResult.above("misaligned_frame_triangularization", np.min(tri_bad), 1e-3),
+        CheckResult.above("misaligned_frame_von_neumann", np.min(von_bad), 1e-3),
     ]
-    return checks, {"hermitian_triangularization": max(tri_h),
-                    "hermitian_von_neumann": max(von_h)}
 
 
-def _random_biorthogonality_checks(config: ScenarioConfig):
+def _random_biorthogonality_checks(config: ScenarioConfig) -> list[CheckResult]:
     dim = 3 if config.scenario in CYCLIC_IDS else 2  # as the run's placeholder
     rng = np.random.default_rng(987 + dim)
     rand = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     H_rand = constant_operator(rand / np.linalg.norm(rand, 2))
     grid_rand = TimeGrid(0.0, 2.0, 1e-3)
-    checks = [CheckResult.below(
-        "biorthogonality_random_generator",
-        biorthogonality_defect(H_rand, grid_rand), POPULATION_TOL)]
-    return checks, {}
+    return [CheckResult.below("biorthogonality_random_generator",
+                              biorthogonality_defect(H_rand, grid_rand), POPULATION_TOL)]
 
 
 def _series_order_fit(h: np.ndarray) -> float:
@@ -674,7 +670,7 @@ def _series_order_fit(h: np.ndarray) -> float:
     return np.inf if errs[1] == 0.0 else float(np.log2(errs[0] / errs[1]))
 
 
-def _dyson_checks(config: ScenarioConfig, stages: list[_Stage]):
+def _dyson_checks(config: ScenarioConfig, stages: list[_Stage]) -> list[CheckResult]:
     """Fitted convergence order of the order-4 series truncation under horizon
     halving, on a frozen sample 0.6T into every stage of the run: ``H`` for a
     ket stage, ``H^dag`` for a bra stage.  The check reports the worst stage."""
@@ -682,9 +678,7 @@ def _dyson_checks(config: ScenarioConfig, stages: list[_Stage]):
     for stage in stages:
         H = stage.H if stage.passage == "ket" else stage.H.adjoint()
         fits.append(_series_order_fit(H.sample(np.array([stage.grid.t0 + 0.6 * config.T]))[0]))
-    order = float(np.min(fits))
-    return ([CheckResult.above("dyson_truncation_order_fit", order, 4.5)],
-            {"dyson_order_fit": order})
+    return [CheckResult.above("dyson_truncation_order_fit", np.min(fits), 4.5)]
 
 
 def verify(config: ScenarioConfig) -> RunReport:
@@ -717,10 +711,8 @@ def verify(config: ScenarioConfig) -> RunReport:
         ("dyson_truncation", lambda: _dyson_checks(config, stages())),
     ):
         try:
-            group_checks, group_residuals = certify()
+            checks.extend(certify())
         except PassageError as exc:
-            group_checks, group_residuals = [_failed_check(group, exc)], {}
-        checks.extend(group_checks)
-        report.residuals.update(group_residuals)
+            checks.append(_failed_check(group, exc))
     report.checks = checks
     return report

@@ -80,7 +80,6 @@ __all__ = [
     "three_level_consistency_residual",
     "phase_two_level",
     "phase_three_level",
-    "bra_phase_relation_check",
 ]
 
 #: Guard on |sin(varphi + phase)| denominators.
@@ -283,7 +282,8 @@ def _consistency_residuals(c, frame, s) -> dict[str, np.ndarray]:
 
 
 def _worst(residuals: dict[str, np.ndarray]) -> float:
-    return float(max(np.max(res) for res in residuals.values()))
+    """The largest of the residuals, a NaN in any of them included."""
+    return float(np.max([np.max(res) for res in residuals.values()]))
 
 
 def _consistent(controls, frame, grid):
@@ -442,24 +442,3 @@ def _phase(controls, frame, s, times: np.ndarray, passage: str) -> PhaseFunction
     # bra passages carry exp(-i f*), so the recorded functional is the conjugate
     return PhaseFunctional(times=times, f_real=f.real,
                            f_imag=f.imag if passage == "ket" else -f.imag)
-
-
-def bra_phase_relation_check(controls, frame, grid) -> float:
-    """Residual of the linear relation tying the bra-passage phase to the ket one.
-
-    ``conj(fdot_11) = Delta0 cos^2 theta + Delta1 - conj(fdot_22_inner)`` on the
-    ``|0>, |1>`` pair (the whole system for two levels, with ``Delta0 = 0``,
-    ``Delta1 = Delta``): ``fdot_11`` is its bra rate and ``fdot_22_inner`` its
-    ket rate without ``Delta0``.  Returns the max magnitude over grid points;
-    the relation holds identically when the gain/loss assignment satisfies
-    ``gamma0 e^{-i xi0} + gamma1 e^{-i xi1} = 0``.
-    """
-    s = _Samples(_grid_times(grid))
-    d0, d1, *rest = _inner_pair(controls, frame, s, _cis)
-    # the detunings alone: the same diagonal entries with the gains weighted by zero
-    delta0, delta1, *_ = _inner_pair(controls, frame, s, lambda xi: 0.0)
-    # raw diagonal entries of the rotated generator (no bra conjugation here)
-    raw11 = _pair_rate("bra", s, d0, d1, *rest)
-    raw22 = _pair_rate("ket", s, d0 - delta0, d1, *rest)
-    target = delta0 * s.cos(frame.theta) ** 2 + delta1
-    return float(np.max(np.abs(np.conj(raw11) - target + np.conj(raw22))))

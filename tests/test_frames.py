@@ -367,6 +367,22 @@ def test_von_neumann_rejects_non_hermitian():
         von_neumann_residual(H, frame, grid)
 
 
+def test_von_neumann_keeps_a_nan_defect():
+    # s [[1, 1], [1, -1]] is Hermitian at every s; at s = 1.7e308 the products
+    # H M overflow and the projectors' defects are NaN, which is the result
+    frame = two_level_frame(TwoLevelFrameParams(
+        theta=lambda t: 0.3 + 0.1 * np.asarray(t, float),
+        theta_dot=lambda t: np.full_like(np.asarray(t, float), 0.1),
+        alpha=lambda t: np.zeros_like(np.asarray(t, float)),
+        alpha_dot=lambda t: np.zeros_like(np.asarray(t, float))))
+    grid = TimeGrid(0.0, 1.0, 0.01)
+    h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
+    assert 1.41 < von_neumann_residual(constant_operator(h), frame, grid) < 1.42
+    assert 1.41e300 < von_neumann_residual(constant_operator(1e300 * h), frame, grid) < 1.42e300
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(von_neumann_residual(constant_operator(1.7e308 * h), frame, grid))
+
+
 # ---------------------------------------------------------------------------
 # time-last residual kernels against the (n, K, K) forms
 

@@ -132,7 +132,8 @@ def assert_reads_are_the_public_calls(stages, report, got):
             stage.controls, stage.frame_params, stage.grid)
         assert stage.controls.consistency == consistency
     if report is not None:
-        assert report.residuals["consistency"] == max(s.controls.consistency for s in stages)
+        consistency = next(c.value for c in report.checks if c.name == "consistency_residual")
+        assert consistency == max(s.controls.consistency for s in stages)
 
 
 def assert_chunks_cover_once(chunks, times):

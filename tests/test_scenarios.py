@@ -92,9 +92,10 @@ def test_report_checkpoints_complete(two_level_reports):
     report = two_level_reports["two_level_a"]
     for key in ("P0_end", "P1_end", "total_end", "total_min"):
         assert key in report.checkpoints
-    for key in ("triangularization", "consistency", "biorthogonality",
-                "step_check", "passage_fidelity"):
-        assert key in report.residuals
+    names = {c.name for c in report.checks}
+    for name in ("triangularization_residual", "consistency_residual", "biorthogonality_defect",
+                 "step_halving_shift", "passage_fidelity"):
+        assert name in names
 
 
 def test_coarse_step_fails_convergence_check():
@@ -383,7 +384,7 @@ def test_verify_records_each_groups_failure_when_stages_fail_to_build():
                                                "dyson_truncation")]
     assert got[3][0] == "biorthogonality_random_generator" and got[3][4]
     assert report.checks[3] == scenarios._random_biorthogonality_checks(
-        ScenarioConfig("cyclic_cw"))[0][0]
+        ScenarioConfig("cyclic_cw"))[0]
 
 
 def rebuilt_verify_checks(config):
@@ -402,9 +403,9 @@ def rebuilt_verify_checks(config):
         perturbed.append(triangularization_residual(H, stage.frame, stage.grid))
     checks.append(scenarios.CheckResult.above(
         "perturbed_omega_breaks_triangularization", min(perturbed), 1e-3))
-    checks += scenarios._hermitian_limit_checks(config)[0]
-    checks += scenarios._random_biorthogonality_checks(config)[0]
-    return checks + scenarios._dyson_checks(config, scenarios._stages(config))[0]
+    checks += scenarios._hermitian_limit_checks(config)
+    checks += scenarios._random_biorthogonality_checks(config)
+    return checks + scenarios._dyson_checks(config, scenarios._stages(config))
 
 
 @pytest.mark.parametrize("gamma_scale", [0.8, 1.15])
@@ -504,7 +505,8 @@ def test_verify_series_oracle_covers_every_stage(monkeypatch):
             want = want.conj().T
         assert np.array_equal(h, want)
         fits.append(scenarios._series_order_fit(want))
-    assert report.residuals["dyson_order_fit"] == min(fits)
+    values = {c.name: c.value for c in report.checks}
+    assert values["dyson_truncation_order_fit"] == min(fits)
 
 
 def test_series_order_fit_is_scale_free():
@@ -574,22 +576,85 @@ def test_stage_tables_serve_the_same_floats(monkeypatch, scenario, loops):
             stage.controls, stage.frame_params, stage.grid, passage=stage.passage)
         assert results["fidelity"][i] == scenarios._passage_fidelity_error(
             direct, stage.frame, phase, stage.passage)
-    assert report.residuals["triangularization"] == max(results["tri"])
-    assert report.residuals["biorthogonality"] == max(results["bio"])
-    assert report.residuals["passage_fidelity"] == max(results["fidelity"])
+    values = {c.name: c.value for c in report.checks}
+    assert values["triangularization_residual"] == max(results["tri"])
+    assert values["biorthogonality_defect"] == max(results["bio"])
+    assert values["passage_fidelity"] == max(results["fidelity"])
 
     report = verify(config)
     zero_gain = scenarios._stages(replace(config, gamma_scale=0.0))
     bad = scenarios._misaligned_frame(zero_gain[0].H.dim, config.T)
     values = {c.name: c.value for c in report.checks}
-    assert report.residuals["hermitian_triangularization"] == max(
+    assert values["hermitian_limit_triangularization"] == max(
         triangularization_residual(s.H, s.frame, s.grid) for s in zero_gain)
-    assert report.residuals["hermitian_von_neumann"] == max(
+    assert values["hermitian_limit_von_neumann"] == max(
         von_neumann_residual(s.H, s.frame, s.grid) for s in zero_gain)
     assert values["misaligned_frame_triangularization"] == min(
         triangularization_residual(s.H, bad, s.grid) for s in zero_gain)
     assert values["misaligned_frame_von_neumann"] == min(
         von_neumann_residual(s.H, bad, s.grid) for s in zero_gain)
+
+
+# ---------------------------------------------------------------------------
+# every per-stage fold keeps a NaN: a certificate that is NaN on a later stage
+# reads NaN and fails, however the other stages' values compare
+
+
+def on_stage_2(t0):
+    """Whether a stage of a T = 1 run starts where stage 2 does."""
+    return t0 == 2.0
+
+
+@pytest.mark.parametrize("name,check,t0_of", [
+    ("triangularization_residual", "triangularization_residual",
+     lambda H, frame, grid: grid.t0),
+    ("biorthogonality_defect", "biorthogonality_defect", lambda H, grid: grid.t0),
+    ("_passage_fidelity_error", "passage_fidelity", lambda traj, *_: traj.times[0]),
+])
+def test_run_keeps_a_nan_certificate_of_a_later_stage(monkeypatch, name, check, t0_of):
+    inner = getattr(scenarios, name)
+    monkeypatch.setattr(scenarios, name,
+                        lambda *args: np.nan if on_stage_2(t0_of(*args)) else inner(*args))
+    report = run_scenario(ScenarioConfig("cyclic_cw"))
+    result = next(c for c in report.checks if c.name == check)
+    assert np.isnan(result.value) and not result.passed
+
+
+def test_run_keeps_a_nan_stage_end_phase_of_a_later_stage(monkeypatch):
+    inner = scenarios._phase
+
+    def stand_in(controls, frame, samples, times, passage):
+        phase = inner(controls, frame, samples, times, passage)
+        if on_stage_2(times[0]):
+            phase = replace(phase, f_imag=np.append(phase.f_imag[:-1], np.nan))
+        return phase
+
+    monkeypatch.setattr(scenarios, "_phase", stand_in)
+    report = run_scenario(ScenarioConfig("cyclic_cw"))
+    result = next(c for c in report.checks if c.name == "stage_end_f_imag")
+    assert np.isnan(result.value) and not result.passed
+
+
+def test_run_keeps_a_nan_consistency_of_a_later_stage():
+    config = ScenarioConfig("cyclic_cw")
+    stages = scenarios._stages(config)
+    stages[1] = replace(stages[1], controls=replace(stages[1].controls, consistency=np.nan))
+    report = scenarios._run(config, stages)
+    result = next(c for c in report.checks if c.name == "consistency_residual")
+    assert np.isnan(result.value) and not result.passed
+
+
+def test_verify_controls_keep_a_nan_of_a_later_stage(monkeypatch):
+    for name in ("triangularization_residual", "von_neumann_residual"):
+        inner = getattr(scenarios, name)
+        monkeypatch.setattr(scenarios, name, lambda H, frame, grid, inner=inner: (
+            np.nan if on_stage_2(grid.t0) else inner(H, frame, grid)))
+    report = verify(ScenarioConfig("cyclic_cw"))
+    checks = {c.name: c for c in report.checks}
+    for name in ("perturbed_omega_breaks_triangularization",
+                 "hermitian_limit_triangularization", "hermitian_limit_von_neumann",
+                 "misaligned_frame_triangularization", "misaligned_frame_von_neumann"):
+        assert np.isnan(checks[name].value) and not checks[name].passed, name
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Drive synthesis, accumulated phases, bra/ket phase relation, cyclic stage lists."""
 
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,11 +17,11 @@ from nhpassage import (
     ThreeLevelFrameParams,
     TimeGrid,
     TwoLevelFrameParams,
-    bra_phase_relation_check,
     phase_three_level,
     phase_two_level,
     synthesize_three_level,
     synthesize_two_level,
+    three_level_consistency_residual,
     three_level_frame,
     three_level_hamiltonian,
     triangularization_residual,
@@ -28,6 +29,7 @@ from nhpassage import (
     two_level_hamiltonian,
 )
 from nhpassage.scenarios import _stages
+from bra_phase_reference import bra_phase_relation_check
 from rotation_reference import rotated_block
 
 T = 1.0
@@ -324,6 +326,15 @@ def test_inconsistent_beta_equation_raises():
             xi0=-np.pi / 2, xi1=np.pi / 2, xi_e=np.pi / 2,
             delta0=0.0, delta1=0.0, delta_e=0.4,
             varphi=np.pi / 2, varphi_a=np.pi / 2, grid=GRID)
+
+
+def test_consistency_residual_keeps_a_nan_beta_residual():
+    # a beta that is NaN after t = 1 leaves the alpha residual finite; the
+    # largest of the two is then NaN, not alpha's value
+    params, controls, _, _ = synthesize_stage1_cw()
+    assert three_level_consistency_residual(controls, params, GRID) <= 1e-8
+    nan_beta = replace(params, beta=lambda t: np.where(np.asarray(t) > 1.0, np.nan, 0.0))
+    assert np.isnan(three_level_consistency_residual(controls, nan_beta, GRID))
 
 
 # ---------------------------------------------------------------------------
