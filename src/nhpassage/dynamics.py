@@ -11,7 +11,7 @@ Everything here works on plain complex numpy arrays (states are shape
 ``(K,)`` vectors, operators ``(K, K)`` matrices) at small ``K``; units are
 dimensionless with hbar = 1.  A generator is sampled only in batches: its
 one callable maps a 1-D array of times to an ``(n, K, K)`` block, as a frame's
-maps them to an ``(n, 2, K, K)`` one; one path checks and tabulates both.
+maps them to an ``(n, 2, K, K)`` one; one path checks both.
 Propagation uses classical fixed-step RK4, which handles non-unitary
 generators without any norm-restoring tricks.  Each sweep covers one
 smooth stretch of ``H``; a run made of several stages (see
@@ -38,39 +38,36 @@ states lie within 1.1e-16 of the numpy step's, relative to their largest
 entry, on the test generators, and stage-end populations of all 240
 benchmark reference inputs within 5.5e-40 of the recorded ones.
 
-A run's sweep and certificates read one table per stage of the generator on
-the grid and RK4 midpoints (:meth:`TimeDependentOperator.tabulated`).  The
-built-in generators and frames are closed forms (:class:`_Derived`) over a
-sample set (:class:`_Samples`), in which each callable of time they read (a
-frame angle, a gain, an envelope) and each sine and cosine they take of one
-is evaluated once: a stage's table, its passage phase and its frame table
-read one set, and each chunk of the dt/2 re-run's samples of ``H`` builds
-its own.  The dt/2 re-run keeps its own samples: the table's times halved
-again differ from ``grid.halved()``'s by an ulp at 2532 of 16 001 times of a
-4000-step stage, and serving them moved re-run populations by 1.3e-10.
+The built-in generators and frames are closed forms (:class:`_Derived`)
+over a sample set (:class:`_Samples`), in which each callable of time they
+read (a frame angle, a gain, an envelope) and each sine and cosine they take
+of one is evaluated once.  The sweeps, the propagators, the defect and the
+dt/2 re-run read their samples a contiguous chunk of steps at a time
+(:data:`_CHUNK_BYTES` of samples, about 512 KiB), each chunk a set of its
+own, as a run's certificate pass does (see :mod:`nhpassage.scenarios`);
+only the series oracle samples its short horizon at once.  The dt/2 re-run
+samples its own times: the midpoints of a stage's grid points and midpoints
+differ from ``grid.halved()``'s times by an ulp at 2532 of 16 001 times of a
+4000-step stage, and reading them moved re-run populations by 1.3e-10.
 
 The certificate algebra (step increments, ``V^dag U``, the series oracle and
 the frame residuals) copies each sampled ``(n, K, K)`` block once into a
 time-last ``(K, K, n)`` one, so numpy's inner loops run along time; a
 sample that feeds the RK4 steps is multiplied by ``-1j`` in that same pass
 and split into contiguous grid and midpoint blocks, which the increments,
-built in place, read without stride-2 views.  The prefix scan holds its
-blocks block-major, one contiguous ``(K, K, nb)`` stack per step of a block,
-and closes on a contiguous carry: numpy's einsum runs about twice as fast on
-contiguous operands as on strided ones, with the same sums in the same
-order.  The propagators stay time-last from the scan to ``V^dag U``, and
-only :func:`propagator_ket` moves time to the front; the bra propagators are
-``propagator_ket(H.adjoint(), grid)``.
-
-The certificates stream: each reads its samples, makes their ``-1j``
-copies and increments, and writes them into the scan blocks one contiguous
-chunk of steps at a time (:data:`_CHUNK_BYTES` of samples, about 512 KiB),
-and closes the scan over a contiguous range of block steps at a time.  So
-:func:`biorthogonality_defect` holds the ket and bra scan blocks and a
-running maximum, never a whole ``U``, ``V`` or ``V^dag U``, and the dt/2
-re-run holds its scan blocks and the states it returns, never a stage of
-samples.  A chunk's edges leave every sum and its order, so every number is
-bitwise the one-block computation's.
+built in place, read without stride-2 views.  Each chunk's increments are
+written straight into the prefix scan's blocks, held block-major, one
+contiguous ``(K, K, nb)`` stack per step of a block, and the scan closes on a
+contiguous carry over a contiguous range of block steps at a time: numpy's
+einsum runs about twice as fast on contiguous operands as on strided ones,
+with the same sums in the same order.  So :func:`biorthogonality_defect`
+holds the ket and bra scan blocks and a running maximum, never a whole
+``U``, ``V`` or ``V^dag U``, and the dt/2 re-run its scan blocks and the
+states it returns.  The propagators stay time-last from the scan to ``V^dag
+U``, and only :func:`propagator_ket` moves time to the front; the bra
+propagators are ``propagator_ket(H.adjoint(), grid)``.  A chunk's edges
+leave every sum and its order, so every number is bitwise the one-block
+computation's.
 """
 
 from __future__ import annotations
@@ -81,7 +78,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain
 from operator import add, mul
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -196,11 +193,6 @@ class TimeGrid:
         return TimeGrid(self.t0, self.tf, self.dt / 2, self.stage_boundaries)
 
 
-def _dagger(block: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of every matrix of an ``(n, K, K)`` block."""
-    return np.conj(np.asarray(block)).transpose(0, 2, 1)
-
-
 class _Derived:
     """A callable of time given as a closed form ``form(samples)`` over a sample set
     (:class:`_Samples`): called on a time array it builds a set there, and read
@@ -224,38 +216,22 @@ class _Samples:
     a callable ``f``, of ``2 f`` (``sin2``, ``cos2``) and of ``c + f``
     (``sin_plus``, ``cos_plus``) are kept the same way.  A set
     keeps every value it served, so it should die with the work that reads it.
-    :meth:`even` is the set on every other time: it evaluates derived forms on
-    its own times and slices every other value from this set, which holds the
-    same floats as evaluating them there.
     """
 
-    def __init__(self, times: np.ndarray, parent: "_Samples | None" = None):
+    def __init__(self, times: np.ndarray):
         self.times = times
-        self._parent = parent
         self._memo: dict = {}
 
-    @staticmethod
-    def of(times) -> "_Samples":
-        """``times`` if it is a set, else the set on that time array."""
-        return times if isinstance(times, _Samples) else _Samples(np.asarray(times, dtype=float))
-
-    def even(self) -> "_Samples":
-        return _Samples(np.ascontiguousarray(self.times[::2]), self)
-
-    def _get(self, key, f, compute: Callable, here: bool = False) -> np.ndarray:
+    def _get(self, key, f, compute: Callable) -> np.ndarray:
         # keys hold id(f), so any callable may be one; the entry keeps f alive
         entry = self._memo.get(key)
         if entry is None:
-            if here or self._parent is None:
-                value = compute(self)
-            else:
-                value = np.ascontiguousarray(self._parent._get(key, f, compute)[::2])
-            entry = self._memo[key] = (f, value)
+            entry = self._memo[key] = (f, compute(self))
         return entry[1]
 
     def __call__(self, f: Callable) -> np.ndarray:
         if isinstance(f, _Derived):
-            return self._get(id(f), f, f.form, here=True)
+            return self._get(id(f), f, f.form)
         return self._get(id(f), f, lambda s: np.asarray(f(s.times)))
 
     def sin(self, f: Callable) -> np.ndarray:
@@ -277,38 +253,12 @@ class _Samples:
         return self._get(("cos", c, id(f)), f, lambda s: np.cos(c + s(f)))
 
 
-class _Table:
-    """``batch`` as evaluated on ``times``, given there as ``table``: a request for
-    those times, or a subset matched by exact float equality, is served read-only
-    from the table, and any other evaluates ``batch``, so all get the same floats."""
-
-    def __init__(self, batch: Callable, times: np.ndarray, table: np.ndarray):
-        self.batch = batch
-        self.times = np.asarray(times, dtype=float)
-        self.table = np.asarray(table).view()
-        self.table.flags.writeable = False
-
-    def __call__(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        if np.array_equal(ts, self.times):
-            return self.table
-        rows = np.minimum(np.searchsorted(self.times, ts), self.times.size - 1)
-        if not np.array_equal(self.times[rows], ts):
-            return self.batch(ts)
-        block = self.table[rows]
-        block.flags.writeable = False
-        return block
-
-
 def _checked_block(values_at: Callable, times, shape: tuple) -> np.ndarray:
     """``values_at`` on ``times``, a time array or a sample set, as one complex block
     of ``shape`` per time, its shape and NaN/Inf checked, and
-    :class:`NonFiniteSampleError` naming its first bad time; a :class:`_Table` was
-    checked so when built, and serves its blocks unchecked."""
-    samples = _Samples.of(times)
+    :class:`NonFiniteSampleError` naming its first bad time."""
+    samples = times if isinstance(times, _Samples) else _Samples(np.asarray(times, dtype=float))
     times = samples.times
-    if isinstance(values_at, _Table):
-        return values_at(times)
     block = np.asarray(samples(values_at), dtype=complex)
     expected = (times.size,) + shape
     if block.shape != expected:
@@ -335,28 +285,15 @@ class TimeDependentOperator:
         """Evaluate at an array of times lying within one smooth stretch.
 
         A block is checked for shape and NaN/Inf, and :class:`NonFiniteSampleError`
-        names its first bad time; a table from :meth:`tabulated` was checked so
-        when built, and it and its :meth:`adjoint` serve its blocks unchecked.
+        names its first bad time.
         """
         return _checked_block(self.values_at, times, (self.dim, self.dim))
 
-    def tabulated(self, times) -> "TimeDependentOperator":
-        """This generator sampled once on ``times``, its shape and NaN/Inf checked
-        then and not again per request; see :class:`_Table`.  ``times`` may be a
-        sample set (:class:`_Samples`), whose values a generator assembled from
-        frame parameters and gains then reads."""
-        samples = _Samples.of(times)
-        block = _checked_block(self.values_at, samples, (self.dim, self.dim))
-        return TimeDependentOperator(self.dim, _Table(self.sample, samples.times, block))
-
     def adjoint(self) -> "TimeDependentOperator":
-        """The Hermitian conjugate generator t -> H(t)^dag; the adjoint of a table
-        is a table of its block conjugate-transposed, without a second scan."""
+        """The Hermitian conjugate generator t -> H(t)^dag."""
         batch = self.values_at
-        if isinstance(batch, _Table):
-            return TimeDependentOperator(self.dim, _Table(
-                lambda ts: _dagger(batch.batch(ts)), batch.times, _dagger(batch.table)))
-        return TimeDependentOperator(self.dim, _Derived(lambda s: _dagger(s(batch))))
+        return TimeDependentOperator(
+            self.dim, _Derived(lambda s: np.conj(np.asarray(s(batch))).transpose(0, 2, 1)))
 
 
 def constant_operator(matrix) -> TimeDependentOperator:
@@ -511,31 +448,38 @@ def _rk4_sweep(H: TimeDependentOperator, grid: TimeGrid, y0: np.ndarray,
     matter (see the module docstring).  Only the rounding inside a complex
     product differs, since numpy fuses a multiply-add into each part,
     ``re = fl(ar*br - fl(ai*bi))``, and Python rounds both products.  Each
-    step's end sample is the next step's start.  A bra sweep reads each chunk of
-    samples conjugate-transposed as it converts it, so no adjoint copy of a
-    whole table is made.
+    step's end sample is the next step's start.
+
+    It samples ``H`` a chunk of steps at a time (:func:`_chunks`), each
+    chunk's first point being its predecessor's last, so every sample time is
+    evaluated once; a bra sweep reads each chunk conjugate-transposed as it
+    converts it, so no adjoint copy is made.
     """
     times = grid.times()
     h, h2, h6 = grid.dt, 0.5 * grid.dt, grid.dt / 6.0
     K = y0.size
     steps = {2: _rk4_steps_2, 3: _rk4_steps_3}.get(K, _rk4_steps_any)
-    gs = H.sample(_sample_times(times))
 
-    def minus_i(chunk):  # -iH, or -iH^dag, of a chunk of samples
-        return -1j * (np.conj(chunk).transpose(0, 2, 1) if bra else chunk)
+    def rows():  # -iH, or -iH^dag, as lists of flat rows of Python complex
+        for s0, s1 in _chunks(grid.n_steps, 2 * K * K * 16):
+            ts = _sample_times(times[s0:s1 + 1])
+            gs = H.sample(ts[1:] if s0 else ts)
+            for i in range(0, len(gs), _ROW_CHUNK):
+                chunk = gs[i:i + _ROW_CHUNK]
+                chunk = -1j * (np.conj(chunk).transpose(0, 2, 1) if bra else chunk)
+                yield chunk.reshape(-1, K * K).tolist()
 
-    # as flat rows of Python complex, converted a chunk at a time
-    rows = chain.from_iterable(minus_i(gs[i:i + _ROW_CHUNK]).reshape(-1, K * K).tolist()
-                               for i in range(0, len(gs), _ROW_CHUNK))
     out = np.empty((times.size, K), dtype=complex)
     out[0] = y0
     # an overflowing run is reported once, by StateTrajectory, at its first bad time
-    out[1:] = np.reshape(steps(rows, h, h2, h6, y0.tolist()), (times.size - 1, K))
+    out[1:] = np.reshape(steps(chain.from_iterable(rows()), h, h2, h6, y0.tolist()),
+                         (times.size - 1, K))
     return out
 
 
 def _time_last(block: np.ndarray) -> np.ndarray:
-    """An ``(n, K, K)`` sample block as a contiguous ``(K, K, n)`` one."""
+    """An ``(n, K, K)`` sample block as a contiguous ``(K, K, n)`` one; a frame's
+    ``(n, 2, K, K)`` block becomes the matrices' and the derivatives' stacked."""
     return np.ascontiguousarray(np.moveaxis(block, 0, -1))
 
 
@@ -571,8 +515,8 @@ def _step_increments(g1: np.ndarray, g2: np.ndarray, g3: np.ndarray, dt: float) 
     return np.multiply(dt / 6.0, d, out=d)
 
 
-#: Bytes of samples a certificate reads at a time, about 512 KiB: a chunk of
-#: steps is sized by it, so no certificate holds a whole stage's samples,
+#: Bytes of samples a sweep or certificate reads at a time, about 512 KiB: a
+#: chunk of steps is sized by it, so no pass holds a whole stage's samples,
 #: increments or propagators, and a two-level chunk stays long.
 _CHUNK_BYTES = 1 << 19
 
@@ -585,28 +529,28 @@ def _chunks(n_steps: int, bytes_per_step: int) -> Iterator[tuple[int, int]]:
         yield s0, min(n_steps, s0 + size)
 
 
-def _scan(incs: Iterable[np.ndarray], n: int, K: int) -> np.ndarray:
-    """The scan blocks of an ``n``-point grid's increments, given in time order
-    as time-last ``(K, K, c)`` chunks that together hold its ``n - 1`` steps.
-
-    Each chunk is written into a zero-padded time-last array of ``nb`` blocks
-    of ``m = int(sqrt(n))`` points, increment ``i`` at point ``i + 1`` and
-    point 0 left zero.  That array is copied block-major, ``F[j]`` the
-    contiguous ``(K, K, nb)`` stack of point ``j`` of every block, and the
-    blocks advance at once by ``F_j = E_j + F_{j-1} + E_j F_{j-1}``.
-    Returns ``F``, of shape ``(m, K, K, nb)``.  Another ``m`` would regroup
-    the rounding.
-    """
+def _scan_blocks(n: int, K: int) -> np.ndarray:
+    """Zeroed scan blocks of an ``n``-point grid: ``nb`` blocks of ``m =
+    int(sqrt(n))`` points, block-major, ``F[j]`` the contiguous ``(K, K, nb)``
+    stack of point ``j`` of every block; point 0 and the padding past the
+    grid's end stay zero.  Another ``m`` would regroup the rounding."""
     m = max(1, int(np.sqrt(n)))
-    nb = -(-n // m)
-    padded = np.zeros((K, K, nb * m), dtype=complex)
-    i = 1
-    for inc in incs:
-        padded[..., i:i + inc.shape[-1]] = inc
-        i += inc.shape[-1]
-    F = np.ascontiguousarray(padded.reshape(K, K, nb, m).transpose(3, 0, 1, 2))
-    del padded
-    for j in range(1, m):
+    return np.zeros((m, K, K, -(-n // m)), dtype=complex)
+
+
+def _put(F: np.ndarray, i: int, inc: np.ndarray) -> None:
+    """Write the time-last ``(K, K, c)`` increments ``inc`` of steps ``i`` to
+    ``i + c - 1`` into the scan blocks ``F``: increment ``i`` goes to point
+    ``i + 1``, and point ``p`` is point ``p % m`` of block ``p // m``."""
+    p = np.arange(i + 1, i + 1 + inc.shape[-1])
+    F[p % len(F), :, :, p // len(F)] = np.moveaxis(inc, -1, 0)
+
+
+def _scan(F: np.ndarray) -> np.ndarray:
+    """Advance the scan blocks ``F`` (:func:`_scan_blocks`), every increment
+    written, all at once and in place by ``F_j = E_j + F_{j-1} + E_j F_{j-1}``;
+    returns ``F``."""
+    for j in range(1, len(F)):
         step = _mul(F[j], F[j - 1])
         np.add(F[j], np.add(F[j - 1], step, out=step), out=F[j])
     return F
@@ -634,8 +578,8 @@ def _close(F: np.ndarray, c: np.ndarray, j0: int, j1: int) -> np.ndarray:
 
 def _products(F: np.ndarray, u0: np.ndarray, n: int) -> np.ndarray:
     """``out[..., i] = (I + E_{i-1}) ... (I + E_0) u0`` on every point of the
-    grid that :func:`_scan` made ``F`` from, for a ``(K,)`` state or ``(K, K)``
-    matrix ``u0``; returns ``u0.shape + (n,)``.
+    ``n``-point grid whose scan blocks :func:`_scan` advanced, for a ``(K,)``
+    state or ``(K, K)`` matrix ``u0``; returns ``u0.shape + (n,)``.
 
     The identity stays implicit: a short carry chains the block ends from
     ``u0`` (:func:`_carry`), and batched products give every output as ``c +
@@ -653,16 +597,14 @@ def _products(F: np.ndarray, u0: np.ndarray, n: int) -> np.ndarray:
     return out.reshape(K, -1, nb * m)[..., :n].reshape(u0.shape + (n,))
 
 
-def _increments(gs: np.ndarray, dt: float, bra: bool = False) -> Iterator[np.ndarray]:
-    """The RK4 step increments of a grid, a chunk of steps at a time, from the
-    ``(2 n + 1, K, K)`` samples ``gs`` of ``H`` at its points and midpoints:
-    under ``-iH``, or, for ``bra``, under ``-iH^dag = -(-iH)^dag``."""
-    K = gs.shape[-1]
-    for s0, s1 in _chunks((len(gs) - 1) // 2, 2 * K * K * 16):
-        g, mid = _minus_i_time_last(gs[2 * s0:2 * s1 + 1], 2)
-        if bra:  # negated and conjugated in place, then transposed
-            g, mid = (np.negative(np.conj(x, out=x), out=x).transpose(1, 0, 2) for x in (g, mid))
-        yield _step_increments(g[..., :-1], mid, g[..., 1:], dt)
+def _increments(hs: np.ndarray, dt: float, bra: bool = False) -> np.ndarray:
+    """The RK4 step increments of ``c`` steps, as one time-last ``(K, K, c)`` block,
+    from the ``(2 c + 1, K, K)`` samples ``hs`` of ``H`` at their points and
+    midpoints: under ``-iH``, or, for ``bra``, under ``-iH^dag = -(-iH)^dag``."""
+    g, mid = _minus_i_time_last(hs, 2)
+    if bra:  # negated and conjugated in place, then transposed
+        g, mid = (np.negative(np.conj(x, out=x), out=x).transpose(1, 0, 2) for x in (g, mid))
+    return _step_increments(g[..., :-1], mid, g[..., 1:], dt)
 
 
 def evolve_ket(H: TimeDependentOperator, psi0, grid: TimeGrid) -> StateTrajectory:
@@ -688,10 +630,10 @@ def evolve_bra(H: TimeDependentOperator, phi0, grid: TimeGrid) -> StateTrajector
     return StateTrajectory(grid=grid, times=grid.times(), states=states)
 
 
-def _halved_pairs(H: TimeDependentOperator, grid: TimeGrid) -> Iterator[np.ndarray]:
+def _halved_pairs(H: TimeDependentOperator, grid: TimeGrid) -> Iterator[tuple[int, np.ndarray]]:
     """Each step of ``grid`` as two RK4 steps of ``grid.dt / 2``, paired, a chunk
-    of steps at a time: ``E = D_0 + D_1 + D_1 D_0``, so ``I + E = (I + D_1)(I +
-    D_0)`` with no ``I + small`` formed.
+    of steps at a time given with its first step: ``E = D_0 + D_1 + D_1 D_0``,
+    so ``I + E = (I + D_1)(I + D_0)`` with no ``I + small`` formed.
 
     A chunk samples ``H`` on its grid points and the quarter, half and
     three-quarter points of its steps, and carries its predecessor's last
@@ -712,7 +654,7 @@ def _halved_pairs(H: TimeDependentOperator, grid: TimeGrid) -> Iterator[np.ndarr
         d0 = _step_increments(g[..., :-1], q1, q2, half.dt)
         d1 = _step_increments(q2, q3, g[..., 1:], half.dt)
         pairs = _mul(d1, d0)
-        yield np.add(np.add(d0, d1, out=d0), pairs, out=pairs)
+        yield s0, np.add(np.add(d0, d1, out=d0), pairs, out=pairs)
 
 
 def evolve_ket_halved(H: TimeDependentOperator, psi0, grid: TimeGrid) -> StateTrajectory:
@@ -727,8 +669,11 @@ def evolve_ket_halved(H: TimeDependentOperator, psi0, grid: TimeGrid) -> StateTr
     """
     psi0 = _as_state(psi0, H.dim)
     n = grid.n_steps + 1
+    F = _scan_blocks(n, H.dim)
     with np.errstate(over="ignore", invalid="ignore"):
-        states = _products(_scan(_halved_pairs(H, grid), n, H.dim), psi0, n).T
+        for s0, pairs in _halved_pairs(H, grid):
+            _put(F, s0, pairs)
+        states = _products(_scan(F), psi0, n).T
     return StateTrajectory(grid=grid, times=grid.times(), states=states)
 
 
@@ -739,9 +684,11 @@ def propagator_ket(H: TimeDependentOperator, grid: TimeGrid) -> np.ndarray:
     basis vectors (to rounding); shape ``(n_steps + 1, K, K)``.  The dual-space
     propagators ``V0(t)`` are ``propagator_ket(H.adjoint(), grid)``.
     """
-    n = grid.n_steps + 1
-    gs = H.sample(_sample_times(grid.times()))
-    U = _products(_scan(_increments(gs, grid.dt), n, H.dim), np.eye(H.dim, dtype=complex), n)
+    n, times = grid.n_steps + 1, grid.times()
+    F = _scan_blocks(n, H.dim)
+    for s0, s1 in _chunks(grid.n_steps, 2 * H.dim * H.dim * 16):
+        _put(F, s0, _increments(H.sample(_sample_times(times[s0:s1 + 1])), grid.dt))
+    U = _products(_scan(F), np.eye(H.dim, dtype=complex), n)
     return np.moveaxis(U, -1, 0)
 
 
@@ -750,17 +697,29 @@ def biorthogonality_defect(H: TimeDependentOperator, grid: TimeGrid) -> float:
 
     Paired ket/bra evolutions keep mutual overlaps frozen, so this defect
     isolates integrator error; it should sit at the integrator's accuracy
-    regardless of how non-Hermitian ``H`` is.  ``H`` is sampled once, and
-    the bra steps read that block conjugate-transposed.  Both scans are
-    closed together over a contiguous range of steps of every block at a
-    time, and only the running maximum is kept, so no whole ``U``, ``V`` or
-    ``V^dag U`` is formed.
+    regardless of how non-Hermitian ``H`` is.  ``H`` is sampled a chunk of
+    steps at a time, and the bra steps read each chunk conjugate-transposed.
     """
-    K, n = H.dim, grid.n_steps + 1
-    gs = H.sample(_sample_times(grid.times()))
-    FU, FV = (_scan(_increments(gs, grid.dt, bra), n, K) for bra in (False, True))
+    K, n, times = H.dim, grid.n_steps + 1, grid.times()
+    FU, FV = _scan_blocks(n, K), _scan_blocks(n, K)
+    for s0, s1 in _chunks(grid.n_steps, 2 * K * K * 16):
+        hs = H.sample(_sample_times(times[s0:s1 + 1]))
+        for F, bra in ((FU, False), (FV, True)):
+            _put(F, s0, _increments(hs, grid.dt, bra))
+    return _defect(FU, FV, n)
+
+
+def _defect(FU: np.ndarray, FV: np.ndarray, n: int) -> float:
+    """:func:`biorthogonality_defect` from the scan blocks of an ``n``-point
+    grid's ket and bra increments, every increment written.
+
+    Both scans are closed together over a contiguous range of steps of every
+    block at a time, and only the running maximum is kept, so no whole ``U``,
+    ``V`` or ``V^dag U`` is formed.
+    """
+    K = FU.shape[1]
     eye = np.eye(K, dtype=complex)
-    cU, cV = _carry(FU, eye), _carry(FV, eye)
+    cU, cV = _carry(_scan(FU), eye), _carry(_scan(FV), eye)
     m, nb = FU.shape[0], FU.shape[-1]
     last = n - (nb - 1) * m  # steps of the last block that lie on the grid
     diag = np.arange(K)

@@ -69,7 +69,7 @@ def _split(a):
 
 
 @functools.cache
-def _tables():
+def _digit_tables():
     """``10**k = hi + lo`` with ``hi``'s Veltkamp halves, for k <= _MAX_POW;
     the four characters (as one uint32) and trailing zeros of 0..9999."""
     hi = np.array([float(10**k) for k in range(_MAX_POW + 1)])
@@ -91,7 +91,7 @@ def _round12(a):
     trailing zeros (the rounding went up or was exact), not where it
     rounded down; ``sure`` where the decision is certain.
     """
-    hi, lo, hi_h, hi_l, _, _ = _tables()
+    hi, lo, hi_h, hi_l, _, _ = _digit_tables()
     # decimal exponent e with 1e11 <= a * 10**(11 - e) < 1e12
     e = np.floor(np.log10(a)).astype(np.int64)
     p = a * hi[11 - e]
@@ -138,7 +138,7 @@ def _layouts(keys, width):
 def _render_block(values, seps):
     """CSV bytes of a ``(columns, rows)`` block: each value as :func:`_fmt`
     writes it, ``seps[i]`` after column ``i``."""
-    *_, chars, trailing = _tables()
+    *_, chars, trailing = _digit_tables()
     a = np.abs(values)
     ok = (a >= _MIN_ABS) & (a < _MAX_ABS)
     m, e, strip, sure = _round12(np.where(ok, a, 1.0))

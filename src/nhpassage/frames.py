@@ -21,8 +21,8 @@ and column 0 the bra-space passage.  The triangularization direction
 depends on this ordering.  A frame is sampled like a generator, only in
 batches: its one callable maps a 1-D array of times to an ``(n, 2, K, K)``
 block, ``[:, 0]`` the frame matrices and ``[:, 1]`` their analytic time
-derivatives, checked for shape and NaN/Inf and tabulated by the same code
-as a generator's block (see :mod:`nhpassage.dynamics`).
+derivatives, checked for shape and NaN/Inf by the same code as a
+generator's block (see :mod:`nhpassage.dynamics`).
 
 Both built-in frames come from one pair rotation, the pair that synthesis
 solves: the two-level frame is one pair on ``|0>, |1>``, and the
@@ -39,8 +39,8 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import (TimeDependentOperator, TimeGrid, _checked_block, _Derived, _Samples,
-                       _Table, _time_last)
+from .dynamics import (TimeDependentOperator, TimeGrid, _checked_block, _chunks, _Derived,
+                       _Samples, _time_last)
 from .exceptions import DimensionMismatchError, NonHermitianError
 
 __all__ = [
@@ -69,8 +69,9 @@ class AncillaryFrame:
     dim: int
     values_at: Callable[[np.ndarray], np.ndarray]
 
-    def _block(self, times: np.ndarray) -> np.ndarray:
-        """The block at ``times``, checked as :meth:`TimeDependentOperator.sample` checks."""
+    def _block(self, times) -> np.ndarray:
+        """The block at ``times``, a time array or a sample set, checked as
+        :meth:`TimeDependentOperator.sample` checks."""
         return _checked_block(self.values_at, times, (2, self.dim, self.dim))
 
     def sample(self, times: np.ndarray) -> np.ndarray:
@@ -80,14 +81,6 @@ class AncillaryFrame:
     def sample_derivative(self, times: np.ndarray) -> np.ndarray:
         """Their time derivatives: a view of the same block."""
         return self._block(times)[:, 1]
-
-    def tabulated(self, times) -> "AncillaryFrame":
-        """This frame sampled once on ``times``, checked then and not again per
-        request; see :class:`~nhpassage.dynamics._Table`.  ``times`` may be a
-        sample set, whose angles a built-in frame then reads."""
-        samples = _Samples.of(times)
-        block = _checked_block(self.values_at, samples, (2, self.dim, self.dim))
-        return AncillaryFrame(self.dim, _Table(self._block, samples.times, block))
 
 
 @dataclass(frozen=True)
@@ -210,14 +203,73 @@ def _grid_times(grid) -> np.ndarray:
     return np.asarray(grid, dtype=float)
 
 
-def _time_last_samples(H: TimeDependentOperator, frame: AncillaryFrame, grid):
-    """``H``, the frame and its derivative on the grid, as time-last blocks; one
-    sample of the frame serves both."""
-    if H.dim != frame.dim:
-        raise DimensionMismatchError(f"operator dim {H.dim} != frame dim {frame.dim}")
-    times = _grid_times(grid)
-    hs, fs = H.sample(times), frame._block(times)
-    return _time_last(hs), _time_last(fs[:, 0]), _time_last(fs[:, 1])
+def _triangularization(hs: np.ndarray, ms: np.ndarray, dms: np.ndarray) -> np.float64:
+    """The largest above-diagonal magnitude of ``Hf - A`` from the time-last
+    blocks of ``H``, the frame and its derivative.
+
+    Only the entries read are formed, by the sums of the full rotated block:
+    ``H M`` on columns 1..K-1, then ``M^dag (H M)`` and the gauge term
+    ``i M^dag dM`` on rows 0..K-2, which hold every entry above the diagonal.
+    """
+    left = ms[:, :-1].conj()
+    rot = np.einsum("ikn,imn->kmn", left, np.einsum("ijn,jmn->imn", hs, ms[:, 1:]))
+    rot -= 1j * np.einsum("ikn,imn->kmn", left, dms[:, 1:])
+    return np.max(np.abs(rot[np.triu_indices(len(ms) - 1)]))
+
+
+def _von_neumann(hs: np.ndarray, ms: np.ndarray, dms: np.ndarray) -> np.float64:
+    """The largest entry of ``d Pi_k/dt + i [H, Pi_k]`` from the time-last
+    blocks of ``H``, the frame and its derivative; products that overflow
+    give NaN, and no warning.
+
+    Two products serve every ``k``: with ``HM`` and ``M^dag H`` formed once,
+    the defect of ``Pi_k`` is ``(dmu_k + i (HM)_k) mu_k^dag + mu_k (dmu_k^dag
+    - i (M^dag H)_k)``, column ``k`` of the one and row ``k`` of the other, so
+    each ``k`` costs two outer products.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        hm = np.einsum("ijn,jkn->ikn", hs, ms)
+        mh = np.einsum("jkn,jmn->kmn", ms.conj(), hs)
+        peaks = []
+        for k in range(len(ms)):
+            mu, dmu = ms[:, k], dms[:, k]
+            left = dmu + 1j * hm[:, k]
+            right = dmu.conj() - 1j * mh[k]
+            defect = left[:, None] * mu[None].conj() + mu[:, None] * right[None]
+            peaks.append(np.max(np.abs(defect)))
+    return np.max(peaks)  # a NaN defect of any projector is the result
+
+
+def _residuals(H: TimeDependentOperator, frames: tuple, grid,
+               von_neumann: bool = False) -> list[np.float64]:
+    """The triangularization residual of ``H`` in each of ``frames`` over the
+    grid, then, for ``von_neumann``, its von Neumann residual in each: running
+    maxima that keep a NaN, over a chunk of points at a time, one sample set
+    per chunk serving ``H`` and every frame.  The von Neumann residuals raise
+    :class:`NonHermitianError` if an entry of ``H - H^dag`` exceeds 1e-12, or is NaN.
+    """
+    K, times = H.dim, _grid_times(grid)
+    for frame in frames:
+        if frame.dim != K:
+            raise DimensionMismatchError(f"operator dim {K} != frame dim {frame.dim}")
+    peaks = np.zeros(len(frames) * (2 if von_neumann else 1))
+    herm_defect = np.float64(0.0)
+    # per point, a sample of H and the two of each frame
+    for p0, p1 in _chunks(times.size, (1 + 2 * len(frames)) * K * K * 16):
+        samples = _Samples(times[p0:p1])
+        hs = _time_last(_checked_block(H.values_at, samples, (K, K)))
+        blocks = [_time_last(frame._block(samples)) for frame in frames]
+        chunk = [_triangularization(hs, *block) for block in blocks]
+        if von_neumann:
+            with np.errstate(over="ignore"):
+                herm_defect = np.maximum(herm_defect,
+                                         np.max(np.abs(hs - hs.conj().transpose(1, 0, 2))))
+            chunk += [_von_neumann(hs, *block) for block in blocks]
+        peaks = np.maximum(peaks, chunk)
+    if von_neumann and not herm_defect <= _HERMITIAN_TOL:
+        raise NonHermitianError(
+            f"generator is not Hermitian on the grid (defect {herm_defect:.3e})")
+    return list(peaks)
 
 
 def triangularization_residual(
@@ -229,16 +281,8 @@ def triangularization_residual(
     dynamics, i.e. that the last/first frame vectors are exact ket/bra
     passages.  ``grid`` may be a :class:`TimeGrid` or an array of times,
     which must not straddle discontinuities of ``H`` or the frame.
-
-    Only the entries read are formed, by the sums of the full rotated block:
-    ``H M`` on columns 1..K-1, then ``M^dag (H M)`` and the gauge term
-    ``i M^dag dM`` on rows 0..K-2, which hold every entry above the diagonal.
     """
-    hs, ms, dms = _time_last_samples(H, frame, grid)
-    left = ms[:, :-1].conj()
-    rot = np.einsum("ikn,imn->kmn", left, np.einsum("ijn,jmn->imn", hs, ms[:, 1:]))
-    rot -= 1j * np.einsum("ikn,imn->kmn", left, dms[:, 1:])
-    return float(np.max(np.abs(rot[np.triu_indices(frame.dim - 1)])))
+    return float(_residuals(H, (frame,), grid)[0])
 
 
 def von_neumann_residual(
@@ -249,26 +293,7 @@ def von_neumann_residual(
     ``Pi_k = |mu_k><mu_k|`` are the frame projectors.  Only meaningful for
     Hermitian generators, where a vanishing residual is equivalent to the
     triangularization condition; raises :class:`NonHermitianError` if
-    ``H`` deviates from Hermiticity beyond 1e-12 on the grid.
-
-    Two products serve every ``k``: with ``HM`` and ``M^dag H`` formed once,
-    the defect of ``Pi_k`` is ``(dmu_k + i (HM)_k) mu_k^dag + mu_k (dmu_k^dag
-    - i (M^dag H)_k)``, column ``k`` of the one and row ``k`` of the other, so
-    each ``k`` costs two outer products.
+    ``H`` deviates from Hermiticity beyond 1e-12 on the grid.  A generator
+    whose products overflow gives NaN.
     """
-    hs, ms, dms = _time_last_samples(H, frame, grid)
-    herm_defect = float(np.max(np.abs(hs - hs.conj().transpose(1, 0, 2))))
-    if not herm_defect <= _HERMITIAN_TOL:  # a NaN defect is refused too
-        raise NonHermitianError(
-            f"generator is not Hermitian on the grid (defect {herm_defect:.3e})"
-        )
-    hm = np.einsum("ijn,jkn->ikn", hs, ms)
-    mh = np.einsum("jkn,jmn->kmn", ms.conj(), hs)
-    peaks = []
-    for k in range(frame.dim):
-        mu, dmu = ms[:, k], dms[:, k]
-        left = dmu + 1j * hm[:, k]
-        right = dmu.conj() - 1j * mh[k]
-        defect = left[:, None] * mu[None].conj() + mu[:, None] * right[None]
-        peaks.append(np.max(np.abs(defect)))
-    return float(np.max(peaks))  # a NaN defect of any projector is the result
+    return float(_residuals(H, (frame,), grid, von_neumann=True)[1])

@@ -25,23 +25,23 @@ target).  One runner,
 marches the stages.  For each, the dt/2 re-run goes first (the batched scan
 of :func:`~nhpassage.dynamics.evolve_ket_halved`, on its own samples of
 ``H``, a chunk of steps at a time, handing its own state across the
-boundaries); then one sample set on the grid points and RK4 midpoints, from
-which the stage's frame table (the set's even entries), the table of its
-``H`` and its passage phase read each frame angle, gain and trig factor
-once.  The set is dropped before the stage's sweep; the state, handed
-across each boundary verbatim, and every certificate read the two tables,
-each table goes once its last reader is done, and the consistency residual
-is the one synthesis recorded.  A stage keeps only its states, phase and
-certificate values, written into the run's arrays, and its dt/2 shift; the
-run fails if the largest shift (a NaN included) exceeds the step-check
-tolerance, then packages the trajectory, accumulated passage phase,
-checkpoint populations and checks into a :class:`RunReport`.  The checks
-are the report's only record of each certificate: a per-stage value is
-folded over the stages by ``np.max`` or ``np.min``, so a NaN on any stage is
-the check's value and fails it, and every verdict is derived solely from
-the recorded numbers.  :func:`verify` runs the same stages, and reads them
-again for its series oracle and, with a 1% drive error, for its
-perturbation control; its Hermitian limit builds them at zero gain.
+boundaries), then the sweep on its own samples, handing the state across
+each boundary verbatim, then one certificate pass (:func:`_certify`): a chunk
+of steps at a time, sets on its grid points and midpoints and on its grid
+points give every certificate its samples, never a whole stage's.  The
+consistency residual is the one synthesis recorded.  A stage keeps only its
+states, phase and certificate values, written into the run's arrays, and its
+dt/2 shift; the run fails if the largest shift (a NaN included) exceeds the
+step-check tolerance, then packages the trajectory, accumulated passage
+phase, checkpoint populations and checks into a :class:`RunReport`.  The
+checks are the report's only record of each certificate: a per-stage value
+is folded over the stages by ``np.max`` or ``np.min``, so a NaN on any stage
+is the check's value and fails it, and every verdict is derived solely from
+the recorded numbers.
+:func:`verify` runs the same stages, and reads them again for its series
+oracle and, with a 1% drive error, for its perturbation control; its
+Hermitian limit builds them at zero gain.  Its controls read a chunk of grid
+points at a time, one set serving the generator and every frame.
 """
 
 from __future__ import annotations
@@ -59,9 +59,8 @@ from .dynamics import (
     TimeDependentOperator,
     TimeGrid,
     _MAX_STEPS,
-    _Derived,
-    _Samples,
-    _sample_times,
+    _checked_block, _chunks, _defect, _Derived, _increments, _put, _Samples, _sample_times,
+    _scan_blocks, _time_last,
     biorthogonality_defect,
     constant_operator,
     dyson_truncation,
@@ -71,10 +70,11 @@ from .dynamics import (
     propagator_ket,
 )
 from .exceptions import ConfigError, GridError, PassageError, StepSizeError
-from .frames import (
+from .frames import (  # the residual names stay bound for perfbench's tracer
     AncillaryFrame,
     ThreeLevelFrameParams,
     TwoLevelFrameParams,
+    _residuals, _triangularization,
     three_level_frame,
     triangularization_residual,
     two_level_frame,
@@ -85,7 +85,7 @@ from .synthesis import (  # the phase and consistency names stay bound for perfb
     PhaseFunctional,
     ThreeLevelControls,
     TwoLevelControls,
-    _phase,
+    _accumulate_simpson, _passage_rates,
     phase_three_level,
     phase_two_level,
     synthesize_three_level,
@@ -391,16 +391,6 @@ def _drive_scaled(stage: _Stage, drive_scale: float) -> TimeDependentOperator:
 # the runner
 
 
-def _passage_fidelity_error(
-    traj: StateTrajectory, frame: AncillaryFrame, phase: PhaseFunctional, passage: str
-) -> float:
-    """Max 2-norm gap between the simulated state and the phase-dressed passage."""
-    mus = frame.sample(traj.times)[:, :, frame.dim - 1 if passage == "ket" else 0]
-    c0 = np.vdot(mus[0], traj.states[0])
-    dressed = (c0 * np.exp(-1j * (phase.f_real + 1j * phase.f_imag)))[:, None] * mus
-    return float(np.max(np.linalg.norm(traj.states - dressed, axis=1)))
-
-
 def _step_shift(states: np.ndarray, fine: np.ndarray) -> np.float64:
     """Max population change at a stage's grid points when it is repeated at dt/2;
     ``fine`` holds the dt/2 re-run's states at those points.  A NaN propagates."""
@@ -422,6 +412,62 @@ def _step_check(shifts: list) -> float:
     return delta
 
 
+def _sweep(stage: _Stage, psi_fine: np.ndarray,
+           out: np.ndarray) -> tuple[np.ndarray, np.float64]:
+    """The stage's states from ``out[0]``, written into ``out``, after its dt/2
+    re-run from ``psi_fine``; returns the re-run's end state and the stage's
+    dt/2 shift (:func:`_step_shift`), so the re-run's states die here."""
+    ket = stage.passage == "ket"
+    # the dt/2 re-run goes first, on its own samples (see nhpassage.dynamics)
+    fine = evolve_ket_halved(stage.H if ket else stage.H.adjoint(), psi_fine, stage.grid).states
+    out[:] = (evolve_ket if ket else evolve_bra)(stage.H, out[0], stage.grid).states
+    return fine[-1].copy(), _step_shift(out, fine)
+
+
+def _certify(stage: _Stage, states: np.ndarray, f_real: np.ndarray, f_imag: np.ndarray,
+             first: int) -> dict[str, np.float64]:
+    """Every certificate of a stage whose states are ``states``, by name of its
+    check, from one pass over its samples a chunk of steps at a time; the
+    passage phase is written into ``f_real`` and ``f_imag`` from point ``first`` on.
+
+    A chunk's sample set on its grid points and RK4 midpoints gives the block
+    of ``H`` to the triangularization residual (its grid points) and both scans
+    of the biorthogonality defect, and the phase rates, each angle, gain and
+    trig factor of the set evaluated once; the frame is read on a set of the
+    grid points for the residual and the passage fidelity.  Chunks share their
+    edge points, the phase of each starts at its predecessor's last value, and
+    every number is bitwise what the public call computes on the whole stage.
+    """
+    grid, K = stage.grid, stage.H.dim
+    times, n = grid.times(), grid.n_steps + 1
+    ket = stage.passage == "ket"
+    column = K - 1 if ket else 0
+    FU, FV = _scan_blocks(n, K), _scan_blocks(n, K)
+    tri = fidelity = np.float64(0.0)
+    # four samples a step: H at its point and midpoint, the frame's two at its point
+    for s0, s1 in _chunks(grid.n_steps, 4 * K * K * 16):
+        ts = times[s0:s1 + 1]
+        frame = stage.frame._block(ts)
+        samples = _Samples(_sample_times(ts))
+        hs = _checked_block(stage.H.values_at, samples, (K, K))
+        tri = np.maximum(tri, _triangularization(_time_last(hs[::2]), *_time_last(frame)))
+        for F, bra in ((FU, False), (FV, True)):
+            _put(F, s0, _increments(hs, grid.dt, bra))
+        rates = _passage_rates(stage.controls, stage.frame_params, samples, stage.passage)
+        f = _accumulate_simpson(rates, ts, f[-1] if s0 else None)
+        re, im = f.real, (f.imag if ket else -f.imag)  # a bra passage's is conjugated
+        f_real[s0 + first:s1 + 1], f_imag[s0 + first:s1 + 1] = re[first:], im[first:]
+        # the max 2-norm gap between the states and the phase-dressed passage
+        mus = frame[:, 0, :, column]
+        if not s0:
+            c0 = np.vdot(mus[0], states[0])
+        dressed = (c0 * np.exp(-1j * (re + 1j * im)))[:, None] * mus
+        fidelity = np.maximum(fidelity,
+                              np.max(np.linalg.norm(states[s0:s1 + 1] - dressed, axis=1)))
+    return {"stage_end_f_imag": abs(im[-1]), "triangularization_residual": tri,
+            "biorthogonality_defect": _defect(FU, FV, n), "passage_fidelity": fidelity}
+
+
 def _run(config: ScenarioConfig, stages: list[_Stage] | None = None) -> RunReport:
     """March a run's stages, collect per-stage certificates, and grade the run.
 
@@ -435,44 +481,19 @@ def _run(config: ScenarioConfig, stages: list[_Stage] | None = None) -> RunRepor
     cyclic = config.scenario in CYCLIC_IDS
     if stages is None:
         stages = _stages(config)
-    psi = np.zeros(stages[0].H.dim, dtype=complex)
-    psi[0 if cyclic else _TWO_LEVEL_TASKS[config.scenario][1]] = 1.0
-    psi_fine = psi  # the dt/2 re-run hands its own state across the boundaries
     starts = np.cumsum([0] + [stage.grid.n_steps for stage in stages])
-    states = np.empty((starts[-1] + 1, psi.size), dtype=complex)
+    states = np.zeros((starts[-1] + 1, stages[0].H.dim), dtype=complex)
+    states[0, 0 if cyclic else _TWO_LEVEL_TASKS[config.scenario][1]] = 1.0
+    psi_fine = states[0].copy()  # the dt/2 re-run hands its own state across the boundaries
     f_real, f_imag = np.empty(starts[-1] + 1), np.empty(starts[-1] + 1)
-    shifts, end_f_imag, tri, bio, fidelity = [], [], [], [], []
-    for i, (stage, i0) in enumerate(zip(stages, starts)):
-        # the dt/2 re-run goes first, on its own samples (see nhpassage.dynamics)
-        fine = evolve_ket_halved(stage.H if stage.passage == "ket" else stage.H.adjoint(),
-                                 psi_fine, stage.grid).states
-        psi_fine = fine[-1].copy()
-        # one sample set on the grid points and RK4 midpoints: the frame table (its
-        # even entries), the table of H and the phase rates read each frame angle,
-        # gain and trig factor once; the frame table's build peaks highest, so it
-        # goes before H's table exists; tables serve the sweep and certificates
-        stage_times = stage.grid.times()
-        samples = _Samples(_sample_times(stage_times))
-        frame = stage.frame.tabulated(samples.even())
-        H = stage.H.tabulated(samples)
-        phase = _phase(stage.controls, stage.frame_params, samples, stage_times, stage.passage)
-        del samples  # before the sweep and the certificates
-        traj = (evolve_ket if stage.passage == "ket" else evolve_bra)(H, psi, stage.grid)
-        shifts.append(_step_shift(traj.states, fine))
-        del fine
-        first = 1 if i else 0  # the boundary point keeps the earlier stage's value
-        for joined, part in ((states, traj.states), (f_real, phase.f_real),
-                             (f_imag, phase.f_imag)):
-            joined[i0 + first:i0 + len(part)] = part[first:]
-        psi = states[starts[i + 1]]
-        end_f_imag.append(abs(float(phase.f_imag[-1])))
-        # each table and the stage's trajectory go once their last reader is done
-        fidelity.append(_passage_fidelity_error(traj, frame, phase, stage.passage))
-        del traj, phase
-        tri.append(triangularization_residual(H, frame, stage.grid))
-        del frame
-        bio.append(biorthogonality_defect(H, stage.grid))
-        del H  # before the next stage's tables are built
+    shifts, certificates = [], []
+    for i, stage in enumerate(stages):
+        points = slice(starts[i], starts[i + 1] + 1)
+        psi_fine, shift = _sweep(stage, psi_fine, states[points])
+        shifts.append(shift)
+        # the boundary point keeps the earlier stage's phase
+        certificates.append(_certify(stage, states[points], f_real[points], f_imag[points],
+                                     1 if i else 0))
     step_delta = _step_check(shifts)
 
     grid = TimeGrid(stages[0].grid.t0, stages[-1].grid.tf, config.resolved_dt(),
@@ -482,17 +503,18 @@ def _run(config: ScenarioConfig, stages: list[_Stage] | None = None) -> RunRepor
     phase = PhaseFunctional(times=times, f_real=f_real, f_imag=f_imag)
     scenario_checks = _cyclic_checks if cyclic else _two_level_checks
     checkpoints, checks = scenario_checks(config, stages, starts, traj)
-    # each per-stage list folds to its largest value, a NaN in any stage included;
+    # each per-stage value folds to its largest, a NaN in any stage included;
     # synthesis checked each stage's consistency on its grid and recorded the largest
+    worst = {name: np.max([c[name] for c in certificates]) for name in certificates[0]}
     checks += [CheckResult.below(name, value, threshold) for name, value, threshold in (
-        ("stage_end_f_imag", np.max(end_f_imag), STAGE_PHASE_TOL),
+        ("stage_end_f_imag", worst["stage_end_f_imag"], STAGE_PHASE_TOL),
         ("phase_norm_identity",
          np.max(np.abs(np.exp(phase.f_imag) - traj.vector_norm())), config.tolerance),
-        ("triangularization_residual", np.max(tri), RESIDUAL_TOL),
+        ("triangularization_residual", worst["triangularization_residual"], RESIDUAL_TOL),
         ("consistency_residual", np.max([s.controls.consistency for s in stages]),
          CONSISTENCY_TOL),
-        ("biorthogonality_defect", np.max(bio), POPULATION_TOL),
-        ("passage_fidelity", np.max(fidelity), POPULATION_TOL),
+        ("biorthogonality_defect", worst["biorthogonality_defect"], POPULATION_TOL),
+        ("passage_fidelity", worst["passage_fidelity"], POPULATION_TOL),
         ("step_halving_shift", step_delta, STEP_CHECK_TOL),
     )]
     return RunReport(config=config, trajectory=traj, phase=phase,
@@ -610,27 +632,17 @@ def _placeholder_report(config: ScenarioConfig, exc: PassageError) -> RunReport:
     )
 
 
-def _tables(times: np.ndarray, *sampled):
-    """A table on ``times`` of each generator or frame, all read from one sample set."""
-    samples = _Samples(times)
-    return [x.tabulated(samples) for x in sampled]
-
-
 def _perturbed_omega_checks(stages: list[_Stage]) -> list[CheckResult]:
-    perturbed = np.min([triangularization_residual(
-        *_tables(s.grid.times(), _drive_scaled(s, 1.01), s.frame), s.grid) for s in stages])
+    perturbed = np.min([_residuals(_drive_scaled(s, 1.01), (s.frame,), s.grid)[0]
+                        for s in stages])
     return [CheckResult.above("perturbed_omega_breaks_triangularization", perturbed, 1e-3)]
 
 
 def _hermitian_limit_checks(config: ScenarioConfig) -> list[CheckResult]:
     stages = _stages(replace(config, gamma_scale=0.0))
     bad_frame = _misaligned_frame(stages[0].H.dim, config.T)
-    scans = []
-    for s in stages:  # one sample set per stage serves its zero-gain H and both frames
-        H, frame, bad = _tables(s.grid.times(), s.H, s.frame, bad_frame)
-        scans.append([residual(H, f, s.grid) for f in (frame, bad)
-                      for residual in (triangularization_residual, von_neumann_residual)])
-    tri_h, von_h, tri_bad, von_bad = zip(*scans)
+    scans = [_residuals(s.H, (s.frame, bad_frame), s.grid, von_neumann=True) for s in stages]
+    tri_h, tri_bad, von_h, von_bad = zip(*scans)
     return [
         CheckResult.below("hermitian_limit_triangularization", np.max(tri_h), RESIDUAL_TOL),
         CheckResult.below("hermitian_limit_von_neumann", np.max(von_h), RESIDUAL_TOL),

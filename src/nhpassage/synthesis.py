@@ -393,19 +393,24 @@ class PhaseFunctional:
     f_imag: np.ndarray
 
 
-def _accumulate_simpson(rates: np.ndarray, times: np.ndarray) -> np.ndarray:
+def _accumulate_simpson(rates: np.ndarray, times: np.ndarray, start=None) -> np.ndarray:
     """Cumulative integral on the grid, one Simpson panel per step, of the rates
     sampled at each grid point and midpoint (:func:`_sample_times`).
 
     Uses the same midpoint samples the integrator sees; exact enough that
     stage-end cancellations in the imaginary part survive at the 1e-12
-    level.
+    level.  The integral starts at zero, or, given ``start``, its value at
+    ``times[0]``, which the first panel is added to: so a grid integrated a
+    piece at a time, each piece started at its predecessor's last value, gives
+    the floats of one piece.
     """
     panels = (times[1:] - times[:-1]) / 6.0 * (
         rates[0:-1:2] + 4.0 * rates[1::2] + rates[2::2]
     )
     out = np.empty(times.size, dtype=panels.dtype)
-    out[0] = 0.0
+    out[0] = 0.0 if start is None else start
+    if start is not None:
+        panels[0] += start
     np.cumsum(panels, out=out[1:])
     return out
 
@@ -419,26 +424,24 @@ def phase_two_level(controls, frame, grid: TimeGrid, passage: str = "ket") -> Ph
     ``exp(f_imag)`` is the norm in both cases).
     """
     times = grid.times()
-    return _phase(controls, frame, _Samples(_sample_times(times)), times, passage)
+    f = _accumulate_simpson(
+        _passage_rates(controls, frame, _Samples(_sample_times(times)), passage), times)
+    # bra passages carry exp(-i f*), so the recorded functional is the conjugate
+    return PhaseFunctional(times, f.real, f.imag if passage == "ket" else -f.imag)
 
 
 phase_three_level = phase_two_level
 
 
-def _phase(controls, frame, s, times: np.ndarray, passage: str) -> PhaseFunctional:
-    """:func:`phase_two_level` on the grid ``times``, its rates read from the
-    sample set ``s`` on the grid points and midpoints."""
+def _passage_rates(controls, frame, s, passage: str) -> np.ndarray:
+    """The rotated diagonal entry that a passage's phase integrates, read from
+    the sample set ``s`` on the grid points and midpoints."""
     if passage not in ("ket", "bra"):
         raise InvalidArgumentError(f"passage must be 'ket' or 'bra', got {passage!r}")
     # the bra vector mu_1 lies in the inner pair; the three-level ket vector is
     # the outer pair's, whose d_lo is the inner ket rate
     inner = _inner_pair(controls, frame, s, _cis)
     if passage == "bra" or isinstance(controls, TwoLevelControls):
-        rates = _pair_rate(passage, s, *inner)
-    else:
-        rates = _pair_rate("ket", s, *_outer_pair(controls, frame, s, _cis,
-                                                  _pair_rate("ket", s, *inner)))
-    f = _accumulate_simpson(np.asarray(rates), times)
-    # bra passages carry exp(-i f*), so the recorded functional is the conjugate
-    return PhaseFunctional(times=times, f_real=f.real,
-                           f_imag=f.imag if passage == "ket" else -f.imag)
+        return np.asarray(_pair_rate(passage, s, *inner))
+    return np.asarray(_pair_rate("ket", s, *_outer_pair(controls, frame, s, _cis,
+                                                        _pair_rate("ket", s, *inner))))

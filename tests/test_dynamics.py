@@ -637,15 +637,17 @@ def drawn_increments(K, n, seed, scale):
 
 
 def assert_scan_is_the_reference(incs, u0s):
-    """The scan of ``incs``, given in chunks with edges on and off block edges
+    """The scan of ``incs``, written in chunks with edges on and off block edges
     or as one, and closed in ranges of the same budget, against the reference."""
     K, n = incs.shape[0], incs.shape[-1] + 1
     for steps in edge_chunks(n):
-        chunks = [incs[..., i:i + steps] for i in range(0, n - 1, steps)]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dynamics, "_CHUNK_BYTES", steps * K * K * 16)
             for u0 in u0s:
-                got = dynamics._products(dynamics._scan(chunks, n, K), u0, n)
+                F = dynamics._scan_blocks(n, K)
+                for i in range(0, n - 1, steps):
+                    dynamics._put(F, i, incs[..., i:i + steps])
+                got = dynamics._products(dynamics._scan(F), u0, n)
                 assert got.shape == u0.shape + (n,)
                 assert np.array_equal(got, reference_prefix_products(incs, u0))
 
@@ -719,7 +721,8 @@ def assert_chunked_certificates_are_the_reference(H, grid):
     gs = H.sample(dynamics._sample_times(grid.times()))
     ref = dynamics._time_last(-1j * gs)
     for bra, g in ((False, ref), (True, -ref.conj().transpose(1, 0, 2))):
-        chunks = list(dynamics._increments(gs, grid.dt, bra))
+        chunks = [dynamics._increments(gs[2 * s0:2 * s1 + 1], grid.dt, bra)
+                  for s0, s1 in dynamics._chunks(grid.n_steps, chunk_steps(1, H.dim))]
         assert sum(c.shape[-1] for c in chunks) == grid.n_steps
         assert same_bits(np.concatenate(chunks, axis=-1), reference_step_increments(g, grid.dt))
     U, V, defect = reference_propagators(H, grid)
@@ -786,35 +789,37 @@ def traced_peak(call):
 
 
 def test_certificates_of_a_long_stage_hold_their_scan_blocks_and_two_chunks():
-    # a 40 000-step three-level stage, its H tabulated as the runner does; the
-    # one-block certificates peaked at 46 MB (defect) and 56 MB (dt/2 re-run)
+    # a 40 000-step three-level stage; the one-block certificates peaked at 46 MB
+    # (defect) and 56 MB (dt/2 re-run)
     stage = _stages(ScenarioConfig("cyclic_ccw", T=10.0, dt=1 / 2000, gamma_scale=1.15))[1]
     grid, K = stage.grid, 3
     assert grid.n_steps == 40_000
     n = grid.n_steps + 1
     m = int(np.sqrt(n))
-    # one passage's scan blocks, as the padded array the chunks are written
-    # into or as the block-major copy the scan runs on, and at most one
-    # padded array alive beside the copies
+    # one passage's scan blocks, which the chunks are written into and the
+    # scan advances in place
     block = m * K * K * -(-n // m) * 16
-    # a chunk: its samples, their -1j copies and its increments, at most four budgets
+    # a chunk: its samples and the sample set they were read from, their -1j
+    # copies and its increments, at most four budgets
     chunk = 4 * dynamics._CHUNK_BYTES
-    H = stage.H.tabulated(dynamics._sample_times(grid.times()))
-    assert traced_peak(lambda: biorthogonality_defect(H, grid)) <= 3 * block + 2 * chunk
+    assert traced_peak(lambda: biorthogonality_defect(stage.H, grid)) <= 2 * block + 2 * chunk
     states = n * K * 16  # the re-run's result
     psi0 = np.eye(K)[1]
     assert traced_peak(lambda: dynamics.evolve_ket_halved(stage.H, psi0, grid)) <= (
-        2 * block + states + 2 * chunk)
+        block + states + 2 * chunk)
 
 
 def test_a_bra_sweep_over_a_table_holds_no_adjoint_copy():
-    # a 4000-step three-level bra stage, its H tabulated as the runner does: the
-    # sweep reads the table conjugate-transposed a chunk at a time, so it peaks
-    # level with a ket sweep; an adjoint copy of the table alone is 1.15 MB
+    # a 4000-step three-level bra stage, its H served from a caller's table of
+    # its samples: the sweep reads each chunk conjugate-transposed as it
+    # converts it, so it peaks level with a ket sweep; an adjoint copy of the
+    # table alone is 1.15 MB
     stage = _stages(ScenarioConfig("cyclic_ccw"))[0]
     assert stage.passage == "bra"
     grid = stage.grid
-    H = stage.H.tabulated(dynamics._sample_times(grid.times()))
+    times = dynamics._sample_times(grid.times())
+    table = stage.H.sample(times)
+    H = TimeDependentOperator(3, lambda ts: table[np.searchsorted(times, ts)])
     psi0 = np.eye(3)[0]
     ket = traced_peak(lambda: evolve_ket(H, psi0, grid))
     bra = traced_peak(lambda: evolve_bra(H, psi0, grid))
@@ -903,41 +908,13 @@ def test_two_level_run_is_bit_identical_to_step_loop(monkeypatch, scenario):
 
 
 # ---------------------------------------------------------------------------
-# per-stage sample tables
+# non-finite samples
 
 
-@settings(max_examples=60, deadline=None)
-@given(t0=st.floats(-50.0, 50.0), dt=st.floats(1e-4, 0.5), n=st.integers(1, 300),
-       seed=st.integers(0, 2**16))
-def test_tables_serve_the_direct_values(t0, dt, n, seed):
-    grid = TimeGrid(t0, t0 + n * dt, dt)
-    H = smooth_generator(2, seed)
-    table_times = dynamics._sample_times(grid.times())
-    tab = H.tabulated(table_times)
-    full = tab.sample(table_times)
-    for ts in (grid.times(), grid.halved().times()):  # table rows, then mostly misses
-        assert np.array_equal(tab.sample(ts), H.sample(ts))
-    assert tab.sample(table_times) is full
-    assert np.array_equal(full, H.sample(table_times))
-    for block in (full, tab.sample(grid.times())):
-        with pytest.raises(ValueError, match="read-only"):
-            block[0, 0, 0] = 0.0
-
-
-def test_tabulating_a_nan_sample_raises_naming_its_time():
-    def values_at(ts):
-        block = np.zeros((len(ts), 2, 2), dtype=complex)
-        block[ts == 0.3, 0, 1] = np.nan
-        return block
-
-    H = TimeDependentOperator(dim=2, values_at=values_at)
-    with pytest.raises(NonFiniteSampleError, match=r"at t = 0\.3 contains"):
-        H.tabulated(np.array([0.0, 0.1, 0.25, 0.3, 0.5, 0.6]))
-
-
-@pytest.mark.parametrize("tabulate", [False, True], ids=["fresh", "table"])
-def test_a_nan_in_a_long_block_names_its_time(tabulate):
-    # a NaN at one middle time of a 16 001-point block, an Inf at a later one
+@pytest.mark.parametrize("chunked", [False, True], ids=["fresh", "chunked"])
+def test_a_nan_in_a_long_block_names_its_time(monkeypatch, chunked):
+    # a NaN at one middle time of a 16 001-point block, an Inf at a later one;
+    # a sweep reads the block in chunks, and its first chunk holds neither
     times = np.linspace(0.0, 4.0, 16_001)
 
     def values_at(ts):
@@ -949,37 +926,11 @@ def test_a_nan_in_a_long_block_names_its_time(tabulate):
     H = TimeDependentOperator(dim=3, values_at=values_at)
     with pytest.raises(NonFiniteSampleError,
                        match=r"^generator sample at t = 2\.25 contains NaN or Inf$"):
-        H.tabulated(times) if tabulate else H.sample(times)
-
-
-def test_tables_are_scanned_once_and_fresh_samples_every_time(monkeypatch):
-    scans = []
-
-    def counting(block, times, inner=dynamics._check_finite_block):
-        scans.append(len(times))
-        inner(block, times)
-
-    monkeypatch.setattr(dynamics, "_check_finite_block", counting)
-    times = np.linspace(0.0, 1.0, 11)
-    tab = smooth_generator(3, 5).tabulated(times)
-    assert scans == [11]
-    tab.sample(times)
-    tab.sample(times[::2])
-    assert scans == [11]  # served from the table: no second scan
-    tab.sample(times + 0.05)
-    assert scans == [11, 11]  # a fresh evaluation keeps its check
-    # the bra path: the adjoint of a table serves its blocks conjugate-transposed
-    bra = tab.adjoint()
-    assert np.array_equal(bra.sample(times[::2]), tab.sample(times[::2]).conj().transpose(0, 2, 1))
-    assert np.array_equal(bra.sample(times), tab.sample(times).conj().transpose(0, 2, 1))
-    grid = TimeGrid(0.0, 1.0, 0.2)
-    swept = evolve_bra(tab, np.eye(3)[0], grid).states
-    assert scans == [11, 11]
-    assert np.array_equal(swept, evolve_bra(smooth_generator(3, 5), np.eye(3)[0], grid).states)
-    assert scans == [11, 11, 11]  # the untabulated run samples and checks afresh
-    fresh = bra.sample(times + 0.05)
-    assert scans == [11, 11, 11, 11]
-    assert np.array_equal(fresh, tab.sample(times + 0.05).conj().transpose(0, 2, 1))
+        if chunked:
+            monkeypatch.setattr(dynamics, "_CHUNK_BYTES", chunk_steps(1000, 3))
+            evolve_ket(H, np.eye(3)[0], TimeGrid(0.0, 4.0, 4.0 / 8000))
+        else:
+            H.sample(times)
 
 
 # ---------------------------------------------------------------------------

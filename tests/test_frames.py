@@ -24,12 +24,19 @@ from nhpassage import (
     two_level_hamiltonian,
     von_neumann_residual,
 )
-from nhpassage.dynamics import TimeDependentOperator, _sample_times, _time_last
+from nhpassage.dynamics import TimeDependentOperator, _Samples, _sample_times, _time_last
+from nhpassage.frames import _residuals
 from nhpassage.scenarios import _drive_scaled, _misaligned_frame, _stages
 from rotation_reference import above_diagonal_max, gauge_block, rotated_block
 
 #: Orthonormality tolerance for well-formed frames.
 GRAM_TOL = 1e-12
+
+
+def set_read(frame):
+    """The frame's block read through a sample set, as a run's certificate pass
+    and verify's controls read it."""
+    return lambda ts: frame._block(_Samples(np.asarray(ts, dtype=float)))
 
 
 def matrix(frame, t):
@@ -193,7 +200,7 @@ def test_frame_samples_of_the_wrong_shape_raise():
                    for shape in ((n, K, K), (n, 2, K + 1, K + 1), (n + 1, 2, K, K),
                                  (2, n, K, K), (n, 3, K, K))]
     for frame in frames:
-        for call in (frame.sample, frame.sample_derivative, frame.tabulated):
+        for call in (frame.sample, frame.sample_derivative, set_read(frame)):
             with pytest.raises(DimensionMismatchError, match=re.escape(
                     f"frame samples have shape {frame.values_at(ts).shape}, "
                     f"expected {(n, 2, frame.dim, frame.dim)}")):
@@ -367,20 +374,39 @@ def test_von_neumann_rejects_non_hermitian():
         von_neumann_residual(H, frame, grid)
 
 
-def test_von_neumann_keeps_a_nan_defect():
-    # s [[1, 1], [1, -1]] is Hermitian at every s; at s = 1.7e308 the products
-    # H M overflow and the projectors' defects are NaN, which is the result
-    frame = two_level_frame(TwoLevelFrameParams(
+def slow_two_level_frame():
+    return two_level_frame(TwoLevelFrameParams(
         theta=lambda t: 0.3 + 0.1 * np.asarray(t, float),
         theta_dot=lambda t: np.full_like(np.asarray(t, float), 0.1),
         alpha=lambda t: np.zeros_like(np.asarray(t, float)),
         alpha_dot=lambda t: np.zeros_like(np.asarray(t, float))))
-    grid = TimeGrid(0.0, 1.0, 0.01)
-    h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
-    assert 1.41 < von_neumann_residual(constant_operator(h), frame, grid) < 1.42
-    assert 1.41e300 < von_neumann_residual(constant_operator(1e300 * h), frame, grid) < 1.42e300
+
+
+#: Hermitian at every scale s of ``s H_PAIR``.
+H_PAIR = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
+
+
+def test_von_neumann_keeps_a_nan_defect():
+    # at s = 1.7e308 the products H M overflow and the projectors' defects are
+    # NaN, which is the result
+    frame, grid = slow_two_level_frame(), TimeGrid(0.0, 1.0, 0.01)
+    assert 1.41 < von_neumann_residual(constant_operator(H_PAIR), frame, grid) < 1.42
+    assert 1.41e300 < von_neumann_residual(constant_operator(1e300 * H_PAIR), frame,
+                                           grid) < 1.42e300
     with np.errstate(over="ignore", invalid="ignore"):
-        assert np.isnan(von_neumann_residual(constant_operator(1.7e308 * h), frame, grid))
+        assert np.isnan(von_neumann_residual(constant_operator(1.7e308 * H_PAIR), frame, grid))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_overflowing_generator_gives_a_nan_von_neumann_residual_without_a_warning():
+    # the public call and verify's streamed Hermitian-limit control read one
+    # kernel, which meets inf * 0 where H M overflows
+    frame, grid = slow_two_level_frame(), TimeGrid(0.0, 1.0, 0.01)
+    H = constant_operator(1.7e308 * H_PAIR)
+    assert np.isnan(von_neumann_residual(H, frame, grid))
+    assert triangularization_residual(H, frame, grid) == np.inf
+    tri, von = _residuals(H, (frame,), grid, von_neumann=True)
+    assert tri == np.inf and np.isnan(von)
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +647,7 @@ def test_two_product_von_neumann_matches_the_per_k_form(angles, dim, seed, scale
 
 # ---------------------------------------------------------------------------
 # the above-diagonal residual against the full rotated block, and the
-# one-pass frame tables against separate samples, bitwise
+# one-pass frame blocks against separate samples, bitwise
 
 
 def counting(fn, calls):
@@ -659,7 +685,7 @@ def test_above_diagonal_residual_is_bitwise_the_full_block(angles, dim, seed, sc
     times = np.linspace(0.0, 2.0, 257)
     H = smooth_operator(seed, hermitian, dim, scale)
     frame = drawn_frame(angles, dim)
-    for f in (frame, frame.tabulated(times), _misaligned_frame(dim, 2.0)):
+    for f in (frame, replace(frame), _misaligned_frame(dim, 2.0)):
         assert triangularization_residual(H, f, times) == above_diagonal_max(H, f, times)
 
 
@@ -674,7 +700,7 @@ def test_stage_residuals_are_bitwise_the_full_block(scenario, gamma_scale):
     bad = _misaligned_frame(stages[0].H.dim, config.T)
     for stage in stages:
         times = stage.grid.times()
-        H, frame = stage.H.tabulated(times), stage.frame.tabulated(times)
+        H, frame = stage.H, stage.frame
         for h, f in ((H, frame), (_drive_scaled(stage, 1.01), stage.frame), (H, bad)):
             assert triangularization_residual(h, f, stage.grid) == above_diagonal_max(h, f, times)
 
@@ -696,15 +722,15 @@ def test_built_in_frame_tables_evaluate_the_pairs_once(angles, dim):
         frame = three_level_frame(ThreeLevelFrameParams(
             counted_theta, dth, al, dal, ph, dph, be, dbe))
     ts = np.linspace(-3.0, 3.0, 257)
-    table = frame.tabulated(ts)
+    block = set_read(frame)(ts)
     assert len(calls) == 1  # matrices and derivatives from one evaluation
-    assert same_bits(table.sample(ts), frame.sample(ts))
-    assert same_bits(table.sample_derivative(ts), frame.sample_derivative(ts))
+    assert same_bits(block[:, 0], frame.sample(ts))
+    assert same_bits(block[:, 1], frame.sample_derivative(ts))
 
 
 # ---------------------------------------------------------------------------
 # the frame contract: one (n, 2, K, K) block, checked as a generator's is and
-# tabulated by one call
+# read from a sample set by one call, bitwise at any subset of its times
 
 
 @settings(max_examples=25, deadline=None)
@@ -720,14 +746,13 @@ def test_frame_tables_are_one_call_and_bitwise_fresh_samples(angles, dim, rows):
             for times in (ts, subset)}
     caller_built = AncillaryFrame(dim, lambda t: built_in.values_at(t))
     for frame in (built_in, replace(built_in), caller_built):
-        calls.clear()
-        table = frame.tabulated(ts)
-        assert len(calls) == 1  # matrices and derivatives from one evaluation
-        for times in (ts, subset):
+        for times in (ts, subset):  # the whole array, and a chunk of it
+            calls.clear()
+            block = set_read(frame)(times)
+            assert len(calls) == 1  # matrices and derivatives from one evaluation
             m, dm = want[times.size]
-            assert same_bits(table.sample(times), m)
-            assert same_bits(table.sample_derivative(times), dm)
-        assert len(calls) == 1  # the subset is served from the table
+            assert same_bits(block[:, 0], m)
+            assert same_bits(block[:, 1], dm)
 
 
 @settings(max_examples=25, deadline=None)
@@ -758,6 +783,6 @@ def test_a_non_finite_frame_sample_names_its_first_bad_time(dim, bad, later, par
 
     frame = AncillaryFrame(dim, values_at)
     message = rf"^frame sample at t = {re.escape(repr(float(ts[bad])))} contains NaN or Inf$"
-    for call in (frame.sample, frame.sample_derivative, frame.tabulated):
+    for call in (frame.sample, frame.sample_derivative, set_read(frame)):
         with pytest.raises(NonFiniteSampleError, match=message):
             call(ts)

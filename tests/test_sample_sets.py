@@ -1,17 +1,20 @@
-"""One sample set per stage: what the runner reads from it, against the public calls.
+"""One sample set per chunk: what the runner reads from it, against the public calls.
 
-The runner evaluates each frame angle, gain and trig factor of a stage once
-on the stage's grid points and RK4 midpoints, and once more on the dt/2
-re-run's times, a contiguous chunk of them at a time, and reports the
-consistency residual synthesis recorded.  Every number it takes from a set
-must be the number a public call computes on its own, bit for bit:
-``H.sample`` for the generator table and the dt/2 samples (the chunks'
-samples joined), ``phase_two_level`` for the phase,
-``two_level_consistency_residual`` for the consistency value, and
-``frame.sample``/``sample_derivative`` for the frame table, which the runner
-slices from the set's even entries.  The inputs are the six built-ins and
-controls drawn as in ``test_synthesis_oracle``: random smooth frames, gains
-that are not PT-balanced, and free detunings.
+The runner reads each stage three times, a contiguous chunk of steps at a
+time: the dt/2 re-run on its own times, the sweep on the stage's grid points
+and RK4 midpoints, and one certificate pass, in which a chunk's sample set on
+its grid points and midpoints evaluates each frame angle, gain and trig
+factor once for the generator and the phase, and the frame is read on the
+chunk's grid points.  It reports the consistency residual synthesis
+recorded.  Every number it takes from a chunk must be the number a public
+call computes on the whole stage, bit for bit: ``H.sample`` for the sweep's,
+the pass's and the dt/2 samples (each pass's chunks joined),
+``frame.sample``/``sample_derivative`` for the pass's frame blocks,
+``phase_two_level`` for the phase, ``triangularization_residual`` and
+``biorthogonality_defect`` for the certificates, and
+``two_level_consistency_residual`` for the consistency value.  The inputs are
+the six built-ins and controls drawn as in ``test_synthesis_oracle``: random
+smooth frames, gains that are not PT-balanced, and free detunings.
 """
 
 import tracemalloc
@@ -21,25 +24,32 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nhpassage import (
+    AncillaryFrame,
+    PhaseFunctional,
     ScenarioConfig,
     StepSizeError,
     ThreeLevelFrameParams,
     TimeGrid,
     TwoLevelControls,
     TwoLevelFrameParams,
+    biorthogonality_defect,
+    evolve_bra,
+    evolve_ket,
     phase_two_level,
     run_scenario,
     synthesize_three_level,
     synthesize_two_level,
     three_level_frame,
     three_level_hamiltonian,
+    triangularization_residual,
     two_level_consistency_residual,
     two_level_frame,
     two_level_hamiltonian,
+    verify,
 )
 from nhpassage import dynamics, scenarios
 from nhpassage.dynamics import TimeDependentOperator, _Derived, _sample_times
-from nhpassage.scenarios import RESIDUAL_TOL
+from nhpassage.scenarios import RESIDUAL_TOL, SCENARIO_IDS
 from test_synthesis_oracle import (
     GRID,
     assert_phase_is_rotated_diagonal,
@@ -62,48 +72,71 @@ def same_bits(a, b):
     return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
 
 
-#: A chunk budget of a few dozen steps, so every dt/2 re-run here takes several chunks.
+#: A chunk budget of a few dozen steps, so every stage here takes several chunks.
 CHUNK_BYTES = 1 << 13
 
 
-def recorded_run(config, stages):
+def recorded_run(config, stages, marks=None):
     """``stages`` through the runner, with what it read per stage recorded: the
-    table of ``H`` each sweep ran on, the frame table of each triangularization
-    certificate and its value, the times and samples of each chunk of each dt/2
-    re-run, and each phase.  The re-runs read chunks of :data:`CHUNK_BYTES`.  The
-    report is None when the dt/2 check refuses the run; every stage has run by then."""
-    got = {"H": [], "frame": [], "tri": [], "half": [], "phase": []}
+    times and samples of each chunk of its dt/2 re-run, of its sweep, and of
+    its certificate pass (``H`` and the frame), and the certificates.  Chunks
+    take :data:`CHUNK_BYTES`.  ``marks``, a dict of per-callable call lists,
+    gets the name of each of a stage's passes (``rerun``, ``sweep``, ``pass``)
+    appended to every list as the pass starts.  The report is None when the
+    dt/2 check refuses the run; every stage has run by then."""
+    got = {"half": [], "sweep": [], "H": [], "frame": [], "certificates": []}
 
-    def sweep(inner):
-        def recorded(H, psi, grid):
-            got["H"].append(H.values_at.table)
-            return inner(H, psi, grid)
-        return recorded
+    def mark(name):
+        for calls in (marks or {}).values():
+            calls.append(name)
 
-    def triangularization(H, frame, grid, inner=scenarios.triangularization_residual):
-        got["frame"].append(frame.values_at.table)
-        got["tri"].append(inner(H, frame, grid))
-        return got["tri"][-1]
-
-    def halved(H, psi, grid, inner=scenarios.evolve_ket_halved):
+    def recorded(H, key):  # H, each chunk's sample recorded with its times
         chunks = []
-        got["half"].append(chunks)
+        got[key].append(chunks)
 
-        def values_at(ts):  # each chunk's sample of H, recorded with its times
+        def values_at(ts):
             chunks.append((np.array(ts), H.sample(ts)))
             return chunks[-1][1]
-        return inner(TimeDependentOperator(H.dim, values_at), psi, grid)
+        return TimeDependentOperator(H.dim, values_at)
 
-    def phase(*args, inner=scenarios._phase):
-        got["phase"].append(inner(*args))
-        return got["phase"][-1]
+    def halved(H, psi, grid, inner=scenarios.evolve_ket_halved):
+        mark("rerun")
+        return inner(recorded(H, "half"), psi, grid)
+
+    def sweep(inner):
+        def swept(H, psi, grid):
+            mark("sweep")
+            return inner(recorded(H, "sweep"), psi, grid)
+        return swept
+
+    def read(values_at, samples, shape, inner=scenarios._checked_block):
+        got["H"][-1].append((samples.times, inner(values_at, samples, shape)))
+        return got["H"][-1][-1][1]
+
+    certifying = []  # the frame of the stage being certified
+
+    def frame_read(frame, times, inner=AncillaryFrame._block):
+        block = inner(frame, times)
+        if certifying and frame is certifying[0]:
+            got["frame"][-1].append((np.array(times), block))
+        return block
+
+    def certify(stage, *args, inner=scenarios._certify):
+        mark("pass")
+        got["H"].append([])
+        got["frame"].append([])
+        certifying.append(stage.frame)
+        got["certificates"].append(inner(stage, *args))
+        certifying.pop()
+        return got["certificates"][-1]
 
     with pytest.MonkeyPatch.context() as mp:
         for name in ("evolve_ket", "evolve_bra"):
             mp.setattr(scenarios, name, sweep(getattr(scenarios, name)))
-        mp.setattr(scenarios, "triangularization_residual", triangularization)
         mp.setattr(scenarios, "evolve_ket_halved", halved)
-        mp.setattr(scenarios, "_phase", phase)
+        mp.setattr(scenarios, "_checked_block", read)
+        mp.setattr(AncillaryFrame, "_block", frame_read)
+        mp.setattr(scenarios, "_certify", certify)
         mp.setattr(dynamics, "_CHUNK_BYTES", CHUNK_BYTES)
         try:
             report = scenarios._run(config, stages=stages)
@@ -113,34 +146,57 @@ def recorded_run(config, stages):
     return report, got
 
 
+def joined(chunks, shared_edges=False):
+    """The times and the samples of ``(times, samples)`` chunks, each joined in
+    order; with ``shared_edges`` each chunk after the first starts at its
+    predecessor's last time, which the join drops."""
+    times, blocks = zip(*chunks)
+    if shared_edges:
+        assert all(a[-1] == b[0] for a, b in zip(times, times[1:]))
+        times = times[:1] + tuple(t[1:] for t in times[1:])
+        blocks = blocks[:1] + tuple(b[1:] for b in blocks[1:])
+    return np.concatenate(times), np.concatenate(blocks)
+
+
 def assert_reads_are_the_public_calls(stages, report, got):
     """What :func:`recorded_run` recorded, against the public calls on each stage."""
+    start = 0
     for i, stage in enumerate(stages):
-        times = stage.grid.times()
-        assert same_bits(got["H"][i], stage.H.sample(_sample_times(times)))
+        grid = stage.grid
+        times, sample_times = grid.times(), _sample_times(grid.times())
         H = stage.H if stage.passage == "ket" else stage.H.adjoint()
-        rerun = _sample_times(stage.grid.halved().times())
-        assert len(got["half"][i]) > 1
-        assert_chunks_cover_once([ts for ts, _ in got["half"][i]], rerun)
-        assert same_bits(np.concatenate([block for _, block in got["half"][i]]), H.sample(rerun))
-        assert same_bits(got["frame"][i][:, 0], stage.frame.sample(times))
-        assert same_bits(got["frame"][i][:, 1], stage.frame.sample_derivative(times))
-        phase = phase_two_level(stage.controls, stage.frame_params, stage.grid, stage.passage)
-        assert same_bits(got["phase"][i].f_real, phase.f_real)
-        assert same_bits(got["phase"][i].f_imag, phase.f_imag)
+        rerun = _sample_times(grid.halved().times())
+        for chunks, shared, want, op in ((got["half"][i], False, rerun, H),
+                                         (got["sweep"][i], False, sample_times, stage.H),
+                                         (got["H"][i], True, sample_times, stage.H)):
+            assert len(chunks) > 1
+            ts, block = joined(chunks, shared)
+            assert same_bits(ts, want)
+            assert same_bits(block, op.sample(want))
+        assert len(got["frame"][i]) == len(got["H"][i])  # one frame read per chunk
+        ts, block = joined(got["frame"][i], shared_edges=True)
+        assert same_bits(ts, times)
+        assert same_bits(block[:, 0], stage.frame.sample(times))
+        assert same_bits(block[:, 1], stage.frame.sample_derivative(times))
+        certificates = got["certificates"][i]
+        assert certificates["triangularization_residual"] == triangularization_residual(
+            stage.H, stage.frame, grid)
+        assert certificates["biorthogonality_defect"] == biorthogonality_defect(stage.H, grid)
+        phase = phase_two_level(stage.controls, stage.frame_params, grid, stage.passage)
+        assert certificates["stage_end_f_imag"] == abs(phase.f_imag[-1])
+        if report is not None:  # the boundary point keeps the earlier stage's value
+            stop = start + grid.n_steps + 1
+            first = 1 if i else 0
+            for part in ("f_real", "f_imag"):
+                assert same_bits(getattr(report.phase, part)[start + first:stop],
+                                 getattr(phase, part)[first:])
+            start = stop - 1
         consistency = two_level_consistency_residual(
-            stage.controls, stage.frame_params, stage.grid)
+            stage.controls, stage.frame_params, grid)
         assert stage.controls.consistency == consistency
     if report is not None:
         consistency = next(c.value for c in report.checks if c.name == "consistency_residual")
         assert consistency == max(s.controls.consistency for s in stages)
-
-
-def assert_chunks_cover_once(chunks, times):
-    """The chunks, in the order they were read, are disjoint contiguous pieces
-    of ``times`` that cover it once: joined, they are ``times``, bit for bit."""
-    assert all(chunk.size for chunk in chunks)
-    assert same_bits(np.concatenate(chunks), times)
 
 
 @pytest.mark.parametrize("gamma_scale", [0.8, 1.15])
@@ -153,6 +209,42 @@ def test_built_in_runs_read_the_public_calls_numbers(sid, T, gamma_scale):
     report, got = recorded_run(config, stages)
     assert report is not None and report.passed
     assert_reads_are_the_public_calls(stages, report, got)
+
+
+def whole_stage_fidelity(states, stage, phase):
+    """The passage fidelity of a stage's ``states`` from whole-stage arrays: the
+    frame and the phase sampled by the public calls on the stage's grid."""
+    column = stage.H.dim - 1 if stage.passage == "ket" else 0
+    mus = stage.frame.sample(stage.grid.times())[:, :, column]
+    c0 = np.vdot(mus[0], states[0])
+    dressed = (c0 * np.exp(-1j * (phase.f_real + 1j * phase.f_imag)))[:, None] * mus
+    return np.max(np.linalg.norm(states - dressed, axis=1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(sid=st.sampled_from(SCENARIO_IDS), i=st.integers(0, 2), steps=st.integers(1, 130),
+       T=st.sampled_from([0.5, 2.0]), gamma_scale=st.sampled_from([0.8, 1.15]))
+def test_the_stage_pass_is_bitwise_the_public_calls_at_any_chunk_budget(
+        sid, i, steps, T, gamma_scale):
+    # a budget of ``steps`` steps cuts a 500-step stage into up to 500 chunks
+    config = ScenarioConfig(sid, T=T, dt=T / 250, gamma_scale=gamma_scale)
+    stages = scenarios._stages(config)
+    stage = stages[i % len(stages)]
+    grid, K = stage.grid, stage.H.dim
+    evolve = evolve_ket if stage.passage == "ket" else evolve_bra
+    states = evolve(stage.H, np.eye(K)[0], grid).states
+    f_real, f_imag = np.empty(grid.n_steps + 1), np.empty(grid.n_steps + 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_CHUNK_BYTES", steps * 2 * K * K * 16)
+        got = scenarios._certify(stage, states, f_real, f_imag, 0)
+    phase = phase_two_level(stage.controls, stage.frame_params, grid, stage.passage)
+    assert same_bits(f_real, phase.f_real) and same_bits(f_imag, phase.f_imag)
+    assert got == {
+        "stage_end_f_imag": abs(phase.f_imag[-1]),
+        "triangularization_residual": triangularization_residual(stage.H, stage.frame, grid),
+        "biorthogonality_defect": biorthogonality_defect(stage.H, grid),
+        "passage_fidelity": whole_stage_fidelity(states, stage, phase),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -249,26 +341,51 @@ def drawn_three_level(theta, alpha, phi, beta, gap_a, gap, g0, g1, ge, xi, d0, c
     return watched, three_level_frame(watched), controls, three_level_hamiltonian(controls)
 
 
-def assert_runner_numbers_certify(got, stage):
-    """The runner's set-read numbers against the rotated-generator oracle: its
+def assert_runner_numbers_certify(report, got, stage):
+    """The runner's chunk-read numbers against the rotated-generator oracle: its
     frame triangularizes its generator, and its phase integrates the rotated
-    diagonal entry of the untabulated stage."""
-    assert got["tri"][0] <= RESIDUAL_TOL
-    assert_phase_is_rotated_diagonal(got["phase"][0], stage.H, stage.frame, stage.passage)
+    diagonal entry of the stage."""
+    assert got["certificates"][0]["triangularization_residual"] <= RESIDUAL_TOL
+    phase = PhaseFunctional(stage.grid.times(), report.phase.f_real, report.phase.f_imag)
+    assert_phase_is_rotated_diagonal(phase, stage.H, stage.frame, stage.passage)
 
 
-def assert_one_call_per_time_array(arrays, grid):
-    """Each counted callable ran at most once on the synthesis grid and once on
-    the stage's grid points and midpoints, and otherwise only on the dt/2
-    re-run's chunks, which cover its time array once."""
-    whole = (grid.times(), _sample_times(grid.times()))
+def assert_calls_per_pass(arrays, grid):
+    """Each counted callable ran once on the synthesis grid, then, in each of a
+    stage's passes that read it, on that pass's chunks: the dt/2 re-run's and
+    the sweep's cover their times once, and the certificate pass's cover the
+    grid points and midpoints, and for a frame parameter the grid points, with
+    shared edges, each once per chunk.  ``arrays`` holds each callable's time
+    arrays with the passes marked, as :func:`recorded_run` marks them."""
+    times, sample_times = grid.times(), _sample_times(grid.times())
     for name, called in arrays.items():
-        for times in whole:
-            assert sum(same_bits(t, times) for t in called) <= 1, name
-        chunks = [t for t in called if not any(same_bits(t, times) for times in whole)]
-        if chunks:
-            assert len(chunks) > 1, name
-            assert_chunks_cover_once(chunks, _sample_times(grid.halved().times()))
+        assert same_bits(called[0], times), name  # synthesis
+        passes = {"rerun": [], "sweep": [], "pass": []}
+        for entry in called[1:]:
+            if isinstance(entry, str):
+                chunks = passes[entry]
+            else:
+                chunks.append(entry)
+        for key, want in (("rerun", _sample_times(grid.halved().times())),
+                          ("sweep", sample_times)):
+            if passes[key]:
+                assert len(passes[key]) > 1, name
+                assert same_bits(np.concatenate(passes[key]), want), name
+        pieces = [[t for t in passes["pass"] if is_piece(t, want)]
+                  for want in (times, sample_times)]
+        assert sum(map(len, pieces)) == len(passes["pass"]) > 0, name
+        for chunks, want in zip(pieces, (times, sample_times)):
+            if chunks:
+                assert len(chunks) > 1, name
+                assert same_bits(joined([(t, t) for t in chunks], shared_edges=True)[0],
+                                 want), name
+        assert not all(pieces) or len(pieces[0]) == len(pieces[1]), name  # once per chunk
+
+
+def is_piece(ts, times):
+    """Whether ``ts`` is a contiguous piece of ``times``, bit for bit."""
+    i = int(np.searchsorted(times, ts[0]))
+    return same_bits(ts, times[i:i + ts.size])
 
 
 STEPS = GRID.n_steps
@@ -286,9 +403,10 @@ def test_drawn_two_level_stage_reads_the_public_calls_numbers(
                                                  arrays)
     assert all(sizes == [STEPS + 1] for sizes in calls.values())  # synthesis: once, on its grid
     stage = scenarios._Stage(GRID, params, frame, controls, H, passage, 0)
-    report, got = recorded_run(ScenarioConfig("two_level_a", T=0.5, dt=GRID.dt), [stage])
-    assert_one_call_per_time_array(arrays, GRID)
-    assert_runner_numbers_certify(got, stage)
+    report, got = recorded_run(ScenarioConfig("two_level_a", T=0.5, dt=GRID.dt), [stage],
+                               marks=arrays)
+    assert_calls_per_pass(arrays, GRID)
+    assert_runner_numbers_certify(report, got, stage)
     assert_reads_are_the_public_calls([stage], report, got)
 
 
@@ -306,9 +424,9 @@ def test_drawn_three_level_stage_reads_the_public_calls_numbers(
         theta, alpha, phi, beta, gap_a, gap, g0, g1, ge, xi, d0, calls, arrays)
     assert all(sizes == [STEPS + 1] for sizes in calls.values())
     stage = scenarios._Stage(GRID, params, frame, controls, H, passage, 0)
-    report, got = recorded_run(ScenarioConfig("cyclic_ccw", dt=GRID.dt), [stage])
-    assert_one_call_per_time_array(arrays, GRID)
-    assert_runner_numbers_certify(got, stage)
+    report, got = recorded_run(ScenarioConfig("cyclic_ccw", dt=GRID.dt), [stage], marks=arrays)
+    assert_calls_per_pass(arrays, GRID)
+    assert_runner_numbers_certify(report, got, stage)
     assert_reads_are_the_public_calls([stage], report, got)
 
 
@@ -330,19 +448,20 @@ def hand_built(built_in, calls, arrays=None):
 
 def test_a_run_calls_each_frame_angle_once_per_time_array():
     # a caller-built two-level stage: its angle and rate, which also set the gains,
-    # are called once on the synthesis grid, once on the stage's grid points and
-    # midpoints, and on the dt/2 re-run's chunks (two at the default budget),
-    # which cover its times once, and on nothing else
-    calls, arrays = {"theta": [], "theta_dot": []}, {}
+    # are called once on the synthesis grid, then, at the default budget, on the
+    # dt/2 re-run's two chunks, which cover its times once, once on the sweep's
+    # grid points and midpoints, and on the certificate pass's two chunks, each
+    # once on its grid points and once on its grid points and midpoints, the
+    # chunks sharing their edge point; and on nothing else
+    calls = {"theta": [], "theta_dot": []}
     config = ScenarioConfig("two_level_c")
-    stage = hand_built(scenarios._stages(config)[0], calls, arrays)
+    stage = hand_built(scenarios._stages(config)[0], calls)
     report = scenarios._run(config, [stage])
     assert report.passed
-    steps = 4000
+    steps, first = 4000, 2048
     for sizes in calls.values():
-        assert sizes.count(steps + 1) == sizes.count(2 * steps + 1) == 1
-        assert len(sizes) == 4 and sum(sizes) == (steps + 1) + (2 * steps + 1) + (4 * steps + 1)
-    assert_one_call_per_time_array(arrays, stage.grid)
+        assert sizes == [steps + 1, 4 * first + 1, 4 * (steps - first), 2 * steps + 1,
+                         first + 1, 2 * first + 1, steps - first + 1, 2 * (steps - first) + 1]
     assert same_bits(report.trajectory.states, run_scenario(config).trajectory.states)
 
 
@@ -369,8 +488,8 @@ def test_an_opaque_envelope_is_called_once_per_time_array():
 
 
 def test_a_drive_scaled_control_reads_one_sample_set():
-    # verify's perturbed control: the scaled generator and the frame table read
-    # the stage's angles from one set on the grid
+    # verify's perturbed control: the scaled generator and the frame read the
+    # stage's angles from one set on the grid's one chunk
     calls = {"theta": [], "theta_dot": []}
     stage = hand_built(scenarios._stages(ScenarioConfig("two_level_c", dt=0.01))[0], calls)
     assert calls == {"theta": [201], "theta_dot": [201]}  # synthesis
@@ -379,7 +498,7 @@ def test_a_drive_scaled_control_reads_one_sample_set():
 
 
 # ---------------------------------------------------------------------------
-# memory: a set dies with its stage, and a run holds no stage's certificates
+# memory: a set dies with its chunk, and a run holds no stage's samples
 
 
 def traced_peak(loops, dt=1.0 / 500):
@@ -408,11 +527,27 @@ def test_a_runs_traced_peak_grows_with_loops_only_by_what_it_keeps():
 
 
 def test_a_four_loop_runs_traced_peak_stays_under_ten_mb():
-    # the certificates and the dt/2 re-run take a chunk at a time and the re-run
-    # goes stage by stage, so no run holds a stage's propagators, its dt/2
-    # samples or a run-length dt/2 copy; when runs did, this one peaked 15.1 MB
-    # above what was live before it, and it peaks 8.6 MB now
+    # the sweep, the certificates and the dt/2 re-run take a chunk at a time and
+    # the re-run goes stage by stage, so no run holds a stage's samples, its
+    # propagators or a run-length dt/2 copy; when runs did, this one peaked
+    # 15.1 MB above what was live before it, with whole-stage sample tables
+    # 8.6 MB, and it peaks 6.5 MB now
     run_scenario(ScenarioConfig("cyclic_ccw", T=1.0, dt=1.0 / 500))  # imports and caches
     peak, report = traced_peak(4, dt=None)
     assert report.passed
-    assert peak <= 10e6, peak
+    assert peak <= 7.5e6, peak
+
+
+def test_verify_holds_no_stage_of_samples():
+    # verify's perturbed and Hermitian-limit controls read their generators and
+    # frames a chunk of grid points at a time; with whole-stage tables of them
+    # this peaked at 9.9 MB, and it peaks 4.0 MB now
+    run_scenario(ScenarioConfig("cyclic_ccw", T=1.0, dt=1.0 / 500))  # imports and caches
+    tracemalloc.start()
+    try:
+        report = verify(ScenarioConfig("cyclic_ccw"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak <= 5e6, peak

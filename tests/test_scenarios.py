@@ -35,6 +35,7 @@ from nhpassage import scenarios
 from nhpassage.cli import OPTIONS, main as cli_main
 from nhpassage.config import read_config
 from nhpassage.scenarios import CYCLIC_IDS
+from test_sample_sets import whole_stage_fidelity
 
 
 # ---------------------------------------------------------------------------
@@ -463,18 +464,19 @@ def test_verify_negative_controls_cover_every_stage(monkeypatch, sid):
     # Hermitian zero-gain generator it is the misaligned frame
     import nhpassage.scenarios as scenarios
 
-    inner = scenarios.triangularization_residual
+    inner = scenarios._residuals
     spans = {"perturbed": [], "misaligned": []}
 
-    def recording(H, frame, grid):
-        value = inner(H, frame, grid)
+    def recording(H, frames, grid, von_neumann=False):
+        peaks = inner(H, frames, grid, von_neumann)
         h = H.sample(np.array([0.5 * (grid.t0 + grid.tf)]))[0]
-        if value > 1e-3:
-            kind = "misaligned" if np.array_equal(h, h.conj().T) else "perturbed"
-            spans[kind].append((grid.t0, grid.tf))
-        return value
+        for value in peaks[:len(frames)]:  # the triangularization residuals
+            if value > 1e-3:
+                kind = "misaligned" if np.array_equal(h, h.conj().T) else "perturbed"
+                spans[kind].append((grid.t0, grid.tf))
+        return peaks
 
-    monkeypatch.setattr(scenarios, "triangularization_residual", recording)
+    monkeypatch.setattr(scenarios, "_residuals", recording)
     report = verify(ScenarioConfig(scenario=sid))
     assert report.passed
     for kind, covered in spans.items():
@@ -546,13 +548,12 @@ def test_overflowing_gains_fail_in_synthesis_with_a_typed_error():
 
 @pytest.mark.parametrize("scenario,loops", [("cyclic_ccw", 2), ("two_level_c", 1)])
 def test_stage_tables_serve_the_same_floats(monkeypatch, scenario, loops):
-    # every per-stage number of a run and of verify's Hermitian-limit controls,
-    # recomputed on the untabulated stage operators, must match bit for bit
+    # every per-stage number of a run's one certificate pass and of verify's
+    # Hermitian-limit controls, recomputed by the public calls on the whole
+    # stage, must match bit for bit
     config = ScenarioConfig(scenario, T=0.5, loops=loops, gamma_scale=1.15)
-    results = {"sweep": [], "tri": [], "bio": [], "fidelity": []}
-    for kind, name in (("sweep", "evolve_ket"), ("sweep", "evolve_bra"),
-                       ("tri", "triangularization_residual"),
-                       ("bio", "biorthogonality_defect"), ("fidelity", "_passage_fidelity_error")):
+    results = {"sweep": [], "certify": []}
+    for kind, name in (("sweep", "evolve_ket"), ("sweep", "evolve_bra"), ("certify", "_certify")):
         def recorded(*args, inner=getattr(scenarios, name), kind=kind):
             results[kind].append(inner(*args))
             return results[kind][-1]
@@ -569,17 +570,23 @@ def test_stage_tables_serve_the_same_floats(monkeypatch, scenario, loops):
         psi, stop = direct.states[-1], start + stage.grid.n_steps + 1
         assert np.array_equal(results["sweep"][i].states, direct.states)
         assert np.array_equal(report.trajectory.states[start:stop], direct.states)
-        start = stop - 1
-        assert results["tri"][i] == triangularization_residual(stage.H, stage.frame, stage.grid)
-        assert results["bio"][i] == biorthogonality_defect(stage.H, stage.grid)
+        certificates = results["certify"][i]
+        assert certificates["triangularization_residual"] == triangularization_residual(
+            stage.H, stage.frame, stage.grid)
+        assert certificates["biorthogonality_defect"] == biorthogonality_defect(
+            stage.H, stage.grid)
         phase = (phase_two_level if stage.H.dim == 2 else phase_three_level)(
             stage.controls, stage.frame_params, stage.grid, passage=stage.passage)
-        assert results["fidelity"][i] == scenarios._passage_fidelity_error(
-            direct, stage.frame, phase, stage.passage)
+        for part in ("f_real", "f_imag"):  # the boundary point keeps the earlier stage's
+            assert np.array_equal(getattr(report.phase, part)[start + 1:stop],
+                                  getattr(phase, part)[1:])
+        assert certificates["stage_end_f_imag"] == abs(phase.f_imag[-1])
+        assert certificates["passage_fidelity"] == whole_stage_fidelity(
+            direct.states, stage, phase)
+        start = stop - 1
     values = {c.name: c.value for c in report.checks}
-    assert values["triangularization_residual"] == max(results["tri"])
-    assert values["biorthogonality_defect"] == max(results["bio"])
-    assert values["passage_fidelity"] == max(results["fidelity"])
+    for name in ("triangularization_residual", "biorthogonality_defect", "passage_fidelity"):
+        assert values[name] == max(c[name] for c in results["certify"])
 
     report = verify(config)
     zero_gain = scenarios._stages(replace(config, gamma_scale=0.0))
@@ -605,31 +612,32 @@ def on_stage_2(t0):
     return t0 == 2.0
 
 
-@pytest.mark.parametrize("name,check,t0_of", [
-    ("triangularization_residual", "triangularization_residual",
-     lambda H, frame, grid: grid.t0),
-    ("biorthogonality_defect", "biorthogonality_defect", lambda H, grid: grid.t0),
-    ("_passage_fidelity_error", "passage_fidelity", lambda traj, *_: traj.times[0]),
-])
-def test_run_keeps_a_nan_certificate_of_a_later_stage(monkeypatch, name, check, t0_of):
-    inner = getattr(scenarios, name)
-    monkeypatch.setattr(scenarios, name,
-                        lambda *args: np.nan if on_stage_2(t0_of(*args)) else inner(*args))
+@pytest.mark.parametrize("check", [
+    "triangularization_residual", "biorthogonality_defect", "passage_fidelity"])
+def test_run_keeps_a_nan_certificate_of_a_later_stage(monkeypatch, check):
+    inner = scenarios._certify
+
+    def stand_in(stage, *args):
+        certificates = inner(stage, *args)
+        return {**certificates, check: np.nan} if on_stage_2(stage.grid.t0) else certificates
+
+    monkeypatch.setattr(scenarios, "_certify", stand_in)
     report = run_scenario(ScenarioConfig("cyclic_cw"))
     result = next(c for c in report.checks if c.name == check)
     assert np.isnan(result.value) and not result.passed
 
 
 def test_run_keeps_a_nan_stage_end_phase_of_a_later_stage(monkeypatch):
-    inner = scenarios._phase
+    # the phase of stage 2's last chunk ends in a NaN
+    inner = scenarios._accumulate_simpson
 
-    def stand_in(controls, frame, samples, times, passage):
-        phase = inner(controls, frame, samples, times, passage)
-        if on_stage_2(times[0]):
-            phase = replace(phase, f_imag=np.append(phase.f_imag[:-1], np.nan))
-        return phase
+    def stand_in(rates, times, start=None):
+        f = inner(rates, times, start)
+        if times[-1] == 4.0:
+            f[-1] = complex(0.0, np.nan)
+        return f
 
-    monkeypatch.setattr(scenarios, "_phase", stand_in)
+    monkeypatch.setattr(scenarios, "_accumulate_simpson", stand_in)
     report = run_scenario(ScenarioConfig("cyclic_cw"))
     result = next(c for c in report.checks if c.name == "stage_end_f_imag")
     assert np.isnan(result.value) and not result.passed
@@ -645,10 +653,13 @@ def test_run_keeps_a_nan_consistency_of_a_later_stage():
 
 
 def test_verify_controls_keep_a_nan_of_a_later_stage(monkeypatch):
-    for name in ("triangularization_residual", "von_neumann_residual"):
-        inner = getattr(scenarios, name)
-        monkeypatch.setattr(scenarios, name, lambda H, frame, grid, inner=inner: (
-            np.nan if on_stage_2(grid.t0) else inner(H, frame, grid)))
+    inner = scenarios._residuals
+
+    def stand_in(H, frames, grid, von_neumann=False):
+        peaks = inner(H, frames, grid, von_neumann)
+        return [np.nan] * len(peaks) if on_stage_2(grid.t0) else peaks
+
+    monkeypatch.setattr(scenarios, "_residuals", stand_in)
     report = verify(ScenarioConfig("cyclic_cw"))
     checks = {c.name: c for c in report.checks}
     for name in ("perturbed_omega_breaks_triangularization",
