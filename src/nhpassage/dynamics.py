@@ -19,55 +19,50 @@ smooth stretch of ``H``; a run made of several stages (see
 the state across.
 
 Two paths share the scheme.  The batched path serves the propagators
-(:func:`propagator_ket`, :func:`biorthogonality_defect`)
-and the dt/2 re-run of a run's step check (:func:`evolve_ket_halved`): each
-RK4 step becomes an increment ``D_n = P_n - I``, a chunk of steps at a time,
-and a blocked prefix scan chains them with the identity implicit, since ``I
-+ D_n`` rounded in float64 loses the low bits of the small ``D_n``.  It feeds
-only thresholded certificates and lands closer to exact RK4 arithmetic than
-a sweep.  The state sweeps (:func:`evolve_ket`, :func:`evolve_bra`) keep every
-sum of an all-numpy step, in its order: the growing modes of a non-Hermitian
-generator amplify regrouped rounding (routing the steps through step
-matrices moved stage-end populations of a four-loop run by 1.7e-8), and
-trajectories are compared against recorded reference populations at 1e-12.
-The step runs in Python ``complex`` arithmetic on flat rows of the ``-iH``
-samples, read a chunk at a time, in a kernel unrolled for K = 2 and K = 3
-and a generic one for other K.  Only the rounding inside a complex product
-differs from numpy's, which fuses a multiply-add into each part: sweep
-states lie within 1.1e-16 of the numpy step's, relative to their largest
-entry, on the test generators, and stage-end populations of all 240
-benchmark reference inputs within 5.5e-40 of the recorded ones.
+(:func:`propagator_ket`, :func:`biorthogonality_defect`) and the dt/2 re-run
+(:func:`evolve_ket_halved`): each RK4 step becomes an increment ``D_n = P_n -
+I``, and a blocked prefix scan chains them with the identity implicit, since
+``I + D_n`` in float64 loses the low bits of a small ``D_n``; it feeds only
+thresholded certificates.  The state sweeps (:func:`evolve_ket`,
+:func:`evolve_bra`) keep every sum of an all-numpy step, in its order: the
+growing modes of a non-Hermitian generator amplify regrouped rounding (step
+matrices moved stage-end populations of a four-loop run by 1.7e-8) past the
+1e-12 at which trajectories are compared with recorded references.  The step
+runs in Python ``complex`` arithmetic on flat rows of ``-iH`` samples, in a
+kernel unrolled for K = 2 and K = 3 and a generic one for other K.  Only the
+rounding inside a complex product differs from numpy's fused multiply-add:
+sweep states lie within 1.1e-16 of the numpy step's (relative to their
+largest entry), and stage-end populations of all 240 benchmark reference
+inputs within 5.5e-40 of the recorded ones.
 
 The built-in generators and frames are closed forms (:class:`_Derived`)
 over a sample set (:class:`_Samples`), in which each callable of time they
 read (a frame angle, a gain, an envelope) and each sine and cosine they take
-of one is evaluated once.  The sweeps, the propagators, the defect and the
-dt/2 re-run read their samples a contiguous chunk of steps at a time
-(:data:`_CHUNK_BYTES` of samples, about 512 KiB), each chunk a set of its
-own, as a run's certificate pass does (see :mod:`nhpassage.scenarios`);
-only the series oracle samples its short horizon at once.  The dt/2 re-run
-samples its own times: the midpoints of a stage's grid points and midpoints
-differ from ``grid.halved()``'s times by an ulp at 2532 of 16 001 times of a
-4000-step stage, and reading them moved re-run populations by 1.3e-10.
+of one is evaluated once.  A rate, gain, detuning or local phase that does
+not move is a :class:`_Constant`, which a set serves as a scalar, so it and
+all it feeds are computed once per set and broadcast: numpy rounds a scalar
+operand as each entry of an array, so every number is the per-time one.  The
+sweeps, the propagators, the defect and the dt/2 re-run read their samples a
+contiguous chunk of steps at a time (:data:`_CHUNK_BYTES`, about 512 KiB),
+each chunk a set of its own; only the series oracle samples its short horizon
+at once.  The dt/2 re-run samples its own times: the midpoints of a stage's
+grid points and midpoints differ from ``grid.halved()``'s by an ulp at 2532
+of 16 001 times of a 4000-step stage, which moved re-run populations 1.3e-10.
 
 The certificate algebra (step increments, ``V^dag U``, the series oracle and
-the frame residuals) copies each sampled ``(n, K, K)`` block once into a
-time-last ``(K, K, n)`` one, so numpy's inner loops run along time; a
-sample that feeds the RK4 steps is multiplied by ``-1j`` in that same pass
-and split into contiguous grid and midpoint blocks, which the increments,
-built in place, read without stride-2 views.  Each chunk's increments are
-written straight into the prefix scan's blocks, held block-major, one
-contiguous ``(K, K, nb)`` stack per step of a block, and the scan closes on a
-contiguous carry over a contiguous range of block steps at a time: numpy's
-einsum runs about twice as fast on contiguous operands as on strided ones,
-with the same sums in the same order.  So :func:`biorthogonality_defect`
-holds the ket and bra scan blocks and a running maximum, never a whole
-``U``, ``V`` or ``V^dag U``, and the dt/2 re-run its scan blocks and the
-states it returns.  The propagators stay time-last from the scan to ``V^dag
-U``, and only :func:`propagator_ket` moves time to the front; the bra
-propagators are ``propagator_ket(H.adjoint(), grid)``.  A chunk's edges
-leave every sum and its order, so every number is bitwise the one-block
-computation's.
+the frame residuals) runs on time-last ``(K, K, n)`` blocks, so numpy's inner
+loops run along time: a sampled ``(n, K, K)`` block is copied once, a built-in
+frame's block is time-last already, and a sample that feeds the RK4 steps is
+multiplied by ``-1j`` in that copy and split into contiguous grid and
+midpoint blocks.  Each chunk's increments go straight into the prefix scan's
+blocks, held block-major (one contiguous ``(K, K, nb)`` stack per step of a
+block), and the scan closes on a contiguous carry, a range of block steps at
+a time: numpy's einsum runs about twice as fast on contiguous operands, with
+the same sums in the same order.  So :func:`biorthogonality_defect` holds
+the scan blocks and a running maximum, never a whole ``U``, ``V`` or ``V^dag
+U``.  Only :func:`propagator_ket` moves time to the front; the bra
+propagators are ``propagator_ket(H.adjoint(), grid)``.  A chunk's edges leave
+every sum and its order, so every number is bitwise the one-block one.
 """
 
 from __future__ import annotations
@@ -204,7 +199,16 @@ class _Derived:
         self.form = form
 
     def __call__(self, ts) -> np.ndarray:
-        return self.form(_Samples(np.asarray(ts, dtype=float)))
+        samples = _Samples(np.asarray(ts, dtype=float))
+        return samples.spread(self.form(samples))
+
+
+class _Constant(_Derived):
+    """A callable of time that does not depend on it, ``value`` at every time,
+    which a sample set serves as one float64 (see the module docstring)."""
+
+    def __init__(self, value: float):
+        super().__init__(lambda s: np.float64(value))
 
 
 class _Samples:
@@ -212,9 +216,9 @@ class _Samples:
     forms read them.
 
     ``samples(f)`` is ``f(times)``: a :class:`_Derived` ``f`` by its form on this
-    set, any other called once.  The sines and cosines the closed forms take of
-    a callable ``f``, of ``2 f`` (``sin2``, ``cos2``) and of ``c + f``
-    (``sin_plus``, ``cos_plus``) are kept the same way.  A set
+    set (a :class:`_Constant` as one float64), any other called once.  The
+    sines and cosines of a callable ``f`` and of ``2 f`` (``sin2``, ``cos2``)
+    are kept the same way.  A value leaves a set through :meth:`spread`.  A set
     keeps every value it served, so it should die with the work that reads it.
     """
 
@@ -234,6 +238,10 @@ class _Samples:
             return self._get(id(f), f, f.form)
         return self._get(id(f), f, lambda s: np.asarray(f(s.times)))
 
+    def spread(self, value) -> np.ndarray:
+        """``value``, read from this set, given the times' shape if it is a scalar."""
+        return np.full(self.times.shape, value) if np.ndim(value) == 0 else value
+
     def sin(self, f: Callable) -> np.ndarray:
         return self._get(("sin", id(f)), f, lambda s: np.sin(s(f)))
 
@@ -245,12 +253,6 @@ class _Samples:
 
     def cos2(self, f: Callable) -> np.ndarray:
         return self._get(("cos2", id(f)), f, lambda s: np.cos(2.0 * s(f)))
-
-    def sin_plus(self, c: float, f: Callable) -> np.ndarray:
-        return self._get(("sin", c, id(f)), f, lambda s: np.sin(c + s(f)))
-
-    def cos_plus(self, c: float, f: Callable) -> np.ndarray:
-        return self._get(("cos", c, id(f)), f, lambda s: np.cos(c + s(f)))
 
 
 def _checked_block(values_at: Callable, times, shape: tuple) -> np.ndarray:
@@ -363,7 +365,7 @@ def _sample_times(times: np.ndarray) -> np.ndarray:
 _ROW_CHUNK = 256
 
 
-def _rk4_steps_2(rows: Iterator[list], h: float, h2: float, h6: float, y: list) -> list:
+def _rk4_steps_2(rows: Iterator[list], h: complex, h2: complex, h6: complex, y: list) -> list:
     """RK4 steps for K = 2 on Python ``complex`` locals, states flattened."""
     y0, y1 = y
     out = []
@@ -384,7 +386,7 @@ def _rk4_steps_2(rows: Iterator[list], h: float, h2: float, h6: float, y: list) 
     return out
 
 
-def _rk4_steps_3(rows: Iterator[list], h: float, h2: float, h6: float, y: list) -> list:
+def _rk4_steps_3(rows: Iterator[list], h: complex, h2: complex, h6: complex, y: list) -> list:
     """RK4 steps for K = 3 on Python ``complex`` locals, states flattened."""
     y0, y1, y2 = y
     out = []
@@ -414,7 +416,7 @@ def _rk4_steps_3(rows: Iterator[list], h: float, h2: float, h6: float, y: list) 
     return out
 
 
-def _rk4_steps_any(rows: Iterator[list], h: float, h2: float, h6: float, y: list) -> list:
+def _rk4_steps_any(rows: Iterator[list], h: complex, h2: complex, h6: complex, y: list) -> list:
     """RK4 steps for any K on lists of Python ``complex``, states flattened; the
     K = 2 and K = 3 kernels unroll exactly these operations."""
     K = len(y)
@@ -445,10 +447,9 @@ def _rk4_sweep(H: TimeDependentOperator, grid: TimeGrid, y0: np.ndarray,
     generic one).  Each matvec entry sums ``(g_i0 y_0 + g_i1 y_1) + g_i2 y_2``
     from the left and the update is ``y + h/6 (k1 + 2 (k2 + k3) + k4)``: the
     sums of an all-numpy step in its order, which the growing modes make
-    matter (see the module docstring).  Only the rounding inside a complex
-    product differs, since numpy fuses a multiply-add into each part,
-    ``re = fl(ar*br - fl(ai*bi))``, and Python rounds both products.  Each
-    step's end sample is the next step's start.
+    matter (see the module docstring); only the rounding inside a complex
+    product differs, numpy's ``re = fl(ar*br - fl(ai*bi))`` against Python's
+    two rounded products.  Each step's end sample is the next step's start.
 
     It samples ``H`` a chunk of steps at a time (:func:`_chunks`), each
     chunk's first point being its predecessor's last, so every sample time is
@@ -456,7 +457,8 @@ def _rk4_sweep(H: TimeDependentOperator, grid: TimeGrid, y0: np.ndarray,
     converts it, so no adjoint copy is made.
     """
     times = grid.times()
-    h, h2, h6 = grid.dt, 0.5 * grid.dt, grid.dt / 6.0
+    # Python complex operands skip float.__mul__'s NotImplemented; the same bits
+    h, h2, h6 = complex(grid.dt), complex(0.5 * grid.dt), complex(grid.dt / 6.0)
     K = y0.size
     steps = {2: _rk4_steps_2, 3: _rk4_steps_3}.get(K, _rk4_steps_any)
 

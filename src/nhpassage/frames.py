@@ -29,7 +29,9 @@ solves: the two-level frame is one pair on ``|0>, |1>``, and the
 three-level frame is a product of two pair rotations (the ``|0>, |1>``
 pair making the bright state, and the bright state paired with ``|e>``),
 its derivative by the product rule, so one evaluation of the pairs gives
-matrices and derivatives together.
+matrices and derivatives together, in one time-last ``(2, K, K, n)`` block:
+``values_at`` returns its ``(n, 2, K, K)`` view, so the time-last copy the
+certificates make of it is no copy.
 """
 
 from __future__ import annotations
@@ -119,29 +121,30 @@ class ThreeLevelFrameParams:
 
 
 def _pair(samples, x, a, dx, da):
-    """The ``(n, 2, 2, 2)`` block of one pair's rotation by angle ``x`` and local
-    phase ``a``::
+    """The time-last ``(2, 2, 2, n)`` block of one pair's rotation by angle ``x``
+    and local phase ``a``::
 
         [[cos x e^{+ia/2},  sin x e^{+ia/2}],
          [-sin x e^{-ia/2}, cos x e^{-ia/2}]]
 
     and of its derivative at the rates ``dx, da``, from the same cosines,
     sines and phase factors; the angles, rates and trig factors are the sample
-    set's.
+    set's, and an entry of constants alone is broadcast along time.
     """
     c, s = samples.cos(x), samples.sin(x)
     dx, da = samples(dx), samples(da)
     ep = np.exp(0.5j * samples(a))
     em = np.conj(ep)
-    return np.stack([c * ep, s * ep, -s * em, c * em,
-                     (-s * dx + 0.5j * da * c) * ep, (c * dx + 0.5j * da * s) * ep,
-                     -((c * dx - 0.5j * da * s) * em), (-s * dx - 0.5j * da * c) * em],
-                    axis=-1).reshape(np.shape(c) + (2, 2, 2))
+    m, d = block = np.empty((2, 2, 2) + samples.times.shape, dtype=complex)
+    m[0, 0], m[0, 1], m[1, 0], m[1, 1] = c * ep, s * ep, -s * em, c * em
+    d[0, 0], d[0, 1] = (-s * dx + 0.5j * da * c) * ep, (c * dx + 0.5j * da * s) * ep
+    d[1, 0], d[1, 1] = -((c * dx - 0.5j * da * s) * em), (-s * dx - 0.5j * da * c) * em
+    return block
 
 
 def _nested(inner, outer):
-    """The ``(n, 2, 3, 3)`` block of an outer pair nested on an inner one, from
-    the two pairs' blocks.
+    """The time-last ``(2, 3, 3, n)`` block of an outer pair nested on an inner
+    one, from the two pairs' time-last blocks.
 
     Column 0 is the inner pair's first column.  The outer pair's first row
     scales the inner second column (the bright state) into rows 0-1 of
@@ -150,12 +153,17 @@ def _nested(inner, outer):
     derivative.  Products keep the outer factor on the left: numpy's complex
     multiply is not bitwise commutative.
     """
-    m = np.zeros(inner.shape[:-3] + (2, 3, 3), dtype=complex)
-    m[..., :2, 0] = inner[..., :, 0]
-    m[..., :2, 1:] = outer[..., None, 0, :] * inner[..., :1, :, 1, None]
-    m[..., 1, :2, 1:] += outer[..., 0, None, 0, :] * inner[..., 1, :, 1, None]
-    m[..., 2, 1:] = outer[..., 1, :]
+    m = np.zeros((2, 3, 3) + inner.shape[3:], dtype=complex)
+    m[:, :2, 0] = inner[:, :, 0]
+    m[:, :2, 1:] = outer[:, None, 0] * inner[:1, :, 1, None]
+    m[1, :2, 1:] += outer[0, None, 0] * inner[1, :, 1, None]
+    m[:, 2, 1:] = outer[:, 1]
     return m
+
+
+def _built_in(dim: int, block: Callable) -> AncillaryFrame:
+    """The frame whose values are the ``(n, 2, dim, dim)`` view of ``block(samples)``."""
+    return AncillaryFrame(dim, _Derived(lambda s: np.moveaxis(block(s), (0, 1, 2), (-3, -2, -1))))
 
 
 def two_level_frame(params: TwoLevelFrameParams) -> AncillaryFrame:
@@ -170,8 +178,7 @@ def two_level_frame(params: TwoLevelFrameParams) -> AncillaryFrame:
     the bra-space one.  Derivatives are analytic via the chain rule.
     """
     p = params
-    return AncillaryFrame(2, _Derived(lambda s: _pair(s, p.theta, p.alpha, p.theta_dot,
-                                                      p.alpha_dot)))
+    return _built_in(2, lambda s: _pair(s, p.theta, p.alpha, p.theta_dot, p.alpha_dot))
 
 
 def three_level_frame(params: ThreeLevelFrameParams) -> AncillaryFrame:
@@ -192,9 +199,8 @@ def three_level_frame(params: ThreeLevelFrameParams) -> AncillaryFrame:
     two pairs' derivatives by the product rule.
     """
     p = params
-    return AncillaryFrame(3, _Derived(lambda s: _nested(
-        _pair(s, p.theta, p.alpha, p.theta_dot, p.alpha_dot),
-        _pair(s, p.phi_mix, p.beta, p.phi_mix_dot, p.beta_dot))))
+    return _built_in(3, lambda s: _nested(_pair(s, p.theta, p.alpha, p.theta_dot, p.alpha_dot),
+                                          _pair(s, p.phi_mix, p.beta, p.phi_mix_dot, p.beta_dot)))
 
 
 def _grid_times(grid) -> np.ndarray:

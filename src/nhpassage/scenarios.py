@@ -20,28 +20,27 @@ tables, each by its family's stage builder: a two-level task is one stage
 (frame angle, initial and target level, passage), a cyclic task three per
 loop (per stage, the time the affine angles pass their offsets, the
 ``phi_mix`` offset, the passage, the third level's gain/loss phase and the
-target).  One runner,
-:func:`run_scenario` (also bound as ``run_two_level`` and ``run_cyclic``),
-marches the stages.  For each, the dt/2 re-run goes first (the batched scan
-of :func:`~nhpassage.dynamics.evolve_ket_halved`, on its own samples of
-``H``, a chunk of steps at a time, handing its own state across the
-boundaries), then the sweep on its own samples, handing the state across
-each boundary verbatim, then one certificate pass (:func:`_certify`): a chunk
-of steps at a time, sets on its grid points and midpoints and on its grid
-points give every certificate its samples, never a whole stage's.  The
-consistency residual is the one synthesis recorded.  A stage keeps only its
-states, phase and certificate values, written into the run's arrays, and its
-dt/2 shift; the run fails if the largest shift (a NaN included) exceeds the
-step-check tolerance, then packages the trajectory, accumulated passage
-phase, checkpoint populations and checks into a :class:`RunReport`.  The
-checks are the report's only record of each certificate: a per-stage value
-is folded over the stages by ``np.max`` or ``np.min``, so a NaN on any stage
-is the check's value and fails it, and every verdict is derived solely from
-the recorded numbers.
-:func:`verify` runs the same stages, and reads them again for its series
-oracle and, with a 1% drive error, for its perturbation control; its
-Hermitian limit builds them at zero gain.  Its controls read a chunk of grid
-points at a time, one set serving the generator and every frame.
+target); rates and local phases that do not move are constants
+(:class:`~nhpassage.dynamics._Constant`).  One runner, :func:`run_scenario`
+(also bound as ``run_two_level`` and ``run_cyclic``), marches the stages.
+For each, the dt/2 re-run goes first (the batched scan of
+:func:`~nhpassage.dynamics.evolve_ket_halved` on its own samples of ``H``,
+handing its own state across the boundaries), then the sweep on its own
+samples, handing the state across each boundary verbatim, then one
+certificate pass (:func:`_certify`): a chunk of steps at a time, sets on its
+grid points and midpoints and on its grid points give every certificate its
+samples.  The consistency residual is the one synthesis recorded.  A stage
+keeps only its states, phase and certificate values, written into the run's
+arrays, and its dt/2 shift; the run fails if the largest shift (a NaN
+included) exceeds the step-check tolerance, then packages the trajectory,
+passage phase, checkpoint populations and checks into a :class:`RunReport`.
+The checks are the report's only record of each certificate: a per-stage
+value is folded over the stages by ``np.max`` or ``np.min``, so a NaN on any
+stage is the check's value and fails it.  :func:`verify` runs the same
+stages, and reads them again for its series oracle and, with a 1% drive
+error, for its perturbation control; its Hermitian limit builds them at zero
+gain.  Its controls read a chunk of grid points at a time, one set serving
+the generator and every frame.
 """
 
 from __future__ import annotations
@@ -59,8 +58,8 @@ from .dynamics import (
     TimeDependentOperator,
     TimeGrid,
     _MAX_STEPS,
-    _checked_block, _chunks, _defect, _Derived, _increments, _put, _Samples, _sample_times,
-    _scan_blocks, _time_last,
+    _checked_block, _chunks, _Constant, _defect, _Derived, _increments, _put, _Samples,
+    _sample_times, _scan_blocks, _time_last,
     biorthogonality_defect,
     constant_operator,
     dyson_truncation,
@@ -245,8 +244,7 @@ class RunReport:
         return [c.describe() for c in self.checks]
 
 
-def _zero(t):
-    return np.zeros_like(np.asarray(t, dtype=float))
+_zero = _Constant(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +270,7 @@ class _Stage:
 
 def _affine(slope: float, t_ref: float, offset: float):
     """A frame angle of constant rate ``slope`` through ``offset`` at ``t_ref``, and its rate."""
-    def f(t):
-        return slope * (np.asarray(t, dtype=float) - t_ref) + offset
-
-    def fdot(t):
-        return np.full_like(np.asarray(t, dtype=float), slope)
-
-    return f, fdot
+    return (lambda t: slope * (np.asarray(t, dtype=float) - t_ref) + offset), _Constant(slope)
 
 
 def _quarter_wave(T: float, sine: bool):

@@ -32,14 +32,17 @@ phases ``varphi -+ alpha/2``.
 The envelopes, the generators, the passage rates and the consistency residual
 are closed forms over a sample set (:class:`~nhpassage.dynamics._Samples`):
 each reads the frame angles, gains and detunings, and the sines and cosines of
-``x``, ``2x`` and ``varphi + a``, from the set, so every consumer of one set
-shares each evaluation.  Synthesis checks the consistency residual on its grid
-once and records the largest as the controls' ``consistency``.
-
-Each envelope keeps the operations, and their order, of the closed forms it
-was first written in: on four ``cyclic_ccw`` loops the growing modes amplify
-one ulp in ``H`` past the benchmark's 1e-12 gate on stage-end populations (a
-per-sample least-squares solve, exact to rounding, moved them by 1.2e-9).
+``x`` and ``2x``, from the set, so every consumer of one set shares each
+evaluation.  A number given for a gain or detuning is a constant
+(:class:`~nhpassage.dynamics._Constant`), one scalar per set, so what is
+computed of constants alone (``sin(varphi + a)`` of a fixed local phase, say)
+is computed once per set.  Each envelope keeps the operations, and their
+order, of the closed forms it was first written in, and a scalar rounds as
+each entry of an array would (squares are ``np.square``: a float64 scalar's
+``**2`` calls ``pow``): on four ``cyclic_ccw`` loops the growing modes amplify
+one ulp in ``H`` past the benchmark's 1e-12 gate on stage-end populations.
+Synthesis checks the consistency residual on its grid once and records the
+largest as the controls' ``consistency``.
 
 The frames themselves, and the stage lists of the built-in scenarios, are
 :mod:`~nhpassage.frames`' and :mod:`~nhpassage.scenarios`' concern.
@@ -57,7 +60,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import TimeDependentOperator, TimeGrid, _Derived, _Samples, _sample_times
+from .dynamics import TimeDependentOperator, TimeGrid, _Constant, _Derived, _Samples, _sample_times
 from .exceptions import (
     InvalidArgumentError,
     NonFiniteSampleError,
@@ -90,10 +93,7 @@ CONSISTENCY_TOL = 1e-8
 
 
 def _as_callable(x) -> Callable:
-    if callable(x):
-        return x
-    value = float(x)
-    return lambda t: value * np.ones_like(np.asarray(t, dtype=float))
+    return x if callable(x) else _Constant(float(x))
 
 
 @dataclass(frozen=True)
@@ -206,7 +206,7 @@ def three_level_hamiltonian(controls: ThreeLevelControls) -> TimeDependentOperat
 
 def _weigh(lo, hi, sin_x, cos_x):
     """``lo sin^2 x + hi cos^2 x``: the diagonal entries as the upper vector sees them."""
-    return lo * sin_x ** 2 + hi * cos_x ** 2
+    return lo * np.square(sin_x) + hi * np.square(cos_x)
 
 
 def _pair_drive(rate, x, x_dot, a, varphi, context: str) -> _Derived:
@@ -214,7 +214,7 @@ def _pair_drive(rate, x, x_dot, a, varphi, context: str) -> _Derived:
     Im(d_lo - d_hi)`` read from the set."""
 
     def omega(s):
-        sin_a = s.sin_plus(varphi, a)
+        sin_a = np.sin(varphi + s(a))
         small = np.abs(sin_a) < EPS_SINGULAR
         if np.any(small):
             raise SingularDenominatorError(
@@ -227,7 +227,7 @@ def _pair_drive(rate, x, x_dot, a, varphi, context: str) -> _Derived:
 def _pair_rate(side: str, s, d_lo, d_hi, x, a, a_dot, omega, varphi):
     """Rotated diagonal entry of the upper ('ket') or lower ('bra') frame vector,
     its angles, rates and envelope read from the sample set ``s``."""
-    drive_twist = (0.5 * s(omega) * s.sin2(x) * s.cos_plus(varphi, a)
+    drive_twist = (0.5 * s(omega) * s.sin2(x) * np.cos(varphi + s(a))
                    - 0.5 * s(a_dot) * s.cos2(x))
     if side == "ket":
         return _weigh(d_lo, d_hi, s.sin(x), s.cos(x)) + drive_twist
@@ -238,7 +238,7 @@ def _pair_residual(s, d_lo, d_hi, x, a, a_dot, omega, varphi):
     """Real part of the rotated above-diagonal entry, from the real parts of ``d_lo``, ``d_hi``."""
     s2 = s.sin2(x)
     return (0.5 * s2 * (d_lo - d_hi)
-            + 0.5 * s(omega) * s.cos2(x) * s.cos_plus(varphi, a)
+            + 0.5 * s(omega) * s.cos2(x) * np.cos(varphi + s(a))
             + 0.5 * s(a_dot) * s2)
 
 
@@ -274,10 +274,10 @@ def _consistency_residuals(c, frame, s) -> dict[str, np.ndarray]:
     """Magnitude of each pair's consistency residual on the sample set ``s``,
     keyed by its local phase."""
     inner = _inner_pair(c, frame, s, np.cos)
-    residuals = {"alpha": np.abs(_pair_residual(s, *inner))}
+    residuals = {"alpha": s.spread(np.abs(_pair_residual(s, *inner)))}
     if isinstance(c, ThreeLevelControls):
         outer = _outer_pair(c, frame, s, np.cos, _pair_rate("ket", s, *inner))
-        residuals["beta"] = np.abs(_pair_residual(s, *outer))
+        residuals["beta"] = s.spread(np.abs(_pair_residual(s, *outer)))
     return residuals
 
 
@@ -442,6 +442,6 @@ def _passage_rates(controls, frame, s, passage: str) -> np.ndarray:
     # the outer pair's, whose d_lo is the inner ket rate
     inner = _inner_pair(controls, frame, s, _cis)
     if passage == "bra" or isinstance(controls, TwoLevelControls):
-        return np.asarray(_pair_rate(passage, s, *inner))
-    return np.asarray(_pair_rate("ket", s, *_outer_pair(controls, frame, s, _cis,
-                                                        _pair_rate("ket", s, *inner))))
+        return s.spread(_pair_rate(passage, s, *inner))
+    return s.spread(_pair_rate("ket", s, *_outer_pair(controls, frame, s, _cis,
+                                                      _pair_rate("ket", s, *inner))))

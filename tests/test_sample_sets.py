@@ -17,11 +17,12 @@ the six built-ins and controls drawn as in ``test_synthesis_oracle``: random
 smooth frames, gains that are not PT-balanced, and free detunings.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nhpassage import (
     AncillaryFrame,
@@ -48,7 +49,8 @@ from nhpassage import (
     verify,
 )
 from nhpassage import dynamics, scenarios
-from nhpassage.dynamics import TimeDependentOperator, _Derived, _sample_times
+from nhpassage.dynamics import (TimeDependentOperator, _Constant, _Derived, _sample_times,
+                                _time_last)
 from nhpassage.scenarios import RESIDUAL_TOL, SCENARIO_IDS
 from test_synthesis_oracle import (
     GRID,
@@ -495,6 +497,101 @@ def test_a_drive_scaled_control_reads_one_sample_set():
     assert calls == {"theta": [201], "theta_dot": [201]}  # synthesis
     scenarios._perturbed_omega_checks([stage])
     assert calls == {"theta": [201, 201], "theta_dot": [201, 201]}
+
+
+# ---------------------------------------------------------------------------
+# constants: served once per set as a scalar, given the times' shape as they leave
+
+
+@pytest.mark.parametrize("sid", ["two_level_a", "cyclic_ccw"])
+@pytest.mark.parametrize("shape", [(7,), (2, 3)])
+def test_every_control_and_frame_angle_keeps_the_times_shape(sid, shape):
+    # two_level_a's rate and gains, and every local phase, are constants, and
+    # so are the closed forms read from them alone
+    stage = scenarios._stages(ScenarioConfig(sid))[0]
+    ts = stage.grid.t0 + 0.5 + 1e-3 * np.arange(np.prod(shape)).reshape(shape)
+    fields = [getattr(obj, f.name) for obj in (stage.controls, stage.frame_params)
+              for f in dataclasses.fields(obj)]
+    fields += [getattr(stage.controls, name, None) for name in ("omega0", "omega1")]
+    for f in filter(callable, fields):
+        out = f(ts)
+        assert isinstance(out, np.ndarray) and out.shape == shape, (f, out)
+    K = stage.H.dim
+    assert stage.H.values_at(ts).shape == shape + (K, K)
+    assert stage.frame.values_at(ts).shape == shape + (2, K, K)
+
+
+@pytest.mark.parametrize("sid", SCENARIO_IDS)
+def test_a_built_in_frame_block_is_time_last_in_memory(sid):
+    # values_at gives (n, 2, K, K) as a view of a (2, K, K, n) block, so the
+    # certificates' time-last copy of it is no copy
+    stage = scenarios._stages(ScenarioConfig(sid))[0]
+    block = stage.frame.values_at(stage.grid.times()[:9])
+    assert block.shape == (9, 2, stage.H.dim, stage.H.dim)
+    assert np.shares_memory(_time_last(block), block)
+
+
+def frozen(value, constant):
+    """A callable of time fixed at ``value``: a :class:`_Constant`, or a plain callable."""
+    return _Constant(value) if constant else (lambda t: np.full(np.shape(t), value))
+
+
+@settings(max_examples=30, deadline=None)
+@given(theta=st.floats(-3.0, 3.0), rate=st.floats(-2.0, 2.0), g0=st.floats(-2.0, 2.0),
+       g1=st.floats(-2.0, 2.0), xi0=phases, xi1=phases)
+# a float64 scalar's sin(theta) ** 2 is an ulp above the array's here
+@example(theta=1.7258450469845465, rate=0.0, g0=1.0, g1=0.0, xi0=0.0, xi1=0.0)
+def test_a_frozen_stage_of_constants_is_bitwise_the_plain_callables(theta, rate, g0, g1, xi0, xi1):
+    # every input a constant, folded to one scalar per set, against the same stage
+    # written with plain callables, evaluated per time; local phases are zero,
+    # and the detuning cancels the gains' real parts, as consistency asks
+    delta = 0.5 * (np.cos(xi0) * g0 - np.cos(xi1) * g1)
+    grid = TimeGrid(0.0, 1.0, 1.0 / 64)
+    ts = grid.times()
+    got = []
+    for constant in (True, False):
+        params = TwoLevelFrameParams(frozen(theta, constant), frozen(rate, constant),
+                                     frozen(0.0, constant), frozen(0.0, constant))
+        controls = synthesize_two_level(
+            params, gamma0=frozen(g0, constant), gamma1=frozen(g1, constant), xi0=xi0,
+            xi1=xi1, delta=delta if constant else frozen(delta, False), varphi=np.pi / 2,
+            grid=grid)
+        H, frame = two_level_hamiltonian(controls), two_level_frame(params)
+        phases_ = [phase_two_level(controls, params, grid, passage)
+                   for passage in ("ket", "bra")]
+        got.append([controls.omega(ts), H.sample(ts), frame.values_at(ts),
+                    *(getattr(p, part) for p in phases_ for part in ("f_real", "f_imag")),
+                    np.float64(controls.consistency),
+                    np.float64(two_level_consistency_residual(controls, params, grid))])
+    folded, plain = got
+    for a, b in zip(folded, plain):
+        assert isinstance(a, np.ndarray) or np.ndim(a) == 0
+        assert same_bits(a, b)
+    assert folded[0].shape == ts.shape and folded[3].shape == ts.shape
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.floats(allow_nan=False, allow_infinity=False), n=st.integers(1, 70))
+def test_numpy_rounds_a_scalar_as_every_entry_of_an_array(x, n):
+    # what folding a constant relies on: the elementwise functions (squares are
+    # taken by np.square), and a complex scalar times a real array, round a 0-d
+    # operand as they round each entry of an array, SIMD lanes and remainders alike
+    for f in (np.sin, np.cos, lambda v: np.exp(1j * v), np.square):
+        with np.errstate(over="ignore"):
+            scalar, array = f(np.float64(x)), f(np.full(n, x))
+        assert np.ndim(scalar) == 0
+        assert same_bits(np.full(n, scalar), array), f
+
+
+@settings(max_examples=200, deadline=None)
+@given(re=st.floats(allow_nan=False, allow_infinity=False),
+       im=st.floats(allow_nan=False, allow_infinity=False),
+       xs=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=70))
+def test_a_complex_scalar_times_a_real_array_is_the_broadcast_product(re, im, xs):
+    z, x = np.complex128(complex(re, im)), np.array(xs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert same_bits(z * x, np.full(x.size, z) * x)
+        assert same_bits(x * z, x * np.full(x.size, z))
 
 
 # ---------------------------------------------------------------------------
