@@ -39,15 +39,16 @@ The built-in generators and frames are closed forms (:class:`_Derived`)
 over a sample set (:class:`_Samples`), in which each callable of time they
 read (a frame angle, a gain, an envelope) and each sine and cosine they take
 of one is evaluated once.  A rate, gain, detuning or local phase that does
-not move is a :class:`_Constant`, which a set serves as a scalar, so it and
-all it feeds are computed once per set and broadcast: numpy rounds a scalar
-operand as each entry of an array, so every number is the per-time one.  The
-sweeps, the propagators, the defect and the dt/2 re-run read their samples a
-contiguous chunk of steps at a time (:data:`_CHUNK_BYTES`, about 512 KiB),
-each chunk a set of its own; only the series oracle samples its short horizon
-at once.  The dt/2 re-run samples its own times: the midpoints of a stage's
-grid points and midpoints differ from ``grid.halved()``'s by an ulp at 2532
-of 16 001 times of a 4000-step stage, which moved re-run populations 1.3e-10.
+not move is a :class:`_Constant`, served as one element, so it and all it
+feeds are computed once per set and broadcast; numpy's array loops round a
+broadcast element as each entry (its scalar arithmetic would not: ``**2``
+calls ``pow``, a complex product is not fused), so every number is the
+per-time one.  The sweeps, the propagators, the defect and the dt/2 re-run
+read their samples a chunk of steps at a time (:data:`_CHUNK_BYTES`), each
+chunk a set of its own; only the series oracle samples its short horizon at
+once.  The dt/2 re-run samples its own times: the midpoints of a stage's grid
+points and midpoints differ from ``grid.halved()``'s by an ulp at 2532 of
+16 001 times of a 4000-step stage, which moved re-run populations 1.3e-10.
 
 The certificate algebra (step increments, ``V^dag U``, the series oracle and
 the frame residuals) runs on time-last ``(K, K, n)`` blocks, so numpy's inner
@@ -204,11 +205,11 @@ class _Derived:
 
 
 class _Constant(_Derived):
-    """A callable of time that does not depend on it, ``value`` at every time,
-    which a sample set serves as one float64 (see the module docstring)."""
+    """A callable of time that does not depend on it, ``value`` at every time;
+    a sample set serves it as one element (see the module docstring)."""
 
     def __init__(self, value: float):
-        super().__init__(lambda s: np.float64(value))
+        super().__init__(lambda s: np.full((1,) * s.times.ndim, value, dtype=float))
 
 
 class _Samples:
@@ -216,11 +217,10 @@ class _Samples:
     forms read them.
 
     ``samples(f)`` is ``f(times)``: a :class:`_Derived` ``f`` by its form on this
-    set (a :class:`_Constant` as one float64), any other called once.  The
-    sines and cosines of a callable ``f`` and of ``2 f`` (``sin2``, ``cos2``)
-    are kept the same way.  A value leaves a set through :meth:`spread`.  A set
-    keeps every value it served, so it should die with the work that reads it.
-    """
+    set (a :class:`_Constant` as one element), any other called once; so are
+    the sines and cosines of ``f`` and of ``2 f`` (``sin2``, ``cos2``).  Values
+    leave through :meth:`spread`.  A set keeps every value it served, so it
+    should die with the work that reads it."""
 
     def __init__(self, times: np.ndarray):
         self.times = times
@@ -239,8 +239,9 @@ class _Samples:
         return self._get(id(f), f, lambda s: np.asarray(f(s.times)))
 
     def spread(self, value) -> np.ndarray:
-        """``value``, read from this set, given the times' shape if it is a scalar."""
-        return np.full(self.times.shape, value) if np.ndim(value) == 0 else value
+        """``value``, read from this set, given the times' shape if it is one element."""
+        shape = self.times.shape
+        return np.full(shape, value) if np.shape(value) == (1,) * len(shape) != shape else value
 
     def sin(self, f: Callable) -> np.ndarray:
         return self._get(("sin", id(f)), f, lambda s: np.sin(s(f)))

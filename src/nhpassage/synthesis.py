@@ -34,13 +34,12 @@ are closed forms over a sample set (:class:`~nhpassage.dynamics._Samples`):
 each reads the frame angles, gains and detunings, and the sines and cosines of
 ``x`` and ``2x``, from the set, so every consumer of one set shares each
 evaluation.  A number given for a gain or detuning is a constant
-(:class:`~nhpassage.dynamics._Constant`), one scalar per set, so what is
+(:class:`~nhpassage.dynamics._Constant`), one element per set, so what is
 computed of constants alone (``sin(varphi + a)`` of a fixed local phase, say)
-is computed once per set.  Each envelope keeps the operations, and their
-order, of the closed forms it was first written in, and a scalar rounds as
-each entry of an array would (squares are ``np.square``: a float64 scalar's
-``**2`` calls ``pow``): on four ``cyclic_ccw`` loops the growing modes amplify
-one ulp in ``H`` past the benchmark's 1e-12 gate on stage-end populations.
+is computed once per set, each element as the per-time one.  Each envelope
+keeps the operations, and their order, of the closed forms it was first
+written in: on four ``cyclic_ccw`` loops the growing modes amplify one ulp
+in ``H`` past the benchmark's 1e-12 gate on stage-end populations.
 Synthesis checks the consistency residual on its grid once and records the
 largest as the controls' ``consistency``.
 
@@ -206,7 +205,7 @@ def three_level_hamiltonian(controls: ThreeLevelControls) -> TimeDependentOperat
 
 def _weigh(lo, hi, sin_x, cos_x):
     """``lo sin^2 x + hi cos^2 x``: the diagonal entries as the upper vector sees them."""
-    return lo * np.square(sin_x) + hi * np.square(cos_x)
+    return lo * sin_x ** 2 + hi * cos_x ** 2
 
 
 def _pair_drive(rate, x, x_dot, a, varphi, context: str) -> _Derived:

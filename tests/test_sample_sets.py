@@ -539,8 +539,10 @@ def frozen(value, constant):
 @settings(max_examples=30, deadline=None)
 @given(theta=st.floats(-3.0, 3.0), rate=st.floats(-2.0, 2.0), g0=st.floats(-2.0, 2.0),
        g1=st.floats(-2.0, 2.0), xi0=phases, xi1=phases)
-# a float64 scalar's sin(theta) ** 2 is an ulp above the array's here
+# with constants served as float64 scalars: sin(theta) ** 2 is an ulp above
+# the array's, and a complex scalar product flips an underflowed zero's sign
 @example(theta=1.7258450469845465, rate=0.0, g0=1.0, g1=0.0, xi0=0.0, xi1=0.0)
+@example(theta=0.0, rate=0.0, g0=-5e-324, g1=-5e-324, xi0=0.0, xi1=-1.5)
 def test_a_frozen_stage_of_constants_is_bitwise_the_plain_callables(theta, rate, g0, g1, xi0, xi1):
     # every input a constant, folded to one scalar per set, against the same stage
     # written with plain callables, evaluated per time; local phases are zero,
@@ -573,14 +575,12 @@ def test_a_frozen_stage_of_constants_is_bitwise_the_plain_callables(theta, rate,
 @settings(max_examples=200, deadline=None)
 @given(x=st.floats(allow_nan=False, allow_infinity=False), n=st.integers(1, 70))
 def test_numpy_rounds_a_scalar_as_every_entry_of_an_array(x, n):
-    # what folding a constant relies on: the elementwise functions (squares are
-    # taken by np.square), and a complex scalar times a real array, round a 0-d
-    # operand as they round each entry of an array, SIMD lanes and remainders alike
-    for f in (np.sin, np.cos, lambda v: np.exp(1j * v), np.square):
-        with np.errstate(over="ignore"):
-            scalar, array = f(np.float64(x)), f(np.full(n, x))
-        assert np.ndim(scalar) == 0
-        assert same_bits(np.full(n, scalar), array), f
+    # what folding a constant relies on: the elementwise functions round a 0-d
+    # operand, and a constant's one element, as each entry of an array, SIMD
+    # lanes and remainders alike
+    for f in (np.sin, np.cos, lambda v: np.exp(1j * v)):
+        for one in (np.float64(x), np.full(1, x)):
+            assert same_bits(np.broadcast_to(f(one), (n,)), f(np.full(n, x))), (f, one)
 
 
 @settings(max_examples=200, deadline=None)
@@ -588,10 +588,14 @@ def test_numpy_rounds_a_scalar_as_every_entry_of_an_array(x, n):
        im=st.floats(allow_nan=False, allow_infinity=False),
        xs=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=70))
 def test_a_complex_scalar_times_a_real_array_is_the_broadcast_product(re, im, xs):
+    # a complex scalar, or a constant's one complex element, times a real or a
+    # complex array is the product with the operand broadcast to an array
     z, x = np.complex128(complex(re, im)), np.array(xs)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert same_bits(z * x, np.full(x.size, z) * x)
-        assert same_bits(x * z, x * np.full(x.size, z))
+        for y in (x, x + 1j * x[::-1]):
+            for one in (z, np.full(1, z)):
+                assert same_bits(one * y, np.full(x.size, z) * y)
+                assert same_bits(y * one, y * np.full(x.size, z))
 
 
 # ---------------------------------------------------------------------------
