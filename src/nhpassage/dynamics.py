@@ -36,34 +36,33 @@ largest entry), and stage-end populations of all 240 benchmark reference
 inputs within 5.5e-40 of the recorded ones.
 
 The built-in generators and frames are closed forms (:class:`_Derived`)
-over a sample set (:class:`_Samples`), in which each callable of time they
-read (a frame angle, a gain, an envelope) and each sine and cosine they take
-of one is evaluated once.  A rate, gain, detuning or local phase that does
-not move is a :class:`_Constant`, served as one element, so it and all it
-feeds are computed once per set and broadcast; numpy's array loops round a
-broadcast element as each entry (its scalar arithmetic would not: ``**2``
-calls ``pow``, a complex product is not fused), so every number is the
-per-time one.  The sweeps, the propagators, the defect and the dt/2 re-run
-read their samples a chunk of steps at a time (:data:`_CHUNK_BYTES`), each
-chunk a set of its own; only the series oracle samples its short horizon at
-once.  The dt/2 re-run samples its own times: the midpoints of a stage's grid
-points and midpoints differ from ``grid.halved()``'s by an ulp at 2532 of
-16 001 times of a 4000-step stage, which moved re-run populations 1.3e-10.
+over a sample set (:class:`_Samples`), which evaluates each callable of time
+they read (a frame angle, a gain, an envelope) and each sine and cosine they
+take of one once.  A callable that does not move is a :class:`_Constant`,
+served as one element and broadcast; numpy's array loops round it as each
+entry (its scalar arithmetic would not: ``**2`` calls ``pow``, a complex
+product is not fused), so every number is the per-time one.  Every pass but
+the series oracle, which samples its short horizon at once, reads a chunk of
+steps at a time (:data:`_CHUNK_BYTES`), and each chunk is a set of its own
+on its grid points and midpoints, edges included: a chunk after the first
+samples its predecessor's last time again.  A sample is elementwise in time,
+so that costs one sample a chunk and moves no number.  The dt/2 re-run
+samples ``grid.halved()``'s times, not the midpoints of the sweep's: those
+differ by an ulp at 2532 of 16 001 times of a 4000-step stage, which moved
+re-run populations 1.3e-10.
 
 The certificate algebra (step increments, ``V^dag U``, the series oracle and
 the frame residuals) runs on time-last ``(K, K, n)`` blocks, so numpy's inner
-loops run along time: a sampled ``(n, K, K)`` block is copied once, a built-in
-frame's block is time-last already, and a sample that feeds the RK4 steps is
-multiplied by ``-1j`` in that copy and split into contiguous grid and
-midpoint blocks.  Each chunk's increments go straight into the prefix scan's
-blocks, held block-major (one contiguous ``(K, K, nb)`` stack per step of a
-block), and the scan closes on a contiguous carry, a range of block steps at
-a time: numpy's einsum runs about twice as fast on contiguous operands, with
-the same sums in the same order.  So :func:`biorthogonality_defect` holds
-the scan blocks and a running maximum, never a whole ``U``, ``V`` or ``V^dag
-U``.  Only :func:`propagator_ket` moves time to the front; the bra
-propagators are ``propagator_ket(H.adjoint(), grid)``.  A chunk's edges leave
-every sum and its order, so every number is bitwise the one-block one.
+loops run along time: a sampled block is copied once (a built-in frame's is
+time-last already), and a sample that feeds the RK4 steps is multiplied by
+``-1j`` in that copy, split into contiguous grid and midpoint blocks.  Each
+chunk's increments go straight into the prefix scan's blocks, held
+block-major, and the scan closes on a contiguous carry a range of block
+steps at a time: numpy's einsum runs about twice as fast on contiguous
+operands, with the same sums in the same order.  So no pass but
+:func:`propagator_ket` holds a whole ``U``, ``V`` or ``V^dag U``; the bra
+propagators are ``propagator_ket(H.adjoint(), grid)``.  A chunk's edges
+leave every sum and its order, so every number is bitwise the one-block one.
 """
 
 from __future__ import annotations
@@ -116,6 +115,13 @@ def _as_state(psi, dim: int) -> np.ndarray:
     return psi
 
 
+def _real(name: str, value) -> float:
+    """``value`` as a float; :class:`InvalidArgumentError` naming ``name`` if not real."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidArgumentError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 #: What a sample block of each rank holds; a frame's stacks matrices and derivatives.
 _SAMPLE_KINDS = {3: "generator", 4: "frame"}
 
@@ -146,6 +152,9 @@ class TimeGrid:
     stage_boundaries: tuple[float, ...] = ()
 
     def __post_init__(self):
+        if not all(isinstance(x, numbers.Real) for x in (self.t0, self.tf, self.dt)):
+            raise GridError(f"tf = {self.tf!r} is not a finite number of steps of {self.dt!r} "
+                            f"from t0 = {self.t0!r}: all three must be real numbers")
         if not (self.tf > self.t0):
             raise GridError(f"tf = {self.tf} must exceed t0 = {self.t0}")
         if not (self.dt > 0):
@@ -360,9 +369,8 @@ def _sample_times(times: np.ndarray) -> np.ndarray:
     return out
 
 
-#: Samples read into Python rows at a time, about 55 kB (K = 2) to 0.1 MB (K = 3)
-#: of Python objects, so no sweep holds a Python copy of a whole block; chunks
-#: of 1024 raised the benchmark's peak RSS on ``verify_export`` by about 0.3 MB.
+#: Samples a sweep reads into Python rows at a time, 55 kB (K = 2) to 0.1 MB (K = 3)
+#: of Python objects; 1024 raised the benchmark's peak RSS on ``verify_export`` 0.3 MB.
 _ROW_CHUNK = 256
 
 
@@ -441,42 +449,36 @@ def _rk4_steps_any(rows: Iterator[list], h: complex, h2: complex, h6: complex, y
 def _rk4_sweep(H: TimeDependentOperator, grid: TimeGrid, y0: np.ndarray,
                bra: bool = False) -> np.ndarray:
     """Integrate dy/dt = -i H(t) y, or for ``bra`` dy/dt = -i H(t)^dag y, for a
-    state vector, one RK4 step at a time.
+    state vector, one RK4 step at a time in Python ``complex`` arithmetic, in a
+    kernel chosen by ``K = y0.size`` (unrolled for K = 2 and K = 3,
+    bit-identical to the generic one).
 
-    The whole step runs in Python ``complex`` arithmetic, in a kernel chosen
-    by ``K = y0.size`` (unrolled for K = 2 and K = 3, bit-identical to the
-    generic one).  Each matvec entry sums ``(g_i0 y_0 + g_i1 y_1) + g_i2 y_2``
-    from the left and the update is ``y + h/6 (k1 + 2 (k2 + k3) + k4)``: the
-    sums of an all-numpy step in its order, which the growing modes make
-    matter (see the module docstring); only the rounding inside a complex
-    product differs, numpy's ``re = fl(ar*br - fl(ai*bi))`` against Python's
-    two rounded products.  Each step's end sample is the next step's start.
+    Each matvec entry sums ``(g_i0 y_0 + g_i1 y_1) + g_i2 y_2`` from the left
+    and the update is ``y + h/6 (k1 + 2 (k2 + k3) + k4)``: the sums of an
+    all-numpy step in its order, which the growing modes make matter (see the
+    module docstring); only the rounding inside a complex product differs,
+    numpy's ``re = fl(ar*br - fl(ai*bi))`` against Python's two rounded
+    products.  Each step's end sample is the next step's start.
 
-    It samples ``H`` a chunk of steps at a time (:func:`_chunks`), each
-    chunk's first point being its predecessor's last, so every sample time is
-    evaluated once; a bra sweep reads each chunk conjugate-transposed as it
-    converts it, so no adjoint copy is made.
+    It samples ``H`` a chunk of steps at a time (:func:`_chunks`), each chunk
+    on its own grid points and midpoints, first point included, and runs the
+    kernel from the state the previous chunk wrote; a bra sweep reads each
+    chunk conjugate-transposed as it converts it, so no adjoint copy is made.
     """
-    times = grid.times()
+    times, K = grid.times(), y0.size
     # Python complex operands skip float.__mul__'s NotImplemented; the same bits
     h, h2, h6 = complex(grid.dt), complex(0.5 * grid.dt), complex(grid.dt / 6.0)
-    K = y0.size
     steps = {2: _rk4_steps_2, 3: _rk4_steps_3}.get(K, _rk4_steps_any)
-
-    def rows():  # -iH, or -iH^dag, as lists of flat rows of Python complex
-        for s0, s1 in _chunks(grid.n_steps, 2 * K * K * 16):
-            ts = _sample_times(times[s0:s1 + 1])
-            gs = H.sample(ts[1:] if s0 else ts)
-            for i in range(0, len(gs), _ROW_CHUNK):
-                chunk = gs[i:i + _ROW_CHUNK]
-                chunk = -1j * (np.conj(chunk).transpose(0, 2, 1) if bra else chunk)
-                yield chunk.reshape(-1, K * K).tolist()
-
     out = np.empty((times.size, K), dtype=complex)
     out[0] = y0
-    # an overflowing run is reported once, by StateTrajectory, at its first bad time
-    out[1:] = np.reshape(steps(chain.from_iterable(rows()), h, h2, h6, y0.tolist()),
-                         (times.size - 1, K))
+    for s0, s1 in _chunks(grid.n_steps, 2 * K * K * 16):
+        gs = H.sample(_sample_times(times[s0:s1 + 1]))
+        # -iH, or -iH^dag, as flat rows of Python complex, a piece at a time
+        rows = chain.from_iterable(
+            (-1j * (np.conj(p).transpose(0, 2, 1) if bra else p)).reshape(-1, K * K).tolist()
+            for p in (gs[i:i + _ROW_CHUNK] for i in range(0, len(gs), _ROW_CHUNK)))
+        # an overflowing run is reported once, by StateTrajectory, at its first bad time
+        out[s0 + 1:s1 + 1] = np.reshape(steps(rows, h, h2, h6, out[s0].tolist()), (s1 - s0, K))
     return out
 
 
@@ -486,36 +488,9 @@ def _time_last(block: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(block, 0, -1))
 
 
-def _minus_i_time_last(block: np.ndarray, phases: int) -> list[np.ndarray]:
-    """``-1j * block[r::phases]`` of an ``(n, K, K)`` sample block for each ``r <
-    phases``, each written in one pass into a contiguous time-last block; the
-    product by ``-1j`` is exact."""
-    parts = [np.moveaxis(block[r::phases], 0, -1) for r in range(phases)]
-    return [np.multiply(-1j, p, out=np.empty(p.shape, dtype=complex)) for p in parts]
-
-
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product over the leading two axes of time-last blocks."""
     return np.einsum("ij...,jk...->ik...", a, b)
-
-
-def _step_increments(g1: np.ndarray, g2: np.ndarray, g3: np.ndarray, dt: float) -> np.ndarray:
-    """RK4 step increments ``D_n = P_n - I = dt/6 (K1 + 2 K2 + 2 K3 + K4)`` of one grid.
-
-    ``g1``, ``g2``, ``g3`` are the time-last ``(K, K, n)`` blocks of ``-iH`` at each
-    step's start, midpoint and end; one RK4 step of a linear equation maps ``y``
-    to ``y + D_n y``.  ``K2 = g2 + dt/2 g2 g1``, ``K3 = g2 + dt/2 g2 K2``, ``K4 =
-    g3 + dt g3 K3`` and ``D_n`` are built in place, operands in that order.
-    """
-    k2 = _mul(g2, g1)
-    np.add(g2, np.multiply(0.5 * dt, k2, out=k2), out=k2)
-    k3 = _mul(g2, k2)
-    np.add(g2, np.multiply(0.5 * dt, k3, out=k3), out=k3)
-    k4 = _mul(g3, k3)
-    np.add(g3, np.multiply(dt, k4, out=k4), out=k4)
-    d = np.multiply(2.0, np.add(k2, k3, out=k2), out=k2)
-    np.add(np.add(g1, d, out=d), k4, out=d)
-    return np.multiply(dt / 6.0, d, out=d)
 
 
 #: Bytes of samples a sweep or certificate reads at a time, about 512 KiB: a
@@ -587,10 +562,7 @@ def _products(F: np.ndarray, u0: np.ndarray, n: int) -> np.ndarray:
     The identity stays implicit: a short carry chains the block ends from
     ``u0`` (:func:`_carry`), and batched products give every output as ``c +
     F c`` (:func:`_close`), a contiguous range of block steps at a time,
-    written into one array.  The blocks are held block-major and the carry is
-    made contiguous before the closing product: numpy's einsum runs about
-    twice as fast on contiguous operands, and the layout leaves the sums and
-    their order, so every rounding, as they are.
+    written into one array (see the module docstring for the layout).
     """
     m, K, _, nb = F.shape
     c = _carry(F, u0)
@@ -601,13 +573,31 @@ def _products(F: np.ndarray, u0: np.ndarray, n: int) -> np.ndarray:
 
 
 def _increments(hs: np.ndarray, dt: float, bra: bool = False) -> np.ndarray:
-    """The RK4 step increments of ``c`` steps, as one time-last ``(K, K, c)`` block,
-    from the ``(2 c + 1, K, K)`` samples ``hs`` of ``H`` at their points and
-    midpoints: under ``-iH``, or, for ``bra``, under ``-iH^dag = -(-iH)^dag``."""
-    g, mid = _minus_i_time_last(hs, 2)
+    """RK4 step increments ``D_n = P_n - I = dt/6 (K1 + 2 K2 + 2 K3 + K4)`` of ``c``
+    steps, as one time-last ``(K, K, c)`` block, from the ``(2 c + 1, K, K)``
+    samples ``hs`` of ``H`` at their points and midpoints: under ``-iH``, or, for
+    ``bra``, under ``-iH^dag = -(-iH)^dag``.
+
+    ``-1j * hs`` (exact) is written in one pass into contiguous time-last blocks
+    of each step's start, midpoint and end, ``g1``, ``g2``, ``g3``; one RK4 step
+    of a linear equation maps ``y`` to ``y + D_n y``.  ``K2 = g2 + dt/2 g2 g1``,
+    ``K3 = g2 + dt/2 g2 K2``, ``K4 = g3 + dt g3 K3`` and ``D_n`` are built in
+    place, operands in that order.
+    """
+    g, g2 = (np.multiply(-1j, p, out=np.empty(p.shape, dtype=complex))
+             for p in (np.moveaxis(hs[r::2], 0, -1) for r in (0, 1)))
     if bra:  # negated and conjugated in place, then transposed
-        g, mid = (np.negative(np.conj(x, out=x), out=x).transpose(1, 0, 2) for x in (g, mid))
-    return _step_increments(g[..., :-1], mid, g[..., 1:], dt)
+        g, g2 = (np.negative(np.conj(x, out=x), out=x).transpose(1, 0, 2) for x in (g, g2))
+    g1, g3 = g[..., :-1], g[..., 1:]
+    k2 = _mul(g2, g1)
+    np.add(g2, np.multiply(0.5 * dt, k2, out=k2), out=k2)
+    k3 = _mul(g2, k2)
+    np.add(g2, np.multiply(0.5 * dt, k3, out=k3), out=k3)
+    k4 = _mul(g3, k3)
+    np.add(g3, np.multiply(dt, k4, out=k4), out=k4)
+    d = np.multiply(2.0, np.add(k2, k3, out=k2), out=k2)
+    np.add(np.add(g1, d, out=d), k4, out=d)
+    return np.multiply(dt / 6.0, d, out=d)
 
 
 def evolve_ket(H: TimeDependentOperator, psi0, grid: TimeGrid) -> StateTrajectory:
@@ -633,49 +623,27 @@ def evolve_bra(H: TimeDependentOperator, phi0, grid: TimeGrid) -> StateTrajector
     return StateTrajectory(grid=grid, times=grid.times(), states=states)
 
 
-def _halved_pairs(H: TimeDependentOperator, grid: TimeGrid) -> Iterator[tuple[int, np.ndarray]]:
-    """Each step of ``grid`` as two RK4 steps of ``grid.dt / 2``, paired, a chunk
-    of steps at a time given with its first step: ``E = D_0 + D_1 + D_1 D_0``,
-    so ``I + E = (I + D_1)(I + D_0)`` with no ``I + small`` formed.
-
-    A chunk samples ``H`` on its grid points and the quarter, half and
-    three-quarter points of its steps, and carries its predecessor's last
-    sample, so each time of ``grid.halved()`` is evaluated once.
-    """
-    half = grid.halved()
-    times = half.times()
-    last = None
-    for s0, s1 in _chunks(grid.n_steps, 4 * H.dim * H.dim * 16):
-        ts = _sample_times(times[2 * s0:2 * s1 + 1])
-        # grid points, then the quarter, half and three-quarter points of each step
-        if last is None:
-            g, q1, q2, q3 = _minus_i_time_last(H.sample(ts), 4)
-        else:
-            q1, q2, q3, g = _minus_i_time_last(H.sample(ts[1:]), 4)
-            g = np.concatenate((last, g), axis=-1)
-        last = g[..., -1:].copy()
-        d0 = _step_increments(g[..., :-1], q1, q2, half.dt)
-        d1 = _step_increments(q2, q3, g[..., 1:], half.dt)
-        pairs = _mul(d1, d0)
-        yield s0, np.add(np.add(d0, d1, out=d0), pairs, out=pairs)
-
-
 def evolve_ket_halved(H: TimeDependentOperator, psi0, grid: TimeGrid) -> StateTrajectory:
     """The RK4 run of :func:`evolve_ket` at step ``grid.dt / 2``, on the points of ``grid``.
 
-    It samples what ``evolve_ket(H, psi0, grid.halved())`` samples, a chunk
-    of steps at a time, pairs each two half-step increments into one (see
-    :func:`_halved_pairs`), and chains them by the blocked scan of
-    :func:`_scan` and :func:`_products`; no whole stage of samples or
-    increments is held.  Raises :class:`NonFiniteSampleError` at the first grid time whose
-    state overflows, as :class:`StateTrajectory` does.
+    It samples ``H`` on the times of ``grid.halved()`` a chunk of steps at a
+    time, each chunk on its own half-grid points and midpoints, first point
+    included.  Each step of ``grid`` is two half steps, whose increments pair
+    into ``E = D_0 + D_1 + D_1 D_0``, so ``I + E = (I + D_1)(I + D_0)`` with no
+    ``I + small`` formed, and the blocked scan of :func:`_scan` and
+    :func:`_products` chains the pairs; no whole stage of samples or
+    increments is held.  Raises :class:`NonFiniteSampleError` at the first
+    grid time whose state overflows, as :class:`StateTrajectory` does.
     """
     psi0 = _as_state(psi0, H.dim)
-    n = grid.n_steps + 1
+    n, times = grid.n_steps + 1, grid.halved().times()
     F = _scan_blocks(n, H.dim)
     with np.errstate(over="ignore", invalid="ignore"):
-        for s0, pairs in _halved_pairs(H, grid):
-            _put(F, s0, pairs)
+        for s0, s1 in _chunks(grid.n_steps, 4 * H.dim * H.dim * 16):
+            d = _increments(H.sample(_sample_times(times[2 * s0:2 * s1 + 1])), grid.dt / 2)
+            d0, d1 = d[..., 0::2], d[..., 1::2]
+            pairs = _mul(d1, d0)
+            _put(F, s0, np.add(np.add(d0, d1, out=d0), pairs, out=pairs))
         states = _products(_scan(F), psi0, n).T
     return StateTrajectory(grid=grid, times=grid.times(), states=states)
 
@@ -763,6 +731,7 @@ def dyson_truncation(
     for name, value in (("order", order), ("quadrature_steps", quadrature_steps)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+    t, t0 = _real("t", t), _real("t0", t0)
     if order < 0:
         raise InvalidArgumentError(f"order must be >= 0, got {order}")
     if quadrature_steps < 2 or quadrature_steps % 2:

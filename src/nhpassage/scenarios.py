@@ -144,9 +144,12 @@ class ScenarioConfig:
     1.4e-7 at loops = 10): the shift is amplified rounding that grows each
     loop, so a smaller ``dt`` does not bring it back.  ``gamma_scale``
     multiplies the scenario's gain/loss-to-frame-rate ratio (1.0 is the
-    reference setting; checkpoint transients are only asserted there).
-    ``loops`` counts cyclic loops; a two-level task is one stage, so it
-    must be 1 there.
+    reference setting; checkpoint transients are only asserted there).  One
+    at or below 0 is data, not a :class:`ConfigError`, since ``verify``'s
+    Hermitian limit validates ``replace(config, gamma_scale=0.0)``: a
+    built-in run at -0.5, -1e-3 or 0 raises nothing and fails only
+    ``mid_evolution_norm_dip``, its norm staying about 1.  ``loops`` counts
+    cyclic loops; a two-level task is one stage, so it must be 1 there.
     """
 
     scenario: str

@@ -59,7 +59,8 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import TimeDependentOperator, TimeGrid, _Constant, _Derived, _Samples, _sample_times
+from .dynamics import (TimeDependentOperator, TimeGrid, _Constant, _Derived, _real, _Samples,
+                       _sample_times)
 from .exceptions import (
     InvalidArgumentError,
     NonFiniteSampleError,
@@ -91,8 +92,8 @@ EPS_SINGULAR = 1e-6
 CONSISTENCY_TOL = 1e-8
 
 
-def _as_callable(x) -> Callable:
-    return x if callable(x) else _Constant(float(x))
+def _as_callable(name: str, x) -> Callable:
+    return x if callable(x) else _Constant(_real(name, x))
 
 
 @dataclass(frozen=True)
@@ -326,10 +327,11 @@ def synthesize_two_level(
     :class:`PhaseConsistencyError`.  A denominator ``|sin(varphi + alpha)|``
     below the guard raises :class:`SingularDenominatorError`.
     """
-    g0, g1 = _as_callable(gamma0), _as_callable(gamma1)
+    xi0, xi1, varphi = _real("xi0", xi0), _real("xi1", xi1), _real("varphi", varphi)
+    g0, g1 = _as_callable("gamma0", gamma0), _as_callable("gamma1", gamma1)
     return _consistent(TwoLevelControls(
-        omega=_inner_drive(frame, g0, g1, xi0, xi1, varphi), delta=_as_callable(delta),
-        gamma0=g0, gamma1=g1, varphi=float(varphi), xi0=float(xi0), xi1=float(xi1),
+        omega=_inner_drive(frame, g0, g1, xi0, xi1, varphi), delta=_as_callable("delta", delta),
+        gamma0=g0, gamma1=g1, varphi=varphi, xi0=xi0, xi1=xi1,
     ), frame, grid)
 
 
@@ -344,7 +346,9 @@ def synthesize_three_level(
     varphi_a``; the outer pair couples its bright state to ``|e>``.  Both
     residuals (alpha, then beta) are checked as for two levels.
     """
-    g0, g1, ge = _as_callable(gamma0), _as_callable(gamma1), _as_callable(gamma_e)
+    xi0, xi1, xi_e, varphi, varphi_a = map(_real, ("xi0", "xi1", "xi_e", "varphi", "varphi_a"),
+                                           (xi0, xi1, xi_e, varphi, varphi_a))
+    g0, g1, ge = map(_as_callable, ("gamma0", "gamma1", "gamma_e"), (gamma0, gamma1, gamma_e))
     sx0, sx1, sxe = np.sin(xi0), np.sin(xi1), np.sin(xi_e)
     # 2 Im(d_bright - d_e): the bright state's gain part needs no omega_a
     omega = _pair_drive(
@@ -355,14 +359,13 @@ def synthesize_three_level(
         omega=omega,
         theta=frame.theta,
         omega_a=_inner_drive(frame, g0, g1, xi0, xi1, varphi_a),
-        delta0=_as_callable(delta0), delta1=_as_callable(delta1),
-        delta_e=_as_callable(delta_e),
+        delta0=_as_callable("delta0", delta0), delta1=_as_callable("delta1", delta1),
+        delta_e=_as_callable("delta_e", delta_e),
         varphi0=_Derived(lambda s: varphi - 0.5 * s(frame.alpha)),
         varphi1=_Derived(lambda s: varphi + 0.5 * s(frame.alpha)),
-        varphi_a=float(varphi_a),
-        varphi=float(varphi),
+        varphi_a=varphi_a, varphi=varphi,
         gamma0=g0, gamma1=g1, gamma_e=ge,
-        xi0=float(xi0), xi1=float(xi1), xi_e=float(xi_e),
+        xi0=xi0, xi1=xi1, xi_e=xi_e,
     ), frame, grid)
 
 

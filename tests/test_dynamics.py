@@ -181,8 +181,12 @@ def test_grid_rejects_off_grid_boundary():
     lambda: TimeGrid(0.0, 1e300, 1e-300),
     lambda: TimeGrid(0.0, 1.0, 0.5).index_of(np.nan),
     lambda: TimeGrid(0.0, 1.0, 0.5).index_of(np.inf),
+    lambda: TimeGrid(0.0, 1.0, "0.1"),
+    lambda: TimeGrid(0.0, None, 0.1),
+    lambda: TimeGrid(None, 1.0, 0.1),
+    lambda: TimeGrid(0.0, 1.0 + 0j, 0.1),
 ], ids=["overflowing-steps", "infinite-tf", "infinite-t0", "steps-past-float-range",
-        "nan-time", "infinite-time"])
+        "nan-time", "infinite-time", "string-dt", "none-tf", "none-t0", "complex-tf"])
 def test_grid_rejects_non_finite_bounds_step_counts_and_times(make):
     with pytest.raises(GridError, match="is not a finite number of steps"):
         make()
@@ -353,6 +357,14 @@ def test_series_errors_are_typed():
         assert isinstance(info.value, ValueError)
 
 
+@pytest.mark.parametrize("name", ["t", "t0"])
+@pytest.mark.parametrize("value", ["1", None, 1j, True])
+def test_series_names_a_time_that_is_not_a_real_number(name, value):
+    times = {"t": 0.5, "t0": 0.0, name: value}
+    with pytest.raises(InvalidArgumentError, match=f"^{name} must be a real number"):
+        dyson_truncation(constant_operator(np.eye(2)), times["t"], 3, 4, t0=times["t0"])
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("t,t0", [(np.nan, 0.0), (np.inf, 0.0), (1.0, -np.inf), (1.0, np.nan)])
 def test_series_rejects_non_finite_times(t, t0):
@@ -505,11 +517,10 @@ def four_level_generator():
     return smooth_generator(4, seed=85), TimeGrid(0.0, 1.0, 1e-3)
 
 
-def step_increments(H, grid):
-    """``_step_increments`` of ``H`` on ``grid``, fed its contiguous grid and
-    midpoint blocks of ``-iH``."""
-    g, mid = dynamics._minus_i_time_last(H.sample(dynamics._sample_times(grid.times())), 2)
-    return dynamics._step_increments(g[..., :-1], mid, g[..., 1:], grid.dt)
+def step_increments(H, grid, bra=False):
+    """The increments of ``H`` on ``grid``, from one block of its samples at the
+    grid points and midpoints."""
+    return dynamics._increments(H.sample(dynamics._sample_times(grid.times())), grid.dt, bra)
 
 
 @pytest.mark.parametrize("make", [cyclic_stage_generator, two_level_generator])
@@ -562,10 +573,8 @@ def assert_increments_are_the_reference(H, grid):
     gs = dynamics._time_last(-1j * H.sample(dynamics._sample_times(grid.times())))
     assert same_bits(step_increments(H, grid), reference_step_increments(gs, grid.dt))
     # the bra increments read the same blocks conjugate-transposed
-    g, mid = dynamics._minus_i_time_last(H.sample(dynamics._sample_times(grid.times())), 2)
-    g, mid = (-x.conj().transpose(1, 0, 2) for x in (g, mid))
-    bra = dynamics._step_increments(g[..., :-1], mid, g[..., 1:], grid.dt)
-    assert same_bits(bra, reference_step_increments(-gs.conj().transpose(1, 0, 2), grid.dt))
+    assert same_bits(step_increments(H, grid, bra=True),
+                     reference_step_increments(-gs.conj().transpose(1, 0, 2), grid.dt))
 
 
 def assert_halved_is_the_reference(H, grid):
@@ -575,13 +584,43 @@ def assert_halved_is_the_reference(H, grid):
     assert same_bits(got, reference_halved(H, psi0, grid))
 
 
+def run_states(run):
+    """``run()``'s states, or the message of the :class:`NonFiniteSampleError` it raised."""
+    try:
+        return run().states
+    except NonFiniteSampleError as error:
+        return str(error)
+
+
+def assert_chunked_runs_are_one_chunk_runs(H, grid, steps):
+    """The ket and bra sweeps and the dt/2 re-runs of ``H`` and ``H^dag``, cut into
+    chunks of ``steps`` sweep steps (``steps // 2`` re-run steps, at least one),
+    against the same runs in one chunk: each chunk samples its own edge points
+    and starts from the state its predecessor wrote."""
+    psi0 = np.linspace(1.0, 2.0, H.dim) + 0.5j
+    runs = [lambda: evolve_ket(H, psi0, grid), lambda: evolve_bra(H, psi0, grid),
+            lambda: dynamics.evolve_ket_halved(H, psi0, grid),
+            lambda: dynamics.evolve_ket_halved(H.adjoint(), psi0, grid)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_CHUNK_BYTES", chunk_steps(2 * grid.n_steps, H.dim))
+        whole = [run_states(run) for run in runs]
+        mp.setattr(dynamics, "_CHUNK_BYTES", chunk_steps(steps, H.dim))
+        for run, want in zip(runs, whole):
+            got = run_states(run)
+            if isinstance(want, str):  # both runs overflow, at the same time
+                assert got == want
+            else:
+                assert same_bits(got, want)
+
+
 @settings(max_examples=40, deadline=None)
 @given(K=st.integers(1, 4), n=st.integers(1, 300), seed=st.integers(0, 2**16),
-       dt=st.sampled_from([1e-3, 0.05, 0.4]))
-def test_increments_and_halved_run_are_bitwise_the_reference(K, n, seed, dt):
+       dt=st.sampled_from([1e-3, 0.05, 0.4]), steps=st.integers(1, 320))
+def test_increments_and_halved_run_are_bitwise_the_reference(K, n, seed, dt, steps):
     H, grid = smooth_generator(K, seed), TimeGrid(0.0, n * dt, dt)
     assert_increments_are_the_reference(H, grid)
     assert_halved_is_the_reference(H, grid)
+    assert_chunked_runs_are_one_chunk_runs(H, grid, steps)
 
 
 @pytest.mark.parametrize("make", [

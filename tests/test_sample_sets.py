@@ -1,14 +1,16 @@
 """One sample set per chunk: what the runner reads from it, against the public calls.
 
 The runner reads each stage three times, a contiguous chunk of steps at a
-time: the dt/2 re-run on its own times, the sweep on the stage's grid points
-and RK4 midpoints, and one certificate pass, in which a chunk's sample set on
-its grid points and midpoints evaluates each frame angle, gain and trig
-factor once for the generator and the phase, and the frame is read on the
-chunk's grid points.  It reports the consistency residual synthesis
-recorded.  Every number it takes from a chunk must be the number a public
-call computes on the whole stage, bit for bit: ``H.sample`` for the sweep's,
-the pass's and the dt/2 samples (each pass's chunks joined),
+time, each chunk sampling its own edge points, so a chunk after the first
+starts at its predecessor's last time: the dt/2 re-run on its own times, the
+sweep on the stage's grid points and RK4 midpoints, and one certificate pass,
+in which a chunk's sample set on its grid points and midpoints evaluates
+each frame angle, gain and trig factor once for the generator and the phase,
+and the frame is read on the chunk's grid points.  It reports the
+consistency residual synthesis recorded.  Every number it takes from a chunk
+must be the number a public call computes on the whole stage, bit for bit:
+``H.sample`` for the sweep's, the pass's and the dt/2 samples (each pass's
+chunks joined at their shared edges),
 ``frame.sample``/``sample_derivative`` for the pass's frame blocks,
 ``phase_two_level`` for the phase, ``triangularization_residual`` and
 ``biorthogonality_defect`` for the certificates, and
@@ -148,15 +150,14 @@ def recorded_run(config, stages, marks=None):
     return report, got
 
 
-def joined(chunks, shared_edges=False):
+def joined(chunks):
     """The times and the samples of ``(times, samples)`` chunks, each joined in
-    order; with ``shared_edges`` each chunk after the first starts at its
-    predecessor's last time, which the join drops."""
+    order; each chunk after the first starts at its predecessor's last time,
+    which the join drops."""
     times, blocks = zip(*chunks)
-    if shared_edges:
-        assert all(a[-1] == b[0] for a, b in zip(times, times[1:]))
-        times = times[:1] + tuple(t[1:] for t in times[1:])
-        blocks = blocks[:1] + tuple(b[1:] for b in blocks[1:])
+    assert all(a[-1] == b[0] for a, b in zip(times, times[1:]))
+    times = times[:1] + tuple(t[1:] for t in times[1:])
+    blocks = blocks[:1] + tuple(b[1:] for b in blocks[1:])
     return np.concatenate(times), np.concatenate(blocks)
 
 
@@ -168,15 +169,15 @@ def assert_reads_are_the_public_calls(stages, report, got):
         times, sample_times = grid.times(), _sample_times(grid.times())
         H = stage.H if stage.passage == "ket" else stage.H.adjoint()
         rerun = _sample_times(grid.halved().times())
-        for chunks, shared, want, op in ((got["half"][i], False, rerun, H),
-                                         (got["sweep"][i], False, sample_times, stage.H),
-                                         (got["H"][i], True, sample_times, stage.H)):
+        for chunks, want, op in ((got["half"][i], rerun, H),
+                                 (got["sweep"][i], sample_times, stage.H),
+                                 (got["H"][i], sample_times, stage.H)):
             assert len(chunks) > 1
-            ts, block = joined(chunks, shared)
+            ts, block = joined(chunks)
             assert same_bits(ts, want)
             assert same_bits(block, op.sample(want))
         assert len(got["frame"][i]) == len(got["H"][i])  # one frame read per chunk
-        ts, block = joined(got["frame"][i], shared_edges=True)
+        ts, block = joined(got["frame"][i])
         assert same_bits(ts, times)
         assert same_bits(block[:, 0], stage.frame.sample(times))
         assert same_bits(block[:, 1], stage.frame.sample_derivative(times))
@@ -355,10 +356,11 @@ def assert_runner_numbers_certify(report, got, stage):
 def assert_calls_per_pass(arrays, grid):
     """Each counted callable ran once on the synthesis grid, then, in each of a
     stage's passes that read it, on that pass's chunks: the dt/2 re-run's and
-    the sweep's cover their times once, and the certificate pass's cover the
-    grid points and midpoints, and for a frame parameter the grid points, with
-    shared edges, each once per chunk.  ``arrays`` holds each callable's time
-    arrays with the passes marked, as :func:`recorded_run` marks them."""
+    the sweep's cover their times, and the certificate pass's cover the grid
+    points and midpoints, and for a frame parameter the grid points, each once
+    per chunk; every pass's chunks share their edge points.  ``arrays`` holds
+    each callable's time arrays with the passes marked, as :func:`recorded_run`
+    marks them."""
     times, sample_times = grid.times(), _sample_times(grid.times())
     for name, called in arrays.items():
         assert same_bits(called[0], times), name  # synthesis
@@ -372,15 +374,14 @@ def assert_calls_per_pass(arrays, grid):
                           ("sweep", sample_times)):
             if passes[key]:
                 assert len(passes[key]) > 1, name
-                assert same_bits(np.concatenate(passes[key]), want), name
+                assert same_bits(joined([(t, t) for t in passes[key]])[0], want), name
         pieces = [[t for t in passes["pass"] if is_piece(t, want)]
                   for want in (times, sample_times)]
         assert sum(map(len, pieces)) == len(passes["pass"]) > 0, name
         for chunks, want in zip(pieces, (times, sample_times)):
             if chunks:
                 assert len(chunks) > 1, name
-                assert same_bits(joined([(t, t) for t in chunks], shared_edges=True)[0],
-                                 want), name
+                assert same_bits(joined([(t, t) for t in chunks])[0], want), name
         assert not all(pieces) or len(pieces[0]) == len(pieces[1]), name  # once per chunk
 
 
@@ -451,10 +452,10 @@ def hand_built(built_in, calls, arrays=None):
 def test_a_run_calls_each_frame_angle_once_per_time_array():
     # a caller-built two-level stage: its angle and rate, which also set the gains,
     # are called once on the synthesis grid, then, at the default budget, on the
-    # dt/2 re-run's two chunks, which cover its times once, once on the sweep's
-    # grid points and midpoints, and on the certificate pass's two chunks, each
-    # once on its grid points and once on its grid points and midpoints, the
-    # chunks sharing their edge point; and on nothing else
+    # dt/2 re-run's two chunks, once on the sweep's grid points and midpoints,
+    # and on the certificate pass's two chunks, each once on its grid points and
+    # once on its grid points and midpoints, every pass's chunks sharing their
+    # edge point; and on nothing else
     calls = {"theta": [], "theta_dot": []}
     config = ScenarioConfig("two_level_c")
     stage = hand_built(scenarios._stages(config)[0], calls)
@@ -462,7 +463,7 @@ def test_a_run_calls_each_frame_angle_once_per_time_array():
     assert report.passed
     steps, first = 4000, 2048
     for sizes in calls.values():
-        assert sizes == [steps + 1, 4 * first + 1, 4 * (steps - first), 2 * steps + 1,
+        assert sizes == [steps + 1, 4 * first + 1, 4 * (steps - first) + 1, 2 * steps + 1,
                          first + 1, 2 * first + 1, steps - first + 1, 2 * (steps - first) + 1]
     assert same_bits(report.trajectory.states, run_scenario(config).trajectory.states)
 

@@ -238,6 +238,18 @@ def test_config_accepts_numpy_scalars():
     assert config.loops == 2 and config.resolved_dt() == 0.25
 
 
+@pytest.mark.parametrize("gamma_scale", [-0.5, -1e-3, 0.0])
+@pytest.mark.parametrize("sid", ["two_level_a", "two_level_c", "cyclic_cw", "cyclic_ccw"])
+def test_a_gamma_scale_at_or_below_zero_is_data_not_a_config_error(sid, gamma_scale):
+    # verify's Hermitian limit re-validates replace(config, gamma_scale=0.0), so the
+    # config must take it; such a run has no norm dip to show, and fails that check only
+    config = ScenarioConfig(sid, gamma_scale=gamma_scale)
+    for report in (run_scenario(config), verify(config)):
+        failed = [c for c in report.checks if not c.passed]
+        assert [c.name for c in failed] == ["mid_evolution_norm_dip"]
+        assert failed[0].value == pytest.approx(1.0, abs=1e-12)
+
+
 def test_two_level_config_rejects_loops():
     # a two-level task is exactly one stage; more loops would be ignored
     for sid in ("two_level_a", "two_level_d"):

@@ -526,6 +526,26 @@ def test_cyclic_stages_meet_exactly(T, loops, sid):
         assert a.grid.tf == b.grid.t0
 
 
+TWO_LEVEL_ARGUMENTS = dict(gamma0=0.0, gamma1=0.0, delta=0.0, xi0=-np.pi / 2, xi1=np.pi / 2,
+                           varphi=np.pi / 2)
+THREE_LEVEL_ARGUMENTS = dict(gamma0=0.0, gamma1=0.0, gamma_e=0.0, delta0=0.0, delta1=0.0,
+                             delta_e=0.0, xi0=-np.pi / 2, xi1=np.pi / 2, xi_e=np.pi / 2,
+                             varphi=np.pi / 2, varphi_a=np.pi / 2)
+
+
+@pytest.mark.parametrize("value", ["x", "0.5", None, 1j, True])
+@pytest.mark.parametrize("synthesize,arguments,name", [
+    *((synthesize_two_level, TWO_LEVEL_ARGUMENTS, name) for name in TWO_LEVEL_ARGUMENTS),
+    *((synthesize_three_level, THREE_LEVEL_ARGUMENTS, name) for name in THREE_LEVEL_ARGUMENTS),
+])
+def test_synthesis_names_an_argument_that_is_not_a_real_number(synthesize, arguments, name,
+                                                               value):
+    params = (sine_params() if synthesize is synthesize_two_level
+              else stage1_cw_frame_params())
+    with pytest.raises(InvalidArgumentError, match=f"^{name} must be a real number"):
+        synthesize(params, grid=GRID, **{**arguments, name: value})
+
+
 def test_argument_errors_are_typed():
     params, controls, _, _ = synthesize_stage1_cw()
     calls = [
