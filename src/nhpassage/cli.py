@@ -59,7 +59,8 @@ OPTIONS = (
 )
 
 
-_KEYS = {row[0] for row in OPTIONS}
+#: Every option's flag as registered: ``--`` and the key, ``_`` as ``-``.
+_FLAGS = {f"--{row[0].replace('_', '-')}" for row in OPTIONS}
 
 
 def _rows(command: str) -> list[tuple]:
@@ -129,10 +130,10 @@ def _flag_key(flag: str) -> str:
 def main(argv=None) -> int:
     parser = _build_parser()
     args, extras = parser.parse_known_args(argv)
-    # a flag of another subcommand's option is a ConfigError below; any other
-    # word the subcommand does not take is argparse's usage error
+    # a flag of another subcommand's option, as registered, is a ConfigError
+    # below; any other word the subcommand does not take is argparse's usage error
     flags = [word.split("=", 1)[0] for word in extras if word.startswith("--")]
-    if extras and (not flags or any(_flag_key(f) not in _KEYS for f in flags)):
+    if extras and (not flags or any(f not in _FLAGS for f in flags)):
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         values = _options(args, flags)

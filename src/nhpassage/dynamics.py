@@ -73,7 +73,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain
 from operator import add, mul
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -116,9 +116,12 @@ def _as_state(psi, dim: int) -> np.ndarray:
 
 
 def _real(name: str, value) -> float:
-    """``value`` as a float; :class:`InvalidArgumentError` naming ``name`` if not real."""
+    """``value`` as a float; :class:`InvalidArgumentError` naming ``name`` if it is
+    not a real number, or is NaN or infinite."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidArgumentError(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise InvalidArgumentError(f"{name} must be finite, got {float(value)}")
     return float(value)
 
 
@@ -161,14 +164,26 @@ class TimeGrid:
             raise GridError(f"dt = {self.dt} must be positive")
         if self._steps_or_raise(self.tf, "tf") < 1:
             raise GridError("grid must contain at least one step")
-        bounds = tuple(sorted(self.stage_boundaries))
+        if not isinstance(self.stage_boundaries, Iterable):
+            raise GridError(f"stage_boundaries = {self.stage_boundaries!r} is not a finite "
+                            f"number of steps of {self.dt} from t0 = {self.t0}: "
+                            "it must be a sequence of times")
+        bounds = tuple(sorted(self._real_or_raise(b, "stage boundary")
+                              for b in self.stage_boundaries))
         for b in bounds:
             if not (self.t0 <= b <= self.tf):
                 raise GridError(f"stage boundary {b} outside [{self.t0}, {self.tf}]")
             self._steps_or_raise(b, "stage boundary")
         object.__setattr__(self, "stage_boundaries", bounds)
 
+    def _real_or_raise(self, t, what: str):
+        if not isinstance(t, numbers.Real):
+            raise GridError(f"{what} = {t!r} is not a finite number of steps of {self.dt} "
+                            f"from t0 = {self.t0}: it must be a real number")
+        return t
+
     def _steps_or_raise(self, t: float, what: str) -> int:
+        self._real_or_raise(t, what)
         raw = (t - self.t0) / self.dt
         if not math.isfinite(raw):  # a non-finite bound or time, or a step count past float range
             raise GridError(f"{what} = {t} is not a finite number of steps of {self.dt} "
@@ -235,6 +250,9 @@ class _Samples:
         self.times = times
         self._memo: dict = {}
 
+    def __len__(self) -> int:
+        return self.times.size
+
     def _get(self, key, f, compute: Callable) -> np.ndarray:
         # keys hold id(f), so any callable may be one; the entry keeps f alive
         entry = self._memo.get(key)
@@ -293,11 +311,10 @@ class TimeDependentOperator:
     dim: int
     values_at: Callable[[np.ndarray], np.ndarray]
 
-    def sample(self, times: np.ndarray) -> np.ndarray:
-        """Evaluate at an array of times lying within one smooth stretch.
-
-        A block is checked for shape and NaN/Inf, and :class:`NonFiniteSampleError`
-        names its first bad time.
+    def sample(self, times) -> np.ndarray:
+        """Evaluate at a time array or a sample set (:class:`_Samples`) within one
+        smooth stretch: the one checked read of a generator.  A block is checked for
+        shape and NaN/Inf, and :class:`NonFiniteSampleError` names its first bad time.
         """
         return _checked_block(self.values_at, times, (self.dim, self.dim))
 
@@ -737,8 +754,6 @@ def dyson_truncation(
     if quadrature_steps < 2 or quadrature_steps % 2:
         raise InvalidArgumentError(
             f"quadrature_steps must be even and >= 2, got {quadrature_steps}")
-    if not (math.isfinite(t) and math.isfinite(t0)):
-        raise InvalidArgumentError(f"t = {t} and t0 = {t0} must be finite")
     if t < t0:
         raise InvalidArgumentError(f"t = {t} precedes t0 = {t0}")
     K = H.dim

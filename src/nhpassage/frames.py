@@ -263,7 +263,7 @@ def _residuals(H: TimeDependentOperator, frames: tuple, grid,
     # per point, a sample of H and the two of each frame
     for p0, p1 in _chunks(times.size, (1 + 2 * len(frames)) * K * K * 16):
         samples = _Samples(times[p0:p1])
-        hs = _time_last(_checked_block(H.values_at, samples, (K, K)))
+        hs = _time_last(H.sample(samples))
         blocks = [_time_last(frame._block(samples)) for frame in frames]
         chunk = [_triangularization(hs, *block) for block in blocks]
         if von_neumann:

@@ -36,16 +36,15 @@ included) exceeds the step-check tolerance, then packages the trajectory,
 passage phase, checkpoint populations and checks into a :class:`RunReport`.
 The checks are the report's only record of each certificate: a per-stage
 value is folded over the stages by ``np.max`` or ``np.min``, so a NaN on any
-stage is the check's value and fails it.  :func:`verify` runs the same
-stages, and reads them again for its series oracle and, with a 1% drive
-error, for its perturbation control; its Hermitian limit builds them at zero
-gain.  Its controls read a chunk of grid points at a time, one set serving
-the generator and every frame.
+stage is the check's value and fails it.  :func:`verify` is
+:func:`run_scenario` plus four control groups, each a function of the config
+that builds the stages it reads: the series oracle, a 1% drive error (scanned
+by ``triangularization_residual``), the Hermitian limit at zero gain, and a
+random generator.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import sys
@@ -58,7 +57,7 @@ from .dynamics import (
     TimeDependentOperator,
     TimeGrid,
     _MAX_STEPS,
-    _checked_block, _chunks, _Constant, _defect, _Derived, _increments, _put, _Samples,
+    _chunks, _Constant, _defect, _Derived, _increments, _put, _Samples,
     _sample_times, _scan_blocks, _time_last,
     biorthogonality_defect,
     constant_operator,
@@ -69,7 +68,8 @@ from .dynamics import (
     propagator_ket,
 )
 from .exceptions import ConfigError, GridError, PassageError, StepSizeError
-from .frames import (  # the residual names stay bound for perfbench's tracer
+from .frames import (  # von_neumann_residual, unlike the called triangularization_residual,
+    # stays bound only for perfbench's tracer
     AncillaryFrame,
     ThreeLevelFrameParams,
     TwoLevelFrameParams,
@@ -425,8 +425,9 @@ def _certify(stage: _Stage, states: np.ndarray, f_real: np.ndarray, f_imag: np.n
     check, from one pass over its samples a chunk of steps at a time; the
     passage phase is written into ``f_real`` and ``f_imag`` from point ``first`` on.
 
-    A chunk's sample set on its grid points and RK4 midpoints gives the block
-    of ``H`` to the triangularization residual (its grid points) and both scans
+    Fused, not the public calls, because one sampling feeds five certificates:
+    a chunk's sample set on its grid points and RK4 midpoints gives ``H.sample``'s
+    block to the triangularization residual (its grid points) and both scans
     of the biorthogonality defect, and the phase rates, each angle, gain and
     trig factor of the set evaluated once; the frame is read on a set of the
     grid points for the residual and the passage fidelity.  Chunks share their
@@ -444,7 +445,7 @@ def _certify(stage: _Stage, states: np.ndarray, f_real: np.ndarray, f_imag: np.n
         ts = times[s0:s1 + 1]
         frame = stage.frame._block(ts)
         samples = _Samples(_sample_times(ts))
-        hs = _checked_block(stage.H.values_at, samples, (K, K))
+        hs = stage.H.sample(samples)
         tri = np.maximum(tri, _triangularization(_time_last(hs[::2]), *_time_last(frame)))
         for F, bra in ((FU, False), (FV, True)):
             _put(F, s0, _increments(hs, grid.dt, bra))
@@ -463,19 +464,21 @@ def _certify(stage: _Stage, states: np.ndarray, f_real: np.ndarray, f_imag: np.n
             "biorthogonality_defect": _defect(FU, FV, n), "passage_fidelity": fidelity}
 
 
-def _run(config: ScenarioConfig, stages: list[_Stage] | None = None) -> RunReport:
-    """March a run's stages, collect per-stage certificates, and grade the run.
+def run_scenario(config: ScenarioConfig) -> RunReport:
+    """Simulate a built-in scenario, two-level or cyclic: march its stages,
+    collect per-stage certificates, and grade the run.
 
-    ``stages`` are built unless given.  The state is handed across stage
-    boundaries verbatim (global phases included); the accumulated passage
+    Also bound as ``run_two_level`` and ``run_cyclic``.  Raises
+    :class:`StepSizeError` when the dt/2 self-check fails and propagates
+    synthesis errors for inconsistent inputs.  The state is handed across
+    stage boundaries verbatim (global phases included); the accumulated passage
     phase restarts at each stage, which is also how the exported
     ``f_real``/``f_imag`` columns are defined.  Each stage writes its states
     and phase into the run's arrays, which hold a shared boundary point once,
     with the earlier stage's value.
     """
     cyclic = config.scenario in CYCLIC_IDS
-    if stages is None:
-        stages = _stages(config)
+    stages = _stages(config)
     starts = np.cumsum([0] + [stage.grid.n_steps for stage in stages])
     states = np.zeros((starts[-1] + 1, stages[0].H.dim), dtype=complex)
     states[0, 0 if cyclic else _TWO_LEVEL_TASKS[config.scenario][1]] = 1.0
@@ -570,16 +573,6 @@ def _cyclic_checks(config, stages, starts, traj):
     return checkpoints, checks
 
 
-def run_scenario(config: ScenarioConfig) -> RunReport:
-    """Simulate a built-in scenario, two-level or cyclic, and grade it.
-
-    Also bound as ``run_two_level`` and ``run_cyclic``.  Raises
-    :class:`StepSizeError` when the dt/2 self-check fails and propagates
-    synthesis errors for inconsistent inputs.
-    """
-    return _run(config)
-
-
 run_two_level = run_cyclic = run_scenario
 
 
@@ -627,13 +620,15 @@ def _placeholder_report(config: ScenarioConfig, exc: PassageError) -> RunReport:
     )
 
 
-def _perturbed_omega_checks(stages: list[_Stage]) -> list[CheckResult]:
-    perturbed = np.min([_residuals(_drive_scaled(s, 1.01), (s.frame,), s.grid)[0]
-                        for s in stages])
+def _perturbed_omega_checks(config: ScenarioConfig) -> list[CheckResult]:
+    perturbed = np.min([triangularization_residual(_drive_scaled(s, 1.01), s.frame, s.grid)
+                        for s in _stages(config)])
     return [CheckResult.above("perturbed_omega_breaks_triangularization", perturbed, 1e-3)]
 
 
 def _hermitian_limit_checks(config: ScenarioConfig) -> list[CheckResult]:
+    """The zero-gain stages' residuals in their frames and a misaligned one, fused
+    in one scan per stage: the four public residual calls would sample ``H`` four times."""
     stages = _stages(replace(config, gamma_scale=0.0))
     bad_frame = _misaligned_frame(stages[0].H.dim, config.T)
     scans = [_residuals(s.H, (s.frame, bad_frame), s.grid, von_neumann=True) for s in stages]
@@ -677,12 +672,12 @@ def _series_order_fit(h: np.ndarray) -> float:
     return np.inf if errs[1] == 0.0 else float(np.log2(errs[0] / errs[1]))
 
 
-def _dyson_checks(config: ScenarioConfig, stages: list[_Stage]) -> list[CheckResult]:
+def _dyson_checks(config: ScenarioConfig) -> list[CheckResult]:
     """Fitted convergence order of the order-4 series truncation under horizon
     halving, on a frozen sample 0.6T into every stage of the run: ``H`` for a
     ket stage, ``H^dag`` for a bra stage.  The check reports the worst stage."""
     fits = []
-    for stage in stages:
+    for stage in _stages(config):
         H = stage.H if stage.passage == "ket" else stage.H.adjoint()
         fits.append(_series_order_fit(H.sample(np.array([stage.grid.t0 + 0.6 * config.T]))[0]))
     return [CheckResult.above("dyson_truncation_order_fit", np.min(fits), 4.5)]
@@ -698,27 +693,26 @@ def verify(config: ScenarioConfig) -> RunReport:
     of paired random evolutions, and a short-horizon series-truncation
     order fit on a frozen sample of every stage, ket and bra, by nested
     Simpson quadrature.  Each control check reports its worst stage.  The
-    run, the perturbation and the series oracle read one synthesis of the
-    stages.  A run or certificate group that raises a :class:`PassageError`
-    (its stages' build included) is recorded as one failed check; a failed
-    run leaves an all-zero trajectory of the scenario's shape.
+    run is :func:`run_scenario`, and each control group is a function of the
+    config that builds the stages it reads.  A run or certificate group that
+    raises a :class:`PassageError` (its stages' build included) is recorded as
+    one failed check; a failed run leaves an all-zero trajectory of the
+    scenario's shape.
     """
-    # a build that raises is not cached: each group that reads it records it
-    stages = functools.cache(lambda: _stages(config))
     try:
-        report = _run(config, stages=stages())
+        report = run_scenario(config)
     except PassageError as exc:
         report = _placeholder_report(config, exc)
     checks = list(report.checks)
 
     for group, certify in (
-        ("perturbed_omega", lambda: _perturbed_omega_checks(stages())),
-        ("hermitian_limit", lambda: _hermitian_limit_checks(config)),
-        ("biorthogonality_random", lambda: _random_biorthogonality_checks(config)),
-        ("dyson_truncation", lambda: _dyson_checks(config, stages())),
+        ("perturbed_omega", _perturbed_omega_checks),
+        ("hermitian_limit", _hermitian_limit_checks),
+        ("biorthogonality_random", _random_biorthogonality_checks),
+        ("dyson_truncation", _dyson_checks),
     ):
         try:
-            checks.extend(certify())
+            checks.extend(certify(config))
         except PassageError as exc:
             checks.append(_failed_check(group, exc))
     report.checks = checks

@@ -185,8 +185,15 @@ def test_grid_rejects_off_grid_boundary():
     lambda: TimeGrid(0.0, None, 0.1),
     lambda: TimeGrid(None, 1.0, 0.1),
     lambda: TimeGrid(0.0, 1.0 + 0j, 0.1),
+    lambda: TimeGrid(0.0, 1.0, 0.5).index_of(None),
+    lambda: TimeGrid(0.0, 1.0, 0.5, stage_boundaries=("x",)),
+    lambda: TimeGrid(0.0, 1.0, 0.5, stage_boundaries=(None,)),
+    lambda: TimeGrid(0.0, 1.0, 0.5, stage_boundaries=(0.5, None)),
+    lambda: TimeGrid(0.0, 1.0, 0.5, stage_boundaries=0.5),
 ], ids=["overflowing-steps", "infinite-tf", "infinite-t0", "steps-past-float-range",
-        "nan-time", "infinite-time", "string-dt", "none-tf", "none-t0", "complex-tf"])
+        "nan-time", "infinite-time", "string-dt", "none-tf", "none-t0", "complex-tf",
+        "none-time", "string-boundary", "none-boundary", "unsortable-boundaries",
+        "boundaries-not-a-sequence"])
 def test_grid_rejects_non_finite_bounds_step_counts_and_times(make):
     with pytest.raises(GridError, match="is not a finite number of steps"):
         make()

@@ -1,16 +1,19 @@
-"""One sample set per chunk: what the runner reads from it, against the public calls.
+"""One sample set per chunk: what a run reads from it, against the public calls.
 
-The runner reads each stage three times, a contiguous chunk of steps at a
-time, each chunk sampling its own edge points, so a chunk after the first
-starts at its predecessor's last time: the dt/2 re-run on its own times, the
-sweep on the stage's grid points and RK4 midpoints, and one certificate pass,
-in which a chunk's sample set on its grid points and midpoints evaluates
-each frame angle, gain and trig factor once for the generator and the phase,
-and the frame is read on the chunk's grid points.  It reports the
-consistency residual synthesis recorded.  Every number it takes from a chunk
-must be the number a public call computes on the whole stage, bit for bit:
-``H.sample`` for the sweep's, the pass's and the dt/2 samples (each pass's
-chunks joined at their shared edges),
+A run (:func:`run_scenario`, here served hand-built or drawn stages through
+``scenarios._stages``, the one stage builder) reads each stage three times,
+a contiguous chunk of steps at a time, each chunk sampling its own edge
+points, so a chunk after the first starts at its predecessor's last time:
+the dt/2 re-run on its own times, the sweep on the stage's grid points and
+RK4 midpoints, and one certificate pass, in which a chunk's sample set on its
+grid points and midpoints evaluates each frame angle, gain and trig factor
+once for the generator and the phase, and the frame is read on the chunk's
+grid points.  Every read of ``H`` goes through ``TimeDependentOperator.sample``,
+the pass's on its sample set, so the recorder wraps that one method.  The run
+reports the consistency residual synthesis recorded.  Every number it takes
+from a chunk must be the number a public call computes on the whole stage,
+bit for bit: ``H.sample`` on a time array for the sweep's, the pass's and
+the dt/2 samples (each pass's chunks joined at their shared edges),
 ``frame.sample``/``sample_derivative`` for the pass's frame blocks,
 ``phase_two_level`` for the phase, ``triangularization_residual`` and
 ``biorthogonality_defect`` for the certificates, and
@@ -50,7 +53,7 @@ from nhpassage import (
     two_level_hamiltonian,
     verify,
 )
-from nhpassage import dynamics, scenarios
+from nhpassage import dynamics, frames, scenarios
 from nhpassage.dynamics import (TimeDependentOperator, _Constant, _Derived, _sample_times,
                                 _time_last)
 from nhpassage.scenarios import RESIDUAL_TOL, SCENARIO_IDS
@@ -81,7 +84,8 @@ CHUNK_BYTES = 1 << 13
 
 
 def recorded_run(config, stages, marks=None):
-    """``stages`` through the runner, with what it read per stage recorded: the
+    """``stages`` through :func:`run_scenario`, served as the config's stages by
+    ``scenarios._stages``, with what the run read per stage recorded: the
     times and samples of each chunk of its dt/2 re-run, of its sweep, and of
     its certificate pass (``H`` and the frame), and the certificates.  Chunks
     take :data:`CHUNK_BYTES`.  ``marks``, a dict of per-callable call lists,
@@ -113,15 +117,17 @@ def recorded_run(config, stages, marks=None):
             return inner(recorded(H, "sweep"), psi, grid)
         return swept
 
-    def read(values_at, samples, shape, inner=scenarios._checked_block):
-        got["H"][-1].append((samples.times, inner(values_at, samples, shape)))
-        return got["H"][-1][-1][1]
+    certifying = []  # the stage being certified
 
-    certifying = []  # the frame of the stage being certified
+    def read(H, samples, inner=TimeDependentOperator.sample):
+        block = inner(H, samples)
+        if certifying and H is certifying[0].H:
+            got["H"][-1].append((samples.times, block))
+        return block
 
     def frame_read(frame, times, inner=AncillaryFrame._block):
         block = inner(frame, times)
-        if certifying and frame is certifying[0]:
+        if certifying and frame is certifying[0].frame:
             got["frame"][-1].append((np.array(times), block))
         return block
 
@@ -129,7 +135,7 @@ def recorded_run(config, stages, marks=None):
         mark("pass")
         got["H"].append([])
         got["frame"].append([])
-        certifying.append(stage.frame)
+        certifying.append(stage)
         got["certificates"].append(inner(stage, *args))
         certifying.pop()
         return got["certificates"][-1]
@@ -138,12 +144,13 @@ def recorded_run(config, stages, marks=None):
         for name in ("evolve_ket", "evolve_bra"):
             mp.setattr(scenarios, name, sweep(getattr(scenarios, name)))
         mp.setattr(scenarios, "evolve_ket_halved", halved)
-        mp.setattr(scenarios, "_checked_block", read)
+        mp.setattr(TimeDependentOperator, "sample", read)
         mp.setattr(AncillaryFrame, "_block", frame_read)
         mp.setattr(scenarios, "_certify", certify)
+        mp.setattr(scenarios, "_stages", lambda _: stages)
         mp.setattr(dynamics, "_CHUNK_BYTES", CHUNK_BYTES)
         try:
-            report = scenarios._run(config, stages=stages)
+            report = run_scenario(config)
         except StepSizeError:
             report = None
     assert all(len(per_stage) == len(stages) for per_stage in got.values())
@@ -212,6 +219,54 @@ def test_built_in_runs_read_the_public_calls_numbers(sid, T, gamma_scale):
     report, got = recorded_run(config, stages)
     assert report is not None and report.passed
     assert_reads_are_the_public_calls(stages, report, got)
+
+
+@pytest.mark.parametrize("entry", [run_scenario, verify])
+@pytest.mark.parametrize("sid", ["two_level_c", "cyclic_ccw"])
+def test_every_generator_block_is_read_through_sample(entry, sid):
+    # the one checked read of a generator: every (K, K) block that any module's
+    # _checked_block forms comes from TimeDependentOperator.sample, which the
+    # certificate pass and the residual scans hand their sample sets
+    ts = np.linspace(0.0, 1.0, 7)
+    assert len(dynamics._Samples(ts)) == ts.size  # what a tracer counts as sample points
+    inside, callers = [], []  # the sample calls, and the marked functions, now running
+    blocks, sets = [], []  # per generator block, whether sample formed it; per set, its callers
+
+    def checked(values_at, times, shape, inner=dynamics._checked_block):
+        if len(shape) == 2:
+            blocks.append(bool(inside))
+        return inner(values_at, times, shape)
+
+    def sample(H, times, inner=TimeDependentOperator.sample):
+        if isinstance(times, dynamics._Samples):
+            sets.append(tuple(callers))
+        inside.append(H)
+        try:
+            return inner(H, times)
+        finally:
+            inside.pop()
+
+    def marked(name, inner):
+        def call(*args, **kwargs):
+            callers.append(name)
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                callers.pop()
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (dynamics, frames, scenarios):
+            if hasattr(module, "_checked_block"):
+                mp.setattr(module, "_checked_block", checked)
+        mp.setattr(TimeDependentOperator, "sample", sample)
+        mp.setattr(scenarios, "_certify", marked("certify", scenarios._certify))
+        for module in (frames, scenarios):
+            mp.setattr(module, "_residuals", marked("residuals", frames._residuals))
+        entry(ScenarioConfig(sid, T=0.5, dt=0.5 / 250))
+    assert blocks and all(blocks)
+    assert any("certify" in c for c in sets)
+    assert (entry is verify) == any("residuals" in c for c in sets)
 
 
 def whole_stage_fidelity(states, stage, phase):
@@ -459,7 +514,9 @@ def test_a_run_calls_each_frame_angle_once_per_time_array():
     calls = {"theta": [], "theta_dot": []}
     config = ScenarioConfig("two_level_c")
     stage = hand_built(scenarios._stages(config)[0], calls)
-    report = scenarios._run(config, [stage])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenarios, "_stages", lambda _: [stage])
+        report = run_scenario(config)
     assert report.passed
     steps, first = 4000, 2048
     for sizes in calls.values():
@@ -494,9 +551,12 @@ def test_a_drive_scaled_control_reads_one_sample_set():
     # verify's perturbed control: the scaled generator and the frame read the
     # stage's angles from one set on the grid's one chunk
     calls = {"theta": [], "theta_dot": []}
-    stage = hand_built(scenarios._stages(ScenarioConfig("two_level_c", dt=0.01))[0], calls)
+    config = ScenarioConfig("two_level_c", dt=0.01)
+    stage = hand_built(scenarios._stages(config)[0], calls)
     assert calls == {"theta": [201], "theta_dot": [201]}  # synthesis
-    scenarios._perturbed_omega_checks([stage])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenarios, "_stages", lambda _: [stage])
+        scenarios._perturbed_omega_checks(config)
     assert calls == {"theta": [201, 201], "theta_dot": [201, 201]}
 
 

@@ -136,14 +136,15 @@ def test_a_nan_shift_in_a_later_stage_refuses_the_run(monkeypatch):
     assert len(calls) == 3  # every stage ran first
 
 
-def test_an_overflowing_run_names_the_time():
+def test_an_overflowing_run_names_the_time(monkeypatch):
     # a later stage whose generator grows without bound: its dt/2 re-run, which
     # goes first, overflows and names the first grid time that does
     first, second = scenarios._stages(ScenarioConfig("cyclic_cw"))[:2]
     grow = TimeDependentOperator(3, lambda ts: second.H.values_at(ts) + np.diag([0, 300j, 0]))
+    monkeypatch.setattr(scenarios, "_stages", lambda _: [first, replace(second, H=grow)])
     with pytest.raises(NonFiniteSampleError,
                        match=r"^state at t = 3\.216 overflows or is not finite$"):
-        scenarios._run(ScenarioConfig("cyclic_cw"), [first, replace(second, H=grow)])
+        run_scenario(ScenarioConfig("cyclic_cw"))
 
 
 @pytest.mark.parametrize("field,value", [
@@ -400,9 +401,9 @@ def test_verify_records_each_groups_failure_when_stages_fail_to_build():
         ScenarioConfig("cyclic_cw"))[0]
 
 
-def rebuilt_verify_checks(config):
-    """verify's checks with each group building the config's stages again,
-    the perturbed ones by synthesizing and then scaling ``omega``."""
+def public_verify_checks(config):
+    """verify's checks from the public run and each group's checks, the
+    perturbed ones by synthesizing and then scaling ``omega``."""
     try:
         checks = list(run_scenario(config).checks)
     except PassageError as exc:
@@ -418,17 +419,17 @@ def rebuilt_verify_checks(config):
         "perturbed_omega_breaks_triangularization", min(perturbed), 1e-3))
     checks += scenarios._hermitian_limit_checks(config)
     checks += scenarios._random_biorthogonality_checks(config)
-    return checks + scenarios._dyson_checks(config, scenarios._stages(config))
+    return checks + scenarios._dyson_checks(config)
 
 
 @pytest.mark.parametrize("gamma_scale", [0.8, 1.15])
 @pytest.mark.parametrize("sid", ["two_level_a", "two_level_b", "two_level_c",
                                  "two_level_d", "cyclic_cw", "cyclic_ccw"])
-def test_verify_on_shared_stages_is_the_rebuild_per_group_path(sid, gamma_scale):
+def test_verify_is_the_public_run_plus_each_groups_checks(sid, gamma_scale):
     config = ScenarioConfig(sid, loops=2 if sid in CYCLIC_IDS else 1, gamma_scale=gamma_scale)
     got = [(c.name, repr(c.value), c.threshold, c.mode, c.passed) for c in verify(config).checks]
     want = [(c.name, repr(c.value), c.threshold, c.mode, c.passed)
-            for c in rebuilt_verify_checks(config)]
+            for c in public_verify_checks(config)]
     assert got == want
 
 
@@ -455,6 +456,21 @@ def _cyclic_names(levels, extra):
     return names + ["mid_evolution_norm_dip", "bra_stage_Pe_max"] + extra + _SHARED_TAIL
 
 
+def test_verify_calls_the_public_run_once_by_name(monkeypatch):
+    # the run of verify is run_scenario, looked up by name, so a wrapper over
+    # it (a tracer's, say) sees verify's run
+    configs = []
+
+    def recorder(config, inner=scenarios.run_scenario):
+        configs.append(config)
+        return inner(config)
+
+    monkeypatch.setattr(scenarios, "run_scenario", recorder)
+    config = ScenarioConfig("two_level_a", dt=0.002)
+    verify(config)
+    assert configs == [config]
+
+
 @pytest.mark.parametrize("sid,expected", [
     ("two_level_a", _two_level_names(0)),
     ("two_level_b", _two_level_names(1)),
@@ -473,7 +489,10 @@ def test_verify_check_names_in_order(sid, expected):
 def test_verify_negative_controls_cover_every_stage(monkeypatch, sid):
     # classify each triangularization scan that fails as it should: on a
     # non-Hermitian generator it is the 1% drive perturbation, on the
-    # Hermitian zero-gain generator it is the misaligned frame
+    # Hermitian zero-gain generator it is the misaligned frame; the
+    # perturbation scans through triangularization_residual, which calls
+    # frames._residuals, and the Hermitian limit through scenarios' binding
+    import nhpassage.frames
     import nhpassage.scenarios as scenarios
 
     inner = scenarios._residuals
@@ -488,7 +507,8 @@ def test_verify_negative_controls_cover_every_stage(monkeypatch, sid):
                 spans[kind].append((grid.t0, grid.tf))
         return peaks
 
-    monkeypatch.setattr(scenarios, "_residuals", recording)
+    for module in (scenarios, nhpassage.frames):
+        monkeypatch.setattr(module, "_residuals", recording)
     report = verify(ScenarioConfig(scenario=sid))
     assert report.passed
     for kind, covered in spans.items():
@@ -655,23 +675,29 @@ def test_run_keeps_a_nan_stage_end_phase_of_a_later_stage(monkeypatch):
     assert np.isnan(result.value) and not result.passed
 
 
-def test_run_keeps_a_nan_consistency_of_a_later_stage():
+def test_run_keeps_a_nan_consistency_of_a_later_stage(monkeypatch):
     config = ScenarioConfig("cyclic_cw")
     stages = scenarios._stages(config)
     stages[1] = replace(stages[1], controls=replace(stages[1].controls, consistency=np.nan))
-    report = scenarios._run(config, stages)
+    monkeypatch.setattr(scenarios, "_stages", lambda _: stages)
+    report = run_scenario(config)
     result = next(c for c in report.checks if c.name == "consistency_residual")
     assert np.isnan(result.value) and not result.passed
 
 
 def test_verify_controls_keep_a_nan_of_a_later_stage(monkeypatch):
+    # the perturbation scans through triangularization_residual, which calls
+    # frames._residuals, and the Hermitian limit through scenarios' binding
+    import nhpassage.frames
+
     inner = scenarios._residuals
 
     def stand_in(H, frames, grid, von_neumann=False):
         peaks = inner(H, frames, grid, von_neumann)
         return [np.nan] * len(peaks) if on_stage_2(grid.t0) else peaks
 
-    monkeypatch.setattr(scenarios, "_residuals", stand_in)
+    for module in (scenarios, nhpassage.frames):
+        monkeypatch.setattr(module, "_residuals", stand_in)
     report = verify(ScenarioConfig("cyclic_cw"))
     checks = {c.name: c for c in report.checks}
     for name in ("perturbed_omega_breaks_triangularization",
@@ -1060,7 +1086,8 @@ def test_cli_rejects_a_flag_of_another_subcommand_like_a_config_key(
 
 
 @pytest.mark.parametrize("extra", [["--bogus", "1"], ["--loop", "2"], ["junk"],
-                                   ["--loops", "1", "--bogus"]])
+                                   ["--loops", "1", "--bogus"],
+                                   ["--gamma_scale", "1.0"], ["--gamma_scale=1.0"]])
 def test_cli_other_unknown_words_stay_argparse_usage_errors(no_run, capsys, extra):
     with pytest.raises(SystemExit) as exit_info:
         cli_main(["two-level", "--scenario", "a"] + extra)

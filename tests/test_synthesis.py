@@ -546,6 +546,20 @@ def test_synthesis_names_an_argument_that_is_not_a_real_number(synthesize, argum
         synthesize(params, grid=GRID, **{**arguments, name: value})
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("synthesize,arguments,name", [
+    *((synthesize_two_level, TWO_LEVEL_ARGUMENTS, name) for name in TWO_LEVEL_ARGUMENTS),
+    *((synthesize_three_level, THREE_LEVEL_ARGUMENTS, name) for name in THREE_LEVEL_ARGUMENTS),
+])
+def test_synthesis_names_an_argument_that_is_not_finite(synthesize, arguments, name, value):
+    # before any sine of it is taken, and not as a residual of another name
+    params = (sine_params() if synthesize is synthesize_two_level
+              else stage1_cw_frame_params())
+    with pytest.raises(InvalidArgumentError, match=f"^{name} must be finite, got {value}$"):
+        synthesize(params, grid=GRID, **{**arguments, name: value})
+
+
 def test_argument_errors_are_typed():
     params, controls, _, _ = synthesize_stage1_cw()
     calls = [
