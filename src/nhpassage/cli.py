@@ -129,7 +129,15 @@ def _flag_key(flag: str) -> str:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args, extras = parser.parse_known_args(argv)
+    words = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(words) - 1, 0, -1):  # argparse reads -1e-3, -inf or -nan as a flag
+        if words[i - 1] in _FLAGS and words[i].startswith("-"):
+            try:
+                float(words[i])
+            except ValueError:
+                continue
+            words[i - 1:i + 1] = [f"{words[i - 1]}={words[i]}"]
+    args, extras = parser.parse_known_args(words)
     # a flag of another subcommand's option, as registered, is a ConfigError
     # below; any other word the subcommand does not take is argparse's usage error
     flags = [word.split("=", 1)[0] for word in extras if word.startswith("--")]

@@ -29,18 +29,19 @@ handing its own state across the boundaries), then the sweep on its own
 samples, handing the state across each boundary verbatim, then one
 certificate pass (:func:`_certify`): a chunk of steps at a time, sets on its
 grid points and midpoints and on its grid points give every certificate its
-samples.  The consistency residual is the one synthesis recorded.  A stage
-keeps only its states, phase and certificate values, written into the run's
-arrays, and its dt/2 shift; the run fails if the largest shift (a NaN
-included) exceeds the step-check tolerance, then packages the trajectory,
+samples.  A stage keeps its states and phase, written into the run's arrays,
+and one record: the pass's certificate values, its dt/2 shift and the
+consistency residual synthesis recorded.  The run folds its stages' records
+once, each value to its largest, and fails if the folded shift (a NaN
+included) exceeds the step-check tolerance; it then packages the trajectory,
 passage phase, checkpoint populations and checks into a :class:`RunReport`.
 The checks are the report's only record of each certificate: a per-stage
-value is folded over the stages by ``np.max`` or ``np.min``, so a NaN on any
-stage is the check's value and fails it.  :func:`verify` is
-:func:`run_scenario` plus four control groups, each a function of the config
-that builds the stages it reads: the series oracle, a 1% drive error (scanned
-by ``triangularization_residual``), the Hermitian limit at zero gain, and a
-random generator.
+value is folded over the stages by ``np.max`` (``np.min`` for a control that
+must fail), so a NaN on any stage is the check's value and fails it.
+:func:`verify` is :func:`run_scenario` plus four control groups, each a
+function of the config that builds the stages it reads: the series oracle, a
+1% drive error (scanned by ``triangularization_residual``), the Hermitian
+limit at zero gain, and a random generator.
 """
 
 from __future__ import annotations
@@ -386,37 +387,29 @@ def _drive_scaled(stage: _Stage, drive_scale: float) -> TimeDependentOperator:
 # the runner
 
 
-def _step_shift(states: np.ndarray, fine: np.ndarray) -> np.float64:
-    """Max population change at a stage's grid points when it is repeated at dt/2;
-    ``fine`` holds the dt/2 re-run's states at those points.  A NaN propagates."""
-    return np.max(np.abs(np.abs(states) ** 2 - np.abs(fine) ** 2))
-
-
-def _step_check(shifts: list) -> float:
-    """The run's dt/2 shift, the largest of its stages' (:func:`_step_shift`).
-
-    Raises :class:`StepSizeError` above :data:`STEP_CHECK_TOL`, and on a
-    NaN shift (an overflowed run) in any stage.
-    """
-    delta = float(np.max(shifts))
-    if not delta <= STEP_CHECK_TOL:
+def _step_check(shift: np.float64) -> None:
+    """Raise :class:`StepSizeError` when the run's dt/2 shift, the largest of its
+    stages' (folded with their other records), exceeds :data:`STEP_CHECK_TOL`,
+    or is NaN (an overflowed run in any stage)."""
+    if not shift <= STEP_CHECK_TOL:
         raise StepSizeError(
-            f"dt/2 re-run moved a population by {delta:.3e} "
+            f"dt/2 re-run moved a population by {shift:.3e} "
             f"(> {STEP_CHECK_TOL:g}); decrease dt"
         )
-    return delta
 
 
 def _sweep(stage: _Stage, psi_fine: np.ndarray,
            out: np.ndarray) -> tuple[np.ndarray, np.float64]:
     """The stage's states from ``out[0]``, written into ``out``, after its dt/2
     re-run from ``psi_fine``; returns the re-run's end state and the stage's
-    dt/2 shift (:func:`_step_shift`), so the re-run's states die here."""
+    dt/2 shift, the largest population change at its grid points read from
+    both trajectories' populations, so the re-run's states die here."""
     ket = stage.passage == "ket"
     # the dt/2 re-run goes first, on its own samples (see nhpassage.dynamics)
-    fine = evolve_ket_halved(stage.H if ket else stage.H.adjoint(), psi_fine, stage.grid).states
-    out[:] = (evolve_ket if ket else evolve_bra)(stage.H, out[0], stage.grid).states
-    return fine[-1].copy(), _step_shift(out, fine)
+    fine = evolve_ket_halved(stage.H if ket else stage.H.adjoint(), psi_fine, stage.grid)
+    run = (evolve_ket if ket else evolve_bra)(stage.H, out[0], stage.grid)
+    out[:] = run.states
+    return fine.states[-1].copy(), np.max(np.abs(run.populations - fine.populations))
 
 
 def _certify(stage: _Stage, states: np.ndarray, f_real: np.ndarray, f_imag: np.ndarray,
@@ -484,15 +477,18 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
     states[0, 0 if cyclic else _TWO_LEVEL_TASKS[config.scenario][1]] = 1.0
     psi_fine = states[0].copy()  # the dt/2 re-run hands its own state across the boundaries
     f_real, f_imag = np.empty(starts[-1] + 1), np.empty(starts[-1] + 1)
-    shifts, certificates = [], []
+    records = []
     for i, stage in enumerate(stages):
         points = slice(starts[i], starts[i + 1] + 1)
         psi_fine, shift = _sweep(stage, psi_fine, states[points])
-        shifts.append(shift)
         # the boundary point keeps the earlier stage's phase
-        certificates.append(_certify(stage, states[points], f_real[points], f_imag[points],
-                                     1 if i else 0))
-    step_delta = _step_check(shifts)
+        records.append({**_certify(stage, states[points], f_real[points], f_imag[points],
+                                   1 if i else 0),
+                        "step_halving_shift": shift,
+                        "consistency_residual": stage.controls.consistency})
+    # each per-stage value folds to its largest, a NaN in any stage included
+    worst = {name: np.max([record[name] for record in records]) for name in records[0]}
+    _step_check(worst["step_halving_shift"])
 
     grid = TimeGrid(stages[0].grid.t0, stages[-1].grid.tf, config.resolved_dt(),
                     stage_boundaries=tuple(s.grid.tf for s in stages[:-1]))
@@ -501,19 +497,15 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
     phase = PhaseFunctional(times=times, f_real=f_real, f_imag=f_imag)
     scenario_checks = _cyclic_checks if cyclic else _two_level_checks
     checkpoints, checks = scenario_checks(config, stages, starts, traj)
-    # each per-stage value folds to its largest, a NaN in any stage included;
-    # synthesis checked each stage's consistency on its grid and recorded the largest
-    worst = {name: np.max([c[name] for c in certificates]) for name in certificates[0]}
-    checks += [CheckResult.below(name, value, threshold) for name, value, threshold in (
-        ("stage_end_f_imag", worst["stage_end_f_imag"], STAGE_PHASE_TOL),
-        ("phase_norm_identity",
-         np.max(np.abs(np.exp(phase.f_imag) - traj.vector_norm())), config.tolerance),
-        ("triangularization_residual", worst["triangularization_residual"], RESIDUAL_TOL),
-        ("consistency_residual", np.max([s.controls.consistency for s in stages]),
-         CONSISTENCY_TOL),
-        ("biorthogonality_defect", worst["biorthogonality_defect"], POPULATION_TOL),
-        ("passage_fidelity", worst["passage_fidelity"], POPULATION_TOL),
-        ("step_halving_shift", step_delta, STEP_CHECK_TOL),
+    worst["phase_norm_identity"] = np.max(np.abs(np.exp(phase.f_imag) - traj.vector_norm()))
+    checks += [CheckResult.below(name, worst[name], threshold) for name, threshold in (
+        ("stage_end_f_imag", STAGE_PHASE_TOL),
+        ("phase_norm_identity", config.tolerance),
+        ("triangularization_residual", RESIDUAL_TOL),
+        ("consistency_residual", CONSISTENCY_TOL),
+        ("biorthogonality_defect", POPULATION_TOL),
+        ("passage_fidelity", POPULATION_TOL),
+        ("step_halving_shift", STEP_CHECK_TOL),
     )]
     return RunReport(config=config, trajectory=traj, phase=phase,
                      checkpoints=checkpoints, checks=checks)

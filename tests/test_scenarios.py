@@ -35,7 +35,7 @@ from nhpassage import scenarios
 from nhpassage.cli import OPTIONS, main as cli_main
 from nhpassage.config import read_config
 from nhpassage.scenarios import CYCLIC_IDS
-from test_sample_sets import whole_stage_fidelity
+from test_sample_sets import same_bits, whole_stage_fidelity
 
 
 # ---------------------------------------------------------------------------
@@ -109,13 +109,14 @@ def test_step_check_rejects_nan_shift():
     # an overflowed run yields NaN populations, and NaN > tol is False
     import nhpassage.scenarios as scenarios
 
-    # in a later stage: Python's max(0.0, nan) would return 0.0
+    # in a later stage: Python's max(0.0, nan) would return 0.0, the run's np.max keeps it
     states = np.array([[1.0, 0.0], [np.nan, 0.0], [0.5, 0.5]], dtype=complex)
-    shifts = [scenarios._step_shift(states[:1], states[:1].copy()),
-              scenarios._step_shift(states, states.copy())]
-    assert shifts[0] == 0.0
+    populations = np.abs(states) ** 2
+    shifts = [np.max(np.abs(populations[:1] - populations[:1].copy())),
+              np.max(np.abs(populations - populations.copy()))]
+    assert shifts[0] == 0.0 and max(shifts) == 0.0
     with pytest.raises(StepSizeError, match="nan"):
-        scenarios._step_check(shifts)
+        scenarios._step_check(np.max(shifts))
 
 
 def test_a_nan_shift_in_a_later_stage_refuses_the_run(monkeypatch):
@@ -128,7 +129,7 @@ def test_a_nan_shift_in_a_later_stage_refuses_the_run(monkeypatch):
         calls.append(grid)
         if len(calls) == 2:
             states[len(states) // 2, 1] = np.nan
-        return types.SimpleNamespace(states=states)
+        return types.SimpleNamespace(states=states, populations=np.abs(states) ** 2)
 
     monkeypatch.setattr(scenarios, "evolve_ket_halved", halved)
     with pytest.raises(StepSizeError, match=r"moved a population by nan"):
@@ -634,6 +635,47 @@ def test_stage_tables_serve_the_same_floats(monkeypatch, scenario, loops):
         von_neumann_residual(s.H, bad, s.grid) for s in zero_gain)
 
 
+@pytest.mark.parametrize("scenario,loops", [("cyclic_cw", 2), ("two_level_c", 1)])
+def test_each_stage_check_is_the_one_fold_of_the_stage_records(monkeypatch, scenario, loops):
+    # every per-stage check but phase_norm_identity is the np.max of its stages'
+    # values, each stage's dt/2 shift is its largest population change against
+    # its re-run, and the step check is handed the one folded shift
+    sweeps, certificates, handed = [], [], []
+
+    def sweep(stage, psi_fine, out, inner=scenarios._sweep):
+        start = psi_fine.copy()
+        end, shift = inner(stage, psi_fine, out)
+        sweeps.append((stage, start, out.copy(), shift))
+        return end, shift
+
+    def certify(*args, inner=scenarios._certify):
+        certificates.append(inner(*args))
+        return certificates[-1]
+
+    def step_check(shift, inner=scenarios._step_check):
+        handed.append(shift)
+        return inner(shift)
+
+    for name, stand_in in (("_sweep", sweep), ("_certify", certify), ("_step_check", step_check)):
+        monkeypatch.setattr(scenarios, name, stand_in)
+    report = run_scenario(ScenarioConfig(scenario, loops=loops))
+    monkeypatch.undo()
+    assert len(sweeps) == len(certificates) == (3 * loops if scenario in CYCLIC_IDS else 1)
+    for stage, psi_fine, states, shift in sweeps:
+        H = stage.H if stage.passage == "ket" else stage.H.adjoint()
+        fine = scenarios.evolve_ket_halved(H, psi_fine, stage.grid).states
+        assert same_bits(shift, np.max(np.abs(np.abs(states) ** 2 - np.abs(fine) ** 2)))
+    recorded = {name: [c[name] for c in certificates] for name in certificates[0]}
+    recorded["step_halving_shift"] = [shift for *_, shift in sweeps]
+    recorded["consistency_residual"] = [stage.controls.consistency for stage, *_ in sweeps]
+    values = {c.name: c.value for c in report.checks}
+    assert set(values) >= set(recorded) | {"phase_norm_identity"} and len(recorded) == 6
+    for name, per_stage in recorded.items():
+        assert same_bits(values[name], float(np.max(per_stage))), name
+    assert len(handed) == 1 and np.ndim(handed[0]) == 0
+    assert same_bits(handed[0], np.max(recorded["step_halving_shift"]))
+
+
 # ---------------------------------------------------------------------------
 # every per-stage fold keeps a NaN: a certificate that is NaN on a later stage
 # reads NaN and fails, however the other stages' values compare
@@ -994,12 +1036,16 @@ def test_cli_two_level_loops_is_a_clean_error(capsys):
     assert err.startswith("error: loops")
 
 
-def test_cli_non_finite_flag_is_a_clean_error(capsys):
-    code = cli_main(["cyclic", "--direction", "cw", "--gamma-scale", "nan"])
+@pytest.mark.parametrize("flag,value,key", [("--gamma-scale", "nan", "gamma_scale"),
+                                            ("--gamma-scale", "-nan", "gamma_scale"),
+                                            ("--dt", "-inf", "dt")])
+def test_cli_non_finite_flag_is_a_clean_error(no_run, capsys, flag, value, key):
+    # -nan and -inf are flag values, not flags: argparse alone would exit 2
+    code = cli_main(["cyclic", "--direction", "cw", flag, value])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: gamma_scale must be finite")
-    assert "Traceback" not in err
+    assert err.startswith(f"error: {key} must be finite")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
 def test_cli_bad_config_number_is_a_clean_error(tmp_path, capsys):
@@ -1065,9 +1111,10 @@ def test_cli_rejects_a_config_key_the_subcommand_does_not_read(
     ("verify", ["--direction", "ccw"], "direction"),
     ("two-level", ["--loops", "1"], "loops"),
     ("two-level", ["--loops=1"], "loops"),
+    ("two-level", ["--loops", "-1"], "loops"),
     ("two-level", ["--direction", "cw"], "direction"),
 ], ids=["cyclic-scenario", "verify-direction", "two-level-loops", "two-level-loops=",
-        "two-level-direction"])
+        "two-level-loops-negative", "two-level-direction"])
 def test_cli_rejects_a_flag_of_another_subcommand_like_a_config_key(
         tmp_path, no_run, capsys, command, flag, key):
     # the flag and the same key in a config file fail alike: exit 1, one line
@@ -1095,6 +1142,21 @@ def test_cli_other_unknown_words_stay_argparse_usage_errors(no_run, capsys, extr
     err = capsys.readouterr().err
     assert err.startswith("usage: ")
     assert err.endswith(f"error: unrecognized arguments: {' '.join(extra)}\n")
+
+
+@pytest.mark.parametrize("value,gamma_scale", [("-1e-3", -0.001), ("-0.5", -0.5),
+                                               ("-1E+0", -1.0)])
+def test_cli_a_negative_number_is_a_flag_value(verified_configs, capsys, value, gamma_scale):
+    # argparse alone reads -1e-3 as a flag: "expected one argument", exit 2
+    assert cli_main(["verify", "--scenario", "cw", "--gamma-scale", value, "--quiet"]) == 0
+    assert verified_configs == [ScenarioConfig("cyclic_cw", gamma_scale=gamma_scale)]
+
+
+def test_cli_a_dashed_word_that_is_no_number_is_no_flag_value(no_run, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["two-level", "--scenario", "a", "--csv", "-x.csv"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument --csv: expected one argument\n")
 
 
 @pytest.mark.parametrize("argv,sid", [
